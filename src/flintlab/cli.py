@@ -518,6 +518,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit_error(exc)
         return 1
+    except OSError as exc:           # unreadable or unwritable files: a usage error
+        _emit_error(UsageError(str(exc)))
+        return 1
     except PrecisionError as exc:
         _emit_error(exc)
         return 2

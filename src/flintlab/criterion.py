@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, TextIO
@@ -35,10 +36,9 @@ from .mpreal import (
     clog2,
     fx_exp_small,
     fx_ln_int,
-    fx_sin,
     ln2_mantissa,
-    reduce_fixed,
     round_div,
+    sin_ball,
 )
 from .rationality import local_exponent
 
@@ -85,10 +85,8 @@ def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
     units of 2**-scale_bits.
     """
     wr = w + clog2(max(n, 2)) + 8
-    _, R, e_red = reduce_fixed(n, wr)
-    S, e_sin = fx_sin(R, wr)
+    S, e_abs = sin_ball(n, wr)
     m = abs(S)
-    e_abs = e_red + e_sin + 1
     if m <= e_abs:
         return None, 0.0, 0.0, None
     ln_n, e_ln = fx_ln_int(n, w)
@@ -178,7 +176,8 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     """Check every n in the inclusive range; report violations ascending.
 
     The range is cut into fixed 4096-wide chunks which may be evaluated
-    in worker processes; chunk results are merged in ascending order, so
+    in worker processes (at most one per chunk and per CPU, whatever
+    `threads` asks for); chunk results are merged in ascending order, so
     the output is independent of `threads`.
     """
     lo, hi = n_range
@@ -190,9 +189,10 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     c = Fraction(2 * s + 2) - eps
     chunks = [(a, min(a + _CHUNK - 1, hi), s, c.numerator, c.denominator, bits)
               for a in range(lo, hi + 1, _CHUNK)]
-    if threads > 1 and len(chunks) > 1:
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=threads) as pool:
+        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             pieces = list(pool.map(_scan_chunk, chunks))
     else:
         pieces = [_scan_chunk(chunk) for chunk in chunks]

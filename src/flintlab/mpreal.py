@@ -22,13 +22,31 @@ uncertainty interval around the stored rational stays clear of the
 nearest half-integer, refining the rational (and only then paying for a
 new binary-splitting run) when the check fails.
 
-Sine at integer arguments follows the classical reduction
-``n = k*pi + r`` with ``k = round(n/pi)`` and ``r`` in (-pi/2, pi/2);
-the guard-bit budget is ``ceil(log2 n) + 32`` on top of the target,
-because the subtraction ``n - k*pi`` cancels about ``log2 n`` leading
-bits.  The Taylor kernels at the bottom of the file work on plain
-integers at a fixed scale and report their rounding as a ulp count,
-which callers convert into the exact ``err`` fraction.
+Sine at integer arguments has one primitive, :func:`sin_ball`: the
+classical reduction ``n = k*pi + r`` with ``k = round(n/pi)`` and ``r``
+in (-pi/2, pi/2), then the Taylor kernel, returning the signed integer
+ball ``(S, err_ulps)`` at scale ``2**-w``.  Callers add about
+``log2 n`` guard bits to w, because the subtraction ``n - k*pi``
+cancels that many leading bits.  :func:`sin_int` and the criterion
+kernel use the ball as it is.
+
+Two layers on top of the ball serve the partial sums:
+
+* :func:`abs_sin_canonical` returns ``round(|sin n| * 2**w)`` exactly,
+  with the same Ziv-style test as the constants: evaluate the ball with
+  32 guard bits, and accept the rounding only when the whole ball
+  rounds the same way; otherwise double the guard bits.  The result is
+  a pure function of (n, w), whatever computed it.
+* :func:`abs_sin_walk` yields those same integers for consecutive n by
+  rotating ``(cos n, sin n)`` by ``(cos 1, sin 1)`` -- four
+  multiplications instead of a reduction and a Taylor sum per n.  It
+  re-anchors on a direct ball every 4096 steps and wherever w changes,
+  carries a proven drift bound, and hands any n whose rounding the
+  drift leaves ambiguous to :func:`abs_sin_canonical`.
+
+The Taylor kernels at the bottom of the file work on plain integers at
+a fixed scale and report their rounding as a ulp count, which callers
+convert into the exact ``err`` fraction.
 """
 
 from __future__ import annotations
@@ -36,6 +54,8 @@ from __future__ import annotations
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterator
 
 from .errors import DomainError, ResourceLimitError
 
@@ -44,6 +64,10 @@ __all__ = [
     "MpReal",
     "PiCache",
     "PI_CACHE",
+    "SIN_GUARD_BITS",
+    "WALK_BLOCK",
+    "abs_sin_canonical",
+    "abs_sin_walk",
     "clog2",
     "compute_pi",
     "cos_mp",
@@ -61,12 +85,15 @@ __all__ = [
     "reduce_fixed",
     "reduce_mod_pi",
     "round_div",
+    "sin_ball",
     "sin_int",
     "sin_mp",
     "sin_reduced",
 ]
 
 MAX_BITS = 10_000_000
+SIN_GUARD_BITS = 32      # first guard-bit count of abs_sin_canonical and the walk
+WALK_BLOCK = 4096        # abs_sin_walk re-anchors at least this often
 
 _ZERO = Fraction(0)
 
@@ -176,15 +203,6 @@ class _ConstSource:
                     self._mans[w] = man
                     return man
                 src_w *= 2
-
-    def rational(self, w: int) -> tuple[int, int]:
-        """Best stored rational after ensuring source error <= 2**-w."""
-        with self._lock:
-            if self._src_w < w:
-                self._num, self._den = self._refine(w)
-                self._src_w = w
-                self.refinements += 1
-            return self._num, self._den
 
 
 _PI_SOURCE = _ConstSource("pi", machin_pi_rational)
@@ -414,10 +432,26 @@ def compute_pi(bits: int) -> MpReal:
 # --------------------------------------------------------------------------
 
 def fx_sin(X: int, w: int) -> tuple[int, int]:
-    """sin(X * 2**-w) in units of 2**-w, for |X * 2**-w| <= 3.3.
+    """sin(X * 2**-w) in units of 2**-w, for |X * 2**-w| <= 3.3 and w >= 8.
 
-    Returns (value_units, err_ulps).  The ulp bound is deliberately
-    loose; the kernel is validated against an exact Taylor oracle.
+    Returns (value_units, err_ulps) with err_ulps = 8*i + 16, i being the
+    loop counter at exit.  Derivation, for X >= 0 (the sign is restored
+    exactly): let x = X * 2**-w, c_i = 2i(2i+1) and t_i = x**(2i+1) /
+    (2i+1)! * 2**w, the exact i-th Taylor term in units.  The code keeps
+    xx = x**2 * 2**w - phi with phi in [0, 1) and computes
+    term_i = floor(floor(term_(i-1) * xx / 2**w) / c_i), which equals
+    floor(term_(i-1) * xx / (c_i * 2**w)) because floor(floor(a/b)/c) =
+    floor(a/(b*c)) for positive integers b, c.  So d_i = term_i - t_i obeys
+
+        |d_i| <= |d_(i-1)| * x**2/c_i + t_(i-1) * phi/(c_i * 2**w) + 1,
+
+    with d_0 = 0.  For x <= 3.3, x**2/c_i is at most 1.82, 0.55, 0.26,
+    then less, and t_(i-1)/(c_i * 2**w) = x**(2i-1)/((2i-1)! * c_i) is at
+    most 0.55, 0.30, 0.08, then less; so |d_1| <= 1.55, |d_2| <= 2.15 and
+    every later |d_i| <= 1.7: every |d_i| <= 2.2.  The loop stops at the
+    first L = i - 1 with term_L = 0, so t_L <= 2.2, and the omitted tail
+    t_(L+1) + t_(L+2) + ... shrinks by x**2/c_j <= 0.55 per term: it is
+    below 2.7.  The total error is at most 2.2*L + 2.7 <= 8*i + 16.
     """
     sign = -1 if X < 0 else 1
     X = abs(X)
@@ -426,21 +460,32 @@ def fx_sin(X: int, w: int) -> tuple[int, int]:
     total = X
     i = 1
     while term:
-        term = (term * xx) // (((2 * i) * (2 * i + 1)) << w)
+        term = ((term * xx) >> w) // ((2 * i) * (2 * i + 1))
         total += -term if (i & 1) else term
         i += 1
     return sign * total, 8 * i + 16
 
 
 def fx_cos(X: int, w: int) -> tuple[int, int]:
-    """cos(X * 2**-w) in units of 2**-w, for |X * 2**-w| <= 3.3."""
+    """cos(X * 2**-w) in units of 2**-w, for |X * 2**-w| <= 3.3 and w >= 8.
+
+    Returns (value_units, err_ulps) with err_ulps = 8*i + 16, derived as
+    in :func:`fx_sin` with c_i = (2i-1)(2i) and t_i = x**(2i)/(2i)! * 2**w:
+    term_0 = 2**w is exact, x**2/c_i is at most 5.45, 0.91, 0.37, 0.20,
+    then less, and t_(i-1)/(c_i * 2**w) at most 0.50, 0.46, 0.17, 0.04,
+    then less; so |d_1| <= 1.5, |d_2| <= 2.9, |d_3| <= 2.2 and every later
+    |d_i| <= 1.5.  If the loop stops at L = 1, then x**2 <= 3 * 2**-w, the
+    tail ratio is below 0.001 and the tail below 0.01; for L >= 2 the
+    tail ratio is at most 0.37 and the tail below 1.8.  The total error is
+    at most 2.9*L + 1.8 <= 8*i + 16.
+    """
     X = abs(X)
     xx = (X * X) >> w
     term = 1 << w
     total = term
     i = 1
     while term:
-        term = (term * xx) // (((2 * i - 1) * (2 * i)) << w)
+        term = ((term * xx) >> w) // ((2 * i - 1) * (2 * i))
         total += -term if (i & 1) else term
         i += 1
     return total, 8 * i + 16
@@ -465,7 +510,8 @@ def fx_exp_small(R: int, w: int) -> tuple[int, int]:
     total = (1 << w) + R
     i = 2
     while term:
-        term = round_div(term * R, i << w)
+        # round_div(term * R, i << w), dividing by i after the shift
+        term = ((2 * term * R + (i << w)) >> (w + 1)) // i
         total += term
         i += 1
     return total, 4 * i + 8
@@ -533,6 +579,134 @@ def reduce_mod_pi(n: int, bits: int) -> tuple[int, MpReal]:
     return k, r
 
 
+def sin_ball(n: int, w: int) -> tuple[int, int]:
+    """sin(n) for integer n >= 1 as the integer ball (S, err_ulps) at 2**-w.
+
+    |S * 2**-w - sin n| <= err_ulps * 2**-w.  Computed as (-1)**k sin(r)
+    from n = k*pi + r; sine is 1-Lipschitz, so the reduction error adds
+    to the kernel's, plus one ulp of slack.  The absolute accuracy is
+    about 2**-(w - log2 n): callers add ceil(log2 n) guard bits.
+    """
+    k, R, e_red = reduce_fixed(n, w)
+    S, e_sin = fx_sin(R, w)
+    return (-S if k & 1 else S), e_red + e_sin + 1
+
+
+def _sincos_ball(n: int, w: int) -> tuple[int, int, int]:
+    """(C, S, err_ulps): cos n and sin n at 2**-w from one reduction.
+
+    Both components are within err_ulps of the truth, as in sin_ball.
+    """
+    k, R, e_red = reduce_fixed(n, w)
+    S, e_sin = fx_sin(R, w)
+    C, e_cos = fx_cos(R, w)
+    if k & 1:
+        C, S = -C, -S
+    return C, S, e_red + max(e_sin, e_cos) + 1
+
+
+def _round_abs(S: int, e: int, g: int) -> int | None:
+    """round(|x| * 2**-g) for every x in [S - e, S + e], or None if that
+    rounding is not the same across the ball (or its sign is unknown).
+
+    The value rounded is never exactly on a rounding boundary (|sin n| is
+    irrational), so agreement at both ends decides the rounding.
+    """
+    a = abs(S)
+    if a <= e:
+        return None
+    half = 1 << (g - 1)
+    m = (a - e + half) >> g
+    return m if m == (a + e + half) >> g else None
+
+
+def abs_sin_canonical(n: int, w: int) -> int:
+    """round(|sin n| * 2**w) for integer n >= 1, exactly.
+
+    Ziv's rounding test: evaluate sin_ball with g = SIN_GUARD_BITS extra
+    bits, and accept the rounding to w bits only when the whole ball
+    rounds the same way; otherwise double g.  |sin n| * 2**w is never a
+    half-integer, so the loop ends.  The result depends on (n, w) alone.
+    For accuracy near 2**-w, w must already include ceil(log2 n) guard
+    bits (see sin_ball).
+    """
+    g = SIN_GUARD_BITS
+    while True:
+        S, e = sin_ball(n, w + g)
+        m = _round_abs(S, e, g)
+        if m is not None:
+            return m
+        g *= 2
+
+
+@lru_cache(maxsize=256)
+def _rotation(W: int) -> tuple[int, int, int]:
+    """(cos 1, sin 1) at 2**-W with their common error."""
+    return _sincos_ball(1, W)
+
+
+def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
+    """Yield abs_sin_canonical(n, w(n)) for n = lo..hi, w(n) = base + clog2(max(n, 2)).
+
+    The values are the canonical ones, so they do not depend on lo or on
+    where the walk anchors.  Within a block of equal w, at W = w + g bits
+    with g = SIN_GUARD_BITS, (C, S) ~ (cos n, sin n) * 2**W is rotated by
+    (C1, S1) ~ (cos 1, sin 1) * 2**W: C' = (C*C1 - S*S1) >> W and
+    S' = (S*C1 + C*S1) >> W.  A block starts on a direct ball and ends
+    before the next multiple of WALK_BLOCK and before w changes (at each
+    power of two).
+
+    Error bound.  Treat points as complex numbers at scale 2**-W, let
+    u = cos n + j*sin n, U = (C + j*S) * 2**-W with |U - u| <= D * 2**-W,
+    and let the direct ball of n = 1 give rho = cos 1 + j*sin 1 and
+    P = (C1 + j*S1) * 2**-W with each component within e1 ulps, so
+    |P - rho| <= sqrt2*e1 * 2**-W.  Since |u| = |rho| = 1,
+
+        |U*P - u*rho| <= |U - u| * |P| + |P - rho|
+                      <= D*2**-W * (1 + sqrt2*e1*2**-W) + sqrt2*e1*2**-W,
+
+    and flooring both components adds less than sqrt2 * 2**-W.  So one
+    step turns D into D + sqrt2*(e1 + 1) + sqrt2*D*e1*2**-W.  While
+    D*e1 < 2**(W-1) the last term is below 1, and D += 2*e1 + 4 is a
+    sound update.  An anchor with componentwise error e0 starts at
+    D = 2*e0 >= sqrt2*e0.  |S * 2**-W - sin n| <= |U - u|, so (S, D) is
+    a ball for sin n and goes through the same rounding test as
+    abs_sin_canonical; an ambiguous n falls back to abs_sin_canonical.
+
+    The condition D*e1 < 2**(W-1) holds for base >= 8.  Then
+    W >= 40 + clog2(n), so n < 2**(W-40).  The reduction error is at
+    most n/6 + 3 ulps.  For |x| <= 1.6 the Taylor terms start below
+    2**(W+1) and at least halve from the second on, so the kernels stop
+    with i <= W + 4 and report at most 8*W + 48 ulps; hence
+    e0 <= n/6 + 8*W + 52 and e1 <= 8*W + 51.  A block has at most
+    WALK_BLOCK - 1 steps, so D <= n/3 + 2**14 * (8*W + 53), and
+    D*e1 < 2**(W-1) for every W >= 40.
+    """
+    if lo < 1 or base < 8:
+        raise DomainError(f"abs_sin_walk requires lo >= 1 and base >= 8, got {lo!r}, {base!r}")
+    g = SIN_GUARD_BITS
+    n = lo
+    while n <= hi:
+        c = clog2(max(n, 2))
+        w = base + c
+        # the block ends at the last n with this w, or of this WALK_BLOCK
+        end = min(hi, 1 << c, (n - 1) // WALK_BLOCK * WALK_BLOCK + WALK_BLOCK)
+        W = w + g
+        C, S, e0 = _sincos_ball(n, W)
+        C1, S1, e1 = _rotation(W)
+        step = 2 * e1 + 4
+        D = 2 * e0
+        while True:
+            m = _round_abs(S, D, g)
+            yield abs_sin_canonical(n, w) if m is None else m
+            if n == end:
+                break
+            C, S = (C * C1 - S * S1) >> W, (S * C1 + C * S1) >> W
+            D += step
+            n += 1
+        n += 1
+
+
 def sin_int(n: int, bits: int) -> MpReal:
     """sin(n) for integer n >= 1 with absolute error <= 2**-bits.
 
@@ -546,12 +720,8 @@ def sin_int(n: int, bits: int) -> MpReal:
         raise ResourceLimitError(
             f"sin({n}) at {bits} bits needs {w} working bits (max {MAX_BITS})"
         )
-    k, R, e_red = reduce_fixed(n, w)
-    S, e_sin = fx_sin(R, w)
-    if k & 1:
-        S = -S
-    err = Fraction(e_red + e_sin + 1, 1 << w)
-    return MpReal(S, -w, err, bits).round_to(bits)
+    S, err = sin_ball(n, w)
+    return MpReal(S, -w, Fraction(err, 1 << w), bits).round_to(bits)
 
 
 def _pi_upper_64() -> Fraction:

@@ -23,6 +23,7 @@ including odd u, has positive terms and monotone partial sums.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -33,13 +34,13 @@ from .errors import CheckpointMismatchError, DomainError, ResourceLimitError, Us
 from .mpreal import (
     MAX_BITS,
     MpReal,
+    abs_sin_canonical,
+    abs_sin_walk,
     clog2,
     exact_decimal,
     fx_exp_small,
     fx_ln_int,
-    fx_sin,
     ln2_mantissa,
-    reduce_fixed,
     round_div,
 )
 
@@ -87,6 +88,11 @@ class SeriesSpec:
         return self.bits + 80
 
 
+# bits of |sin n| beyond the accumulator scale (plus ceil(log2 n) for
+# the cancellation in the reduction) at a term's first attempt
+_SIN_MARGIN = 48
+
+
 def _pow_frac_units(n: int, frac: Fraction, w: int) -> tuple[int, int, int]:
     """n**frac for 0 < frac < 1 as (units at 2**(q-w), err_ulps, q)."""
     ln_n, e_ln = fx_ln_int(n, w)
@@ -100,49 +106,53 @@ def _pow_frac_units(n: int, frac: Fraction, w: int) -> tuple[int, int, int]:
     return e_pow, err, q
 
 
-def _term_units(n: int, spec: SeriesSpec) -> tuple[int, int]:
+def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, int]:
     """(T, e): term(n) = T * 2**-A with |error| <= e * 2**-A, A = acc_scale.
 
-    Deterministic in (n, spec) alone.  The working precision starts high
+    Deterministic in (n, spec) alone.  m = round(|sin n| * 2**w) is
+    exact, so its error is at most half an ulp and e_abs = 1 covers it.
+    A caller may pass m for the first working precision w (partial_sum
+    takes it from abs_sin_walk); otherwise, and at every escalation, it
+    comes from abs_sin_canonical.  The working precision starts high
     enough that the escalation loop is idle in practice, but it is
     there, and it never consults the surrounding summation context.
     """
     acc = spec.acc_scale
     num = g_value(n).value ** (2 * spec.s)
     iv = int(spec.v)
-    frac = Fraction(spec.v) - iv if not isinstance(spec.v, int) else Fraction(0)
+    frac = Fraction(spec.v) - iv if not isinstance(spec.v, int) else 0
     n_pow = n ** (iv + 2 * spec.s)
-    w1 = acc + 48
+    w1 = acc + _SIN_MARGIN
     while True:
         w = w1 + clog2(max(n, 2))
         if w > MAX_BITS:
             raise ResourceLimitError(
                 f"term(n={n}) escalated past the {MAX_BITS}-bit ceiling"
             )
-        _, R, e_red = reduce_fixed(n, w)
-        S, e_sin = fx_sin(R, w)
-        m = abs(S)
-        e_abs = e_red + e_sin + 1
+        if m is None:
+            m = abs_sin_canonical(n, w)
+        e_abs = 1
         if m <= e_abs:
-            w1 *= 2
+            w1, m = 2 * w1, None
             continue
         if frac:
             p_units, p_err, q = _pow_frac_units(n, frac, w)
             if p_units <= p_err:
-                w1 *= 2
+                w1, m = 2 * w1, None
                 continue
         else:
             p_units, p_err, q = 1, 0, 0
         shift = acc + spec.u * w + (w - q if frac else 0)
+        N = num << shift
         den_c = (m ** spec.u) * n_pow * p_units
-        T = round_div(num << shift, den_c)
-        den_lo = ((m - e_abs) ** spec.u) * n_pow * (p_units - p_err if frac else 1)
-        den_hi = ((m + e_abs) ** spec.u) * n_pow * (p_units + p_err if frac else 1)
-        width = Fraction(num << shift, den_lo) - Fraction(num << shift, den_hi)
-        e_units = -(-width.numerator // width.denominator) + 2
+        T = round_div(N, den_c)
+        den_lo = ((m - e_abs) ** spec.u) * n_pow * (p_units - p_err)
+        den_hi = ((m + e_abs) ** spec.u) * n_pow * (p_units + p_err)
+        # ceil(N/den_lo - N/den_hi), on integers
+        e_units = -(-(N * (den_hi - den_lo)) // (den_lo * den_hi)) + 2
         if e_units <= 1 << 14:
             return T, e_units
-        w1 *= 2
+        w1, m = 2 * w1, None
 
 
 def term(n: int, spec: SeriesSpec) -> MpReal:
@@ -201,8 +211,9 @@ def partial_sum(k: int, spec: SeriesSpec,
         start = checkpoint.k + 1
         units = checkpoint.units
         err_units = checkpoint.err_units
-    for n in range(start, k + 1):
-        t, e = _term_units(n, spec)
+    walk = abs_sin_walk(start, k, spec.acc_scale + _SIN_MARGIN)
+    for n, m in zip(range(start, k + 1), walk):
+        t, e = _term_units(n, spec, m)
         units += t
         err_units += e
     return PartialSumResult(spec, k, units, err_units)
@@ -226,9 +237,18 @@ def save_checkpoint(result: PartialSumResult, path: str) -> None:
         "value": exact_decimal(Fraction(result.units, 1 << acc)),
         "err": exact_decimal(Fraction(result.err_units, 1 << acc)),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    # write beside the target, then rename over it: a failed or
+    # interrupted save leaves the previous checkpoint intact
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _decimal_to_units(text: str, acc: int, what: str) -> int:

@@ -123,3 +123,44 @@ def sin_by_reduction(n: int, digit_count: int = 80,
     if k % 2:
         approx = -approx
     return approx, taylor_err + reduction_err
+
+
+# The fixed-point Taylor kernels in their first form: every step divides
+# the full product by (divisor << w).  flintlab's kernels shift first and
+# divide by the small divisor after, which must give identical integers.
+
+def fx_sin_ref(X: int, w: int) -> int:
+    sign = -1 if X < 0 else 1
+    X = abs(X)
+    xx = (X * X) >> w
+    term = total = X
+    i = 1
+    while term:
+        term = (term * xx) // (((2 * i) * (2 * i + 1)) << w)
+        total += -term if (i & 1) else term
+        i += 1
+    return sign * total
+
+
+def fx_cos_ref(X: int, w: int) -> int:
+    X = abs(X)
+    xx = (X * X) >> w
+    term = total = 1 << w
+    i = 1
+    while term:
+        term = (term * xx) // (((2 * i - 1) * (2 * i)) << w)
+        total += -term if (i & 1) else term
+        i += 1
+    return total
+
+
+def fx_exp_small_ref(R: int, w: int) -> int:
+    term = R
+    total = (1 << w) + R
+    i = 2
+    while term:
+        d = i << w
+        term = (2 * term * R + d) // (2 * d)     # nearest, halves toward +inf
+        total += term
+        i += 1
+    return total

@@ -221,6 +221,15 @@ def test_resource_limit_is_precision_error(capsys):
     assert json.loads(err)["error"] == "ResourceLimitError"
 
 
+def test_unreadable_file_is_usage_error(capsys):
+    code, out, err = run(capsys, "pi", "--bits", "64", "--fixture", "/nonexistent/pi.txt")
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UsageError"
+
+
 def test_checkpoint_mismatch_exit_code(capsys, tmp_path):
     path = tmp_path / "c.json"
     code, _, _ = run(capsys, "sum", "--k", "100", "--s", "1",

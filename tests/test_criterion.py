@@ -1,10 +1,13 @@
+import concurrent.futures
 import io
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
+import flintlab.criterion as criterion
 from flintlab import (
     DomainError,
     check_criterion,
@@ -89,6 +92,46 @@ def test_scan_threads_do_not_change_output():
     assert single.summary == multi.summary
     for a, b in zip(single.violations, multi.violations):
         assert (a.margin, a.ln_lhs, a.ln_rhs) == (b.margin, b.ln_lhs, b.ln_rhs)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return [fn(chunk) for chunk in chunks]
+
+
+def _empty_chunk(args):
+    lo, hi = args[:2]
+    return [], hi - lo + 1, (float("inf"), -1)
+
+
+@pytest.mark.parametrize("threads, hi, cpus, workers", [
+    (64, 8 * 4096, 3, [3]),      # capped by the CPUs
+    (64, 5000, 16, [2]),         # capped by the chunks
+    (2, 8 * 4096, 2, [2]),
+    (8, 4096, 8, []),            # one chunk: no pool
+    (1, 8 * 4096, 8, []),
+])
+def test_scan_threads_are_clamped(monkeypatch, threads, hi, cpus, workers):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(criterion, "_scan_chunk", _empty_chunk)
+    result = scan_criterion((1, hi), 1, "0.1", threads=threads)
+    assert result.summary["checked"] == hi
+    assert _RecordingPool.sizes == workers
 
 
 def test_scan_verdicts_invariant_in_s():

@@ -18,8 +18,30 @@ from flintlab import (
     sin_mp,
     sin_reduced,
 )
-from flintlab.mpreal import ln2_mantissa, pi_mantissa, round_div
-from oracles import atanh_ln, load_pi_fixture, pi_fraction, sin_by_reduction, taylor_sin
+import flintlab.mpreal as mpreal
+from flintlab.mpreal import (
+    abs_sin_canonical,
+    abs_sin_walk,
+    clog2,
+    fx_cos,
+    fx_exp_small,
+    fx_sin,
+    ln2_mantissa,
+    pi_mantissa,
+    round_div,
+    sin_ball,
+)
+from oracles import (
+    atanh_ln,
+    fx_cos_ref,
+    fx_exp_small_ref,
+    fx_sin_ref,
+    load_pi_fixture,
+    pi_fraction,
+    sin_by_reduction,
+    taylor_cos,
+    taylor_sin,
+)
 
 
 # ------------------------------------------------------------------ ball basics
@@ -210,3 +232,102 @@ def test_sin_int_precision_scales_with_bits():
     fine = sin_int(355, 256)
     assert abs(coarse.center() - fine.center()) <= coarse.err
     assert fine.err < coarse.err
+
+
+# ------------------------------------------------------------------ fixed-point kernels
+
+def _sweep_args(rng, w, limit, count):
+    """Seeded fixed-point arguments up to |limit|, dense near the edge."""
+    top = int(limit * (1 << w))
+    picks = [0, 1, -1, top, -top, top - 1]
+    picks += [rng.randrange(-top, top + 1) for _ in range(count)]
+    picks += [rng.choice((1, -1)) * (top - rng.randrange(top // 50 + 1))
+              for _ in range(count)]
+    return picks
+
+
+@pytest.mark.parametrize("w", [8, 64, 269, 1000])
+def test_shift_first_kernels_are_bit_identical(w):
+    rng = random.Random(7100 + w)
+    for X in _sweep_args(rng, w, Fraction(33, 10), 60):
+        assert fx_sin(X, w)[0] == fx_sin_ref(X, w)
+        assert fx_cos(X, w)[0] == fx_cos_ref(X, w)
+    for R in _sweep_args(rng, w, Fraction(2, 5), 60):
+        assert fx_exp_small(R, w)[0] == fx_exp_small_ref(R, w)
+
+
+@pytest.mark.parametrize("w", [8, 9, 16, 64, 128])
+def test_sin_cos_kernel_bounds_contain_taylor_oracle(w):
+    rng = random.Random(7200 + w)
+    for X in _sweep_args(rng, w, Fraction(33, 10), 25):
+        x = Fraction(X, 1 << w)
+        for kernel, oracle in ((fx_sin, taylor_sin), (fx_cos, taylor_cos)):
+            got, err = kernel(X, w)
+            want, want_err = oracle(x, 24 + w // 4)
+            assert want_err < Fraction(1, 1 << (w + 8))
+            assert abs(Fraction(got, 1 << w) - want) + want_err <= Fraction(err, 1 << w)
+
+
+# ------------------------------------------------------------------ one sine, canonical and walked
+
+def test_sin_int_is_the_ball_primitive():
+    for n, bits in ((355, 96), (103993, 200), (7, 64)):
+        w = bits + clog2(max(n, 2)) + 40
+        S, e = sin_ball(n, w)
+        want = MpReal(S, -w, Fraction(e, 1 << w), bits).round_to(bits)
+        got = sin_int(n, bits)
+        assert (got.man, got.exp, got.err) == (want.man, want.exp, want.err)
+
+
+# At w = 64 the first ball (32 guard bits) of this n straddles a rounding
+# boundary and its center rounds the wrong way; found by search.
+ZIV_HARD_N = 1071952
+
+
+def test_ziv_hard_case_needs_more_guard_bits():
+    S, e = sin_ball(ZIV_HARD_N, 64 + 32)
+    half = 1 << 31
+    assert (abs(S) - e + half) >> 32 != (abs(S) + e + half) >> 32
+    assert (abs(S) + half) >> 32 != abs_sin_canonical(ZIV_HARD_N, 64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 22, 355, 1588, 103993, 999983, ZIV_HARD_N])
+def test_abs_sin_canonical_is_the_correct_rounding(n):
+    want, want_err = sin_by_reduction(n)
+    for w in (16, 64, 150, 230):
+        lo = (abs(want) - want_err) * (1 << w)
+        hi = (abs(want) + want_err) * (1 << w)
+        nearest = {round_div(v.numerator, v.denominator) for v in (lo, hi)}
+        assert nearest == {abs_sin_canonical(n, w)}
+
+
+# A walk rounding that the drift bound leaves ambiguous, found by search
+# over 1..20000 at base 256 (the default sum's precision): the walk must
+# hand it to the direct path.
+AMBIGUOUS_WALK_N = 1588
+
+
+def test_walk_equals_direct_canonical_path(monkeypatch):
+    base = 256
+    direct = mpreal.abs_sin_canonical
+    fallbacks = []
+
+    def recording(n, w):
+        fallbacks.append(n)
+        return direct(n, w)
+
+    monkeypatch.setattr(mpreal, "abs_sin_canonical", recording)
+    walked = list(abs_sin_walk(1, 20000, base))
+    assert AMBIGUOUS_WALK_N in fallbacks
+    assert len(fallbacks) < 40
+    assert walked == [direct(n, base + clog2(max(n, 2))) for n in range(1, 20001)]
+
+
+def test_walk_does_not_depend_on_its_start():
+    base = 176
+    full = list(abs_sin_walk(1, 9000, base))
+    for lo, hi in ((3, 3), (1500, 1600), (4000, 4200), (4095, 4098), (8191, 9000)):
+        assert list(abs_sin_walk(lo, hi, base)) == full[lo - 1:hi]
+    assert list(abs_sin_walk(5, 4, base)) == []
+    with pytest.raises(DomainError):
+        list(abs_sin_walk(1, 5, 7))

@@ -124,6 +124,24 @@ def test_resume_is_bit_identical():
     assert resumed.err_units == fresh.err_units
 
 
+def test_sum_equals_the_per_term_units():
+    # partial_sum takes |sin n| from the walk, term() from the direct path
+    spec = SeriesSpec()
+    terms = [term(n, spec) for n in range(1, 5001)]
+    r = partial_sum(5000, spec)
+    assert sum(t.man for t in terms) == r.units
+    assert sum(t.err for t in terms) == r.err
+
+
+@pytest.mark.parametrize("spec", [SeriesSpec(), SeriesSpec(s=1, v=2.5, bits=96)])
+def test_resume_inside_walk_blocks_is_bit_identical(spec):
+    straight = partial_sum(5000, spec)
+    state = None
+    for k in (1, 1000, 1588, 2049, 4095, 4100, 5000):
+        state = partial_sum(k, spec, checkpoint=state)
+    assert (state.units, state.err_units) == (straight.units, straight.err_units)
+
+
 def test_checkpoint_file_round_trip(tmp_path):
     path = str(tmp_path / "c.json")
     spec = SeriesSpec(s=2, bits=96)
@@ -161,6 +179,25 @@ def test_checkpoint_file_errors(tmp_path):
     wrong_version.write_text(json.dumps(good))
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(str(wrong_version))
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "c.json"
+    first = partial_sum(20, SeriesSpec())
+    save_checkpoint(first, str(path))
+    before = path.read_text()
+
+    def dump_then_fail(doc, fh):
+        fh.write(json.dumps(doc)[:25])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        save_checkpoint(partial_sum(40, SeriesSpec()), str(path))
+    monkeypatch.undo()
+    assert path.read_text() == before
+    assert load_checkpoint(str(path)) == first
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def _checkpoint_text(tmp_path) -> str:
