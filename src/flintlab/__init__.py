@@ -1,8 +1,8 @@
 """High-precision laboratory for the series sum 1/(sin^2(n) * n^3).
 
 Everything rests on ball arithmetic with certified error bounds: exact
-big-integer combinatorics, a pi engine with canonical rounding, argument
-reduction for sin at integer arguments, continued-fraction analysis of
+big-integer combinatorics, a pi engine with canonical rounding, one argument
+reduction mod pi for integer and dyadic arguments, continued-fraction analysis of
 the near-resonances, deterministic checkpointable partial sums, and a
 scan of the bounding inequality that controls convergence.
 """
@@ -18,7 +18,6 @@ from .criterion import (
     CriterionReport,
     ScanResult,
     check_criterion,
-    exponent_profile,
     scan_criterion,
     write_scan_csv,
     write_scan_summary,
@@ -47,13 +46,11 @@ from .mpreal import (
     MAX_BITS,
     MpReal,
     compute_pi,
-    cos_mp,
     cos_reduced,
     exact_decimal,
     guaranteed_decimal,
     reduce_mod_pi,
     sin_int,
-    sin_mp,
     sin_reduced,
 )
 from .rationality import (
@@ -108,11 +105,9 @@ __all__ = [
     "compute_pi",
     "convergent_numerators_up_to",
     "convergents",
-    "cos_mp",
     "cos_reduced",
     "equivalence_experiment",
     "exact_decimal",
-    "exponent_profile",
     "g_value",
     "g_value_double_sum",
     "guaranteed_decimal",
@@ -125,7 +120,6 @@ __all__ = [
     "scan_criterion",
     "seeded_thetas",
     "sin_int",
-    "sin_mp",
     "sin_reduced",
     "spike_indices",
     "term",

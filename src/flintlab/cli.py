@@ -1,7 +1,9 @@
 """Command-line surface over every operation in the package.
 
 Exit codes: 0 success, 1 usage/domain error, 2 precision or resource
-error, 3 checkpoint mismatch.  Every failure also writes a one-line JSON
+error, 3 checkpoint mismatch, 130 interrupted (``KeyboardInterrupt``).
+Any other exception -- a bug, or a ``BrokenProcessPool`` when a scan
+worker dies -- exits 1.  Every failure also writes a one-line JSON
 object ``{"error": <type>, "message": <text>}`` to stderr.
 
 ``--format`` selects text (default), json (one well-formed document per
@@ -524,6 +526,12 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         _emit_error(exc)
         return 2
+    except KeyboardInterrupt as exc:
+        _emit_error(exc)
+        return 130
+    except Exception as exc:         # last resort: still one JSON line, never a traceback
+        _emit_error(exc)
+        return 1
 
 
 if __name__ == "__main__":

@@ -40,13 +40,11 @@ from .mpreal import (
     round_div,
     sin_ball,
 )
-from .rationality import local_exponent
 
 __all__ = [
     "CriterionReport",
     "ScanResult",
     "check_criterion",
-    "exponent_profile",
     "scan_criterion",
     "write_scan_csv",
     "write_scan_summary",
@@ -212,19 +210,6 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
         "worst_margin": worst[0],
     }
     return ScanResult(violations, summary)
-
-
-def exponent_profile(n_max: int, bits: int = 64) -> list[tuple[int, float, float]]:
-    """(n, lambda(n), running max lambda) for n = 2..n_max."""
-    if not isinstance(n_max, int) or n_max < 2:
-        raise DomainError(f"exponent_profile requires an integer n_max >= 2, got {n_max!r}")
-    rows = []
-    running = float("-inf")
-    for n in range(2, n_max + 1):
-        lam = local_exponent(n, bits)
-        running = max(running, lam)
-        rows.append((n, lam, running))
-    return rows
 
 
 def write_scan_csv(reports: Iterable[CriterionReport], stream: TextIO) -> None:

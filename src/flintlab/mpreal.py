@@ -22,13 +22,19 @@ uncertainty interval around the stored rational stays clear of the
 nearest half-integer, refining the rational (and only then paying for a
 new binary-splitting run) when the check fails.
 
+One function, :func:`reduce_fixed`, performs every reduction mod pi.
+It writes a dyadic ``x = m * 2**-d`` (integers are d = 0) as
+``x = k*pi + r`` with a certified ``k = round(x/pi)`` and ``r`` in
+[-pi/2, pi/2] as an integer at scale ``2**-w``, within a derived
+``(|k| >> 1) + 2`` ulps.  Callers add about ``log2 |x|`` guard bits to
+w, because the subtraction ``x - k*pi`` cancels that many leading bits.
+
 Sine at integer arguments has one primitive, :func:`sin_ball`: the
-classical reduction ``n = k*pi + r`` with ``k = round(n/pi)`` and ``r``
-in (-pi/2, pi/2), then the Taylor kernel, returning the signed integer
-ball ``(S, err_ulps)`` at scale ``2**-w``.  Callers add about
-``log2 n`` guard bits to w, because the subtraction ``n - k*pi``
-cancels that many leading bits.  :func:`sin_int` and the criterion
-kernel use the ball as it is.
+reduction, then the Taylor kernel, returning the signed integer ball
+``(S, err_ulps)`` at scale ``2**-w``.  :func:`sin_int` and the criterion
+kernel use the ball as it is.  Ball arguments have two entry points,
+:func:`sin_reduced` and :func:`cos_reduced`, which share one body:
+reduce the center, run the kernel, add the ball's radius.
 
 Two layers on top of the ball serve the partial sums:
 
@@ -62,7 +68,6 @@ from .errors import DomainError, ResourceLimitError
 __all__ = [
     "MAX_BITS",
     "MpReal",
-    "PiCache",
     "PI_CACHE",
     "SIN_GUARD_BITS",
     "WALK_BLOCK",
@@ -70,7 +75,6 @@ __all__ = [
     "abs_sin_walk",
     "clog2",
     "compute_pi",
-    "cos_mp",
     "cos_reduced",
     "exact_decimal",
     "fx_atanh",
@@ -87,13 +91,13 @@ __all__ = [
     "round_div",
     "sin_ball",
     "sin_int",
-    "sin_mp",
     "sin_reduced",
 ]
 
 MAX_BITS = 10_000_000
 SIN_GUARD_BITS = 32      # first guard-bit count of abs_sin_canonical and the walk
 WALK_BLOCK = 4096        # abs_sin_walk re-anchors at least this often
+_STR_BITS = 8192         # _digits converts integers up to this size directly
 
 _ZERO = Fraction(0)
 
@@ -205,18 +209,25 @@ class _ConstSource:
                 src_w *= 2
 
 
-_PI_SOURCE = _ConstSource("pi", machin_pi_rational)
+PI_CACHE = _ConstSource("pi", machin_pi_rational)    # public for its refinements count
 _LN2_SOURCE = _ConstSource("ln2", _atanh_ln2_rational)
 
 
 def pi_mantissa(w: int) -> int:
     """round(pi * 2**w), exactly; deterministic in w."""
-    return _PI_SOURCE.mantissa(w)
+    return PI_CACHE.mantissa(w)
 
 
 def ln2_mantissa(w: int) -> int:
     """round(ln2 * 2**w), exactly; deterministic in w."""
     return _LN2_SOURCE.mantissa(w)
+
+
+def compute_pi(bits: int) -> MpReal:
+    """pi with absolute error <= 2**-bits; deterministic in bits."""
+    _require_bits(bits)
+    w = bits + 8
+    return MpReal(pi_mantissa(w), -w, Fraction(1, 1 << (w + 1)), bits)
 
 
 # --------------------------------------------------------------------------
@@ -386,48 +397,6 @@ class MpReal:
 
 
 # --------------------------------------------------------------------------
-# pi as a public, precision-tiered cache
-# --------------------------------------------------------------------------
-
-class PiCache:
-    """Monotone view of the shared pi source.
-
-    ``bits``/``value`` describe the best approximation handed out so
-    far; asking for less precision never recomputes (the underlying
-    rational is reused and only re-rounded).  ``refinements`` counts
-    actual binary-splitting runs, which tests use to assert monotonicity.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.bits = 0
-        self.value: MpReal | None = None
-
-    def get(self, bits: int) -> MpReal:
-        _require_bits(bits)
-        w = bits + 8
-        man = pi_mantissa(w)
-        value = MpReal(man, -w, Fraction(1, 1 << (w + 1)), bits)
-        with self._lock:
-            if bits > self.bits:
-                self.bits = bits
-                self.value = value
-        return value
-
-    @property
-    def refinements(self) -> int:
-        return _PI_SOURCE.refinements
-
-
-PI_CACHE = PiCache()
-
-
-def compute_pi(bits: int) -> MpReal:
-    """pi with absolute error <= 2**-bits; deterministic in bits."""
-    return PI_CACHE.get(bits)
-
-
-# --------------------------------------------------------------------------
 # fixed-point kernels (integers at scale 2**-w, error reported in ulps)
 # --------------------------------------------------------------------------
 
@@ -537,27 +506,47 @@ def fx_ln_int(n: int, w: int) -> tuple[int, int]:
 # argument reduction and sine
 # --------------------------------------------------------------------------
 
-def reduce_fixed(n: int, w: int) -> tuple[int, int, int]:
-    """n = k*pi + r for integer n >= 1: returns (k, R, err_ulps).
+def reduce_fixed(m: int, w: int, d: int = 0) -> tuple[int, int, int]:
+    """x = k*pi + r for the dyadic x = m * 2**-d, d >= 0: returns (k, R, err_ulps).
 
-    R is r in units of 2**-w with |R*2**-w - r| <= err_ulps * 2**-w and
-    r in (-pi/2, pi/2).  k = round(n/pi) is certified: the rounding is
-    accepted only when the uncertainty of the rational proxy stays a
-    factor 2 clear of the nearest half-integer, escalating the proxy's
-    precision otherwise (n/pi is never exactly a half-integer).
+    k = round(x/pi), so r lies in [-pi/2, pi/2]; R is r in units of
+    2**-w with |R * 2**-w - r| <= err_ulps * 2**-w, err_ulps =
+    (|k| >> 1) + 2.  Integer arguments use d = 0.
+
+    Certifying k.  With P = pi_mantissa(wk) = pi * 2**wk + delta and
+    |delta| <= 1/2, the proxy q = m * 2**wk / den, den = P * 2**d, misses
+    x/pi by |x| * 2**wk * |delta| / (P * (P - delta)) <= |x| / (6P), which
+    is below |x| * 2**-(wk+4) because P - 1/2 >= 3 * 2**wk.  With r0 =
+    (m * 2**wk) mod den, q lies h = |2*r0 - den| / (2*den) from the nearest
+    half-integer, and the test |2*r0 - den| * 2**wk > 4*|m|*P says
+    h > 2|x| * 2**-wk: more than 32 times the miss, so x/pi lies on the
+    same side of that half-integer as q and round(q) = round(x/pi).
+    Otherwise wk doubles; x/pi is irrational for x != 0 (x = 0 passes at
+    once with k = 0), so the loop ends.  For a ball center with |x| <=
+    mag + 1, mag = floor(|x|), the test passes at wk = w whenever x/pi is
+    more than (mag + 1) * 2**(2-w) from a half-integer, since
+    2|x| * 2**-w + |x| * 2**-(w+4) < (mag + 1) * 2**(2-w).
+
+    Error of R.  With P_w = pi_mantissa(w) = pi * 2**w + delta_w,
+    r * 2**w = (m * 2**w - k * P_w * 2**d) / 2**d + k * delta_w exactly.
+    The code divides the first part by 2**d with round_div, which is exact
+    for d = 0 and adds at most 1/2 otherwise; the second part is at most
+    |k|/2.  In all, |k|/2 + 1/2 <= (|k| >> 1) + 1 < err_ulps.
     """
     wk = w
     while True:
         P = pi_mantissa(wk)
-        N = n << wk
-        r0 = N % P
-        if abs(2 * r0 - P) << wk > 4 * n * P:
-            k = round_div(N, P)
+        den = P << d
+        M = m << wk
+        r0 = M % den
+        if abs(2 * r0 - den) << wk > 4 * abs(m) * P:
+            k = round_div(M, den)
             break
         wk *= 2
-    P = pi_mantissa(w)
-    R = (n << w) - k * P
-    return k, R, (k >> 1) + 2
+    R = (m << w) - (k * pi_mantissa(w) << d)
+    if d:
+        R = round_div(R, 1 << d)
+    return k, R, (abs(k) >> 1) + 2
 
 
 def reduce_mod_pi(n: int, bits: int) -> tuple[int, MpReal]:
@@ -724,100 +713,42 @@ def sin_int(n: int, bits: int) -> MpReal:
     return MpReal(S, -w, Fraction(err, 1 << w), bits).round_to(bits)
 
 
-def _pi_upper_64() -> Fraction:
-    return Fraction(pi_mantissa(64) + 1, 1 << 64)
+def _sin_cos_reduced(x: MpReal, bits: int, kernel, exact_zero: int) -> MpReal:
+    """kernel (fx_sin or fx_cos) of the ball x, after reduce_fixed.
 
-
-def _to_fixed(x: MpReal, w: int) -> tuple[int, int]:
-    """(units at 2**-w, conversion err in ulps)."""
-    shift = w + x.exp
-    if shift >= 0:
-        return x.man << shift, 0
-    return round_div(x.man, 1 << -shift), 1
-
-
-def sin_mp(x: MpReal, bits: int) -> MpReal:
-    """sin(x) for |x| <= pi (callers reduce first); error <= 2**-bits + err(x)."""
-    _require_bits(bits)
-    if abs(x.center()) - x.err > _pi_upper_64():
-        raise DomainError("sin_mp requires |x| <= pi; reduce the argument first")
-    if x.man == 0 and x.err == 0:
-        return MpReal(0, 0, _ZERO, bits)
-    w = bits + 24
-    X, e_c = _to_fixed(x, w)
-    S, e_s = fx_sin(X, w)
-    err = x.err + Fraction(e_c + e_s + 1, 1 << w)
-    return MpReal(S, -w, err, bits).round_to(bits)
-
-
-def cos_mp(x: MpReal, bits: int) -> MpReal:
-    """cos(x) for |x| <= pi; cos_mp(exact 0) is exactly 1."""
-    _require_bits(bits)
-    if abs(x.center()) - x.err > _pi_upper_64():
-        raise DomainError("cos_mp requires |x| <= pi; reduce the argument first")
-    if x.man == 0 and x.err == 0:
-        return MpReal(1, 0, _ZERO, bits)
-    w = bits + 24
-    X, e_c = _to_fixed(x, w)
-    C, e_s = fx_cos(X, w)
-    err = x.err + Fraction(e_c + e_s + 1, 1 << w)
-    return MpReal(C, -w, err, bits).round_to(bits)
-
-
-def _reduce_real(x: MpReal, w: int) -> tuple[int, int, int]:
-    """Center of x written as k*pi + r: (k, R at 2**-w, err_ulps).
-
-    Same certification idea as reduce_fixed, but for a dyadic center.
-    The ball's own err is NOT included in err_ulps; callers add it.
+    The center c = m * 2**-d is reduced at w = bits + 32 + clog2(mag + 2),
+    mag = floor(|c|): c = k*pi + r, and sin c = (-1)**k sin r, cos c =
+    (-1)**k cos r.  Both functions are 1-Lipschitz, so the result is
+    within err(x) + (e_red + e_kernel + 1) * 2**-w of the truth.  Since
+    |k| <= (mag + 1)/pi + 1/2, e_red <= (mag + 2)/6 + 3 ulps, so
+    e_red * 2**-w < 2**-(bits+30); the guard bits also absorb the
+    kernel's ulps before round_to(bits).
+    An exact zero gives the exact value exact_zero.
     """
-    c_num, c_den_bits = x.man, max(0, -x.exp)
-    if x.exp > 0:
-        c_num <<= x.exp
-    mag = abs(c_num) >> c_den_bits
-    wq = w + clog2(mag + 2) + 16
-    while True:
-        P = pi_mantissa(wq)
-        den = P << c_den_bits
-        num = c_num << wq
-        r0 = num % den
-        bound = 4 * (mag + 2) * den
-        if abs(2 * r0 - den) << (wq - w) > bound:
-            k = round_div(num, den)
-            break
-        wq *= 2
-    P = pi_mantissa(wq)
-    rest = (c_num << wq) - k * (P << c_den_bits)
-    R = round_div(rest, 1 << (wq - w + c_den_bits))
-    return k, R, (abs(k) >> 4) + 4
+    _require_bits(bits)
+    if x.man == 0 and x.err == 0:
+        return MpReal(exact_zero, 0, _ZERO, bits)
+    if x.exp >= 0:
+        m, d = x.man << x.exp, 0
+    else:
+        m, d = x.man, -x.exp
+    w = bits + 32 + clog2((abs(m) >> d) + 2)
+    k, R, e_red = reduce_fixed(m, w, d)
+    V, e_kernel = kernel(R, w)
+    if k & 1:
+        V = -V
+    err = x.err + Fraction(e_red + e_kernel + 1, 1 << w)
+    return MpReal(V, -w, err, bits).round_to(bits)
 
 
 def sin_reduced(x: MpReal, bits: int) -> MpReal:
-    """sin(x) for arbitrary finite x, with internal reduction mod pi."""
-    _require_bits(bits)
-    if abs(x.center()) + x.err <= Fraction(3):
-        return sin_mp(x, bits)
-    w = bits + 32 + clog2(int(abs(x.center())) + 2)
-    k, R, e_r = _reduce_real(x, w)
-    S, e_s = fx_sin(R, w)
-    if k & 1:
-        S = -S
-    err = x.err + Fraction(e_r + e_s + 1, 1 << w)
-    return MpReal(S, -w, err, bits).round_to(bits)
+    """sin(x) for any finite ball x, error <= err(x) + 2**-bits; sin(exact 0) = 0."""
+    return _sin_cos_reduced(x, bits, fx_sin, 0)
 
 
 def cos_reduced(x: MpReal, bits: int) -> MpReal:
-    """cos(x) for arbitrary finite x, with internal reduction mod pi."""
-    _require_bits(bits)
-    if abs(x.center()) + x.err <= Fraction(3):
-        return cos_mp(x, bits)
-    w = bits + 32 + clog2(int(abs(x.center())) + 2)
-    k, R, e_r = _reduce_real(x, w)
-    C, e_s = fx_cos(R, w)
-    if k & 1:
-        C = -C
-    err = x.err + Fraction(e_r + e_s + 1, 1 << w)
-    return MpReal(C, -w, err, bits).round_to(bits)
-
+    """cos(x) for any finite ball x, error <= err(x) + 2**-bits; cos(exact 0) = 1."""
+    return _sin_cos_reduced(x, bits, fx_cos, 1)
 
 # --------------------------------------------------------------------------
 # decimal rendering
@@ -844,13 +775,28 @@ def _round_units(value: Fraction, d: int) -> int:
     return round_div(value.numerator * 10 ** d, value.denominator)
 
 
+def _digits(n: int, width: int = 0) -> str:
+    """str(n) for n >= 0, zero-padded to width digits.
+
+    Numbers above _STR_BITS bits are split as n = hi * 10**half + lo with
+    half about half their digit count, so no single int -> str conversion
+    meets CPython's digit limit (4300 by default).  half is at most the
+    digit count less one, so hi > 0 unless the padding already covers it.
+    """
+    if n.bit_length() <= _STR_BITS:
+        return str(n).zfill(width)
+    half = (max(width, n.bit_length() * 30103 // 100000 + 1) + 1) // 2
+    hi, lo = divmod(n, 10 ** half)
+    return _digits(hi, width - half) + _digits(lo, half)
+
+
 def _format_units(units: int, d: int) -> str:
     sign = "-" if units < 0 else ""
     units = abs(units)
     if d == 0:
-        return f"{sign}{units}"
+        return sign + _digits(units)
     ip, fp = divmod(units, 10 ** d)
-    text = f"{sign}{ip}.{fp:0{d}d}".rstrip("0")
+    text = f"{sign}{_digits(ip)}.{_digits(fp, d)}".rstrip("0")
     return text + "0" if text.endswith(".") else text
 
 

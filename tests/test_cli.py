@@ -1,7 +1,9 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import flintlab.cli as cli
 from flintlab import MAX_BITS, SeriesSpec, partial_sum, sin_int
 from flintlab.cli import main
 from oracles import DATA_DIR
@@ -249,6 +251,52 @@ def test_cli_resume_round_trip(capsys, tmp_path):
     _, fresh, _ = run(capsys, "sum", "--k", "240", "--s", "1",
                       "--format", "json")
     assert resumed == fresh
+
+
+# CPython refuses int -> str conversions above 4300 digits by default.
+
+def test_pi_beyond_the_int_str_digit_limit(capsys):
+    code, out, err = run(capsys, "pi", "--bits", "20000",
+                         "--fixture", FIXTURE, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["value"]) > 6000
+    assert doc["matched_digits"] >= 1000
+    assert doc["agrees"] is True
+
+
+def test_resume_beyond_the_int_str_digit_limit(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    code, _, err = run(capsys, "sum", "--k", "3", "--bits", "14500",
+                       "--checkpoint", str(path))
+    assert (code, err) == (0, "")
+    _, resumed, _ = run(capsys, "sum", "--k", "4", "--bits", "14500",
+                        "--resume", str(path))
+    code, fresh, _ = run(capsys, "sum", "--k", "4", "--bits", "14500")
+    assert code == 0
+    assert len(fresh) > 4300
+    assert resumed == fresh
+
+
+def _raise(exc):
+    def command(*args, **kwargs):
+        raise exc
+    return command
+
+
+@pytest.mark.parametrize("target, argv, exc, want", [
+    ("_cmd_g", ["g", "--n", "4"], RuntimeError("boom"), 1),
+    ("scan_criterion", ["scan", "--from", "1", "--to", "9", "--s", "1", "--eps", "0.1"],
+     BrokenProcessPool("a worker died"), 1),
+    ("_cmd_g", ["g", "--n", "4"], KeyboardInterrupt(), 130),
+])
+def test_unexpected_failure_is_one_json_line(capsys, monkeypatch, target, argv, exc, want):
+    monkeypatch.setattr(cli, target, _raise(exc))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (want, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": type(exc).__name__, "message": str(exc)}
 
 
 def test_help_exits_zero(capsys):

@@ -11,8 +11,6 @@ import flintlab.criterion as criterion
 from flintlab import (
     DomainError,
     check_criterion,
-    exponent_profile,
-    local_exponent,
     scan_criterion,
     write_scan_csv,
     write_scan_summary,
@@ -147,23 +145,6 @@ def test_scan_range_validation():
         scan_criterion((10, 5), 1, "0.1")
     with pytest.raises(DomainError):
         scan_criterion((1, 10), 0, "0.1")
-
-
-def test_exponent_profile_running_max():
-    rows = exponent_profile(30)
-    assert rows[0][0] == 2
-    for n, lam, running in rows:
-        assert lam == local_exponent(n)
-    maxes = [running for _, _, running in rows]
-    assert maxes == sorted(maxes) or all(
-        m2 >= m1 for m1, m2 in zip(maxes, maxes[1:]))
-    # the record at n=3 persists until n=355
-    assert rows[-1][2] == local_exponent(3)
-
-
-def test_exponent_profile_validation():
-    with pytest.raises(DomainError):
-        exponent_profile(1)
 
 
 def test_scan_csv_layout():

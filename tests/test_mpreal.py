@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,11 @@ from flintlab import (
     MpReal,
     ResourceLimitError,
     compute_pi,
-    cos_mp,
     cos_reduced,
     exact_decimal,
     guaranteed_decimal,
     reduce_mod_pi,
     sin_int,
-    sin_mp,
     sin_reduced,
 )
 import flintlab.mpreal as mpreal
@@ -28,6 +27,7 @@ from flintlab.mpreal import (
     fx_sin,
     ln2_mantissa,
     pi_mantissa,
+    reduce_fixed,
     round_div,
     sin_ball,
 )
@@ -101,6 +101,16 @@ def test_exact_decimal_requires_dyadic():
     assert exact_decimal(Fraction(-5, 4)) == "-1.25"
     with pytest.raises(DomainError):
         exact_decimal(Fraction(1, 3))
+
+
+def test_exact_decimal_beyond_the_int_str_digit_limit():
+    # CPython refuses int -> str conversions above 4300 digits by default;
+    # the decimal module has no such limit and serves as the reference
+    with localcontext() as ctx:
+        ctx.prec = 20000
+        for value in (Fraction(1, 2**20000), Fraction(-3**12000, 2**9)):
+            want = format(Decimal(value.numerator) / value.denominator, "f")
+            assert exact_decimal(value) == want
 
 
 def test_guaranteed_decimal_stops_at_error_bound():
@@ -190,30 +200,22 @@ def test_sin_parity_through_reduction():
     for n in (7, 113, 52163):
         _, r = reduce_mod_pi(n, 128)
         direct = sin_int(n, 120).abs_()
-        via_r = sin_mp(r, 120).abs_()
+        via_r = sin_reduced(r, 120).abs_()
         assert abs(direct.center() - via_r.center()) <= direct.err + via_r.err
 
 
-def test_sin_mp_domain_is_one_period():
-    just_over = compute_pi(128).mul_int(2)
-    with pytest.raises(DomainError):
-        sin_mp(just_over, 64)
-    with pytest.raises(DomainError):
-        cos_mp(just_over, 64)
-
-
-def test_sin_mp_matches_taylor_oracle():
+def test_sin_reduced_matches_taylor_oracle():
     for num, den in ((1, 2), (-3, 4), (1, 1), (3, 2)):
         x = Fraction(num, den)
-        got = sin_mp(MpReal.from_fraction(x, 160), 128)
+        got = sin_reduced(MpReal.from_fraction(x, 160), 128)
         want, want_err = taylor_sin(x, 40)
         assert abs(got.center() - want) <= got.err + want_err
 
 
 def test_sin_cos_pythagorean_identity():
     x = MpReal.from_fraction(Fraction(7, 5), 160)
-    s = sin_mp(x, 128)
-    c = cos_mp(x, 128)
+    s = sin_reduced(x, 128)
+    c = cos_reduced(x, 128)
     residual = s.mul(s).add(c.mul(c)).sub(MpReal.from_int(1, 128))
     assert abs(residual.center()) <= residual.err + Fraction(1, 1 << 120)
 
@@ -225,6 +227,93 @@ def test_reduced_variants_accept_large_arguments():
     assert s.err <= Fraction(1, 1 << 110)
     assert abs(s.center()) <= 1 + s.err
     assert abs(c.center()) <= 1 + c.err
+
+
+def test_reduce_fixed_integer_triple():
+    # integers get k = round(n/pi), R = n*2**w - k*pi_mantissa(w) exactly
+    apx, _ = pi_fraction(120)
+    for w in (40, 64, 200):
+        P = pi_mantissa(w)
+        for n in list(range(1, 1500)) + [103993, 833719, 10**30 + 7]:
+            k = round(n / apx)
+            assert reduce_fixed(n, w) == (k, (n << w) - k * P, (k >> 1) + 2)
+
+
+def test_reduce_fixed_dyadic_forms_of_an_integer():
+    for n in (1, 2, 22, 355, 103993):
+        k, R, e = reduce_fixed(n, 96)
+        for d in (1, 7, 64):
+            assert reduce_fixed(n << d, 96, d) == (k, R, e)
+        assert reduce_fixed(-n, 96) == (-k, -R, e)
+
+
+def test_reduce_fixed_dyadic_error_bound():
+    rng = random.Random(7300)
+    apx, apx_err = pi_fraction(200)
+    for _ in range(300):
+        d = rng.choice((1, 5, 30, 64, 200))
+        m = rng.randrange(-(1 << (d + 24)), 1 << (d + 24))
+        w = rng.choice((8, 40, 64, 200))
+        k, R, e = reduce_fixed(m, w, d)
+        x = Fraction(m, 1 << d)
+        assert k == round(x / apx)
+        r = x - k * apx
+        assert abs(Fraction(R, 1 << w) - r) + abs(k) * apx_err <= Fraction(e, 1 << w)
+
+
+def _sin_cos_oracle(x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(sin x, cos x, common error bound): spigot-pi reduction and Fraction
+    Taylor sums on the remainder, rounded to 2**-200 first."""
+    apx, apx_err = pi_fraction(100)
+    k = round(x / apx)
+    r = Fraction(round((x - k * apx) * (1 << 200)), 1 << 200)
+    s, s_err = taylor_sin(r, 26)
+    c, c_err = taylor_cos(r, 26)
+    sign = -1 if k % 2 else 1
+    return sign * s, sign * c, abs(k) * apx_err + Fraction(1, 1 << 200) + max(s_err, c_err)
+
+
+def _reduction_sweep_balls(rng):
+    """Seeded (ball, bits) pairs where the reduction is hardest."""
+    apx, _ = pi_fraction(100)
+    for _ in range(30):                     # |x| near pi/2 and pi, where k flips
+        half_turns = rng.choice((1, 2, -1, -2, 3, 4))
+        offset = Fraction(rng.randrange(-1000, 1001), 1 << rng.randrange(10, 70))
+        yield half_turns * apx / 2 + offset, rng.choice((8, 24, 64, 128))
+    for _ in range(30):                     # within 1e-6 of k*pi, k up to 1e6
+        k = rng.choice((10**6, rng.randrange(1, 10**6)))
+        offset = Fraction(rng.randrange(-10**6, 10**6 + 1), 10**12)
+        yield rng.choice((1, -1)) * (k * apx + offset), rng.choice((8, 32, 96))
+    for _ in range(20):                     # plain arguments of either sign
+        yield Fraction(rng.randrange(-10**9, 10**9), 10**7), rng.choice((8, 16, 53, 128))
+
+
+def test_sin_cos_reduced_containment_sweep():
+    rng = random.Random(7400)
+    balls = []
+    for x, bits in _reduction_sweep_balls(rng):
+        b = MpReal.from_fraction(x, bits + 20)
+        widen = Fraction(rng.randrange(0, 8), 1 << (bits + 12))
+        balls.append((MpReal(b.man, b.exp, b.err + widen, bits), bits))
+    for _ in range(15):                     # centers with exp > 0: large even integers
+        bits = rng.choice((8, 64))
+        err = Fraction(rng.randrange(0, 4), 1 << (bits + 4))
+        balls.append((MpReal(rng.randrange(-1 << 20, 1 << 20), rng.randrange(1, 16), err), bits))
+    for b, bits in balls:
+        s, c = sin_reduced(b, bits), cos_reduced(b, bits)
+        for got in (s, c):
+            assert got.err <= b.err + Fraction(1, 1 << bits)
+        for point in (b.lower(), b.upper()):
+            want_s, want_c, want_err = _sin_cos_oracle(point)
+            assert abs(s.center() - want_s) <= s.err + want_err
+            assert abs(c.center() - want_c) <= c.err + want_err
+
+
+def test_sin_cos_reduced_of_exact_zero_are_exact():
+    for zero in (MpReal.zero(), MpReal(0, -40), MpReal(0, 9)):
+        s, c = sin_reduced(zero, 8), cos_reduced(zero, 64)
+        assert (s.center(), s.err) == (0, 0)
+        assert (c.center(), c.err) == (1, 0)
 
 
 def test_sin_int_precision_scales_with_bits():
