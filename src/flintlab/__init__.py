@@ -19,8 +19,6 @@ from .criterion import (
     ScanResult,
     check_criterion,
     scan_criterion,
-    write_scan_csv,
-    write_scan_summary,
 )
 from .errors import (
     CheckpointMismatchError,
@@ -40,7 +38,6 @@ from .identities import (
     verify_multiple_angle,
     verify_multiple_angle_sweep,
     verify_sinc_limit,
-    write_reports_jsonl,
 )
 from .mpreal import (
     MAX_BITS,
@@ -62,7 +59,6 @@ from .rationality import (
     convergents,
     local_exponent,
     spike_indices,
-    write_spike_csv,
 )
 from .series import (
     EquivalenceRow,
@@ -73,7 +69,6 @@ from .series import (
     partial_sum,
     save_checkpoint,
     term,
-    write_series_csv,
 )
 
 __version__ = "0.1.0"
@@ -128,9 +123,4 @@ __all__ = [
     "verify_multiple_angle",
     "verify_multiple_angle_sweep",
     "verify_sinc_limit",
-    "write_reports_jsonl",
-    "write_scan_csv",
-    "write_scan_summary",
-    "write_series_csv",
-    "write_spike_csv",
 ]

@@ -1,5 +1,48 @@
 """Command-line surface over every operation in the package.
 
+Each ``_cmd_<name>`` computes its result once and returns one
+:class:`_Record`: the JSON document, the text lines, the CSV rows
+(header first) and the exit code.  ``_render`` is the only place that
+reads ``--format``; CSV is comma-separated, RFC 4180-quoted and
+LF-terminated.  ``main`` checks ``--bits >= 8`` once for every
+subcommand that has it.  ``flintlab --help`` prints ``_DESCRIPTION``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import os
+import sys
+from fractions import Fraction
+from typing import NamedTuple
+
+from .combinatorics import g_value, multiple_angle_coefficients
+from .criterion import check_criterion, scan_criterion
+from .errors import CheckpointMismatchError, PrecisionError, UsageError
+from .identities import (
+    verify_angle_difference,
+    verify_iteration_ratio,
+    verify_multiple_angle_sweep,
+    verify_sinc_limit,
+)
+from .mpreal import MpReal, compute_pi, round_div, sin_int
+from .rationality import cf_terms, local_exponent, spike_indices
+from .series import (
+    SeriesSpec,
+    load_checkpoint,
+    partial_sum,
+    save_checkpoint,
+    equivalence_experiment,
+    term,
+)
+
+__all__ = ["main", "build_parser"]
+
+_DESCRIPTION = """\
+Command-line surface over every operation in the package.
+
 Exit codes: 0 success, 1 usage/domain error, 2 precision or resource
 error, 3 checkpoint mismatch, 130 interrupted (``KeyboardInterrupt``).
 Any other exception -- a bug, or a ``BrokenProcessPool`` when a scan
@@ -11,38 +54,6 @@ run) or csv.  Decimal output never prints digits outside the error
 bound; the bound itself travels in an explicit ``err`` field.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
-import os
-import sys
-from fractions import Fraction
-
-from .combinatorics import g_value, multiple_angle_coefficients
-from .criterion import check_criterion, scan_criterion, write_scan_csv, write_scan_summary
-from .errors import CheckpointMismatchError, PrecisionError, UsageError
-from .identities import (
-    verify_angle_difference,
-    verify_iteration_ratio,
-    verify_multiple_angle_sweep,
-    verify_sinc_limit,
-)
-from .mpreal import MpReal, compute_pi, sin_int
-from .rationality import cf_terms, local_exponent, spike_indices, write_spike_csv
-from .series import (
-    SeriesSpec,
-    load_checkpoint,
-    partial_sum,
-    save_checkpoint,
-    equivalence_experiment,
-    term,
-    write_series_csv,
-    _sci,
-)
-
-__all__ = ["main", "build_parser"]
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exceptions, not exits."""
@@ -51,88 +62,87 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _require_cli_bits(bits: int) -> None:
-    if bits < 8:
-        raise UsageError(f"--bits must be at least 8, got {bits}")
+class _Record(NamedTuple):
+    """One command's output in every format; ``csv`` None prints ``text``."""
+
+    doc: dict
+    text: list
+    csv: list | None
+    code: int = 0
 
 
-def _print_kv(pairs) -> None:
-    for key, value in pairs:
-        print(f"{key}: {value}")
+def _render(record: _Record, fmt: str) -> None:
+    if fmt == "json":
+        json.dump(record.doc, sys.stdout)
+        sys.stdout.write("\n")
+    elif fmt == "csv" and record.csv is not None:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(record.csv)
+    else:
+        for line in record.text:
+            print(line)
 
 
-def _json_doc(doc: dict) -> None:
-    json.dump(doc, sys.stdout)
-    sys.stdout.write("\n")
+def _kv(pairs) -> list:
+    return [f"{key}: {value}" for key, value in pairs]
+
+
+def _one_row(doc: dict, *keys: str) -> list:
+    """CSV header plus the single row of ``doc``'s values under ``keys``."""
+    return [list(keys), [doc[k] for k in keys]]
+
+
+def _sci(x: Fraction, digits: int = 3) -> str:
+    """Short scientific rendering of a non-negative fraction."""
+    if x == 0:
+        return "0"
+    e10 = 0
+    y = x
+    while y >= 10:
+        y /= 10
+        e10 += 1
+    while y < 1:
+        y *= 10
+        e10 -= 1
+    scaled = round_div(y.numerator * 10 ** (digits - 1), y.denominator)
+    mant = f"{scaled / 10 ** (digits - 1):.{digits - 1}f}"
+    return f"{mant}e{e10:+03d}"
 
 
 # ---------------------------------------------------------------- sum / term
 
-def _series_spec(args) -> SeriesSpec:
-    _require_cli_bits(args.bits)
-    return SeriesSpec(s=args.s, u=args.u, v=args.v, bits=args.bits)
-
-
-def _cmd_sum(args) -> int:
-    spec = _series_spec(args)
+def _cmd_sum(args) -> _Record:
+    spec = SeriesSpec(s=args.s, u=args.u, v=args.v, bits=args.bits)
     checkpoint = load_checkpoint(args.resume) if args.resume else None
     result = partial_sum(args.k, spec, checkpoint=checkpoint)
     if args.checkpoint:
         save_checkpoint(result, args.checkpoint)
-    value = result.value.decimal()
-    err = _sci(result.err)
-    if args.format == "json":
-        _json_doc({"k": result.k, "s": spec.s, "u": spec.u, "v": spec.v,
-                   "bits": spec.bits, "value": value, "err": err})
-    elif args.format == "csv":
-        write_series_csv([result], sys.stdout)
-    else:
-        _print_kv([("k", result.k), ("s", spec.s), ("u", spec.u), ("v", spec.v),
-                   ("bits", spec.bits), ("value", value), ("err", err)])
-    return 0
+    doc = {"k": result.k, "s": spec.s, "u": spec.u, "v": spec.v, "bits": spec.bits,
+           "value": result.value.decimal(), "err": _sci(result.err)}
+    return _Record(doc, _kv(doc.items()),
+                   _one_row(doc, "k", "s", "u", "v", "value", "err"))
 
 
-def _cmd_term(args) -> int:
-    spec = _series_spec(args)
+def _cmd_term(args) -> _Record:
+    spec = SeriesSpec(s=args.s, u=args.u, v=args.v, bits=args.bits)
     val = term(args.n, spec)
-    value, err = val.decimal(), _sci(val.err)
-    if args.format == "json":
-        _json_doc({"n": args.n, "s": spec.s, "u": spec.u, "v": spec.v,
-                   "bits": spec.bits, "value": value, "err": err})
-    elif args.format == "csv":
-        print("n,s,u,v,value,err")
-        print(f"{args.n},{spec.s},{spec.u},{spec.v},{value},{err}")
-    else:
-        _print_kv([("n", args.n), ("s", spec.s), ("value", value), ("err", err)])
-    return 0
+    doc = {"n": args.n, "s": spec.s, "u": spec.u, "v": spec.v, "bits": spec.bits,
+           "value": val.decimal(), "err": _sci(val.err)}
+    return _Record(doc, _kv((k, doc[k]) for k in ("n", "s", "value", "err")),
+                   _one_row(doc, "n", "s", "u", "v", "value", "err"))
 
 
 # ---------------------------------------------------------------- g / coeffs
 
-def _cmd_g(args) -> int:
+def _cmd_g(args) -> _Record:
     result = g_value(args.n)
-    if args.format == "json":
-        _json_doc({"n": result.n, "g": result.value})
-    elif args.format == "csv":
-        print("n,g")
-        print(f"{result.n},{result.value}")
-    else:
-        print(result.value)
-    return 0
+    doc = {"n": result.n, "g": result.value}
+    return _Record(doc, [result.value], _one_row(doc, "n", "g"))
 
 
-def _cmd_coeffs(args) -> int:
-    coeffs = multiple_angle_coefficients(args.n)
-    if args.format == "json":
-        _json_doc({"n": args.n, "coefficients": [[p, c] for p, c in coeffs]})
-    elif args.format == "csv":
-        print("power,coeff")
-        for p, c in coeffs:
-            print(f"{p},{c}")
-    else:
-        for p, c in coeffs:
-            print(f"{p} {c}")
-    return 0
+def _cmd_coeffs(args) -> _Record:
+    coeffs = [[p, c] for p, c in multiple_angle_coefficients(args.n)]
+    return _Record({"n": args.n, "coefficients": coeffs},
+                   [f"{p} {c}" for p, c in coeffs], [["power", "coeff"]] + coeffs)
 
 
 # ---------------------------------------------------------------- pi / sin / cf
@@ -141,237 +151,170 @@ def _matched_fraction_digits(ours: str, fixture: str) -> tuple[int, bool]:
     """Common fractional-digit prefix length, and whether the overlap is
     contradiction-free.  The last digit of the shorter string is rounded
     rather than truncated, so it is excluded from the comparison."""
-    def frac(s: str) -> str:
-        return s.split(".", 1)[1] if "." in s else ""
-    a, b = frac(ours), frac(fixture)
-    if len(a) <= len(b):
-        a = a[:-1]
-    else:
-        b = b[:-1]
-    matched = 0
-    for x, y in zip(a, b):
+    a, b = ours.partition(".")[2], fixture.partition(".")[2]
+    a, b = (a[:-1], b) if len(a) <= len(b) else (a, b[:-1])
+    for matched, (x, y) in enumerate(zip(a, b)):
         if x != y:
             return matched, False
-        matched += 1
-    return matched, True
+    return min(len(a), len(b)), True
 
 
-def _cmd_pi(args) -> int:
-    _require_cli_bits(args.bits)
+def _cmd_pi(args) -> _Record:
+    if args.digits is not None and args.digits < 0:
+        raise UsageError(f"--digits must be at least 0, got {args.digits}")
     value = compute_pi(args.bits)
-    rendered = value.decimal(args.digits)
     fixture_path = args.fixture or os.environ.get("FLINTLAB_PI_FIXTURE")
-    doc = {"bits": args.bits, "value": rendered, "err": _sci(value.err)}
+    doc = {"bits": args.bits, "value": value.decimal(args.digits),
+           "err": _sci(value.err)}
     if fixture_path:
         with open(fixture_path, "r", encoding="utf-8") as fh:
             fixture = fh.read().strip()
         matched, agrees = _matched_fraction_digits(value.decimal(), fixture)
         doc.update({"fixture": fixture_path, "matched_digits": matched,
                     "agrees": agrees})
-    if args.format == "json":
-        _json_doc(doc)
-    else:
-        _print_kv(doc.items())
-    return 0
+    return _Record(doc, _kv(doc.items()), None)
 
 
-def _cmd_sin(args) -> int:
-    _require_cli_bits(args.bits)
+def _cmd_sin(args) -> _Record:
     value = sin_int(args.n, args.bits)
-    pairs = [("n", args.n), ("bits", args.bits),
-             ("value", value.decimal()), ("err", _sci(value.err))]
-    if args.format == "json":
-        _json_doc(dict(pairs))
-    elif args.format == "csv":
-        print("n,bits,value,err")
-        print(f"{args.n},{args.bits},{value.decimal()},{_sci(value.err)}")
-    else:
-        _print_kv(pairs)
-    return 0
+    doc = {"n": args.n, "bits": args.bits, "value": value.decimal(),
+           "err": _sci(value.err)}
+    return _Record(doc, _kv(doc.items()), _one_row(doc, "n", "bits", "value", "err"))
 
 
-def _cmd_cf(args) -> int:
-    _require_cli_bits(args.bits)
+def _cmd_cf(args) -> _Record:
     expansion = cf_terms(compute_pi(args.bits), args.count)
-    if args.format == "json":
-        _json_doc({"bits": args.bits, "count": args.count,
-                   "terms": list(expansion.terms),
-                   "exhausted": expansion.exhausted,
-                   "complete": expansion.complete})
-    elif args.format == "csv":
-        print("index,term")
-        for i, t in enumerate(expansion.terms):
-            print(f"{i},{t}")
-    else:
-        _print_kv([("terms", " ".join(map(str, expansion.terms))),
-                   ("exhausted", expansion.exhausted),
-                   ("complete", expansion.complete)])
-    return 0
+    doc = {"bits": args.bits, "count": args.count, "terms": list(expansion.terms),
+           "exhausted": expansion.exhausted, "complete": expansion.complete}
+    text = _kv([("terms", " ".join(map(str, expansion.terms))),
+                ("exhausted", expansion.exhausted), ("complete", expansion.complete)])
+    return _Record(doc, text, [["index", "term"]] + list(enumerate(expansion.terms)))
 
 
 # ---------------------------------------------------------------- spikes / lambda
 
-def _cmd_spikes(args) -> int:
-    _require_cli_bits(args.bits)
+def _cmd_spikes(args) -> _Record:
     records = spike_indices(args.n_max, args.bits)
-    if args.format == "json":
-        _json_doc({"n_max": args.n_max, "bits": args.bits, "spikes": [
-            {"n": r.n, "abs_sin": r.abs_sin.decimal(15),
-             "lambda": r.lam, "is_convergent_numerator": r.is_convergent_numerator}
-            for r in records]})
-    elif args.format == "csv":
-        write_spike_csv(records, sys.stdout)
-    else:
-        for r in records:
-            print(f"n={r.n} |sin n|={r.abs_sin.decimal(10)} lambda={r.lam} "
-                  f"convergent_numerator={r.is_convergent_numerator}")
-    return 0
+    doc = {"n_max": args.n_max, "bits": args.bits, "spikes": [
+        {"n": r.n, "abs_sin": r.abs_sin.decimal(15), "lambda": r.lam,
+         "is_convergent_numerator": r.is_convergent_numerator} for r in records]}
+    text = [f"n={r.n} |sin n|={r.abs_sin.decimal(10)} lambda={r.lam} "
+            f"convergent_numerator={r.is_convergent_numerator}" for r in records]
+    rows = [[r.n, r.abs_sin.decimal(40), r.lam, int(r.is_convergent_numerator)]
+            for r in records]
+    return _Record(doc, text, [["n", "abs_sin", "lambda", "is_convergent_numerator"]] + rows)
 
 
-def _cmd_lambda(args) -> int:
-    _require_cli_bits(args.bits)
+def _cmd_lambda(args) -> _Record:
     lam = local_exponent(args.n, args.bits)
-    if args.format == "json":
-        _json_doc({"n": args.n, "bits": args.bits, "lambda": lam})
-    elif args.format == "csv":
-        print("n,lambda")
-        print(f"{args.n},{lam!r}")
-    else:
-        print(f"{lam!r}")
-    return 0
+    doc = {"n": args.n, "bits": args.bits, "lambda": lam}
+    return _Record(doc, [repr(lam)], _one_row(doc, "n", "lambda"))
 
 
 # ---------------------------------------------------------------- criterion / scan
 
-def _cmd_criterion(args) -> int:
-    _require_cli_bits(args.bits)
+def _criterion_csv(reports) -> list:
+    return [["n", "s", "epsilon", "ln_lhs", "ln_rhs", "margin"]] + [
+        [r.n, r.s, r.epsilon, r.ln_lhs, r.ln_rhs, r.margin] for r in reports]
+
+
+def _cmd_criterion(args) -> _Record:
     report = check_criterion(args.n, args.s, args.eps, args.bits)
-    if args.format == "json":
-        _json_doc({"n": report.n, "s": report.s, "epsilon": report.epsilon,
-                   "satisfied": report.satisfied, "margin": report.margin,
-                   "ln_lhs": report.ln_lhs, "ln_rhs": report.ln_rhs,
-                   "rhs": report.rhs.decimal(12)})
-    elif args.format == "csv":
-        write_scan_csv([report], sys.stdout)
-    else:
-        verdict = "satisfied" if report.satisfied else "violated"
-        _print_kv([("n", report.n), ("s", report.s), ("epsilon", report.epsilon),
-                   ("verdict", verdict), ("margin", f"{report.margin!r}"),
-                   ("ln_lhs", f"{report.ln_lhs!r}"), ("ln_rhs", f"{report.ln_rhs!r}")])
-    return 0
+    doc = {"n": report.n, "s": report.s, "epsilon": report.epsilon,
+           "satisfied": report.satisfied, "margin": report.margin,
+           "ln_lhs": report.ln_lhs, "ln_rhs": report.ln_rhs,
+           "rhs": report.rhs.decimal(12)}
+    verdict = "satisfied" if report.satisfied else "violated"
+    text = _kv([("n", report.n), ("s", report.s), ("epsilon", report.epsilon),
+                ("verdict", verdict), ("margin", report.margin),
+                ("ln_lhs", report.ln_lhs), ("ln_rhs", report.ln_rhs)])
+    return _Record(doc, text, _criterion_csv([report]))
 
 
-def _cmd_scan(args) -> int:
-    _require_cli_bits(args.bits)
+def _cmd_scan(args) -> _Record:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     result = scan_criterion((getattr(args, "from"), args.to), args.s, args.eps,
                             args.bits, threads=args.threads)
     if args.summary_out:
         with open(args.summary_out, "w", encoding="utf-8") as fh:
-            write_scan_summary(result, fh)
-    if args.format == "json":
-        _json_doc({"from": getattr(args, "from"), "to": args.to, "s": args.s,
-                   "epsilon": float(Fraction(args.eps)), "bits": args.bits,
-                   "summary": result.summary,
-                   "violations": [{"n": r.n, "margin": r.margin,
-                                   "ln_lhs": r.ln_lhs, "ln_rhs": r.ln_rhs}
-                                  for r in result.violations]})
-    elif args.format == "csv":
-        write_scan_csv(result.violations, sys.stdout)
-    else:
-        ns = " ".join(str(r.n) for r in result.violations)
-        _print_kv([("violations", ns or "(none)")] + list(result.summary.items()))
-    return 0
+            json.dump(result.summary, fh)
+            fh.write("\n")
+    doc = {"from": getattr(args, "from"), "to": args.to, "s": args.s,
+           "epsilon": float(Fraction(args.eps)), "bits": args.bits,
+           "summary": result.summary,
+           "violations": [{"n": r.n, "margin": r.margin, "ln_lhs": r.ln_lhs,
+                           "ln_rhs": r.ln_rhs} for r in result.violations]}
+    ns = " ".join(str(r.n) for r in result.violations)
+    text = _kv([("violations", ns or "(none)")] + list(result.summary.items()))
+    return _Record(doc, text, _criterion_csv(result.violations))
 
 
 # ---------------------------------------------------------------- identity / equiv
 
-def _identity_reports(args):
-    _require_cli_bits(args.bits)
+def _cmd_sinc(args) -> _Record:
+    ms = [Fraction(1, 10 ** j) for j in range(1, args.depth + 1)]
+    pairs = verify_sinc_limit(ms, args.bits)
+    rows = [{"m": m.decimal(20), "ratio": ratio.decimal(),
+             "gap": _sci(abs(ratio.center() - 1))} for m, ratio in pairs]
+    text = [f"m={row['m']} ratio={ratio.decimal(30)} gap={row['gap']}"
+            for row, (_, ratio) in zip(rows, pairs)]
+    return _Record({"check": "sinc", "rows": rows}, text,
+                   [["m", "ratio", "gap"]] + [list(row.values()) for row in rows])
+
+
+def _cmd_identity(args) -> _Record:
+    if args.check == "sinc":
+        return _cmd_sinc(args)
     if args.check == "multiple-angle":
-        return verify_multiple_angle_sweep(args.n_max, args.count,
-                                           args.bits, seed=args.seed)
-    if args.check == "angle-diff":
+        reports = verify_multiple_angle_sweep(args.n_max, args.count,
+                                              args.bits, seed=args.seed)
+    elif args.check == "angle-diff":
         if args.n is None or args.a is None:
             raise UsageError("--check angle-diff requires --n and --a")
         n = MpReal.from_decimal(args.n, args.bits + 16)
         a = MpReal.from_decimal(args.a, args.bits + 16)
-        return [verify_angle_difference(n, a, args.bits)]
-    if args.check == "iteration-ratio":
-        return [verify_iteration_ratio(args.k, args.s, args.bits)]
-    raise UsageError(f"unknown identity check {args.check!r}")
-
-
-def _cmd_identity(args) -> int:
-    if args.check == "sinc":
-        _require_cli_bits(args.bits)
-        ms = [Fraction(1, 10 ** j) for j in range(1, args.depth + 1)]
-        rows = verify_sinc_limit(ms, args.bits)
-        if args.format == "json":
-            _json_doc({"check": "sinc", "rows": [
-                {"m": m.decimal(20), "ratio": ratio.decimal(),
-                 "gap": _sci(abs(ratio.center() - 1))} for m, ratio in rows]})
-        elif args.format == "csv":
-            print("m,ratio,gap")
-            for m, ratio in rows:
-                print(f"{m.decimal(20)},{ratio.decimal()},{_sci(abs(ratio.center() - 1))}")
-        else:
-            for m, ratio in rows:
-                print(f"m={m.decimal(20)} ratio={ratio.decimal(30)} "
-                      f"gap={_sci(abs(ratio.center() - 1))}")
-        return 0
-    reports = _identity_reports(args)
+        reports = [verify_angle_difference(n, a, args.bits)]
+    else:
+        reports = [verify_iteration_ratio(args.k, args.s, args.bits)]
     all_passed = all(r.passed for r in reports)
-    if args.format == "json":
-        _json_doc({"check": args.check, "pass": all_passed,
-                   "reports": [r.to_json() for r in reports]})
-    elif args.format == "csv":
-        print("description,residual,tolerance,pass")
-        for r in reports:
-            print(f"{r.description},{r.residual.decimal(40)},"
-                  f"{r.tolerance.decimal(40)},{r.passed}")
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status} {r.description} residual={r.residual.decimal(20)} "
-                  f"tolerance={r.tolerance.decimal(20)}")
-        print(f"{len(reports)} checks, {'all passed' if all_passed else 'FAILURES'}")
-    return 0 if all_passed else 2
+    doc = {"check": args.check, "pass": all_passed,
+           "reports": [r.to_json() for r in reports]}
+    text = [f"{'PASS' if r.passed else 'FAIL'} {r.description} "
+            f"residual={r.residual.decimal(20)} tolerance={r.tolerance.decimal(20)}"
+            for r in reports]
+    text.append(f"{len(reports)} checks, {'all passed' if all_passed else 'FAILURES'}")
+    rows = [[r.description, r.residual.decimal(40), r.tolerance.decimal(40), r.passed]
+            for r in reports]
+    return _Record(doc, text, [["description", "residual", "tolerance", "pass"]] + rows,
+                   0 if all_passed else 2)
 
 
-def _cmd_equiv(args) -> int:
-    _require_cli_bits(args.bits)
+def _cmd_equiv(args) -> _Record:
     rows = equivalence_experiment(args.k, args.s_max, args.bits)
-    if args.format == "json":
-        _json_doc({"k": args.k, "bits": args.bits, "rows": [
-            {"s": r.s, "value": r.value.decimal(), "err": _sci(r.err),
-             "delta_vs_s0": _sci(r.delta_vs_s0)} for r in rows]})
-    elif args.format == "csv":
-        print("s,value,err,delta_vs_s0")
-        for r in rows:
-            print(f"{r.s},{r.value.decimal()},{_sci(r.err)},{_sci(r.delta_vs_s0)}")
-    else:
-        for r in rows:
-            print(f"s={r.s} value={r.value.decimal(40)} err={_sci(r.err)} "
-                  f"delta_vs_s0={_sci(r.delta_vs_s0)}")
-    return 0
+    doc = {"k": args.k, "bits": args.bits, "rows": [
+        {"s": r.s, "value": r.value.decimal(), "err": _sci(r.err),
+         "delta_vs_s0": _sci(r.delta_vs_s0)} for r in rows]}
+    text = [f"s={r.s} value={r.value.decimal(40)} err={row['err']} "
+            f"delta_vs_s0={row['delta_vs_s0']}" for r, row in zip(rows, doc["rows"])]
+    return _Record(doc, text, [["s", "value", "err", "delta_vs_s0"]] + [
+        list(row.values()) for row in doc["rows"]])
 
 
 # ---------------------------------------------------------------- parser
 
-def _add_format(p: argparse.ArgumentParser, default: str = "text") -> None:
-    p.add_argument("--format", choices=["text", "json", "csv"], default=default,
+def _finish(p: argparse.ArgumentParser, func, bits: int | None = None) -> None:
+    """Attach the shared tail of every subcommand: --bits, --format, func."""
+    if bits is not None:
+        p.add_argument("--bits", type=int, default=bits,
+                       help="working precision in bits, >= 8 (default %(default)s)")
+    p.add_argument("--format", choices=["text", "json", "csv"], default="text",
                    help="output format (default %(default)s)")
-
-
-def _add_bits(p: argparse.ArgumentParser, default: int) -> None:
-    p.add_argument("--bits", type=int, default=default,
-                   help="working precision in bits, >= 8 (default %(default)s)")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="flintlab", description=__doc__,
+    parser = _Parser(prog="flintlab", description=_DESCRIPTION,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -383,9 +326,7 @@ def build_parser() -> _Parser:
     p.add_argument("--v", type=float, default=3)
     p.add_argument("--checkpoint", metavar="PATH", help="write checkpoint JSON here")
     p.add_argument("--resume", metavar="PATH", help="resume from checkpoint JSON")
-    _add_bits(p, 128)
-    _add_format(p)
-    p.set_defaults(func=_cmd_sum)
+    _finish(p, _cmd_sum, bits=128)
 
     p = sub.add_parser("term", help="single summand at index n",
                        description="Output: n, s, u, v, value, err.")
@@ -393,21 +334,17 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--u", type=int, default=2)
     p.add_argument("--v", type=float, default=3)
-    _add_bits(p, 128)
-    _add_format(p)
-    p.set_defaults(func=_cmd_term)
+    _finish(p, _cmd_term, bits=128)
 
     p = sub.add_parser("g", help="exact double-binomial value G(n)",
                        description="Output: the integer G(n).")
     p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_g)
+    _finish(p, _cmd_g)
 
     p = sub.add_parser("coeffs", help="cosine-power coefficients of sin(n t)/sin(t)",
                        description="Output: power/coefficient pairs, ascending.")
     p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_coeffs)
+    _finish(p, _cmd_coeffs)
 
     p = sub.add_parser("pi", help="certified pi digits",
                        description="Output: value, err; with a fixture "
@@ -416,38 +353,28 @@ def build_parser() -> _Parser:
                    help="cap printed digits (default: all guaranteed)")
     p.add_argument("--fixture", metavar="PATH",
                    help="reference digit file to compare against")
-    _add_bits(p, 128)
-    _add_format(p)
-    p.set_defaults(func=_cmd_pi)
+    _finish(p, _cmd_pi, bits=128)
 
     p = sub.add_parser("sin", help="certified sin(n) for integer n",
                        description="Output: n, bits, value, err.")
     p.add_argument("--n", type=int, required=True)
-    _add_bits(p, 128)
-    _add_format(p)
-    p.set_defaults(func=_cmd_sin)
+    _finish(p, _cmd_sin, bits=128)
 
     p = sub.add_parser("cf", help="stable continued-fraction terms of pi",
                        description="Output: terms plus exhausted/complete flags.")
     p.add_argument("--count", type=int, default=20)
-    _add_bits(p, 128)
-    _add_format(p)
-    p.set_defaults(func=_cmd_cf)
+    _finish(p, _cmd_cf, bits=128)
 
     p = sub.add_parser("spikes", help="record minima of |sin n|",
                        description="Output per spike: n, abs_sin, lambda, "
                        "is_convergent_numerator.")
     p.add_argument("--n-max", type=int, required=True)
-    _add_bits(p, 64)
-    _add_format(p)
-    p.set_defaults(func=_cmd_spikes)
+    _finish(p, _cmd_spikes, bits=64)
 
     p = sub.add_parser("lambda", help="local sine exponent -ln|sin n|/ln n",
                        description="Output: the exponent as a float.")
     p.add_argument("--n", type=int, required=True)
-    _add_bits(p, 64)
-    _add_format(p)
-    p.set_defaults(func=_cmd_lambda)
+    _finish(p, _cmd_lambda, bits=64)
 
     p = sub.add_parser("criterion", help="one bounding inequality check",
                        description="Output: n, s, epsilon, verdict, margin, "
@@ -455,9 +382,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--eps", required=True, help="epsilon in (0, 2), e.g. 0.1")
-    _add_bits(p, 64)
-    _add_format(p)
-    p.set_defaults(func=_cmd_criterion)
+    _finish(p, _cmd_criterion, bits=64)
 
     p = sub.add_parser("scan", help="bounding inequality over a range",
                        description="Output: violation rows (csv), or summary "
@@ -469,9 +394,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--summary-out", metavar="PATH",
                    help="also write the run summary JSON here")
-    _add_bits(p, 64)
-    _add_format(p)
-    p.set_defaults(func=_cmd_scan)
+    _finish(p, _cmd_scan, bits=64)
 
     p = sub.add_parser("identity", help="residual checks of the trig identities",
                        description="Checks: multiple-angle (--n-max --count "
@@ -487,22 +410,23 @@ def build_parser() -> _Parser:
     p.add_argument("--a", default=None, help="angle-diff: a as a decimal string")
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--s", type=int, default=1)
-    _add_bits(p, 128)
-    _add_format(p)
-    p.set_defaults(func=_cmd_identity)
+    _finish(p, _cmd_identity, bits=128)
 
     p = sub.add_parser("equiv", help="partial sums across s with exact deltas",
                        description="Output per s: value, err, delta_vs_s0.")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s-max", type=int, default=3)
-    _add_bits(p, 128)
-    _add_format(p)
-    p.set_defaults(func=_cmd_equiv)
+    _finish(p, _cmd_equiv, bits=128)
 
     return parser
 
 
-def _emit_error(exc: Exception) -> None:
+# failure type -> exit code; any other exception is a bug and exits 1
+_EXIT_CODES = ((CheckpointMismatchError, 3), (UsageError, 1), (PrecisionError, 2),
+               (KeyboardInterrupt, 130))
+
+
+def _emit_error(exc: BaseException) -> None:
     json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
     sys.stderr.write("\n")
 
@@ -511,27 +435,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if getattr(args, "bits", 8) < 8:
+            raise UsageError(f"--bits must be at least 8, got {args.bits}")
+        record = args.func(args)
+        _render(record, args.format)
+        return record.code
     except SystemExit as exc:        # --help and friends
         return int(exc.code or 0)
-    except CheckpointMismatchError as exc:
-        _emit_error(exc)
-        return 3
-    except UsageError as exc:
-        _emit_error(exc)
-        return 1
     except OSError as exc:           # unreadable or unwritable files: a usage error
         _emit_error(UsageError(str(exc)))
         return 1
-    except PrecisionError as exc:
+    except (Exception, KeyboardInterrupt) as exc:   # still one JSON line, never a traceback
         _emit_error(exc)
-        return 2
-    except KeyboardInterrupt as exc:
-        _emit_error(exc)
-        return 130
-    except Exception as exc:         # last resort: still one JSON line, never a traceback
-        _emit_error(exc)
-        return 1
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 1)
 
 
 if __name__ == "__main__":

@@ -22,12 +22,9 @@ test suite instead of being hard-coded.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, TextIO
 
 from .combinatorics import g_value
 from .errors import DomainError, UndecidableError
@@ -46,8 +43,6 @@ __all__ = [
     "ScanResult",
     "check_criterion",
     "scan_criterion",
-    "write_scan_csv",
-    "write_scan_summary",
 ]
 
 _ESCALATION_CAP = 1 << 20
@@ -210,17 +205,3 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
         "worst_margin": worst[0],
     }
     return ScanResult(violations, summary)
-
-
-def write_scan_csv(reports: Iterable[CriterionReport], stream: TextIO) -> None:
-    """Columns: n, s, epsilon, ln_lhs, ln_rhs, margin."""
-    writer = csv.writer(stream)
-    writer.writerow(["n", "s", "epsilon", "ln_lhs", "ln_rhs", "margin"])
-    for r in reports:
-        writer.writerow([r.n, r.s, repr(r.epsilon), repr(r.ln_lhs),
-                         repr(r.ln_rhs), repr(r.margin)])
-
-
-def write_scan_summary(result: ScanResult, stream: TextIO) -> None:
-    json.dump(result.summary, stream)
-    stream.write("\n")

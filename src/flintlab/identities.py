@@ -16,18 +16,17 @@ Four checks, each reporting a residual against an explicit tolerance:
 * iteration ratio: S_s(k)/S_0(k) - 1 together with the exact
   max_n |G(n)/n - 1| (identically zero).
 
-Reports serialize as JSON lines; random angles come from a seeded
+Reports serialize to JSON (``to_json``); random angles come from a seeded
 generator and the seed travels inside every report they produce.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 from .combinatorics import g_value, multiple_angle_coefficients
 from .errors import DegenerateInputError, DomainError
@@ -49,7 +48,6 @@ __all__ = [
     "verify_multiple_angle",
     "verify_multiple_angle_sweep",
     "verify_sinc_limit",
-    "write_reports_jsonl",
 ]
 
 _GUARD_BITS = 32
@@ -71,12 +69,6 @@ class ResidualReport:
             "tolerance": self.tolerance.decimal(60),
             "pass": self.passed,
         }
-
-
-def write_reports_jsonl(reports: Iterable[ResidualReport], stream: TextIO) -> None:
-    for report in reports:
-        json.dump(report.to_json(), stream)
-        stream.write("\n")
 
 
 @lru_cache(maxsize=512)
@@ -167,6 +159,8 @@ def seeded_thetas(count: int, seed: int, bits: int = 192) -> list[MpReal]:
 def verify_multiple_angle_sweep(n_max: int, thetas_per_n: int,
                                 bits: int = 192, seed: int = 7041) -> list[ResidualReport]:
     """The multiple-angle check over n in [1, n_max] x seeded angles."""
+    if n_max < 1:
+        raise DomainError(f"verify_multiple_angle_sweep needs n_max >= 1, got {n_max}")
     thetas = seeded_thetas(thetas_per_n, seed, bits)
     reports = []
     for n in range(1, n_max + 1):

@@ -800,6 +800,24 @@ def _format_units(units: int, d: int) -> str:
     return text + "0" if text.endswith(".") else text
 
 
+def _decimals_within(wide: Fraction) -> int:
+    """The least d >= 0 with 10**-(d+1) <= wide, for wide > 0.
+
+    With wide = num/den and B = den.bit_length() - num.bit_length() - 1,
+    2**B < den/num < 2**(B+2).  646456993/2**31 < log10(2), so the start
+    d0 = floor(B * 646456993/2**31) has 10**d0 < 2**B when B > 0: d0 - 1
+    is too few digits and d0 is at most the answer, which is below
+    (B+2)*log10(2).  So the exact steps up take at most one while B < 3e9.
+    """
+    num, den = wide.numerator, wide.denominator
+    d = max(0, (den.bit_length() - num.bit_length() - 1) * 646456993 >> 31)
+    scaled = 10 ** (d + 1) * num
+    while den > scaled:
+        scaled *= 10
+        d += 1
+    return d
+
+
 def guaranteed_decimal(value: Fraction, err: Fraction,
                        max_digits: int | None = None) -> str:
     """Decimal string showing only digits guaranteed by the error bound.
@@ -820,10 +838,7 @@ def guaranteed_decimal(value: Fraction, err: Fraction,
                 return text
         d = max_digits if max_digits is not None else 64
         return _format_units(_round_units(value, d), d)
-    wide = 2 * err
-    d = 0
-    while d < 20000 and Fraction(1, 10 ** (d + 1)) > wide:
-        d += 1
+    d = _decimals_within(2 * err)
     if max_digits is not None:
         d = min(d, max_digits)
     while d >= 0:

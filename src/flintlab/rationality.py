@@ -20,10 +20,9 @@ quantifies how deep each record goes relative to n itself.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 from .errors import DomainError, PrecisionError
 from .mpreal import MpReal, clog2, compute_pi, fx_ln_int, ln2_mantissa, sin_int
@@ -37,7 +36,6 @@ __all__ = [
     "convergents",
     "local_exponent",
     "spike_indices",
-    "write_spike_csv",
 ]
 
 
@@ -194,16 +192,3 @@ def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:
         best = cand
         best_n = n
     return records
-
-
-def write_spike_csv(records: Iterable[SpikeRecord], stream: TextIO) -> None:
-    """Columns: n, abs_sin (decimal string), lambda, is_convergent_numerator."""
-    writer = csv.writer(stream)
-    writer.writerow(["n", "abs_sin", "lambda", "is_convergent_numerator"])
-    for r in records:
-        writer.writerow([
-            r.n,
-            r.abs_sin.decimal(40),
-            "" if r.lam is None else repr(r.lam),
-            int(r.is_convergent_numerator),
-        ])

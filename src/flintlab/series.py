@@ -27,7 +27,6 @@ import os
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, TextIO
 
 from .combinatorics import g_value
 from .errors import CheckpointMismatchError, DomainError, ResourceLimitError, UsageError
@@ -53,7 +52,6 @@ __all__ = [
     "partial_sum",
     "save_checkpoint",
     "term",
-    "write_series_csv",
 ]
 
 
@@ -323,33 +321,3 @@ def equivalence_experiment(k: int, s_max: int, bits: int = 128) -> list[Equivale
         delta = Fraction(abs(r.units - base.units), 1 << r.spec.acc_scale)
         rows.append(EquivalenceRow(r.spec.s, r.value, r.err, delta))
     return rows
-
-
-def _sci(x: Fraction, digits: int = 3) -> str:
-    """Short scientific rendering of a non-negative fraction."""
-    if x == 0:
-        return "0"
-    e10 = 0
-    y = x
-    while y >= 10:
-        y /= 10
-        e10 += 1
-    while y < 1:
-        y *= 10
-        e10 -= 1
-    scaled = round_div(y.numerator * 10 ** (digits - 1), y.denominator)
-    mant = f"{scaled / 10 ** (digits - 1):.{digits - 1}f}"
-    return f"{mant}e{e10:+03d}"
-
-
-def write_series_csv(results: Iterable[PartialSumResult], stream: TextIO) -> None:
-    """Columns: k, s, u, v, value, err."""
-    import csv as _csv
-
-    writer = _csv.writer(stream)
-    writer.writerow(["k", "s", "u", "v", "value", "err"])
-    for r in results:
-        writer.writerow([
-            r.k, r.spec.s, r.spec.u, r.spec.v,
-            r.value.decimal(), _sci(r.err),
-        ])

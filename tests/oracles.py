@@ -164,3 +164,12 @@ def fx_exp_small_ref(R: int, w: int) -> int:
         total += term
         i += 1
     return total
+
+
+def linear_decimal_count(wide: Fraction, cap: int = 20000) -> int:
+    """Least d >= 0 with 10**-(d+1) <= wide, by the linear search (capped
+    at `cap` digits) that the package's decimal rendering once used."""
+    d = 0
+    while d < cap and Fraction(1, 10 ** (d + 1)) > wide:
+        d += 1
+    return d

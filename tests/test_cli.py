@@ -211,6 +211,22 @@ def test_low_bits_is_usage_error(capsys):
     assert "at least 8" in json.loads(err)["message"]
 
 
+def test_negative_digit_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "pi", "--digits", "-5")
+    assert (code, out) == (1, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UsageError"
+
+
+def test_empty_multiple_angle_sweep_is_usage_error(capsys):
+    code, out, err = run(capsys, "identity", "--check", "multiple-angle", "--n-max", "0")
+    assert (code, out) == (1, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "DomainError"
+
+
 def test_epsilon_out_of_range_is_usage_error(capsys):
     code, _, err = run(capsys, "criterion", "--n", "2", "--s", "1", "--eps", "3")
     assert code == 1
@@ -262,6 +278,17 @@ def test_pi_beyond_the_int_str_digit_limit(capsys):
     doc = json.loads(out)
     assert len(doc["value"]) > 6000
     assert doc["matched_digits"] >= 1000
+    assert doc["agrees"] is True
+
+
+def test_pi_past_the_old_digit_cap(capsys):
+    # 70000 bits guarantee about 21070 digits; the digit search once stopped at 20000
+    code, out, err = run(capsys, "pi", "--bits", "70000",
+                         "--fixture", FIXTURE, "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["value"].partition(".")[2]) > 21000
+    assert doc["matched_digits"] >= 999
     assert doc["agrees"] is True
 
 

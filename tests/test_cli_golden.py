@@ -9,6 +9,8 @@ deliberate, documented output change:
     PYTHONPATH=src python tests/test_cli_golden.py --write
 """
 
+import csv
+import io
 import sys
 
 import pytest
@@ -62,6 +64,18 @@ def test_cli_stdout_matches_golden(capsys, case, argv):
     assert out.encode() == (GOLDEN_DIR / f"{case}.out").read_bytes()
 
 
+CSV_CASES = [(case, argv) for case, argv in CASES if case.endswith(".csv")]
+
+
+@pytest.mark.parametrize("case, argv", CSV_CASES, ids=[c for c, _ in CSV_CASES])
+def test_csv_is_lf_terminated_and_rectangular(capsys, case, argv):
+    code, out = _stdout(capsys, argv)
+    assert code == 0
+    assert "\r" not in out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == len(rows[0]) for row in rows), rows
+
+
 def test_every_subcommand_has_a_golden():
     covered = {argv[0] for _, argv in CASES}
     assert covered == {"sum", "term", "g", "coeffs", "pi", "sin", "cf", "spikes",
@@ -70,7 +84,6 @@ def test_every_subcommand_has_a_golden():
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     import contextlib
-    import io
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for case, argv in CASES:

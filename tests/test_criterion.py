@@ -1,6 +1,4 @@
 import concurrent.futures
-import io
-import json
 import math
 import os
 from fractions import Fraction
@@ -12,8 +10,6 @@ from flintlab import (
     DomainError,
     check_criterion,
     scan_criterion,
-    write_scan_csv,
-    write_scan_summary,
 )
 
 
@@ -147,19 +143,8 @@ def test_scan_range_validation():
         scan_criterion((1, 10), 0, "0.1")
 
 
-def test_scan_csv_layout():
-    result = scan_criterion((1, 30), 1, "0.1")
-    buf = io.StringIO()
-    write_scan_csv(result.violations, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "n,s,epsilon,ln_lhs,ln_rhs,margin"
-    assert [line.split(",")[0] for line in lines[1:]] == ["1", "3", "22"]
-
-
 def test_scan_summary_json():
     result = scan_criterion((1, 30), 1, "0.1")
-    buf = io.StringIO()
-    write_scan_summary(result, buf)
-    doc = json.loads(buf.getvalue())
+    doc = result.summary
     assert set(doc) == {"checked", "violations", "worst_margin_n", "worst_margin"}
     assert doc["worst_margin_n"] == 22

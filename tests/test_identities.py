@@ -1,4 +1,3 @@
-import io
 import json
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ from flintlab import (
     verify_multiple_angle,
     verify_multiple_angle_sweep,
     verify_sinc_limit,
-    write_reports_jsonl,
 )
 
 
@@ -126,6 +124,11 @@ def test_iteration_ratio_validation():
         verify_iteration_ratio(10, 0)
 
 
+def test_multiple_angle_sweep_needs_an_index():
+    with pytest.raises(DomainError):
+        verify_multiple_angle_sweep(0, 3)
+
+
 def test_report_json_layout():
     report = verify_iteration_ratio(50, 1, 96)
     doc = report.to_json()
@@ -135,10 +138,7 @@ def test_report_json_layout():
 
 def test_reports_jsonl_round_trip():
     reports = verify_multiple_angle_sweep(3, 2, 96, seed=5)
-    buf = io.StringIO()
-    write_reports_jsonl(reports, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 6
-    for line in lines:
-        doc = json.loads(line)
+    assert len(reports) == 6
+    for r in reports:
+        doc = json.loads(json.dumps(r.to_json()))
         assert doc["pass"] is True

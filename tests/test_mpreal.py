@@ -36,6 +36,7 @@ from oracles import (
     fx_cos_ref,
     fx_exp_small_ref,
     fx_sin_ref,
+    linear_decimal_count,
     load_pi_fixture,
     pi_fraction,
     sin_by_reduction,
@@ -118,6 +119,19 @@ def test_guaranteed_decimal_stops_at_error_bound():
     text = guaranteed_decimal(Fraction(1, 3), Fraction(1, 10**7))
     assert text.startswith("0.333333")
     assert len(text.split(".")[1]) <= 8
+
+
+def test_decimal_count_matches_the_linear_search():
+    # seeded widths from 2**64 down to about 2**-1200, then exact powers of
+    # ten and their neighbours (the boundary cases) up to d = 3000
+    rng = random.Random(1105)
+    wides = [Fraction(rng.getrandbits(rng.randint(1, 64)) | 1,
+                      rng.getrandbits(rng.randint(1, 1200)) | 1) for _ in range(200)]
+    for d in rng.sample(range(2, 800), 30) + [0, 1, 3000]:
+        p = 10 ** (d + 1)
+        wides += [Fraction(1, p), Fraction(1, p - 1), Fraction(1, p + 1), Fraction(3, p)]
+    for wide in wides:
+        assert mpreal._decimals_within(wide) == linear_decimal_count(wide), wide
 
 
 # ------------------------------------------------------------------ pi engine

@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from flintlab import (
     convergents,
     local_exponent,
     spike_indices,
-    write_spike_csv,
 )
 from oracles import pi_fraction
 
@@ -137,12 +135,3 @@ def test_spike_minimal_range():
 def test_spike_rejects_nonpositive_range():
     with pytest.raises(DomainError):
         spike_indices(0)
-
-
-def test_spike_csv_layout():
-    buf = io.StringIO()
-    write_spike_csv(spike_indices(30), buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "n,abs_sin,lambda,is_convergent_numerator"
-    assert len(lines) == 4  # header + spikes at 1, 3, 22
-    assert lines[2].startswith("3,")

@@ -14,7 +14,6 @@ from flintlab import (
     partial_sum,
     save_checkpoint,
     term,
-    write_series_csv,
 )
 from oracles import sin_by_reduction
 
@@ -224,13 +223,3 @@ def test_higher_sine_power():
     t = term(3, SeriesSpec(u=3, bits=96))
     want = 1 / (abs(math.sin(3)) ** 3 * 27)
     assert abs(float(t.center()) - want) < 1e-12
-
-
-def test_series_csv_layout():
-    import io
-
-    buf = io.StringIO()
-    write_series_csv([partial_sum(5, SeriesSpec())], buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "k,s,u,v,value,err"
-    assert lines[1].startswith("5,0,2,3,")
