@@ -92,18 +92,31 @@ def _one_row(doc: dict, *keys: str) -> list:
 
 
 def _sci(x: Fraction, digits: int = 3) -> str:
-    """Short scientific rendering of a non-negative fraction."""
+    """Short scientific rendering of a non-negative fraction.
+
+    e10 = floor(log10 x) starts, as in mpreal._decimals_within, at
+    floor(B * 646456993/2**31) with B the difference of the bit lengths of
+    numerator and denominator: 2**(B-1) < x < 2**(B+1), so the start is
+    within two of e10, and exact integer comparisons with the power of ten
+    step it there.  A mantissa that rounds up to 10 carries into e10.
+    """
     if x == 0:
         return "0"
-    e10 = 0
-    y = x
-    while y >= 10:
-        y /= 10
+    num, den = x.numerator, x.denominator
+    e10 = (num.bit_length() - den.bit_length()) * 646456993 >> 31
+    while True:
+        # x / 10**e10 = top / bottom
+        top, bottom = (num, den * 10 ** e10) if e10 >= 0 else (num * 10 ** -e10, den)
+        if top < bottom:
+            e10 -= 1
+        elif top >= 10 * bottom:
+            e10 += 1
+        else:
+            break
+    scaled = round_div(top * 10 ** (digits - 1), bottom)
+    if scaled == 10 ** digits:
+        scaled //= 10
         e10 += 1
-    while y < 1:
-        y *= 10
-        e10 -= 1
-    scaled = round_div(y.numerator * 10 ** (digits - 1), y.denominator)
     mant = f"{scaled / 10 ** (digits - 1):.{digits - 1}f}"
     return f"{mant}e{e10:+03d}"
 

@@ -10,18 +10,31 @@ escalates the working precision (doubling, capped at 2**20 bits) rather
 than returning a three-valued answer -- sin n is never zero at an
 integer, so separation always exists.
 
-n^(2s+2-eps) is evaluated as exp((2s+2-eps) * ln n) on fixed-point
-integers, which handles the non-integer exponent uniformly; eps is
-carried as an exact fraction end to end so that scans are
-bit-reproducible regardless of chunking or process count.
+One index (check_criterion) evaluates n^(2s+2-eps) as
+exp((2s+2-eps) * ln n) on fixed-point integers, which handles the
+non-integer exponent uniformly; eps is carried as an exact fraction end
+to end so that scans are bit-reproducible regardless of chunking or
+process count.
 
+A range scan (scan_criterion) decides most indices without ln or exp.
 With G(n) = n both sides scale by n^(2s), so the verdict is independent
-of s; the parameter stays exposed and the invariance is asserted by the
-test suite instead of being hard-coded.
+of s: "satisfied" means sin^2(n) * n^(2-eps) > 1.  For eps = a/b this
+holds exactly when |sin n|^(2b) * n^(2b-a) > 1, an inequality between
+integers once |sin n| is bracketed by the rounded sine of the rotation
+walk (see _scan_chunk).  A denominator b above 16 would make the powers
+long, so the scan decides at the neighbours floor(16*eps)/16 and
+ceil(16*eps)/16 instead; the verdict is monotone in eps, so agreement
+of the two is the verdict at eps.  An index where the neighbours
+disagree, or where the sine's rounding interval straddles the
+threshold, falls back to the escalating kernel.  Float margins, which
+need ln, are computed (by the same kernel, so bit-identical to
+check_criterion's) only for indices that a float screen marks as
+candidates for the running worst margin.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +43,7 @@ from .combinatorics import g_value
 from .errors import DomainError, UndecidableError
 from .mpreal import (
     MpReal,
+    abs_sin_walk,
     clog2,
     fx_exp_small,
     fx_ln_int,
@@ -47,6 +61,10 @@ __all__ = [
 
 _ESCALATION_CAP = 1 << 20
 _CHUNK = 4096
+_WALK_BASE = 40           # the scan's sine is round(|sin n| * 2**(40 + clog2 n))
+_BRACKET_DEN = 16         # larger eps denominators are decided at multiples of 1/16
+_SCREEN_SLACK = 1e-6      # worst-margin screen tolerance, per unit of s
+_SCREEN_MIN_M = 1 << 30   # a smaller m makes every n a worst-margin candidate
 
 
 @dataclass(frozen=True)
@@ -150,16 +168,85 @@ class ScanResult:
     summary: dict
 
 
+def _power_test(eps: Fraction) -> tuple[int, int]:
+    """(2b, 2b - a) for eps = a/b: the powers of |sin n| and n in the exact test."""
+    a, b = eps.numerator, eps.denominator
+    return 2 * b, 2 * b - a
+
+
 def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
+    """Violators, count and (worst margin, its n) for lo..hi, without ln or exp per n.
+
+    Verdict.  m = round(|sin n| * 2**w) from abs_sin_walk with
+    w = _WALK_BASE + c, c = clog2(n), so |sin n| * 2**(w+1) lies strictly
+    inside (2m - 1, 2m + 1).  For eps = a/b, with p = 2b and q = 2b - a > 0,
+    "satisfied" is |sin n|^p * n^q > 1, i.e. (|sin n| * 2**(w+1))^p * n^q
+    > 2**(p*(w+1)).  It is certain when (2m - 1)^p * n^q exceeds that
+    power of two, and "violated" is certain when (2m + 1)^p * n^q is below
+    it; equality is impossible, sin n being transcendental.  When b >
+    _BRACKET_DEN, "satisfied" is tested at eps_hi = ceil(16*eps)/16 and
+    "violated" at eps_lo = floor(16*eps)/16: n^(2-eps) falls as eps grows
+    (n >= 1), so either answer carries over to eps.  Otherwise, and
+    whenever neither test is certain, _decided_kernel decides n as
+    check_criterion does.
+
+    Margin.  The reported margin of n is _decided_kernel's float, as in a
+    per-n loop; the chunk keeps the least, and the first n among equals.
+    The screen x = 2*(ln m - w*ln 2) + (2-eps)*ln n estimates the same
+    quantity, ln(sin^2 n * n^(2-eps)).  The kernel evaluates n when m <
+    min_m (below) or x < worst + s*_SCREEN_SLACK.  For n < 2**472 (so w
+    and ln n are below 512) and m >= min_m, x and the kernel's float each
+    lie within s * 5e-7 of the true value, so a skipped n has a kernel
+    margin above worst, and a per-n loop would not have taken it either:
+    (1) |ln m - ln(|sin n| * 2**w)| <= 1/(2m - 1) < 2**-30 for m >= 2**30,
+    and the float operations in x add less than 2**-36.
+    (2) The kernel's first attempt has wr = bits + 56 + c and a sine ball
+    within e <= n/6 + 8*wr + 52 ulps (see mpreal.abs_sin_walk for the
+    terms).  min_m > e * 2**(15 - bits) gives |sin n| * 2**wr > (m - 1/2)
+    * 2**(bits + 16) >= e * 2**30, so its ln sin^2 n is within 2**-28;
+    escalation only narrows the ball.  Its fixed-point ln n and ln 2 are
+    within 2**-46, so ln_lhs = 2s*ln n and ln_rhs = ln sin^2 n +
+    (2s+2-eps)*ln n gain at most (2s + 2) * 2**-46 more.  Rounding them and
+    their difference to floats adds 2**-52 times magnitudes below
+    (4s + 4) * ln n + 2w: less than s * 2**-39.
+    """
     lo, hi, s, c_num, c_den, bits = args
+    eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
+    if eps.denominator <= _BRACKET_DEN:
+        sat_p, sat_q = vio_p, vio_q = _power_test(eps)
+    else:
+        sixteenths = eps * _BRACKET_DEN
+        sat_p, sat_q = _power_test(Fraction(math.ceil(sixteenths), _BRACKET_DEN))
+        vio_p, vio_q = _power_test(Fraction(math.floor(sixteenths), _BRACKET_DEN))
+    slope = float(2 - eps)
+    slack = s * _SCREEN_SLACK
+    log = math.log
     violations: list[int] = []
     worst = (float("inf"), -1)
-    for n in range(lo, hi + 1):
-        verdict, ln_lhs, ln_rhs, _ = _decided_kernel(n, s, c_num, c_den, bits)
-        margin = ln_rhs - ln_lhs
+    top = 0               # the last n with the current w: a power of two
+    for n, m in zip(range(lo, hi + 1), abs_sin_walk(lo, hi, _WALK_BASE)):
+        if n > top:
+            c = clog2(max(n, 2))
+            top, w = 1 << c, _WALK_BASE + c
+            sat_bound, vio_bound = 1 << (sat_p * (w + 1)), 1 << (vio_p * (w + 1))
+            ln_scale = 2 * w * math.log(2)
+            e_max = (1 << c) // 6 + 8 * (bits + 56 + c) + 53
+            min_m = max(_SCREEN_MIN_M, ((e_max << 15) >> bits) + 1)
+        margin = None
+        if max(2 * m - 1, 0) ** sat_p * n ** sat_q > sat_bound:
+            verdict = True
+        elif (2 * m + 1) ** vio_p * n ** vio_q < vio_bound:
+            verdict = False
+        else:
+            verdict, ln_lhs, ln_rhs, _ = _decided_kernel(n, s, c_num, c_den, bits)
+            margin = ln_rhs - ln_lhs
         if not verdict:
             violations.append(n)
-        if margin < worst[0]:
+        if margin is None and (m < min_m or
+                               2 * log(m) - ln_scale + slope * log(n) < worst[0] + slack):
+            _, ln_lhs, ln_rhs, _ = _decided_kernel(n, s, c_num, c_den, bits)
+            margin = ln_rhs - ln_lhs
+        if margin is not None and margin < worst[0]:
             worst = (margin, n)
     return violations, hi - lo + 1, worst
 

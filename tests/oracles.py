@@ -173,3 +173,26 @@ def linear_decimal_count(wide: Fraction, cap: int = 20000) -> int:
     while d < cap and Fraction(1, 10 ** (d + 1)) > wide:
         d += 1
     return d
+
+
+def sci_ref(x: Fraction, digits: int = 3) -> str:
+    """Short scientific rendering by the per-digit exponent search that the
+    package once used: divide or multiply by 10 until 1 <= y < 10.  A
+    mantissa that rounds up to 10 carries into the exponent."""
+    if x == 0:
+        return "0"
+    e10 = 0
+    y = x
+    while y >= 10:
+        y /= 10
+        e10 += 1
+    while y < 1:
+        y *= 10
+        e10 -= 1
+    scale = 10 ** (digits - 1)
+    scaled = (2 * y.numerator * scale + y.denominator) // (2 * y.denominator)
+    if scaled == 10 * scale:
+        scaled = scale
+        e10 += 1
+    mant = f"{scaled / scale:.{digits - 1}f}"
+    return f"{mant}e{e10:+03d}"

@@ -1,12 +1,14 @@
 import json
+import random
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 
 import pytest
 
 import flintlab.cli as cli
 from flintlab import MAX_BITS, SeriesSpec, partial_sum, sin_int
 from flintlab.cli import main
-from oracles import DATA_DIR
+from oracles import DATA_DIR, sci_ref
 
 FIXTURE = str(DATA_DIR / "pi_1000.txt")
 
@@ -330,3 +332,25 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "sum" in out and "scan" in out
+
+
+def test_sci_matches_the_per_digit_search():
+    rng = random.Random(11)
+    cases = [Fraction(1), Fraction(10), Fraction(1, 10), Fraction(999, 1000),
+             Fraction(9995, 1000), Fraction(99949, 10000)]
+    for _ in range(400):
+        e = rng.randrange(-60, 60)
+        x = Fraction(rng.randrange(1, 10 ** rng.randrange(1, 8)), rng.randrange(1, 10 ** 6))
+        cases.append(x * Fraction(10) ** e)
+    for e in (-6200, 6100, -7000):
+        cases.append(Fraction(rng.randrange(1, 10 ** 9), 7) * Fraction(10) ** e)
+    cases.append(Fraction(3 ** 13000, 2 ** 5000))          # about 10**4698
+    for x in cases:
+        for digits in (1, 3, 5):
+            assert cli._sci(x, digits) == sci_ref(x, digits), (x, digits)
+
+
+def test_sci_rounding_carries_into_the_exponent():
+    assert cli._sci(Fraction(99996, 10000)) == "1.00e+01"
+    assert cli._sci(Fraction(99996, 10 ** 9)) == "1.00e-04"
+    assert cli._sci(Fraction(99949, 10000)) == "9.99e+00"

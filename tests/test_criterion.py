@@ -11,6 +11,7 @@ from flintlab import (
     check_criterion,
     scan_criterion,
 )
+from flintlab.mpreal import abs_sin_canonical, clog2
 
 
 def test_check_satisfied_case():
@@ -129,9 +130,99 @@ def test_scan_threads_are_clamped(monkeypatch, threads, hi, cpus, workers):
 
 
 def test_scan_verdicts_invariant_in_s():
-    low = scan_criterion((1, 2000), 1, "0.1")
-    high = scan_criterion((1, 2000), 5, "0.1")
-    assert [r.n for r in low.violations] == [r.n for r in high.violations]
+    violators = [r.n for r in scan_criterion((1, 2000), 1, "0.1").violations]
+    near = sorted({m for n in violators for m in (n - 1, n, n + 1) if m >= 1})
+    low = [check_criterion(n, 1, "0.1").satisfied for n in near]
+    high = [check_criterion(n, 5, "0.1").satisfied for n in near]
+    assert low == high
+    assert [n for n, ok in zip(near, low) if not ok] == violators
+
+
+def _per_n_chunk(args):
+    """The scan chunk as a per-n loop: _decided_kernel decides every n."""
+    lo, hi, s, c_num, c_den, bits = args
+    violations = []
+    worst = (float("inf"), -1)
+    for n in range(lo, hi + 1):
+        verdict, ln_lhs, ln_rhs, _ = criterion._decided_kernel(n, s, c_num, c_den, bits)
+        margin = ln_rhs - ln_lhs
+        if not verdict:
+            violations.append(n)
+        if margin < worst[0]:
+            worst = (margin, n)
+    return violations, hi - lo + 1, worst
+
+
+def _scan_key(result):
+    return result.summary, [(r.n, r.satisfied, r.margin, r.ln_lhs, r.ln_rhs,
+                             r.rhs.man, r.rhs.exp, r.rhs.err) for r in result.violations]
+
+
+# 18953/9970 is just above 1.9 and is bracketed by 30/16 and 31/16, which
+# disagree at many n
+_EPSILONS = ["0.1", Fraction(1, 3), "1.9", "0.001", Fraction(1, 997), Fraction(18953, 9970)]
+
+
+@pytest.mark.parametrize("eps", _EPSILONS)
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("window", [(1, 400), (1492, 1691), (4000, 4200), (8100, 8300)])
+def test_scan_matches_per_n_loop(monkeypatch, window, s, eps):
+    # The windows cross the powers of two 256, 4096 and 8192, which are
+    # also WALK_BLOCK edges.  At eps = 1.9 the worst margin of 1492..1691
+    # beats the window's previous record by only 0.004.
+    fast = scan_criterion(window, s, eps)
+    monkeypatch.setattr(criterion, "_scan_chunk", _per_n_chunk)
+    assert _scan_key(fast) == _scan_key(scan_criterion(window, s, eps))
+
+
+@pytest.mark.parametrize("s, eps", [(1, "0.1"), (1, Fraction(1, 997)), (3, "1.9")])
+def test_scan_on_two_processes_matches_per_n_loop(monkeypatch, s, eps):
+    window = (1, 8300)          # three chunks
+    fast = scan_criterion(window, s, eps, threads=2)
+    monkeypatch.setattr(criterion, "_scan_chunk", _per_n_chunk)
+    assert _scan_key(fast) == _scan_key(scan_criterion(window, s, eps, threads=1))
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = criterion._decided_kernel
+
+    def counting(n, *rest):
+        calls.append(n)
+        return kernel(n, *rest)
+
+    monkeypatch.setattr(criterion, "_decided_kernel", counting)
+    return calls
+
+
+def _coarse_walk(lo, hi, base):
+    """round(|sin n| * 2**clog2(n)): sines so coarse that their rounding
+    intervals often straddle the criterion's threshold."""
+    return (abs_sin_canonical(n, clog2(max(n, 2))) for n in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("eps", ["0.1", "1.9", Fraction(18953, 9970)])
+@pytest.mark.parametrize("force", ["no exact test", "coarse walk"])
+def test_scan_fallback_keeps_the_output(monkeypatch, force, eps):
+    window = (1, 2000)
+    want = _scan_key(scan_criterion(window, 1, eps))
+    calls = _count_kernel_calls(monkeypatch)
+    if force == "no exact test":
+        # p = q = 0: both sides of both tests are 1, so neither is certain
+        monkeypatch.setattr(criterion, "_power_test", lambda eps: (0, 0))
+    else:
+        monkeypatch.setattr(criterion, "_WALK_BASE", 0)
+        monkeypatch.setattr(criterion, "abs_sin_walk", _coarse_walk)
+    assert _scan_key(scan_criterion(window, 1, eps)) == want
+    if force == "no exact test":
+        assert sorted(set(calls)) == list(range(window[0], window[1] + 1))
+
+
+@pytest.mark.parametrize("eps", ["0.1", "0.001", Fraction(1, 997)])
+def test_scan_calls_the_kernel_rarely(monkeypatch, eps):
+    calls = _count_kernel_calls(monkeypatch)
+    result = scan_criterion((1, 8192), 1, eps)
+    assert len(calls) - len(result.violations) <= 64
 
 
 def test_scan_range_validation():
