@@ -10,11 +10,10 @@ escalates the working precision (doubling, capped at 2**20 bits) rather
 than returning a three-valued answer -- sin n is never zero at an
 integer, so separation always exists.
 
-One index (check_criterion) evaluates n^(2s+2-eps) as
-exp((2s+2-eps) * ln n) on fixed-point integers, which handles the
-non-integer exponent uniformly; eps is carried as an exact fraction end
-to end so that scans are bit-reproducible regardless of chunking or
-process count.
+One index (check_criterion) takes n^(2s+2-eps) from mpreal.fx_pow, the
+certified exp(c * ln n) shared with the series, fed with the same ln n
+that gives ln_lhs; eps is carried as an exact fraction end to end so
+that scans are bit-reproducible regardless of chunking or process count.
 
 A range scan (scan_criterion) decides most indices without ln or exp.
 With G(n) = n both sides scale by n^(2s), so the verdict is independent
@@ -45,8 +44,8 @@ from .mpreal import (
     MpReal,
     abs_sin_walk,
     clog2,
-    fx_exp_small,
     fx_ln_int,
+    fx_pow,
     ln2_mantissa,
     round_div,
     sin_ball,
@@ -101,19 +100,13 @@ def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
     if m <= e_abs:
         return None, 0.0, 0.0, None
     ln_n, e_ln = fx_ln_int(n, w)
-    ceil_c = -(-c_num // c_den)
-    arg = round_div(ln_n * c_num, c_den)
-    arg_err = e_ln * ceil_c + 1
-    l2 = ln2_mantissa(w)
-    q = round_div(arg, l2)
-    rem = arg - q * l2
-    e_pow, e_exp = fx_exp_small(rem, w)
-    e_tot = e_exp + 3 * (arg_err + (q >> 1) + 2)
+    e_pow, e_tot, q = fx_pow(ln_n, e_ln, Fraction(c_num, c_den), w)
     if e_pow <= e_tot:
         return None, 0.0, 0.0, None
-    scale = 2 * wr + w - q
-    rhs_lo = (m - e_abs) ** 2 * (e_pow - e_tot)
-    rhs_hi = (m + e_abs) ** 2 * (e_pow + e_tot)
+    up = max(q - 2 * wr - w, 0)      # lifts the units when 2wr + w - q < 0
+    scale = 2 * wr + w - q + up
+    rhs_lo = (m - e_abs) ** 2 * (e_pow - e_tot) << up
+    rhs_hi = (m + e_abs) ** 2 * (e_pow + e_tot) << up
     lhs = g_value(n).value ** (2 * s)
     lhs_scaled = lhs << scale
     if lhs_scaled < rhs_lo:
@@ -122,7 +115,9 @@ def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
         verdict = False
     else:
         verdict = None
-    ln_sin2 = 2 * (fx_ln_int(m, w)[0] - wr * l2)
+    # fx_pow's rounded c * ln n, so the float matches the fixed-point sides
+    arg = round_div(ln_n * c_num, c_den)
+    ln_sin2 = 2 * (fx_ln_int(m, w)[0] - wr * ln2_mantissa(w))
     ln_rhs = (ln_sin2 + arg) / (1 << w)
     ln_lhs = (2 * s * ln_n) / (1 << w)
     return verdict, ln_lhs, ln_rhs, (rhs_lo, rhs_hi, scale)

@@ -52,7 +52,8 @@ Two layers on top of the ball serve the partial sums:
 
 The Taylor kernels at the bottom of the file work on plain integers at
 a fixed scale and report their rounding as a ulp count, which callers
-convert into the exact ``err`` fraction.
+convert into the exact ``err`` fraction.  Every power ``n**c`` (c > 0
+rational) comes from one kernel, :func:`fx_pow`, with a derived bound.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ __all__ = [
     "fx_cos",
     "fx_exp_small",
     "fx_ln_int",
+    "fx_pow",
     "fx_sin",
     "guaranteed_decimal",
     "ln2_mantissa",
@@ -292,29 +294,11 @@ class MpReal:
     def upper(self) -> Fraction:
         return self.center() + self.err
 
-    @property
-    def is_exact(self) -> bool:
-        return self.err == 0
-
     def __float__(self) -> float:
         return float(self.center())
 
-    def sign_certain(self) -> int | None:
-        """-1/0(+exact zero)/+1 when the ball determines the sign, else None."""
-        c = self.center()
-        if c - self.err > 0:
-            return 1
-        if c + self.err < 0:
-            return -1
-        if c == 0 and self.err == 0:
-            return 0
-        return None
-
     def definitely_lt(self, other: "MpReal") -> bool:
         return self.upper() < other.lower()
-
-    def definitely_gt(self, other: "MpReal") -> bool:
-        return self.lower() > other.upper()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -474,7 +458,15 @@ def fx_atanh(T: int, w: int) -> tuple[int, int]:
 
 
 def fx_exp_small(R: int, w: int) -> tuple[int, int]:
-    """exp(R * 2**-w) in units of 2**-w, for |R * 2**-w| <= 0.4."""
+    """exp(R * 2**-w) in units of 2**-w, for |R * 2**-w| <= 0.4.
+
+    Returns (value_units, err_ulps), err_ulps = 4*i + 8 with i the loop
+    counter at exit.  With x = R * 2**-w and t_j = x**j/j! * 2**w, term_1 =
+    R is exact and term_j is the nearest integer to term_(j-1) * x/j, so
+    d_j = term_j - t_j obeys |d_j| <= |d_(j-1)|/5 + 1/2 <= 5/8.  The loop
+    stops at the first term_L = 0, i = L + 1, where |t_L| <= 5/8 and the
+    tail is below 1/6: the error is below 5/8 * (L - 1) + 1/6 < i.
+    """
     term = R
     total = (1 << w) + R
     i = 2
@@ -500,6 +492,36 @@ def fx_ln_int(n: int, w: int) -> tuple[int, int]:
     T = round_div((n - half) << w, n + half)
     at, e1 = fx_atanh(T, w)
     return 2 * at + (b - 1) * ln2_mantissa(w), 2 * e1 + b + 8
+
+
+def fx_pow(L: int, e_ln: int, c: Fraction, w: int) -> tuple[int, int, int]:
+    """x**c for rational c > 0 as exp(c * ln x), from a ball for ln x >= 0.
+
+    (L, e_ln) is ln x at 2**-w within e_ln ulps, as fx_ln_int returns it;
+    w >= 8.  Returns (E, err_ulps, q): x**c lies within err_ulps * 2**(q-w)
+    of E * 2**(q-w).  E <= err_ulps carries no information: raise w.
+
+    With A = round(c*L), l2 = ln2_mantissa(w) and q = round(A/l2) >= 0,
+    x**c = 2**q * exp(r), r = c*ln x - q*ln 2, and R = A - q*l2 stands for
+    r * 2**w.  In ulps of 2**-w:
+    * R misses r * 2**w by at most d = c*e_ln + 1/2 + q/2: c*L is within
+      c*e_ln, A rounds by 1/2, and each of the q copies of l2 is off by 1/2.
+    * |R| <= l2/2, so |R * 2**-w| <= ln2/2 + 2**-(w+2) < 0.35, where
+      fx_exp_small is within its own e_exp ulps.
+    * If d <= 2**(w-5), r and R * 2**-w lie in |t| < 0.35 + 1/32 < 0.4,
+      where exp' < e**0.4 < 3/2: exp(R * 2**-w) misses exp(r) by < 3d/2.
+    So err_ulps = e_exp + ceil(3d/2).  w >= log2(c*e_ln + q) + 6 meets the
+    condition; where it fails, err_ulps = E.
+    """
+    a, b = c.numerator, c.denominator
+    A = round_div(L * a, b)
+    l2 = ln2_mantissa(w)
+    q = round_div(A, l2)
+    E, e_exp = fx_exp_small(A - q * l2, w)
+    d4b = 4 * a * e_ln + 2 * b * (1 + q)       # 4b * d
+    if d4b > b << (w - 3):                     # d > 2**(w-5)
+        return E, E, q
+    return E, e_exp - (-3 * d4b // (8 * b)), q
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The family under study is
 
     S_s(k) = sum_{n=1}^{k}  G(n)^(2s) / (|sin n|^u * n^(v + 2s)),
 
-with the classical series at s = 0, u = 2, v = 3.  Numerators are exact
-big integers; the only approximate object per term is sin n.
+with the classical series at s = 0, u = 2, v = 3.  G(n)^(2s) = n^(2s)
+cancels exactly; only sin n, and n^v for fractional v, is approximate.
 
 Determinism is structural, not incidental: every term is rounded to a
 *fixed* scale 2**-(bits + 80) chosen independently of the summation
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .combinatorics import g_value
 from .errors import CheckpointMismatchError, DomainError, ResourceLimitError, UsageError
 from .mpreal import (
     MAX_BITS,
@@ -37,9 +36,8 @@ from .mpreal import (
     abs_sin_walk,
     clog2,
     exact_decimal,
-    fx_exp_small,
     fx_ln_int,
-    ln2_mantissa,
+    fx_pow,
     round_div,
 )
 
@@ -91,35 +89,25 @@ class SeriesSpec:
 _SIN_MARGIN = 48
 
 
-def _pow_frac_units(n: int, frac: Fraction, w: int) -> tuple[int, int, int]:
-    """n**frac for 0 < frac < 1 as (units at 2**(q-w), err_ulps, q)."""
-    ln_n, e_ln = fx_ln_int(n, w)
-    arg = round_div(ln_n * frac.numerator, frac.denominator)
-    l2 = ln2_mantissa(w)
-    q = round_div(arg, l2)
-    rem = arg - q * l2
-    e_pow, e_exp = fx_exp_small(rem, w)
-    # argument error (ln + rounding + q half-ulps of ln2) passes through exp <= 2
-    err = e_exp + 2 * (e_ln + q + 4)
-    return e_pow, err, q
-
-
 def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, int]:
     """(T, e): term(n) = T * 2**-A with |error| <= e * 2**-A, A = acc_scale.
 
     Deterministic in (n, spec) alone.  m = round(|sin n| * 2**w) is
-    exact, so its error is at most half an ulp and e_abs = 1 covers it.
+    exact, so its error is at most half an ulp and a radius of 1 covers it.
     A caller may pass m for the first working precision w (partial_sum
     takes it from abs_sin_walk); otherwise, and at every escalation, it
     comes from abs_sin_canonical.  The working precision starts high
     enough that the escalation loop is idle in practice, but it is
     there, and it never consults the surrounding summation context.
+
+    G(n)^(2s) and n^(2s) are not computed: G(n) = n, so they cancel, and
+    T and e_units, a rounding and a ceiling of integer ratios, are the same
+    without the common factor.  So s does not enter the work.
     """
     acc = spec.acc_scale
-    num = g_value(n).value ** (2 * spec.s)
     iv = int(spec.v)
     frac = Fraction(spec.v) - iv if not isinstance(spec.v, int) else 0
-    n_pow = n ** (iv + 2 * spec.s)
+    n_pow = n ** iv
     w1 = acc + _SIN_MARGIN
     while True:
         w = w1 + clog2(max(n, 2))
@@ -129,23 +117,17 @@ def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, in
             )
         if m is None:
             m = abs_sin_canonical(n, w)
-        e_abs = 1
-        if m <= e_abs:
+        # n**frac at 2**(q-w); n**0 = 1 is exact at q = w
+        p_units, p_err, q = fx_pow(*fx_ln_int(n, w), frac, w) if frac else (1, 0, w)
+        if m <= 1 or p_units <= p_err:
             w1, m = 2 * w1, None
             continue
-        if frac:
-            p_units, p_err, q = _pow_frac_units(n, frac, w)
-            if p_units <= p_err:
-                w1, m = 2 * w1, None
-                continue
-        else:
-            p_units, p_err, q = 1, 0, 0
-        shift = acc + spec.u * w + (w - q if frac else 0)
-        N = num << shift
+        shift = acc + spec.u * w + w - q
+        N = 1 << shift
         den_c = (m ** spec.u) * n_pow * p_units
         T = round_div(N, den_c)
-        den_lo = ((m - e_abs) ** spec.u) * n_pow * (p_units - p_err)
-        den_hi = ((m + e_abs) ** spec.u) * n_pow * (p_units + p_err)
+        den_lo = ((m - 1) ** spec.u) * n_pow * (p_units - p_err)
+        den_hi = ((m + 1) ** spec.u) * n_pow * (p_units + p_err)
         # ceil(N/den_lo - N/den_hi), on integers
         e_units = -(-(N * (den_hi - den_lo)) // (den_lo * den_hi)) + 2
         if e_units <= 1 << 14:

@@ -24,6 +24,8 @@ from flintlab.mpreal import (
     clog2,
     fx_cos,
     fx_exp_small,
+    fx_ln_int,
+    fx_pow,
     fx_sin,
     ln2_mantissa,
     pi_mantissa,
@@ -369,6 +371,51 @@ def test_sin_cos_kernel_bounds_contain_taylor_oracle(w):
             want, want_err = oracle(x, 24 + w // 4)
             assert want_err < Fraction(1, 1 << (w + 8))
             assert abs(Fraction(got, 1 << w) - want) + want_err <= Fraction(err, 1 << w)
+
+
+def _pow_contains(n: int, a: int, b: int, w: int, power: int, ball) -> bool:
+    """Exactly: is n**(a/b) inside the fx_pow ball (E, err, q), i.e.
+    (E - err)**b <= n**a * 2**(b*(w-q)) <= (E + err)**b, with power = n**a?"""
+    E, err, q = ball
+    shift = b * (w - q)
+    mid = power << shift if shift >= 0 else power
+    lo, hi = (E - err) ** b, (E + err) ** b
+    if shift < 0:
+        lo, hi = lo << -shift, hi << -shift
+    return lo <= mid <= hi
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 16, 97, 997])
+def test_fx_pow_containment_sweep(b):
+    """n**c for c = a/b up to 12 (the criterion at s = 5) lies in the ball.
+
+    Each case runs on four log balls: the one of fx_ln_int; the worst ones
+    its bound allows, round(ln n * 2**w) -/+ e_ln declared with e_ln + 1
+    ulps, which make the propagated log error nearly as large as the bound
+    says it may be; and round(ln n * 2**w) within 1 ulp, which leaves the
+    q rounded copies of ln 2 as the main error.
+    """
+    rng = random.Random(7400 + b)
+    ns = [1, 2]
+    for k in (2, 3, 8, 20, 40):
+        ns += [(1 << k) - 1, 1 << k, (1 << k) + 1]
+    ns += [rng.randrange(3, 1 << 40) for _ in range(6)]
+    informative = 0
+    for n in ns:
+        for a in sorted({1, rng.randrange(1, b + 1), rng.randrange(b, 12 * b + 1), 12 * b}):
+            c, power = Fraction(a, b), n ** a
+            for w in (8, 9, 16, 40, 64, 100):
+                L, e_ln = fx_ln_int(n, w)
+                L_near = round_div(fx_ln_int(n, w + 64)[0], 1 << 64)
+                for L_in, e_in in ((L, e_ln), (L_near - e_ln, e_ln + 1),
+                                   (L_near + e_ln, e_ln + 1), (L_near, 1)):
+                    E, err, q = ball = fx_pow(max(L_in, 0), e_in, c, w)
+                    if E <= err:
+                        assert w < 40, (n, a, b, w)
+                        continue
+                    informative += 1
+                    assert _pow_contains(n, a, b, w, power, ball), (n, a, b, w, L_in)
+    assert informative > len(ns) * 6
 
 
 # ------------------------------------------------------------------ one sine, canonical and walked

@@ -213,6 +213,17 @@ def test_equivalence_deltas_vanish():
         assert row.err <= Fraction(1, 1 << 96)
 
 
+@pytest.mark.parametrize("u", [2, 3])
+@pytest.mark.parametrize("v", [3, 2.5, 3.5])
+def test_term_does_not_depend_on_s(u, v):
+    """G(n)^(2s) / n^(2s) = 1 exactly, so every s gives the s = 0 term bit for bit."""
+    for n in list(range(1, 41)) + [355, 1588, 103993]:
+        base = term(n, SeriesSpec(0, u, v, 128))
+        for s in (1, 4):
+            t = term(n, SeriesSpec(s, u, v, 128))
+            assert (t.man, t.err) == (base.man, base.err), (n, s)
+
+
 def test_fractional_power_follows_float_reference():
     t = term(7, SeriesSpec(v=3.5, bits=96))
     want = 1 / (math.sin(7) ** 2 * 7 ** 3.5)
