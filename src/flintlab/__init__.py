@@ -34,7 +34,6 @@ from .identities import (
     ResidualReport,
     seeded_thetas,
     verify_angle_difference,
-    verify_iteration_ratio,
     verify_multiple_angle,
     verify_multiple_angle_sweep,
     verify_sinc_limit,
@@ -119,7 +118,6 @@ __all__ = [
     "spike_indices",
     "term",
     "verify_angle_difference",
-    "verify_iteration_ratio",
     "verify_multiple_angle",
     "verify_multiple_angle_sweep",
     "verify_sinc_limit",

@@ -23,11 +23,10 @@ from .criterion import check_criterion, scan_criterion
 from .errors import CheckpointMismatchError, PrecisionError, UsageError
 from .identities import (
     verify_angle_difference,
-    verify_iteration_ratio,
     verify_multiple_angle_sweep,
     verify_sinc_limit,
 )
-from .mpreal import MpReal, compute_pi, round_div, sin_int
+from .mpreal import MpReal, compute_pi, floor_log10, round_div, sin_int
 from .rationality import cf_terms, local_exponent, spike_indices
 from .series import (
     SeriesSpec,
@@ -56,7 +55,14 @@ bound; the bound itself travels in an explicit ``err`` field.
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exceptions, not exits."""
+    """argparse that reports usage problems as exceptions, not exits.
+
+    Options must be spelled in full: a prefix such as ``--s`` is an error,
+    not an abbreviation of the one option it happens to start.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -94,25 +100,15 @@ def _one_row(doc: dict, *keys: str) -> list:
 def _sci(x: Fraction, digits: int = 3) -> str:
     """Short scientific rendering of a non-negative fraction.
 
-    e10 = floor(log10 x) starts, as in mpreal._decimals_within, at
-    floor(B * 646456993/2**31) with B the difference of the bit lengths of
-    numerator and denominator: 2**(B-1) < x < 2**(B+1), so the start is
-    within two of e10, and exact integer comparisons with the power of ten
-    step it there.  A mantissa that rounds up to 10 carries into e10.
+    The exponent is mpreal.floor_log10; a mantissa that rounds up to 10
+    carries into it.
     """
     if x == 0:
         return "0"
+    e10 = floor_log10(x)
     num, den = x.numerator, x.denominator
-    e10 = (num.bit_length() - den.bit_length()) * 646456993 >> 31
-    while True:
-        # x / 10**e10 = top / bottom
-        top, bottom = (num, den * 10 ** e10) if e10 >= 0 else (num * 10 ** -e10, den)
-        if top < bottom:
-            e10 -= 1
-        elif top >= 10 * bottom:
-            e10 += 1
-        else:
-            break
+    # x / 10**e10 = top / bottom
+    top, bottom = (num, den * 10 ** e10) if e10 >= 0 else (num * 10 ** -e10, den)
     scaled = round_div(top * 10 ** (digits - 1), bottom)
     if scaled == 10 ** digits:
         scaled //= 10
@@ -282,14 +278,12 @@ def _cmd_identity(args) -> _Record:
     if args.check == "multiple-angle":
         reports = verify_multiple_angle_sweep(args.n_max, args.count,
                                               args.bits, seed=args.seed)
-    elif args.check == "angle-diff":
+    else:                                  # angle-diff
         if args.n is None or args.a is None:
             raise UsageError("--check angle-diff requires --n and --a")
         n = MpReal.from_decimal(args.n, args.bits + 16)
         a = MpReal.from_decimal(args.a, args.bits + 16)
         reports = [verify_angle_difference(n, a, args.bits)]
-    else:
-        reports = [verify_iteration_ratio(args.k, args.s, args.bits)]
     all_passed = all(r.passed for r in reports)
     doc = {"check": args.check, "pass": all_passed,
            "reports": [r.to_json() for r in reports]}
@@ -411,18 +405,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("identity", help="residual checks of the trig identities",
                        description="Checks: multiple-angle (--n-max --count "
-                       "--seed), sinc (--depth), angle-diff (--n --a), "
-                       "iteration-ratio (--k --s).  Output: residual reports.")
+                       "--seed), sinc (--depth), angle-diff (--n --a).  "
+                       "Output: residual reports.")
     p.add_argument("--check", required=True,
-                   choices=["multiple-angle", "sinc", "angle-diff", "iteration-ratio"])
+                   choices=["multiple-angle", "sinc", "angle-diff"])
     p.add_argument("--n-max", type=int, default=60)
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--seed", type=int, default=7041)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--n", default=None, help="angle-diff: n as a decimal string")
     p.add_argument("--a", default=None, help="angle-diff: a as a decimal string")
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--s", type=int, default=1)
     _finish(p, _cmd_identity, bits=128)
 
     p = sub.add_parser("equiv", help="partial sums across s with exact deltas",

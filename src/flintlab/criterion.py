@@ -3,32 +3,25 @@
     |G(n)|^(2s)  <=  sin^2(n) * n^(2s+2-eps),
 
 whose failure at an index marks a term the convergence argument cannot
-absorb.  The left side is an exact big integer (G(n) = n); the right
-side is error-bounded.  A verdict is accepted only when the exact left
-value falls strictly outside the right side's error interval; overlap
-escalates the working precision (doubling, capped at 2**20 bits) rather
-than returning a three-valued answer -- sin n is never zero at an
-integer, so separation always exists.
+absorb.  With G(n) = n both sides carry the exact factor n^(2s), so the
+inequality is sin^2(n) * n^(2-eps) >= 1 for every s.  A verdict is
+accepted only when 1 falls strictly outside the error interval of the
+left side; overlap escalates the working precision (doubling, capped at
+2**20 bits) -- sin n is never zero at an integer, so separation exists.
 
-One index (check_criterion) takes n^(2s+2-eps) from mpreal.fx_pow, the
-certified exp(c * ln n) shared with the series, fed with the same ln n
-that gives ln_lhs; eps is carried as an exact fraction end to end so
-that scans are bit-reproducible regardless of chunking or process count.
+One index (check_criterion) takes n^(2-eps) from mpreal.fx_pow, fed with
+the same ln n that gives ln_lhs and ln_rhs; the reported right side is
+that interval times the exact n^(2s).  eps is an exact fraction end to
+end, so scans are bit-reproducible regardless of chunking or processes.
 
 A range scan (scan_criterion) decides most indices without ln or exp.
-With G(n) = n both sides scale by n^(2s), so the verdict is independent
-of s: "satisfied" means sin^2(n) * n^(2-eps) > 1.  For eps = a/b this
-holds exactly when |sin n|^(2b) * n^(2b-a) > 1, an inequality between
-integers once |sin n| is bracketed by the rounded sine of the rotation
-walk (see _scan_chunk).  A denominator b above 16 would make the powers
-long, so the scan decides at the neighbours floor(16*eps)/16 and
-ceil(16*eps)/16 instead; the verdict is monotone in eps, so agreement
-of the two is the verdict at eps.  An index where the neighbours
-disagree, or where the sine's rounding interval straddles the
-threshold, falls back to the escalating kernel.  Float margins, which
-need ln, are computed (by the same kernel, so bit-identical to
-check_criterion's) only for indices that a float screen marks as
-candidates for the running worst margin.
+"Satisfied" means sin^2(n) * n^(2-eps) > 1.  The scan compares the
+rounded sine of the rotation walk with certified bounds on n^-(2-eps)
+that hold over short runs of n (see _scan_chunk); an index whose sine
+falls between the two bounds goes to the escalating kernel.  Float
+margins, which need ln, are computed (by the same kernel, so
+bit-identical to check_criterion's) only for indices that a float
+screen marks as candidates for the running worst margin.
 """
 
 from __future__ import annotations
@@ -61,7 +54,7 @@ __all__ = [
 _ESCALATION_CAP = 1 << 20
 _CHUNK = 4096
 _WALK_BASE = 40           # the scan's sine is round(|sin n| * 2**(40 + clog2 n))
-_BRACKET_DEN = 16         # larger eps denominators are decided at multiples of 1/16
+_SUBBLOCK_SHIFT = 5       # one pair of thresholds serves n .. n + (n >> 5)
 _SCREEN_SLACK = 1e-6      # worst-margin screen tolerance, per unit of s
 _SCREEN_MIN_M = 1 << 30   # a smaller m makes every n a worst-margin candidate
 
@@ -87,12 +80,13 @@ def _epsilon_fraction(epsilon) -> Fraction:
 
 
 def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
-    """One inequality evaluation at working precision w.
+    """One evaluation of sin^2(n) * n^(2-eps) against 1 at working precision w.
 
-    Returns (verdict, ln_lhs, ln_rhs, rhs_interval) where verdict is
-    True/False/None (None = error intervals overlap, caller escalates)
-    and rhs_interval = (rhs_lo, rhs_hi, scale_bits) in exact integer
-    units of 2**-scale_bits.
+    c = c_num/c_den = 2s + 2 - eps; the verdict uses c - 2s, the floats c.
+    Returns (verdict, ln_lhs, ln_rhs, interval) where verdict is
+    True/False/None (None = the interval holds 1, caller escalates) and
+    interval = (lo, hi, scale_bits) brackets sin^2(n) * n^(2-eps) in exact
+    integer units of 2**-scale_bits.
     """
     wr = w + clog2(max(n, 2)) + 8
     S, e_abs = sin_ball(n, wr)
@@ -100,27 +94,25 @@ def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
     if m <= e_abs:
         return None, 0.0, 0.0, None
     ln_n, e_ln = fx_ln_int(n, w)
-    e_pow, e_tot, q = fx_pow(ln_n, e_ln, Fraction(c_num, c_den), w)
+    e_pow, e_tot, q = fx_pow(ln_n, e_ln, Fraction(c_num - 2 * s * c_den, c_den), w)
     if e_pow <= e_tot:
         return None, 0.0, 0.0, None
-    up = max(q - 2 * wr - w, 0)      # lifts the units when 2wr + w - q < 0
-    scale = 2 * wr + w - q + up
-    rhs_lo = (m - e_abs) ** 2 * (e_pow - e_tot) << up
-    rhs_hi = (m + e_abs) ** 2 * (e_pow + e_tot) << up
-    lhs = g_value(n).value ** (2 * s)
-    lhs_scaled = lhs << scale
-    if lhs_scaled < rhs_lo:
+    scale = 2 * wr + w - q          # q <= 2 log2 n + 1 < 2wr + w
+    lo = (m - e_abs) ** 2 * (e_pow - e_tot)
+    hi = (m + e_abs) ** 2 * (e_pow + e_tot)
+    one = 1 << scale
+    if one < lo:
         verdict = True
-    elif lhs_scaled > rhs_hi:
+    elif one > hi:
         verdict = False
     else:
         verdict = None
-    # fx_pow's rounded c * ln n, so the float matches the fixed-point sides
+    # the float rounds c * ln n as fx_pow would at c = 2s + 2 - eps
     arg = round_div(ln_n * c_num, c_den)
     ln_sin2 = 2 * (fx_ln_int(m, w)[0] - wr * ln2_mantissa(w))
     ln_rhs = (ln_sin2 + arg) / (1 << w)
     ln_lhs = (2 * s * ln_n) / (1 << w)
-    return verdict, ln_lhs, ln_rhs, (rhs_lo, rhs_hi, scale)
+    return verdict, ln_lhs, ln_rhs, (lo, hi, scale)
 
 
 def _decided_kernel(n: int, s: int, c_num: int, c_den: int, bits: int):
@@ -145,11 +137,12 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
         raise DomainError(f"check_criterion requires an integer s >= 1, got {s!r}")
     eps = _epsilon_fraction(epsilon)
     c = Fraction(2 * s + 2) - eps
-    verdict, ln_lhs, ln_rhs, (rhs_lo, rhs_hi, scale) = _decided_kernel(
+    verdict, ln_lhs, ln_rhs, (lo, hi, scale) = _decided_kernel(
         n, s, c.numerator, c.denominator, bits)
     lhs = MpReal.from_int(g_value(n).value ** (2 * s), bits)
-    man = (rhs_lo + rhs_hi) // 2
-    err = Fraction(rhs_hi - rhs_lo + 2, 1 << (scale + 1))
+    n2s = n ** (2 * s)                   # rhs = n^(2s) * sin^2(n) * n^(2-eps)
+    man = (lo + hi) * n2s // 2
+    err = Fraction((hi - lo) * n2s + 2, 1 << (scale + 1))
     rhs = MpReal(man, -scale, err, bits).round_to(bits)
     return CriterionReport(
         n=n, s=s, epsilon=float(eps), lhs=lhs, rhs=rhs, satisfied=verdict,
@@ -163,10 +156,22 @@ class ScanResult:
     summary: dict
 
 
-def _power_test(eps: Fraction) -> tuple[int, int]:
-    """(2b, 2b - a) for eps = a/b: the powers of |sin n| and n in the exact test."""
-    a, b = eps.numerator, eps.denominator
-    return 2 * b, 2 * b - a
+def _sine_thresholds(a: int, b: int, c: Fraction, w: int) -> tuple[int, int]:
+    """(t_sat, t_vio) with t_sat >= 2**(2w+2) / a^c and t_vio <= 2**(2w+2) / b^c.
+
+    For a <= n <= b and c > 0, sin^2(n) * n^c > 1 when (|sin n| *
+    2**(w+1))^2 > t_sat and < 1 when it is below t_vio.  fx_pow at v = w + 8
+    bits gives a^c >= (E - err) * 2**(q-v) and b^c <= (E + err) * 2**(q-v),
+    with q <= c*log2(b) + 1 <= 2w + 1.  A ball with E <= err carries no
+    information, so it gives t_sat = 2**(2w+4), above every (2m - 1)^2 with
+    m <= 2**w, and t_vio = 0, below every square.
+    """
+    v = w + 8
+    E, err, q = fx_pow(*fx_ln_int(a, v), c, v)
+    t_sat = -(-(1 << (2 * w + 2 + v - q)) // (E - err)) if E > err else 1 << (2 * w + 4)
+    E, err, q = fx_pow(*fx_ln_int(b, v), c, v)
+    t_vio = (1 << (2 * w + 2 + v - q)) // (E + err) if E > err else 0
+    return t_sat, t_vio
 
 
 def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
@@ -174,16 +179,14 @@ def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
 
     Verdict.  m = round(|sin n| * 2**w) from abs_sin_walk with
     w = _WALK_BASE + c, c = clog2(n), so |sin n| * 2**(w+1) lies strictly
-    inside (2m - 1, 2m + 1).  For eps = a/b, with p = 2b and q = 2b - a > 0,
-    "satisfied" is |sin n|^p * n^q > 1, i.e. (|sin n| * 2**(w+1))^p * n^q
-    > 2**(p*(w+1)).  It is certain when (2m - 1)^p * n^q exceeds that
-    power of two, and "violated" is certain when (2m + 1)^p * n^q is below
-    it; equality is impossible, sin n being transcendental.  When b >
-    _BRACKET_DEN, "satisfied" is tested at eps_hi = ceil(16*eps)/16 and
-    "violated" at eps_lo = floor(16*eps)/16: n^(2-eps) falls as eps grows
-    (n >= 1), so either answer carries over to eps.  Otherwise, and
-    whenever neither test is certain, _decided_kernel decides n as
-    check_criterion does.
+    inside (2m - 1, 2m + 1).  "Satisfied", sin^2(n) * n^(2-eps) > 1, is
+    certain when (2m - 1)^2 exceeds the t_sat of _sine_thresholds, and
+    "violated" is certain when (2m + 1)^2 is below its t_vio; equality is
+    impossible, sin n being transcendental.  One pair of thresholds holds
+    on a subblock n .. n + (n >> _SUBBLOCK_SHIFT) of the same w: n^(2-eps)
+    varies by a factor below (1 + 2**-5)^2 there, so only an n whose
+    sin^2 n lies in that narrow band is left open.  Whenever neither test
+    is certain, _decided_kernel decides n as check_criterion does.
 
     Margin.  The reported margin of n is _decided_kernel's float, as in a
     per-n loop; the chunk keeps the least, and the first n among equals.
@@ -206,31 +209,27 @@ def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
     (4s + 4) * ln n + 2w: less than s * 2**-39.
     """
     lo, hi, s, c_num, c_den, bits = args
-    eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
-    if eps.denominator <= _BRACKET_DEN:
-        sat_p, sat_q = vio_p, vio_q = _power_test(eps)
-    else:
-        sixteenths = eps * _BRACKET_DEN
-        sat_p, sat_q = _power_test(Fraction(math.ceil(sixteenths), _BRACKET_DEN))
-        vio_p, vio_q = _power_test(Fraction(math.floor(sixteenths), _BRACKET_DEN))
-    slope = float(2 - eps)
+    c_pow = Fraction(c_num, c_den) - 2 * s          # 2 - eps
+    slope = float(c_pow)
     slack = s * _SCREEN_SLACK
     log = math.log
     violations: list[int] = []
     worst = (float("inf"), -1)
-    top = 0               # the last n with the current w: a power of two
+    top = sub_end = 0     # last n of the current w (a power of two), of the thresholds
     for n, m in zip(range(lo, hi + 1), abs_sin_walk(lo, hi, _WALK_BASE)):
         if n > top:
             c = clog2(max(n, 2))
             top, w = 1 << c, _WALK_BASE + c
-            sat_bound, vio_bound = 1 << (sat_p * (w + 1)), 1 << (vio_p * (w + 1))
             ln_scale = 2 * w * math.log(2)
             e_max = (1 << c) // 6 + 8 * (bits + 56 + c) + 53
             min_m = max(_SCREEN_MIN_M, ((e_max << 15) >> bits) + 1)
+        if n > sub_end:
+            sub_end = min(top, n + (n >> _SUBBLOCK_SHIFT))
+            t_sat, t_vio = _sine_thresholds(n, sub_end, c_pow, w)
         margin = None
-        if max(2 * m - 1, 0) ** sat_p * n ** sat_q > sat_bound:
+        if max(2 * m - 1, 0) ** 2 > t_sat:
             verdict = True
-        elif (2 * m + 1) ** vio_p * n ** vio_q < vio_bound:
+        elif (2 * m + 1) ** 2 < t_vio:
             verdict = False
         else:
             verdict, ln_lhs, ln_rhs, _ = _decided_kernel(n, s, c_num, c_den, bits)

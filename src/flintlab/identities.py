@@ -1,6 +1,6 @@
 """Numerical verification of the identities behind the series analysis.
 
-Four checks, each reporting a residual against an explicit tolerance:
+Three checks, each reporting a residual against an explicit tolerance:
 
 * multiple-angle:  sin(n*t) = sin(t) * sum_p c_p cos(t)^p with the exact
   integer coefficients from :mod:`.combinatorics`.  The polynomial's
@@ -13,8 +13,6 @@ Four checks, each reporting a residual against an explicit tolerance:
   sin n manufactures a singularity near the zeros of sin and is refused
   here via a degenerate-input error when |sin n| drowns in its own
   error bound.
-* iteration ratio: S_s(k)/S_0(k) - 1 together with the exact
-  max_n |G(n)/n - 1| (identically zero).
 
 Reports serialize to JSON (``to_json``); random angles come from a seeded
 generator and the seed travels inside every report they produce.
@@ -28,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .combinatorics import g_value, multiple_angle_coefficients
+from .combinatorics import multiple_angle_coefficients
 from .errors import DegenerateInputError, DomainError
 from .mpreal import (
     MpReal,
@@ -38,13 +36,11 @@ from .mpreal import (
     round_div,
     sin_reduced,
 )
-from .series import SeriesSpec, partial_sum
 
 __all__ = [
     "ResidualReport",
     "seeded_thetas",
     "verify_angle_difference",
-    "verify_iteration_ratio",
     "verify_multiple_angle",
     "verify_multiple_angle_sweep",
     "verify_sinc_limit",
@@ -217,32 +213,5 @@ def verify_angle_difference(n: MpReal, a: MpReal, bits: int = 128) -> ResidualRe
         parameters={"n": n.decimal(30), "a": a.decimal(30), "bits": bits},
         residual=residual.round_to(bits),
         tolerance=tolerance,
-        passed=passed,
-    )
-
-
-def verify_iteration_ratio(k: int, s: int, bits: int = 128) -> ResidualReport:
-    """|S_s(k)/S_0(k) - 1| plus the exact max |G(n)/n - 1| over n <= k."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"verify_iteration_ratio requires k >= 1, got {k!r}")
-    if not isinstance(s, int) or s < 1:
-        raise DomainError(f"verify_iteration_ratio requires s >= 1, got {s!r}")
-    r_s = partial_sum(k, SeriesSpec(s=s, u=2, v=3, bits=bits))
-    r_0 = partial_sum(k, SeriesSpec(s=0, u=2, v=3, bits=bits))
-    residual_frac = Fraction(abs(r_s.units - r_0.units), r_0.units)
-    tol_frac = Fraction(2 * (r_s.err_units + r_0.err_units + 1),
-                        r_0.units - r_0.err_units)
-    g_ratio_max = max(abs(Fraction(g_value(n).value, n) - 1) for n in range(1, k + 1))
-    passed = residual_frac <= tol_frac
-    return ResidualReport(
-        description="partial-sum ratio S_s/S_0 against 1, with exact G(n)/n check",
-        parameters={
-            "k": k,
-            "s": s,
-            "bits": bits,
-            "g_ratio_max": str(g_ratio_max),
-        },
-        residual=MpReal.from_fraction(residual_frac, bits + 16),
-        tolerance=MpReal.from_fraction(tol_frac, bits + 16),
         passed=passed,
     )

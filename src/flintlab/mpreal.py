@@ -78,6 +78,7 @@ __all__ = [
     "compute_pi",
     "cos_reduced",
     "exact_decimal",
+    "floor_log10",
     "fx_atanh",
     "fx_cos",
     "fx_exp_small",
@@ -445,7 +446,19 @@ def fx_cos(X: int, w: int) -> tuple[int, int]:
 
 
 def fx_atanh(T: int, w: int) -> tuple[int, int]:
-    """atanh(T * 2**-w) in units of 2**-w, for 0 <= T * 2**-w <= 0.4."""
+    """atanh(T * 2**-w) in units of 2**-w, for 0 <= T * 2**-w <= 0.4.
+
+    Returns (value_units, err_ulps), err_ulps = 4*i + 8 with i the loop
+    counter at exit; the value never exceeds the truth.  With x = T * 2**-w
+    and t_j = x**(2j+1) * 2**w, atanh(x) * 2**w is the sum of t_j/(2j+1).
+    tt = x**2 * 2**w - phi with phi in [0, 1), and p_j = floor(p_(j-1) *
+    tt / 2**w) with p_0 = T = t_0, so d_j = t_j - p_j >= 0 obeys d_j <
+    0.16*d_(j-1) + 0.4 + 1 (p_(j-1) <= 0.4 * 2**w): every d_j < 5/3.  Each
+    added floor(p_j/(2j+1)) misses t_j/(2j+1) by less than d_j/3 + 1 <
+    14/9.  The loop stops at i = L + 1 with p_L = 0, so t_L < 5/3 and the
+    omitted tail is below 0.07: the error is below 14/9 * (i-1) + 0.07 <
+    2*i, half the bound.
+    """
     tt = (T * T) >> w
     p = T
     total = T
@@ -481,9 +494,12 @@ def fx_exp_small(R: int, w: int) -> tuple[int, int]:
 def fx_ln_int(n: int, w: int) -> tuple[int, int]:
     """ln(n) in units of 2**-w for integer n >= 1.
 
-    Writes n = 2**(b-1) * (n / 2**(b-1)) and uses
-    ln m = 2*atanh((m - h)/(m + h)) with h the leading power of two;
-    the atanh argument is below 1/3, so the series is short.
+    Uses ln n = (b-1)*ln 2 + 2*atanh(y), y = (n - h)/(n + h) in [0, 1/3)
+    with h = 2**(b-1), and returns (L, err_ulps).  T = round(y * 2**w) is
+    within 1/2 ulp of y, and atanh' < 1.2 on [0, 0.4] (T * 2**-w <= 0.4
+    for w >= 3), so fx_atanh(T) is within e1 + 0.6 ulps of atanh(y); twice
+    that plus b - 1 copies of ln 2, each within 1/2 ulp, is below
+    2*e1 + b + 8.  ln 1 = 0 is exact.
     """
     if n == 1:
         return 0, 1
@@ -794,7 +810,10 @@ def exact_decimal(value: Fraction) -> str:
 
 
 def _round_units(value: Fraction, d: int) -> int:
-    return round_div(value.numerator * 10 ** d, value.denominator)
+    """round(value * 10**d); d < 0 rounds to a multiple of 10**-d."""
+    if d >= 0:
+        return round_div(value.numerator * 10 ** d, value.denominator)
+    return round_div(value.numerator, value.denominator * 10 ** -d)
 
 
 def _digits(n: int, width: int = 0) -> str:
@@ -822,22 +841,25 @@ def _format_units(units: int, d: int) -> str:
     return text + "0" if text.endswith(".") else text
 
 
-def _decimals_within(wide: Fraction) -> int:
-    """The least d >= 0 with 10**-(d+1) <= wide, for wide > 0.
+def floor_log10(x: Fraction) -> int:
+    """floor(log10 x) for a fraction x > 0.
 
-    With wide = num/den and B = den.bit_length() - num.bit_length() - 1,
-    2**B < den/num < 2**(B+2).  646456993/2**31 < log10(2), so the start
-    d0 = floor(B * 646456993/2**31) has 10**d0 < 2**B when B > 0: d0 - 1
-    is too few digits and d0 is at most the answer, which is below
-    (B+2)*log10(2).  So the exact steps up take at most one while B < 3e9.
+    With B the bit-length difference of numerator and denominator,
+    2**(B-1) < x < 2**(B+1), and 646456993/2**31 is below log10(2) by less
+    than 2**-31: while |B| < 3e9 the start floor(B * 646456993/2**31) is
+    within two of the answer, and exact comparisons step it there.
     """
-    num, den = wide.numerator, wide.denominator
-    d = max(0, (den.bit_length() - num.bit_length() - 1) * 646456993 >> 31)
-    scaled = 10 ** (d + 1) * num
-    while den > scaled:
-        scaled *= 10
-        d += 1
-    return d
+    num, den = x.numerator, x.denominator
+    e = (num.bit_length() - den.bit_length()) * 646456993 >> 31
+    p = 10 ** abs(e)
+    top, bottom = (num, den * p) if e >= 0 else (num * p, den)    # x / 10**e
+    while top < bottom:
+        top *= 10
+        e -= 1
+    while top >= 10 * bottom:
+        bottom *= 10
+        e += 1
+    return e
 
 
 def guaranteed_decimal(value: Fraction, err: Fraction,
@@ -846,8 +868,12 @@ def guaranteed_decimal(value: Fraction, err: Fraction,
 
     Picks the largest digit count d (capped by max_digits) at which both
     interval endpoints round to the same d-decimal string, then prints
-    that string.  With err = 0 the exact expansion is printed when it is
-    finite and within the cap.
+    that string; a unit 10**-d <= 2*err separates them, so the search
+    starts below it.  Where even d = 0 leaves them apart, it goes on over
+    coarser units and prints round(value / 10**K) followed by ``e+K`` for
+    the least K >= 1 at which both agree: 123456789 +- 1000 prints
+    ``12346e+4``, 5 +- 7 prints ``0e+2``.  With err = 0 the exact
+    expansion is printed when it is finite and within the cap.
     """
     if err == 0:
         try:
@@ -860,13 +886,11 @@ def guaranteed_decimal(value: Fraction, err: Fraction,
                 return text
         d = max_digits if max_digits is not None else 64
         return _format_units(_round_units(value, d), d)
-    d = _decimals_within(2 * err)
+    d = -floor_log10(2 * err) - 1
     if max_digits is not None:
         d = min(d, max_digits)
-    while d >= 0:
+    while True:
         lo = _round_units(value - err, d)
-        hi = _round_units(value + err, d)
-        if lo == hi:
-            return _format_units(lo, d)
+        if lo == _round_units(value + err, d):
+            return _format_units(lo, d) if d >= 0 else f"{_format_units(lo, 0)}e+{-d}"
         d -= 1
-    return _format_units(_round_units(value, 0), 0)

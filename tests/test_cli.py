@@ -152,13 +152,15 @@ def test_scan_threads_identical_stdout(capsys):
     assert out1 == out2
 
 
-def test_identity_iteration_ratio(capsys):
-    code, out, _ = run(capsys, "identity", "--check", "iteration-ratio",
-                       "--k", "200", "--s", "2", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["pass"] is True
-    assert doc["reports"][0]["parameters"]["g_ratio_max"] == "0"
+def test_identity_iteration_ratio_is_gone(capsys):
+    # S_s/S_0 is compared by `equiv` alone
+    for argv in (["--check", "iteration-ratio", "--k", "200", "--s", "2"],
+                 ["--check", "sinc", "--k", "5"], ["--k", "5"],
+                 ["--check", "multiple-angle", "--s", "2"]):
+        code, out, err = run(capsys, "identity", *argv, "--format", "json")
+        assert code == 1 and out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "UsageError"
 
 
 def test_identity_sinc_text(capsys):

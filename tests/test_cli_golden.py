@@ -43,8 +43,6 @@ COMMANDS = {
                             "--n", "1000000.5", "--a", "0.25"],
     "identity_angle_diff_small": ["identity", "--check", "angle-diff",
                                   "--n=-2.75", "--a", "1.5", "--bits", "96"],
-    "identity_iteration_ratio": ["identity", "--check", "iteration-ratio",
-                                 "--k", "50", "--s", "2"],
     "equiv": ["equiv", "--k", "100", "--s-max", "2"],
 }
 

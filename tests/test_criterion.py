@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -159,9 +160,10 @@ def _scan_key(result):
                              r.rhs.man, r.rhs.exp, r.rhs.err) for r in result.violations]
 
 
-# 18953/9970 is just above 1.9 and is bracketed by 30/16 and 31/16, which
-# disagree at many n
-_EPSILONS = ["0.1", Fraction(1, 3), "1.9", "0.001", Fraction(1, 997), Fraction(18953, 9970)]
+# 18953/9970 is just above 1.9; near 199/100 the thresholds of neighbouring
+# subblocks differ little
+_EPSILONS = ["0.1", Fraction(1, 3), "1.9", "0.001", Fraction(1, 997), Fraction(18953, 9970),
+             Fraction(199, 100)]
 
 
 @pytest.mark.parametrize("eps", _EPSILONS)
@@ -209,8 +211,8 @@ def test_scan_fallback_keeps_the_output(monkeypatch, force, eps):
     want = _scan_key(scan_criterion(window, 1, eps))
     calls = _count_kernel_calls(monkeypatch)
     if force == "no exact test":
-        # p = q = 0: both sides of both tests are 1, so neither is certain
-        monkeypatch.setattr(criterion, "_power_test", lambda eps: (0, 0))
+        # thresholds no (2m -/+ 1)^2 can pass: neither test is certain
+        monkeypatch.setattr(criterion, "_sine_thresholds", lambda *args: (math.inf, 0))
     else:
         monkeypatch.setattr(criterion, "_WALK_BASE", 0)
         monkeypatch.setattr(criterion, "abs_sin_walk", _coarse_walk)
@@ -219,7 +221,27 @@ def test_scan_fallback_keeps_the_output(monkeypatch, force, eps):
         assert sorted(set(calls)) == list(range(window[0], window[1] + 1))
 
 
-@pytest.mark.parametrize("eps", ["0.1", "0.001", Fraction(1, 997)])
+@pytest.mark.parametrize("base", [criterion._WALK_BASE, 0])
+def test_sine_thresholds_bound_the_power(base):
+    # with c = p/q: t_sat**q * a**p >= 2**((2w+2)q) >= t_vio**q * b**p, exactly;
+    # at base 0 (the coarse walk) fx_pow's ball is often uninformative
+    rng = random.Random(9970)
+    for _ in range(300):
+        q = rng.randrange(1, 1000)
+        c = Fraction(rng.randrange(1, 2 * q), q)
+        a = rng.randrange(1, 1 << rng.randrange(1, 40))
+        b = a + (a >> criterion._SUBBLOCK_SHIFT)
+        w = base + clog2(max(b, 2))
+        t_sat, t_vio = criterion._sine_thresholds(a, b, c, w)
+        one = 1 << ((2 * w + 2) * c.denominator)
+        assert t_sat ** c.denominator * a ** c.numerator >= one, (a, c, w)
+        assert t_vio ** c.denominator * b ** c.numerator <= one, (b, c, w)
+        assert t_vio <= t_sat
+        if base:
+            assert a == 1 or t_sat < 1 << (2 * w + 2)
+
+
+@pytest.mark.parametrize("eps", ["0.1", "0.001", Fraction(1, 997), "1.95", "1.99"])
 def test_scan_calls_the_kernel_rarely(monkeypatch, eps):
     calls = _count_kernel_calls(monkeypatch)
     result = scan_criterion((1, 8192), 1, eps)

@@ -10,7 +10,6 @@ from flintlab import (
     compute_pi,
     seeded_thetas,
     verify_angle_difference,
-    verify_iteration_ratio,
     verify_multiple_angle,
     verify_multiple_angle_sweep,
     verify_sinc_limit,
@@ -110,27 +109,14 @@ def test_angle_difference_degenerate_near_sine_zero():
         verify_angle_difference(compute_pi(128), MpReal.from_int(1, 128), 96)
 
 
-def test_iteration_ratio_is_exactly_flat():
-    report = verify_iteration_ratio(300, 2, 128)
-    assert report.passed
-    assert report.residual.center() == 0
-    assert report.parameters["g_ratio_max"] == "0"
-
-
-def test_iteration_ratio_validation():
-    with pytest.raises(DomainError):
-        verify_iteration_ratio(0, 1)
-    with pytest.raises(DomainError):
-        verify_iteration_ratio(10, 0)
-
-
 def test_multiple_angle_sweep_needs_an_index():
     with pytest.raises(DomainError):
         verify_multiple_angle_sweep(0, 3)
 
 
 def test_report_json_layout():
-    report = verify_iteration_ratio(50, 1, 96)
+    report = verify_angle_difference(MpReal.from_decimal("2.75", 112),
+                                     MpReal.from_decimal("1.5", 112), 96)
     doc = report.to_json()
     assert set(doc) == {"description", "parameters", "residual", "tolerance", "pass"}
     assert doc["pass"] is True

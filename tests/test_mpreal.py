@@ -22,6 +22,7 @@ from flintlab.mpreal import (
     abs_sin_canonical,
     abs_sin_walk,
     clog2,
+    fx_atanh,
     fx_cos,
     fx_exp_small,
     fx_ln_int,
@@ -123,6 +124,24 @@ def test_guaranteed_decimal_stops_at_error_bound():
     assert len(text.split(".")[1]) <= 8
 
 
+def test_guaranteed_decimal_prints_coarse_units_for_wide_balls():
+    # err >= 1/2 leaves no digit at 10**0 guaranteed: the unit grows to 10**K
+    assert MpReal(123456789, 0, Fraction(1000)).decimal() == "12346e+4"
+    assert guaranteed_decimal(Fraction(5), Fraction(7)) == "0e+2"
+    assert guaranteed_decimal(Fraction(-5), Fraction(7)) == "0e+2"
+    rng = random.Random(5071)
+    for _ in range(600):
+        err = Fraction(rng.randrange(1, 1 << 30), 1 << 30) * 10 ** rng.randrange(13)
+        err = min(max(err, Fraction(1, 2)), Fraction(10 ** 12))
+        value = Fraction(rng.getrandbits(rng.randint(1, 80)), rng.randint(1, 1000))
+        value *= rng.choice((1, -1))
+        text = guaranteed_decimal(value, err, rng.choice((None, 0, 12)))
+        shown = Decimal(text)
+        half_unit = Fraction(10) ** shown.as_tuple().exponent / 2
+        for end in (value - err, value + err):
+            assert abs(Fraction(shown) - end) <= half_unit, (value, err, text)
+
+
 def test_decimal_count_matches_the_linear_search():
     # seeded widths from 2**64 down to about 2**-1200, then exact powers of
     # ten and their neighbours (the boundary cases) up to d = 3000
@@ -133,7 +152,7 @@ def test_decimal_count_matches_the_linear_search():
         p = 10 ** (d + 1)
         wides += [Fraction(1, p), Fraction(1, p - 1), Fraction(1, p + 1), Fraction(3, p)]
     for wide in wides:
-        assert mpreal._decimals_within(wide) == linear_decimal_count(wide), wide
+        assert max(0, -mpreal.floor_log10(wide) - 1) == linear_decimal_count(wide), wide
 
 
 # ------------------------------------------------------------------ pi engine
@@ -416,6 +435,36 @@ def test_fx_pow_containment_sweep(b):
                     informative += 1
                     assert _pow_contains(n, a, b, w, power, ball), (n, a, b, w, L_in)
     assert informative > len(ns) * 6
+
+
+@pytest.mark.parametrize("w", [8, 9, 16, 40, 64, 200])
+def test_fx_ln_int_containment_sweep(w):
+    """ln n lies within fx_ln_int's e_ln ulps, and atanh within fx_atanh's.
+
+    The reference is exact: atanh_ln sums ln x = 2 atanh((x-1)/(x+1)) with
+    Fractions, and its partial sums are lower bounds within the returned
+    remainder.  ln n = (b-1) ln 2 + ln(n / 2**(b-1)) keeps its argument in
+    [1, 2), and atanh(t) = ln((1+t)/(1-t)) / 2.
+    """
+    rng = random.Random(4900 + w)
+    ns = [2, 3] + [(1 << k) + d for k in (2, 3, 5, 8, 13, 20, 31, 39) for d in (-1, 1)]
+    ns += [rng.randrange(4, 1 << 40) for _ in range(8)]
+    terms = (w + 24) // 3 + 1              # (1/3)**(2*terms) < 2**-(w+20)
+    ln2, ln2_rem = atanh_ln(2, terms)
+    scale = 1 << w
+    for n in ns:
+        b = n.bit_length()
+        ln_m, rem = atanh_ln(Fraction(n, 1 << (b - 1)), terms)
+        lo = ln_m + (b - 1) * ln2
+        hi = lo + rem + (b - 1) * ln2_rem
+        L, e = fx_ln_int(n, w)
+        assert L - e <= lo * scale and hi * scale <= L + e, (n, w)
+    atanh_terms = (w + 24) * 3 // 7 + 1    # t <= 0.4 and 0.16**(3/7) < 1/2
+    for T in [0, 1, 2, 3, (2 << w) // 5] + [rng.randrange((2 << w) // 5) for _ in range(8)]:
+        t = Fraction(T, scale)
+        lo, rem = atanh_ln((1 + t) / (1 - t), atanh_terms)
+        A, e = fx_atanh(T, w)
+        assert A - e <= lo / 2 * scale and (lo + rem) / 2 * scale <= A + e, (T, w)
 
 
 # ------------------------------------------------------------------ one sine, canonical and walked
