@@ -45,7 +45,6 @@ from .mpreal import (
     cos_reduced,
     exact_decimal,
     guaranteed_decimal,
-    reduce_mod_pi,
     sin_int,
     sin_reduced,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "local_exponent",
     "multiple_angle_coefficients",
     "partial_sum",
-    "reduce_mod_pi",
     "save_checkpoint",
     "scan_criterion",
     "seeded_thetas",

@@ -130,7 +130,15 @@ def _decided_kernel(n: int, s: int, c_num: int, c_den: int, bits: int):
 
 
 def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
-    """Decide the inequality at one index, escalating precision as needed."""
+    """Decide the inequality at one index, escalating precision as needed.
+
+    ``rhs`` contains n^(2s) * sin^2(n) * n^(2-eps), but its radius is
+    relative to its size, not 2**-bits: it is the width of the interval
+    that decided the verdict, at w >= bits + 48 working bits, times the
+    exact n^(2s), then rounded by round_to(bits).  For n = 1000, s = 20,
+    eps = 0.1 at 64 bits, rhs is near 3.4e125 with a radius near 6.8e94.
+    ``lhs`` is exact.
+    """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"check_criterion requires an integer n >= 1, got {n!r}")
     if not isinstance(s, int) or s < 1:
@@ -156,22 +164,23 @@ class ScanResult:
     summary: dict
 
 
-def _sine_thresholds(a: int, b: int, c: Fraction, w: int) -> tuple[int, int]:
-    """(t_sat, t_vio) with t_sat >= 2**(2w+2) / a^c and t_vio <= 2**(2w+2) / b^c.
+def _sine_thresholds(n: int, c: Fraction, w: int) -> tuple[int, int]:
+    """(t_sat, t_vio) with t_sat >= 2**(2w+2) / n^c >= t_vio, from one ball for n^c.
 
-    For a <= n <= b and c > 0, sin^2(n) * n^c > 1 when (|sin n| *
-    2**(w+1))^2 > t_sat and < 1 when it is below t_vio.  fx_pow at v = w + 8
-    bits gives a^c >= (E - err) * 2**(q-v) and b^c <= (E + err) * 2**(q-v),
-    with q <= c*log2(b) + 1 <= 2w + 1.  A ball with E <= err carries no
-    information, so it gives t_sat = 2**(2w+4), above every (2m - 1)^2 with
-    m <= 2**w, and t_vio = 0, below every square.
+    For c > 0, sin^2(x) * x^c > 1 at every x >= n when (|sin x| *
+    2**(w+1))^2 > t_sat, and sin^2(x) * x^c < 1 at every x <= n when it is
+    below t_vio.  fx_pow at v = w + 8 bits gives (E - err) * 2**(q-v) <=
+    n^c <= (E + err) * 2**(q-v), with q <= c*log2(n) + 1 <= 2w + 1.  A ball
+    with E <= err carries no information, so it gives t_sat = 2**(2w+4),
+    above every (2m - 1)^2 with m <= 2**w, and t_vio = 0, below every
+    square.
     """
     v = w + 8
-    E, err, q = fx_pow(*fx_ln_int(a, v), c, v)
-    t_sat = -(-(1 << (2 * w + 2 + v - q)) // (E - err)) if E > err else 1 << (2 * w + 4)
-    E, err, q = fx_pow(*fx_ln_int(b, v), c, v)
-    t_vio = (1 << (2 * w + 2 + v - q)) // (E + err) if E > err else 0
-    return t_sat, t_vio
+    E, err, q = fx_pow(*fx_ln_int(n, v), c, v)
+    if E <= err:
+        return 1 << (2 * w + 4), 0
+    one = 1 << (2 * w + 2 + v - q)
+    return -(-one // (E - err)), one // (E + err)
 
 
 def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
@@ -182,11 +191,15 @@ def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
     inside (2m - 1, 2m + 1).  "Satisfied", sin^2(n) * n^(2-eps) > 1, is
     certain when (2m - 1)^2 exceeds the t_sat of _sine_thresholds, and
     "violated" is certain when (2m + 1)^2 is below its t_vio; equality is
-    impossible, sin n being transcendental.  One pair of thresholds holds
-    on a subblock n .. n + (n >> _SUBBLOCK_SHIFT) of the same w: n^(2-eps)
-    varies by a factor below (1 + 2**-5)^2 there, so only an n whose
-    sin^2 n lies in that narrow band is left open.  Whenever neither test
-    is certain, _decided_kernel decides n as check_criterion does.
+    impossible, sin n being transcendental.  The indices of one w are cut
+    into subblocks a..b, b = a + (a >> _SUBBLOCK_SHIFT) clipped at the
+    power of two.  t_vio comes from the ball at b, and t_sat from the ball
+    at a - 1, the previous subblock's b, which is sound since a - 1 < a;
+    the first subblock of a w (or of the chunk) takes a fresh ball at a.
+    So each subblock costs one ball.  n^(2-eps) varies by a factor below
+    (1 + 2**-5)^2 over a - 1..b, so only an n whose sin^2 n lies in that
+    narrow band is left open.  Whenever neither test is certain,
+    _decided_kernel decides n as check_criterion does.
 
     Margin.  The reported margin of n is _decided_kernel's float, as in a
     per-n loop; the chunk keeps the least, and the first n among equals.
@@ -215,7 +228,7 @@ def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
     log = math.log
     violations: list[int] = []
     worst = (float("inf"), -1)
-    top = sub_end = 0     # last n of the current w (a power of two), of the thresholds
+    top = sub_end = 0     # last n of the current w (a power of two), of the subblock
     for n, m in zip(range(lo, hi + 1), abs_sin_walk(lo, hi, _WALK_BASE)):
         if n > top:
             c = clog2(max(n, 2))
@@ -223,9 +236,11 @@ def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
             ln_scale = 2 * w * math.log(2)
             e_max = (1 << c) // 6 + 8 * (bits + 56 + c) + 53
             min_m = max(_SCREEN_MIN_M, ((e_max << 15) >> bits) + 1)
+            t_next = _sine_thresholds(n, c_pow, w)[0]
         if n > sub_end:
             sub_end = min(top, n + (n >> _SUBBLOCK_SHIFT))
-            t_sat, t_vio = _sine_thresholds(n, sub_end, c_pow, w)
+            t_sat = t_next
+            t_next, t_vio = _sine_thresholds(sub_end, c_pow, w)
         margin = None
         if max(2 * m - 1, 0) ** 2 > t_sat:
             verdict = True

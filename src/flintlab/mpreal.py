@@ -10,8 +10,9 @@ correctly rounded, only error-bounded.
 
 Constants are produced by exact rational binary splitting:
 
-* pi from the Machin identity  pi/4 = 4*atan(1/5) - atan(1/239),
-* ln 2 from                    ln 2 = 2*atanh(1/3),
+* pi from the Chudnovsky series, P/Q/T splitting plus math.isqrt for
+  sqrt(10005), about 47 bits per term,
+* ln 2 from ln 2 = 2*atanh(1/3),
 
 and are served as *canonically rounded* mantissas ``round(x * 2**w)``.
 Canonical rounding makes every mantissa a pure function of ``w``: a
@@ -58,6 +59,7 @@ rational) comes from one kernel, :func:`fx_pow`, with a derived bound.
 
 from __future__ import annotations
 
+import math
 import threading
 from decimal import Decimal
 from fractions import Fraction
@@ -87,10 +89,8 @@ __all__ = [
     "fx_sin",
     "guaranteed_decimal",
     "ln2_mantissa",
-    "machin_pi_rational",
     "pi_mantissa",
     "reduce_fixed",
-    "reduce_mod_pi",
     "round_div",
     "sin_ball",
     "sin_int",
@@ -128,41 +128,73 @@ def _require_bits(bits: int) -> None:
 # exact rational constants via binary splitting
 # --------------------------------------------------------------------------
 
-def _atan_sum_split(q2: int, lo: int, hi: int, alternating: bool) -> tuple[int, int]:
-    """(N, D) with N/D = sum_{i=lo}^{hi-1} s_i / ((2i+1) * q2^(i-lo)).
+def _atanh_sum_split(q2: int, lo: int, hi: int) -> tuple[int, int]:
+    """(N, D) with N/D = sum_{i=lo}^{hi-1} 1 / ((2i+1) * q2^(i-lo)).
 
-    s_i = (-1)^i when alternating (arctangent), else +1 (atanh).  Plain
-    divide-and-conquer on exact integers.
+    Plain divide-and-conquer on exact integers.
     """
     if hi - lo == 1:
-        sign = -1 if (alternating and (lo & 1)) else 1
-        return sign, 2 * lo + 1
+        return 1, 2 * lo + 1
     mid = (lo + hi) // 2
-    nl, dl = _atan_sum_split(q2, lo, mid, alternating)
-    nr, dr = _atan_sum_split(q2, mid, hi, alternating)
+    nl, dl = _atanh_sum_split(q2, lo, mid)
+    nr, dr = _atanh_sum_split(q2, mid, hi)
     p = q2 ** (mid - lo)
     return nl * dr * p + nr * dl, dl * dr * p
 
 
-def machin_pi_rational(w: int) -> tuple[int, int]:
-    """Exact rational (num, den) with |pi - num/den| <= 2**-w.
+def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
+    """(P, Q, T) of the Chudnovsky terms k = a..b-1, for 1 <= a < b.
 
-    pi = 16*atan(1/5) - 4*atan(1/239); the term counts leave more than
-    20 bits of slack below the advertised bound.
+    Term k multiplies the previous one by p_k/q_k with p_k =
+    -(6k-5)(2k-1)(6k-1) and q_k = k^3 * 640320^3/24, and carries the
+    factor 13591409 + 545140134k.  P = prod p_k, Q = prod q_k and T/Q =
+    sum_k (13591409 + 545140134k) * prod_{j=a..k} p_j/q_j.
     """
-    n5 = int((w + 16) / 4.643856) + 2        # log2(25) = 4.6438...
-    n239 = int((w + 16) / 15.801595) + 2     # log2(239^2) = 15.8015...
-    na, da = _atan_sum_split(25, 0, n5, True)
-    nb, db = _atan_sum_split(239 * 239, 0, n239, True)
-    num = 16 * na * db * 239 - 4 * nb * da * 5
-    den = 5 * da * 239 * db
-    return num, den
+    if b - a == 1:
+        p = -(6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        return p, a * a * a * 10939058860032000, p * (13591409 + 545140134 * a)
+    m = (a + b) // 2
+    p1, q1, t1 = _chudnovsky_split(a, m)
+    p2, q2, t2 = _chudnovsky_split(m, b)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+
+
+def _chudnovsky_pi_rational(w: int) -> tuple[int, int]:
+    """Exact rational (num, den) with |pi - num/den| <= 2**-w, for w >= 1.
+
+    Chudnovsky: pi = 426880 * sqrt(10005) / S with S = sum_{k>=0} t_k,
+    t_k = (-1)^k (6k)! (13591409 + 545140134k) / ((3k)! (k!)^3 640320^(3k)).
+    With N terms, S_N = 13591409 + T/Q from _chudnovsky_split(1, N), and
+    with s = isqrt(10005 * 4**g) <= sqrt(10005) * 2**g < s + 1 at g = w + 8
+    guard bits, num/den = 426880 * s * Q / ((13591409*Q + T) * 2**g).
+
+    * sqrt truncation: num/den misses 426880 * sqrt(10005) / S_N by less
+      than 426880*Q/(13591409*Q + T) * 2**-g = 426880/S_N * 2**-g, and
+      S_N >= t_0 - |t_1| > 1.35e7 makes the factor below 1/16: the miss
+      is below 2**-(w+12).
+    * series tail: |t_(k+1)/t_k| = 8(6k+1)(6k+3)(6k+5)/(k+1)^3 * (13591409
+      + 545140134(k+1))/(13591409 + 545140134k) / 640320^3, whose first
+      factor is below 1728 and whose second is at most 42, so |t_k|
+      falls and the alternating tail |S - S_N| is at most |t_N| <=
+      (13591409 + 545140134N) * (1728/640320^3)^N < 2**29.1 * N *
+      2**(-47.11 N), as log2(640320^3/1728) = 47.1104...  Then |pi -
+      426880 sqrt(10005)/S_N| = 426880 sqrt(10005) |S - S_N|/(S*S_N) <
+      2**-21.9 * |t_N|, and N = floor(w/47.11) + 2 has 47.11*N >= w +
+      47.11, so this part is below N * 2**-(w+39.9), under 2**-(w+2)
+      while N < 2**37.
+    The two parts sum to less than 2**-w.
+    """
+    n = w * 100 // 4711 + 2
+    g = w + 8
+    _, q, t = _chudnovsky_split(1, n)
+    s = math.isqrt(10005 << (2 * g))
+    return 426880 * s * q, (13591409 * q + t) << g
 
 
 def _atanh_ln2_rational(w: int) -> tuple[int, int]:
     """Exact rational (num, den) with |ln2 - num/den| <= 2**-w."""
     n = int((w + 16) / 3.169925) + 2         # log2(9) = 3.1699...
-    nn, dd = _atan_sum_split(9, 0, n, False)
+    nn, dd = _atanh_sum_split(9, 0, n)
     return 2 * nn, 3 * dd
 
 
@@ -203,16 +235,15 @@ class _ConstSource:
                     self._num, self._den = self._refine(src_w)
                     self._src_w = src_w
                     self.refinements += 1
-                scaled = self._num << w
-                r = scaled % self._den
+                man, r = divmod(self._num << w, self._den)
                 if abs(2 * r - self._den) << (self._src_w - w) > 4 * self._den:
-                    man = round_div(scaled, self._den)
+                    man += 2 * r >= self._den      # round half up, as round_div
                     self._mans[w] = man
                     return man
                 src_w *= 2
 
 
-PI_CACHE = _ConstSource("pi", machin_pi_rational)    # public for its refinements count
+PI_CACHE = _ConstSource("pi", _chudnovsky_pi_rational)    # public for its refinements count
 _LN2_SOURCE = _ConstSource("ln2", _atanh_ln2_rational)
 
 
@@ -585,25 +616,6 @@ def reduce_fixed(m: int, w: int, d: int = 0) -> tuple[int, int, int]:
     if d:
         R = round_div(R, 1 << d)
     return k, R, (abs(k) >> 1) + 2
-
-
-def reduce_mod_pi(n: int, bits: int) -> tuple[int, MpReal]:
-    """n = k*pi + r with r in (-pi/2, pi/2] and err(r) <= 2**-bits.
-
-    Working precision is bits + ceil(log2 n) + 32: the subtraction
-    n - k*pi cancels about log2 n leading bits.
-    """
-    _require_bits(bits)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"reduce_mod_pi requires an integer n >= 1, got {n!r}")
-    w = bits + clog2(max(n, 2)) + 32
-    if w > MAX_BITS:
-        raise ResourceLimitError(
-            f"reduction of n={n} at {bits} bits needs {w} working bits (max {MAX_BITS})"
-        )
-    k, R, e = reduce_fixed(n, w)
-    r = MpReal(R, -w, Fraction(e, 1 << w), bits).round_to(bits)
-    return k, r
 
 
 def sin_ball(n: int, w: int) -> tuple[int, int]:

@@ -56,35 +56,107 @@ class CfExpansion:
         return len(self.terms)
 
 
+_LEHMER_MIN_BITS = 320    # below this size cf_terms steps on the integers alone
+
+
+def _cf_matrix(terms: Sequence[int], lo: int, hi: int) -> tuple[int, int, int, int]:
+    """(p, p', q, q') = product of [[a, 1], [1, 0]] over terms[lo:hi], by halves.
+
+    p/q and p'/q' are the last two convergents of [terms[lo]; ..., terms[hi-1]].
+    """
+    if hi - lo <= 16:
+        p, p1, q, q1 = 1, 0, 0, 1
+        for t in terms[lo:hi]:
+            p, p1, q, q1 = t * p + p1, p, t * q + q1, q
+        return p, p1, q, q1
+    mid = (lo + hi) // 2
+    a, b, c, d = _cf_matrix(terms, lo, mid)
+    e, f, g, h = _cf_matrix(terms, mid, hi)
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _cf_run(a: int, b: int, c: int, d: int, count: int) -> tuple[list[int], str | None]:
+    """Partial quotients shared by every point of [a/b, c/d], at most `count`.
+
+    a >= 0, b, c, d >= 1 and a/b <= c/d.  Returns (terms, stop) with stop
+    None when `count` terms were taken, "split" when the end points'
+    floors differ, and "edge" when the lower end reached an integer.  Each
+    step takes the common floor t and maps x to 1/(x - t), which turns
+    [a/b, c/d] into [d/(c - t*d), b/(a - t*b)]: each pair runs Euclid's
+    step and the pairs trade places.
+
+    Only the lower end can sit on the common floor t (c == t*d forces
+    a/b = c/d = t), so a == 0 after the step is the one "edge" test.
+
+    Lehmer batches.  When both denominators exceed _LEHMER_MIN_BITS, the
+    run recurses on J = [(a>>s)/((b>>s)+1), ((c>>s)+1)/(d>>s)], the
+    integers with their low s bits (about half) cut off.  J contains
+    [a/b, c/d] strictly at both ends, and each step keeps that, being a
+    decreasing bijection of (t, t+1).  So every quotient J takes is the
+    common floor of every point of [a/b, c/d], and where J stops on an
+    edge, its lower end is t but this run's lies above t: this run goes
+    on wherever J goes on or stops, and every quotient of the batch is
+    its own.  The batch t_1..t_k acts on both pairs at once: with p/q and
+    p'/q' its last two convergents, (n, m) becomes (-1)**k * (q'n - p'm,
+    pm - qn), and for odd k the pairs trade places.
+    """
+    terms: list[int] = []
+    while len(terms) < count:
+        size = min(b.bit_length(), d.bit_length())
+        if size > _LEHMER_MIN_BITS:
+            sh = size - size // 2
+            batch, _ = _cf_run(a >> sh, (b >> sh) + 1, (c >> sh) + 1, d >> sh,
+                               count - len(terms))
+            if batch:
+                p, p1, q, q1 = _cf_matrix(batch, 0, len(batch))
+                a, b, c, d = q1 * a - p1 * b, p * b - q * a, q1 * c - p1 * d, p * d - q * c
+                if len(batch) & 1:
+                    a, b, c, d = -c, -d, -a, -b
+                terms += batch
+                continue
+        t = a // b
+        if c // d != t:
+            return terms, "split"
+        terms.append(t)
+        a, c = a - t * b, c - t * d
+        if a == 0:
+            return terms, "edge"
+        a, b, c, d = d, c, b, a
+    return terms, None
+
+
 def cf_terms(x: MpReal | Fraction, count: int) -> CfExpansion:
     """First `count` certain partial quotients of x > 0.
 
-    Accepts an exact Fraction as well as a ball; an exact rational input
-    yields its full (finite) expansion, flagged complete.
+    The quotients are those shared by every point of [x - err, x + err],
+    taken on the end points' integer numerators and denominators (see
+    _cf_run).  Accepts an exact Fraction as well as a ball; an exact
+    rational input yields its full (finite) expansion, flagged complete.
     """
     if count < 1:
         raise DomainError(f"cf_terms needs count >= 1, got {count}")
     if isinstance(x, Fraction):
-        lo = hi = x
+        a = c = x.numerator
+        b = x.denominator
     else:
-        lo, hi = x.lower(), x.upper()
-    if lo <= 0:
+        # x - err and x + err over one denominator b, without a gcd
+        num, b = x.err.numerator, x.err.denominator
+        if x.exp >= 0:
+            center = (x.man << x.exp) * b
+        else:
+            center, num, b = x.man * b, num << -x.exp, b << -x.exp
+        a, c = center - num, center + num
+    if a <= 0:
         raise DomainError("cf_terms requires x > 0 beyond its error bound")
-    terms: list[int] = []
-    while len(terms) < count:
-        fl = lo.numerator // lo.denominator
-        fh = hi.numerator // hi.denominator
-        if fl != fh:
-            return CfExpansion(tuple(terms), True, False)
-        terms.append(fl)
-        frac_lo, frac_hi = lo - fl, hi - fh
-        if frac_hi == 0:
-            # hi terminated; exact only if the interval is a point
-            return CfExpansion(tuple(terms), lo != hi, lo == hi)
-        if frac_lo == 0:
-            return CfExpansion(tuple(terms), lo != hi, lo == hi)
-        lo, hi = 1 / frac_hi, 1 / frac_lo
-    return CfExpansion(tuple(terms), False, False)
+    low = a | b | c
+    z = (low & -low).bit_length() - 1      # their common power of two
+    terms, stop = _cf_run(a >> z, b >> z, c >> z, b >> z, count)
+    if stop is None:
+        return CfExpansion(tuple(terms), False, False)
+    if stop == "split":
+        return CfExpansion(tuple(terms), True, False)
+    point = a == c
+    return CfExpansion(tuple(terms), not point, point)
 
 
 @dataclass(frozen=True)
@@ -113,11 +185,17 @@ def convergents(terms: Sequence[int]) -> list[Convergent]:
 
 
 def convergent_numerators_up_to(n_max: int) -> set[int]:
-    """Numerators p of convergents of pi with p <= n_max."""
+    """Numerators p of convergents of pi with p <= n_max.
+
+    pi at bits = 128 + 4*clog2(n_max + 2) pins down the convergents up to
+    about 2**(bits/2) > n_max**2.  Asking for `bits` terms takes every
+    certain one: p_k >= 2**(k/2), so `bits` terms would already pass
+    2**(bits/2 - 1) > n_max.
+    """
     if n_max < 1:
         return set()
     bits = 128 + 4 * clog2(n_max + 2)
-    exp = cf_terms(compute_pi(bits), 64)
+    exp = cf_terms(compute_pi(bits), bits)
     out: set[int] = set()
     for c in convergents(exp.terms):
         if c.p > n_max:

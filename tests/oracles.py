@@ -40,6 +40,49 @@ def pi_fraction(digit_count: int = 1000) -> tuple[Fraction, Fraction]:
     return approx, Fraction(1, 10 ** (digit_count - 1))
 
 
+def _atan_sum_split(q2: int, lo: int, hi: int) -> tuple[int, int]:
+    """(N, D) with N/D = sum_{i=lo}^{hi-1} (-1)^i / ((2i+1) * q2^(i-lo))."""
+    if hi - lo == 1:
+        return (-1 if lo & 1 else 1), 2 * lo + 1
+    mid = (lo + hi) // 2
+    nl, dl = _atan_sum_split(q2, lo, mid)
+    nr, dr = _atan_sum_split(q2, mid, hi)
+    p = q2 ** (mid - lo)
+    return nl * dr * p + nr * dl, dl * dr * p
+
+
+def machin_pi_rational(w: int) -> tuple[int, int]:
+    """Exact rational (num, den) with |pi - num/den| <= 2**-w.
+
+    pi = 16*atan(1/5) - 4*atan(1/239), each atan an alternating series
+    whose tail is below its first omitted term; the term counts leave
+    more than 20 bits of slack below the advertised bound.
+    """
+    n5 = int((w + 16) / 4.643856) + 2        # log2(25) = 4.6438...
+    n239 = int((w + 16) / 15.801595) + 2     # log2(239^2) = 15.8015...
+    na, da = _atan_sum_split(25, 0, n5)
+    nb, db = _atan_sum_split(239 * 239, 0, n239)
+    return 16 * na * db * 239 - 4 * nb * da * 5, 5 * da * 239 * db
+
+
+def cf_terms_ref(lo: Fraction, hi: Fraction, count: int) -> tuple[tuple[int, ...], bool, bool]:
+    """(terms, exhausted, complete): the first `count` partial quotients
+    shared by every point of [lo, hi], 0 < lo <= hi, by one Fraction
+    inversion per term -- the loop the package's cf_terms once ran."""
+    terms: list[int] = []
+    while len(terms) < count:
+        fl = lo.numerator // lo.denominator
+        fh = hi.numerator // hi.denominator
+        if fl != fh:
+            return tuple(terms), True, False
+        terms.append(fl)
+        frac_lo, frac_hi = lo - fl, hi - fh
+        if frac_hi == 0 or frac_lo == 0:
+            return tuple(terms), lo != hi, lo == hi
+        lo, hi = 1 / frac_hi, 1 / frac_lo
+    return tuple(terms), False, False
+
+
 def pascal_triangle(rows: int) -> list[list[int]]:
     """Rows 0..rows-1 of Pascal's triangle, built by addition only."""
     triangle = [[1]]

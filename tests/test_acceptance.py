@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 from flintlab import (
+    MpReal,
     SeriesSpec,
     compute_pi,
     cf_terms,
@@ -20,7 +21,6 @@ from flintlab import (
     g_value,
     local_exponent,
     partial_sum,
-    reduce_mod_pi,
     scan_criterion,
     sin_int,
     spike_indices,
@@ -29,6 +29,7 @@ from flintlab import (
     verify_sinc_limit,
 )
 from flintlab.cli import main
+from flintlab.mpreal import clog2, reduce_fixed
 from oracles import chebyshev_u_at_one, load_pi_fixture, sin_by_reduction
 
 PI_CF_20 = [3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2]
@@ -154,6 +155,13 @@ def test_8_determinism_and_checkpointing(capsys, tmp_path):
           "byte-for-byte: PASS")
 
 
+def _remainder(n, bits):
+    """r = n - k*pi with error <= 2**-bits, from reduce_fixed at log2 n + 32 guard bits."""
+    w = bits + clog2(n) + 32
+    _, R, e = reduce_fixed(n, w)
+    return MpReal(R, -w, Fraction(e, 1 << w), bits).round_to(bits)
+
+
 def test_9_precision_contract_under_doubling():
     rng = random.Random(20260823)
     checked = 0
@@ -167,7 +175,7 @@ def test_9_precision_contract_under_doubling():
             coarse, fine = compute_pi(bits), compute_pi(2 * bits)
         elif kind == 2:
             n = rng.randrange(2, 100_000)
-            coarse, fine = reduce_mod_pi(n, bits)[1], reduce_mod_pi(n, 2 * bits)[1]
+            coarse, fine = _remainder(n, bits), _remainder(n, 2 * bits)
         elif kind == 3:
             n = rng.randrange(1, 5000)
             spec = SeriesSpec(s=rng.randrange(4), bits=max(bits, 8))

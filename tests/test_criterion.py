@@ -223,8 +223,9 @@ def test_scan_fallback_keeps_the_output(monkeypatch, force, eps):
 
 @pytest.mark.parametrize("base", [criterion._WALK_BASE, 0])
 def test_sine_thresholds_bound_the_power(base):
-    # with c = p/q: t_sat**q * a**p >= 2**((2w+2)q) >= t_vio**q * b**p, exactly;
-    # at base 0 (the coarse walk) fx_pow's ball is often uninformative
+    # with c = p/q: t_sat**q * n**p >= 2**((2w+2)q) >= t_vio**q * n**p, exactly,
+    # at both ends of a subblock a..b; at base 0 (the coarse walk) fx_pow's
+    # ball is often uninformative
     rng = random.Random(9970)
     for _ in range(300):
         q = rng.randrange(1, 1000)
@@ -232,13 +233,14 @@ def test_sine_thresholds_bound_the_power(base):
         a = rng.randrange(1, 1 << rng.randrange(1, 40))
         b = a + (a >> criterion._SUBBLOCK_SHIFT)
         w = base + clog2(max(b, 2))
-        t_sat, t_vio = criterion._sine_thresholds(a, b, c, w)
         one = 1 << ((2 * w + 2) * c.denominator)
-        assert t_sat ** c.denominator * a ** c.numerator >= one, (a, c, w)
-        assert t_vio ** c.denominator * b ** c.numerator <= one, (b, c, w)
-        assert t_vio <= t_sat
-        if base:
-            assert a == 1 or t_sat < 1 << (2 * w + 2)
+        for n in (a, b):
+            t_sat, t_vio = criterion._sine_thresholds(n, c, w)
+            assert t_sat ** c.denominator * n ** c.numerator >= one, (n, c, w)
+            assert t_vio ** c.denominator * n ** c.numerator <= one, (n, c, w)
+            assert t_vio <= t_sat
+            if base:
+                assert n == 1 or t_sat < 1 << (2 * w + 2)
 
 
 @pytest.mark.parametrize("eps", ["0.1", "0.001", Fraction(1, 997), "1.95", "1.99"])

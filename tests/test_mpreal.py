@@ -13,7 +13,6 @@ from flintlab import (
     cos_reduced,
     exact_decimal,
     guaranteed_decimal,
-    reduce_mod_pi,
     sin_int,
     sin_reduced,
 )
@@ -41,6 +40,7 @@ from oracles import (
     fx_sin_ref,
     linear_decimal_count,
     load_pi_fixture,
+    machin_pi_rational,
     pi_fraction,
     sin_by_reduction,
     taylor_cos,
@@ -186,6 +186,26 @@ def test_pi_mantissa_insensitive_to_request_order():
     assert fine >> (500 - 77) in (coarse, coarse - 1, coarse + 1)
 
 
+def test_chudnovsky_rational_is_within_its_bound():
+    # |pi - M| <= 2**-(w+64) for Machin's M, so |num/den - M| <= 2**-w -
+    # 2**-(w+64) puts num/den within 2**-w of pi; checked on integers
+    for w in (8, 9, 16, 64, 1000, 20024):
+        num, den = mpreal._chudnovsky_pi_rational(w)
+        mn, md = machin_pi_rational(w + 64)
+        assert abs(num * md - mn * den) << (w + 64) <= ((1 << 64) - 1) * den * md, w
+
+
+def test_pi_mantissa_sweep_matches_machin():
+    # round(pi * 2**w) from Machin at w + 64 bits, where the whole
+    # interval of that rational rounds the same way
+    for w in list(range(8, 300)) + [511, 512, 1000, 4096, 20008, 20024]:
+        mn, md = machin_pi_rational(w + 64)
+        lo = round_div((mn << 64 << w) - md, md << 64)
+        hi = round_div((mn << 64 << w) + md, md << 64)
+        assert lo == hi, w
+        assert pi_mantissa(w) == lo, w
+
+
 def test_ln2_mantissa_matches_series_oracle():
     apx, err = atanh_ln(2, 400)
     assert err < Fraction(1, 10**100)
@@ -222,9 +242,16 @@ def test_sin_int_rejects_bad_input():
         sin_int(2.5, 64)
 
 
+def _remainder_ball(n: int, bits: int) -> tuple[int, MpReal]:
+    """n = k*pi + r from reduce_fixed with log2 n + 32 guard bits, r as a ball."""
+    w = bits + clog2(max(n, 2)) + 32
+    k, R, e = reduce_fixed(n, w)
+    return k, MpReal(R, -w, Fraction(e, 1 << w), bits)
+
+
 def test_reduce_mod_pi_leaves_small_remainder():
     for n in (3, 355, 75403):
-        k, r = reduce_mod_pi(n, 128)
+        k, r = _remainder_ball(n, 128)
         apx, _ = pi_fraction(200)
         assert abs(r.center() - (n - k * apx)) < Fraction(1, 1 << 100)
         assert abs(r.center()) <= apx / 2 + Fraction(1, 1 << 60)
@@ -233,7 +260,7 @@ def test_reduce_mod_pi_leaves_small_remainder():
 def test_sin_parity_through_reduction():
     # |sin n| must equal |sin r| for the reduced remainder r
     for n in (7, 113, 52163):
-        _, r = reduce_mod_pi(n, 128)
+        _, r = _remainder_ball(n, 128)
         direct = sin_int(n, 120).abs_()
         via_r = sin_reduced(r, 120).abs_()
         assert abs(direct.center() - via_r.center()) <= direct.err + via_r.err

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from flintlab import (
     DomainError,
+    MpReal,
     cf_terms,
     compute_pi,
     convergent_numerators_up_to,
@@ -12,7 +14,7 @@ from flintlab import (
     local_exponent,
     spike_indices,
 )
-from oracles import pi_fraction
+from oracles import cf_terms_ref, pi_fraction
 
 PI_CF_20 = [3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2]
 
@@ -54,6 +56,75 @@ def test_cf_exact_rational_terminates():
 def test_cf_rejects_bad_count():
     with pytest.raises(DomainError):
         cf_terms(Fraction(1, 2), 0)
+
+
+def _cf_key(expansion):
+    return expansion.terms, expansion.exhausted, expansion.complete
+
+
+def _cf_ref(x, count):
+    lo, hi = (x, x) if isinstance(x, Fraction) else (x.lower(), x.upper())
+    return cf_terms_ref(lo, hi, count)
+
+
+def _random_cf_input(rng):
+    """A Fraction or a ball, some with an end point on an integer or a rational."""
+    bits = rng.choice((8, 40, 200, 400, 1500, 4000))
+    scale = bits + rng.randrange(0, 64)
+    kind = rng.randrange(5)
+    if kind == 0:                                   # a point
+        return Fraction(rng.randrange(1, 1 << bits), rng.randrange(1, 1 << rng.choice((8, bits))))
+    e = rng.randrange(1, 1 << 30)
+    if kind == 1:                                   # a ball, any radius
+        man = rng.randrange(1, 1 << scale)
+        return MpReal(man, rng.randrange(-scale - 8, 4), Fraction(e, rng.randrange(1, 1 << scale)))
+    if kind == 2:                                   # lower end on an integer
+        k = rng.randrange(1, 1000)
+        return MpReal((k << scale) + e, -scale, Fraction(e, 1 << scale))
+    if kind == 3:                                   # upper end on an integer
+        k = rng.randrange(1, 1000)
+        return MpReal((k << scale) - e, -scale, Fraction(e, 1 << scale))
+    # one end on a rational p/q, reached after a few quotients
+    r = Fraction(rng.randrange(1, 1 << 40), rng.randrange(1, 1 << 40))
+    man = round(r * (1 << scale)) + rng.choice((-e, e))
+    return MpReal(man, -scale, abs(Fraction(man, 1 << scale) - r))
+
+
+def test_cf_terms_matches_the_fraction_loop():
+    rng = random.Random(4711)
+    for _ in range(800):
+        x = _random_cf_input(rng)
+        if (x if isinstance(x, Fraction) else x.lower()) <= 0:
+            continue
+        for count in (1, 2, 7, 60, 10**6):
+            assert _cf_key(cf_terms(x, count)) == _cf_ref(x, count), (x, count)
+
+
+def test_cf_terms_count_at_the_end_of_a_rational():
+    rng = random.Random(113)
+    for _ in range(20):
+        x = Fraction(rng.randrange(1, 1 << 1200), rng.randrange(1, 1 << 1200))
+        full = cf_terms(x, 10**6)
+        assert full.complete and not full.exhausted
+        n = len(full)
+        for count in (n - 1, n, n + 1):
+            assert _cf_key(cf_terms(x, count)) == _cf_ref(x, count)
+
+
+def test_cf_terms_of_pi_to_exhaustion():
+    x = compute_pi(60000)
+    got = cf_terms(x, 10**6)
+    assert got.exhausted and len(got) == 17545
+    assert _cf_key(got) == _cf_ref(x, 10**6)
+
+
+@pytest.mark.parametrize("n_max", [10**40, 10**100])
+def test_convergent_numerators_past_64_terms(n_max):
+    apx, err = pi_fraction(300)
+    terms, _, _ = cf_terms_ref(apx - err, apx + err, 10**6)
+    numerators = [c.p for c in convergents(terms)]
+    assert numerators[-1] > n_max
+    assert convergent_numerators_up_to(n_max) == {p for p in numerators if p <= n_max}
 
 
 def test_convergents_classical_values():
