@@ -119,13 +119,18 @@ def _sci(x: Fraction, digits: int = 3) -> str:
 
 # ---------------------------------------------------------------- sum / term
 
+def _number(x: int | Fraction) -> int | float:
+    """An int as itself, a Fraction as the nearest float, for printing."""
+    return x if isinstance(x, int) else float(x)
+
+
 def _cmd_sum(args) -> _Record:
     spec = SeriesSpec(s=args.s, u=args.u, v=args.v, bits=args.bits)
     checkpoint = load_checkpoint(args.resume) if args.resume else None
     result = partial_sum(args.k, spec, checkpoint=checkpoint)
     if args.checkpoint:
         save_checkpoint(result, args.checkpoint)
-    doc = {"k": result.k, "s": spec.s, "u": spec.u, "v": spec.v, "bits": spec.bits,
+    doc = {"k": result.k, "s": spec.s, "u": spec.u, "v": _number(spec.v), "bits": spec.bits,
            "value": result.value.decimal(), "err": _sci(result.err)}
     return _Record(doc, _kv(doc.items()),
                    _one_row(doc, "k", "s", "u", "v", "value", "err"))
@@ -134,7 +139,7 @@ def _cmd_sum(args) -> _Record:
 def _cmd_term(args) -> _Record:
     spec = SeriesSpec(s=args.s, u=args.u, v=args.v, bits=args.bits)
     val = term(args.n, spec)
-    doc = {"n": args.n, "s": spec.s, "u": spec.u, "v": spec.v, "bits": spec.bits,
+    doc = {"n": args.n, "s": spec.s, "u": spec.u, "v": _number(spec.v), "bits": spec.bits,
            "value": val.decimal(), "err": _sci(val.err)}
     return _Record(doc, _kv((k, doc[k]) for k in ("n", "s", "value", "err")),
                    _one_row(doc, "n", "s", "u", "v", "value", "err"))
@@ -330,7 +335,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--u", type=int, default=2)
-    p.add_argument("--v", type=float, default=3)
+    p.add_argument("--v", default=3, help="n-power v > 0, exact, e.g. 2.1 or 21/10")
     p.add_argument("--checkpoint", metavar="PATH", help="write checkpoint JSON here")
     p.add_argument("--resume", metavar="PATH", help="resume from checkpoint JSON")
     _finish(p, _cmd_sum, bits=128)
@@ -340,7 +345,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--u", type=int, default=2)
-    p.add_argument("--v", type=float, default=3)
+    p.add_argument("--v", default=3, help="n-power v > 0, exact, e.g. 2.1 or 21/10")
     _finish(p, _cmd_term, bits=128)
 
     p = sub.add_parser("g", help="exact double-binomial value G(n)",

@@ -37,6 +37,7 @@ from .mpreal import (
     MpReal,
     abs_sin_walk,
     clog2,
+    exact_fraction,
     fx_ln_int,
     fx_pow,
     ln2_mantissa,
@@ -73,7 +74,7 @@ class CriterionReport:
 
 
 def _epsilon_fraction(epsilon) -> Fraction:
-    eps = Fraction(epsilon) if not isinstance(epsilon, Fraction) else epsilon
+    eps = exact_fraction(epsilon, "epsilon")
     if not 0 < eps < 2:
         raise DomainError(f"epsilon must lie in (0, 2), got {epsilon!r}")
     return eps
@@ -147,11 +148,11 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
     c = Fraction(2 * s + 2) - eps
     verdict, ln_lhs, ln_rhs, (lo, hi, scale) = _decided_kernel(
         n, s, c.numerator, c.denominator, bits)
-    lhs = MpReal.from_int(g_value(n).value ** (2 * s), bits)
+    lhs = MpReal.from_int(g_value(n).value ** (2 * s))
     n2s = n ** (2 * s)                   # rhs = n^(2s) * sin^2(n) * n^(2-eps)
     man = (lo + hi) * n2s // 2
     err = Fraction((hi - lo) * n2s + 2, 1 << (scale + 1))
-    rhs = MpReal(man, -scale, err, bits).round_to(bits)
+    rhs = MpReal(man, -scale, err).round_to(bits)
     return CriterionReport(
         n=n, s=s, epsilon=float(eps), lhs=lhs, rhs=rhs, satisfied=verdict,
         margin=ln_rhs - ln_lhs, ln_lhs=ln_lhs, ln_rhs=ln_rhs,

@@ -87,7 +87,7 @@ def verify_multiple_angle(n: int, theta: MpReal, bits: int = 192,
     # The identity holds pointwise, so evaluate both sides at the exact
     # dyadic center of the input ball; its radius would otherwise be
     # amplified by the coefficient sum and swamp the certified residual.
-    theta = MpReal(theta.man, theta.exp, 0, theta.bits)
+    theta = MpReal(theta.man, theta.exp)
     cos_t = cos_reduced(theta, wp)
     X, e_x = _fixed_units(cos_t, wp)
     parity = (n - 1) % 2
@@ -107,7 +107,7 @@ def verify_multiple_angle(n: int, theta: MpReal, bits: int = 192,
     sin_t = sin_reduced(theta, wp)
     sin_nt = sin_reduced(theta.mul_int(n), wp)
     residual = sin_nt.sub(sin_t.mul(poly)).abs_()
-    tolerance = MpReal(1, -(bits - _GUARD_BITS), 0, bits)
+    tolerance = MpReal(1, -(bits - _GUARD_BITS))
     passed = residual.upper() <= tolerance.center()
     parameters = {
         "n": n,
@@ -148,7 +148,7 @@ def seeded_thetas(count: int, seed: int, bits: int = 192) -> list[MpReal]:
         u = rng.getrandbits(64)
         frac_num = 2 * u + 1 - (1 << 64)      # odd numerator in (-2^64, 2^64)
         man = round_div(frac_num * pi_man, 1 << 64)
-        out.append(MpReal(man, -w, Fraction(2, 1 << w), bits))
+        out.append(MpReal(man, -w, Fraction(2, 1 << w)))
     return out
 
 
@@ -206,7 +206,7 @@ def verify_angle_difference(n: MpReal, a: MpReal, bits: int = 128) -> ResidualRe
     lhs = sin_reduced(n.sub(a), wb)
     rhs = sin_n.mul(cos_a).sub(cos_n.mul(sin_a))
     residual = lhs.sub(rhs).abs_()
-    tolerance = MpReal(4, -bits, 0, bits)
+    tolerance = MpReal(4, -bits)
     passed = residual.upper() <= tolerance.center()
     return ResidualReport(
         description="angle-difference decomposition in subtraction form",

@@ -37,7 +37,8 @@ kernel use the ball as it is.  Ball arguments have two entry points,
 :func:`sin_reduced` and :func:`cos_reduced`, which share one body:
 reduce the center, run the kernel, add the ball's radius.
 
-Two layers on top of the ball serve the partial sums:
+Two layers on top of the ball serve the partial sums, the scan and the
+spike search:
 
 * :func:`abs_sin_canonical` returns ``round(|sin n| * 2**w)`` exactly,
   with the same Ziv-style test as the constants: evaluate the ball with
@@ -80,6 +81,7 @@ __all__ = [
     "compute_pi",
     "cos_reduced",
     "exact_decimal",
+    "exact_fraction",
     "floor_log10",
     "fx_atanh",
     "fx_cos",
@@ -122,6 +124,22 @@ def _require_bits(bits: int) -> None:
         raise ResourceLimitError(
             f"requested {bits} bits exceeds the configured maximum of {MAX_BITS}"
         )
+
+
+def exact_fraction(value, name: str) -> Fraction:
+    """value as an exact Fraction, or a DomainError naming it.
+
+    Accepts what Fraction does: an int, a float (at its exact binary
+    value), a Fraction, a Decimal, or a string such as "2.1", "1e-3" or
+    "21/10" (at its exact value).  Booleans, non-finite values and
+    malformed strings are refused.
+    """
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{name} must be a finite number, got {value!r}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +279,7 @@ def compute_pi(bits: int) -> MpReal:
     """pi with absolute error <= 2**-bits; deterministic in bits."""
     _require_bits(bits)
     w = bits + 8
-    return MpReal(pi_mantissa(w), -w, Fraction(1, 1 << (w + 1)), bits)
+    return MpReal(pi_mantissa(w), -w, Fraction(1, 1 << (w + 1)))
 
 
 # --------------------------------------------------------------------------
@@ -271,27 +289,25 @@ def compute_pi(bits: int) -> MpReal:
 class MpReal:
     """Dyadic ball: center ``man * 2**exp``, guaranteed absolute ``err``.
 
-    ``bits`` is the precision target the value was produced for; it is
-    display metadata -- the binding guarantee is ``err``.  Instances are
-    treated as immutable.
+    Instances are treated as immutable.  Arithmetic is exact on centers
+    and adds up radii; ``round_to`` and ``div`` are where a precision
+    enters.
     """
 
-    __slots__ = ("man", "exp", "err", "bits")
+    __slots__ = ("man", "exp", "err")
 
-    def __init__(self, man: int, exp: int, err: Fraction | int = _ZERO,
-                 bits: int | None = None) -> None:
+    def __init__(self, man: int, exp: int, err: Fraction | int = _ZERO) -> None:
         self.man = man
         self.exp = exp
         self.err = err if isinstance(err, Fraction) else Fraction(err)
         if self.err < 0:
             raise DomainError("error bound must be non-negative")
-        self.bits = bits if bits is not None else max(8, -exp)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_int(cls, value: int, bits: int | None = None) -> "MpReal":
-        return cls(value, 0, _ZERO, bits)
+    def from_int(cls, value: int) -> "MpReal":
+        return cls(value, 0)
 
     @classmethod
     def from_fraction(cls, value: Fraction, bits: int) -> "MpReal":
@@ -299,7 +315,7 @@ class MpReal:
         w = bits + 8
         man = round_div(value.numerator << w, value.denominator)
         err = abs(value - Fraction(man, 1 << w))
-        return cls(man, -w, err, bits)
+        return cls(man, -w, err)
 
     @classmethod
     def from_decimal(cls, text: str, bits: int) -> "MpReal":
@@ -310,8 +326,8 @@ class MpReal:
         return cls.from_fraction(value, bits)
 
     @classmethod
-    def zero(cls, bits: int | None = None) -> "MpReal":
-        return cls(0, 0, _ZERO, bits)
+    def zero(cls) -> "MpReal":
+        return cls(0, 0)
 
     # -- views -------------------------------------------------------------
 
@@ -326,39 +342,30 @@ class MpReal:
     def upper(self) -> Fraction:
         return self.center() + self.err
 
-    def __float__(self) -> float:
-        return float(self.center())
-
-    def definitely_lt(self, other: "MpReal") -> bool:
-        return self.upper() < other.lower()
-
     # -- arithmetic --------------------------------------------------------
 
     def neg(self) -> "MpReal":
-        return MpReal(-self.man, self.exp, self.err, self.bits)
+        return MpReal(-self.man, self.exp, self.err)
 
     def abs_(self) -> "MpReal":
-        return MpReal(abs(self.man), self.exp, self.err, self.bits)
+        return MpReal(abs(self.man), self.exp, self.err)
 
-    def add(self, other: "MpReal", bits: int | None = None) -> "MpReal":
+    def add(self, other: "MpReal") -> "MpReal":
         e = min(self.exp, other.exp)
         man = (self.man << (self.exp - e)) + (other.man << (other.exp - e))
-        out = MpReal(man, e, self.err + other.err, bits or self.bits)
-        return out.round_to(bits) if bits is not None else out
+        return MpReal(man, e, self.err + other.err)
 
-    def sub(self, other: "MpReal", bits: int | None = None) -> "MpReal":
-        return self.add(other.neg(), bits)
+    def sub(self, other: "MpReal") -> "MpReal":
+        return self.add(other.neg())
 
-    def mul(self, other: "MpReal", bits: int | None = None) -> "MpReal":
+    def mul(self, other: "MpReal") -> "MpReal":
         err = (abs(self.center()) * other.err
                + abs(other.center()) * self.err
                + self.err * other.err)
-        out = MpReal(self.man * other.man, self.exp + other.exp, err,
-                     bits or self.bits)
-        return out.round_to(bits) if bits is not None else out
+        return MpReal(self.man * other.man, self.exp + other.exp, err)
 
     def mul_int(self, m: int) -> "MpReal":
-        return MpReal(self.man * m, self.exp, self.err * abs(m), self.bits)
+        return MpReal(self.man * m, self.exp, self.err * abs(m))
 
     def div(self, other: "MpReal", bits: int) -> "MpReal":
         _require_bits(bits)
@@ -379,7 +386,7 @@ class MpReal:
             for b in (other.lower(), other.upper()):
                 ends.append(a / b)
         err = max(max(ends) - center, center - min(ends))
-        return MpReal(man, -w, err, bits)
+        return MpReal(man, -w, err)
 
     def round_to(self, bits: int) -> "MpReal":
         """Coarsen the center to scale 2**-(bits+8), folding the shift into err."""
@@ -395,7 +402,7 @@ class MpReal:
         scale = bits + 24
         err = Fraction(-((-err.numerator << scale) // err.denominator),
                        1 << scale) if err else _ZERO
-        return MpReal(man, exp_t, err, bits)
+        return MpReal(man, exp_t, err)
 
     # -- display -----------------------------------------------------------
 
@@ -409,7 +416,7 @@ class MpReal:
         else:
             e2 = self.err.numerator.bit_length() - self.err.denominator.bit_length()
             etxt = f"<~2^{e2 + 1}"
-        return f"MpReal(~{self.decimal(20)}, err{etxt}, bits={self.bits})"
+        return f"MpReal(~{self.decimal(20)}, err{etxt})"
 
 
 # --------------------------------------------------------------------------
@@ -760,7 +767,7 @@ def sin_int(n: int, bits: int) -> MpReal:
             f"sin({n}) at {bits} bits needs {w} working bits (max {MAX_BITS})"
         )
     S, err = sin_ball(n, w)
-    return MpReal(S, -w, Fraction(err, 1 << w), bits).round_to(bits)
+    return MpReal(S, -w, Fraction(err, 1 << w)).round_to(bits)
 
 
 def _sin_cos_reduced(x: MpReal, bits: int, kernel, exact_zero: int) -> MpReal:
@@ -777,7 +784,7 @@ def _sin_cos_reduced(x: MpReal, bits: int, kernel, exact_zero: int) -> MpReal:
     """
     _require_bits(bits)
     if x.man == 0 and x.err == 0:
-        return MpReal(exact_zero, 0, _ZERO, bits)
+        return MpReal(exact_zero, 0)
     if x.exp >= 0:
         m, d = x.man << x.exp, 0
     else:
@@ -788,7 +795,7 @@ def _sin_cos_reduced(x: MpReal, bits: int, kernel, exact_zero: int) -> MpReal:
     if k & 1:
         V = -V
     err = x.err + Fraction(e_red + e_kernel + 1, 1 << w)
-    return MpReal(V, -w, err, bits).round_to(bits)
+    return MpReal(V, -w, err).round_to(bits)
 
 
 def sin_reduced(x: MpReal, bits: int) -> MpReal:

@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, PrecisionError
-from .mpreal import MpReal, clog2, compute_pi, fx_ln_int, ln2_mantissa, sin_int
+from .mpreal import (MpReal, abs_sin_canonical, clog2, compute_pi, fx_ln_int,
+                     ln2_mantissa, sin_int)
 
 __all__ = [
     "CfExpansion",
@@ -57,6 +58,7 @@ class CfExpansion:
 
 
 _LEHMER_MIN_BITS = 320    # below this size cf_terms steps on the integers alone
+_SPIKE_GUARD = 8          # spike_indices' first guard bits, beyond bits + clog2 n
 
 
 def _cf_matrix(terms: Sequence[int], lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -231,42 +233,44 @@ class SpikeRecord:
     is_convergent_numerator: bool
 
 
-def _abs_sin_interval(n: int, bits: int) -> MpReal:
-    return sin_int(n, bits).abs_()
+def _canonical_sine(n: int, bits: int, guard: int) -> tuple[int, int]:
+    """(m, w) with m = round(|sin n| * 2**w), w = bits + guard + clog2 n."""
+    w = bits + guard + clog2(n)
+    return abs_sin_canonical(n, w), w
 
 
 def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:
     """Running record minima of |sin n| for 1 <= n <= n_max, ascending.
 
-    Each record's |sin| is *strictly* below every predecessor's; the
-    strict comparison is decided on error intervals, doubling the
-    working precision until the intervals separate.  (|sin a| = |sin b|
-    would force a +- b to be a multiple of pi, impossible for distinct
-    positive integers, so separation always exists.)
+    Each record's |sin| is *strictly* below every predecessor's, decided
+    on integers: (m, w) from _canonical_sine puts |sin n| * 2**(w+1)
+    strictly inside (2m - 1, 2m + 1), as |sin n| * 2**w is never a
+    half-integer.  n beats the last record b when (2m + 1) * 2**w_b <=
+    (2m_b - 1) * 2**w, and loses when (2m - 1) * 2**w_b >= (2m_b + 1) *
+    2**w; otherwise both are recomputed with the guard bits doubled.
+    (|sin a| = |sin b| would force a +- b to be a multiple of pi,
+    impossible for distinct positive integers, so separation always
+    exists.)  Only a record builds its ball and its local exponent.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError(f"spike_indices requires an integer n_max >= 1, got {n_max!r}")
     numerators = convergent_numerators_up_to(n_max)
     records: list[SpikeRecord] = []
-    best: MpReal | None = None
-    best_n = 0
+    best = (0, 0)          # the last record's (m, w) at _SPIKE_GUARD
     for n in range(1, n_max + 1):
-        cand = _abs_sin_interval(n, bits)
-        if best is not None:
-            w = bits
-            current = best
-            while not (cand.definitely_lt(current) or current.definitely_lt(cand)):
-                w *= 2
-                if w > 1 << 20:
-                    raise PrecisionError(
-                        f"|sin {n}| vs |sin {best_n}| undecided at {w} bits"
-                    )
-                cand = _abs_sin_interval(n, w)
-                current = _abs_sin_interval(best_n, w)
-            if not cand.definitely_lt(current):
-                continue
-        lam = local_exponent(n, bits) if n >= 2 else None
-        records.append(SpikeRecord(n, cand, lam, n in numerators))
-        best = cand
-        best_n = n
+        first = m, w = _canonical_sine(n, bits, _SPIKE_GUARD)
+        (mb, wb), guard = best, _SPIKE_GUARD
+        while records and (2 * m + 1) << wb > (2 * mb - 1) << w:
+            if (2 * m - 1) << wb >= (2 * mb + 1) << w:
+                break                                   # n loses
+            guard *= 2
+            b = records[-1].n
+            if bits + guard > 1 << 20:
+                raise PrecisionError(
+                    f"|sin {n}| vs |sin {b}| undecided at {bits + guard} bits")
+            (m, w), (mb, wb) = _canonical_sine(n, bits, guard), _canonical_sine(b, bits, guard)
+        else:                                           # n is a record
+            lam = local_exponent(n, bits) if n >= 2 else None
+            records.append(SpikeRecord(n, sin_int(n, bits).abs_(), lam, n in numerators))
+            best = first
     return records

@@ -36,6 +36,7 @@ from .mpreal import (
     abs_sin_walk,
     clog2,
     exact_decimal,
+    exact_fraction,
     fx_ln_int,
     fx_pow,
     round_div,
@@ -55,11 +56,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Parameters of one family member: depth s, sine power u, n-power v."""
+    """Parameters of one family member: depth s, sine power u, n-power v.
+
+    v is exact: it may be given as anything exact_fraction accepts (so
+    "2.1" is 21/10, and a float is its binary value) and is stored as an
+    int when integral, else as a Fraction.  It must be positive and no
+    larger than a float can hold, since outputs report it as a float.
+    """
 
     s: int = 0
     u: int = 2
-    v: int | float = 3
+    v: int | Fraction = 3
     bits: int = 128
 
     def __post_init__(self) -> None:
@@ -67,12 +74,14 @@ class SeriesSpec:
             raise DomainError(f"s must be an integer >= 0, got {self.s!r}")
         if not isinstance(self.u, int) or self.u < 1:
             raise DomainError(f"u must be an integer >= 1, got {self.u!r}")
-        if isinstance(self.v, bool) or not isinstance(self.v, (int, float)):
-            raise DomainError(f"v must be a real number, got {self.v!r}")
-        if not self.v > 0:
+        v = exact_fraction(self.v, "v")
+        if not v > 0:
             raise DomainError(f"v must be positive, got {self.v!r}")
-        if isinstance(self.v, float) and self.v.is_integer():
-            object.__setattr__(self, "v", int(self.v))
+        try:
+            float(v)
+        except OverflowError:
+            raise DomainError(f"v must be below 2**1024, got {self.v!r}") from None
+        object.__setattr__(self, "v", v.numerator if v.denominator == 1 else v)
         if not isinstance(self.bits, int) or self.bits < 8:
             raise DomainError(f"bits must be an integer >= 8, got {self.bits!r}")
         if self.bits > MAX_BITS:
@@ -105,8 +114,7 @@ def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, in
     without the common factor.  So s does not enter the work.
     """
     acc = spec.acc_scale
-    iv = int(spec.v)
-    frac = Fraction(spec.v) - iv if not isinstance(spec.v, int) else 0
+    iv, frac = divmod(spec.v, 1)
     n_pow = n ** iv
     w1 = acc + _SIN_MARGIN
     while True:
@@ -141,7 +149,7 @@ def term(n: int, spec: SeriesSpec) -> MpReal:
         raise DomainError(f"term requires an integer n >= 1, got {n!r}")
     units, err = _term_units(n, spec)
     acc = spec.acc_scale
-    return MpReal(units, -acc, Fraction(err, 1 << acc), spec.bits)
+    return MpReal(units, -acc, Fraction(err, 1 << acc))
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,7 @@ class PartialSumResult:
     @property
     def value(self) -> MpReal:
         acc = self.spec.acc_scale
-        return MpReal(self.units, -acc, self.err, self.spec.bits)
+        return MpReal(self.units, -acc, self.err)
 
     @property
     def err(self) -> Fraction:
@@ -204,13 +212,14 @@ def partial_sum(k: int, spec: SeriesSpec,
 # --------------------------------------------------------------------------
 
 def save_checkpoint(result: PartialSumResult, path: str) -> None:
+    """Write result as JSON, version 2: v is an exact string such as "21/10"."""
     acc = result.spec.acc_scale
     doc = {
-        "version": 1,
+        "version": 2,
         "spec": {
             "s": result.spec.s,
             "u": result.spec.u,
-            "v": result.spec.v,
+            "v": str(result.spec.v),
             "bits": result.spec.bits,
         },
         "k": result.k,
@@ -245,6 +254,11 @@ def _decimal_to_units(text: str, acc: int, what: str) -> int:
 
 
 def load_checkpoint(path: str) -> PartialSumResult:
+    """Read a save_checkpoint file.
+
+    Version 1 files stored v as a JSON number; a float v is read at its
+    exact binary value, the v those runs summed with.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -252,13 +266,17 @@ def load_checkpoint(path: str) -> PartialSumResult:
         raise UsageError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != 1:
-        raise CheckpointMismatchError(
-            f"checkpoint {path}: unsupported version {doc.get('version')!r}"
-        )
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version not in (1, 2):
+        raise CheckpointMismatchError(f"checkpoint {path}: unsupported version {version!r}")
     try:
         raw = doc["spec"]
-        spec = SeriesSpec(s=raw["s"], u=raw["u"], v=raw["v"], bits=raw["bits"])
+        v = raw["v"]
+        if isinstance(v, str) != (version == 2):
+            raise CheckpointMismatchError(
+                f"checkpoint {path}: v={v!r} is not a version {version} value"
+            )
+        spec = SeriesSpec(s=raw["s"], u=raw["u"], v=v, bits=raw["bits"])
         k = doc["k"]
         value_text = doc["value"]
         err_text = doc["err"]

@@ -159,7 +159,7 @@ def _remainder(n, bits):
     """r = n - k*pi with error <= 2**-bits, from reduce_fixed at log2 n + 32 guard bits."""
     w = bits + clog2(n) + 32
     _, R, e = reduce_fixed(n, w)
-    return MpReal(R, -w, Fraction(e, 1 << w), bits).round_to(bits)
+    return MpReal(R, -w, Fraction(e, 1 << w)).round_to(bits)
 
 
 def test_9_precision_contract_under_doubling():

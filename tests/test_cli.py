@@ -237,6 +237,32 @@ def test_epsilon_out_of_range_is_usage_error(capsys):
     assert json.loads(err)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("criterion", "--n", "2", "--s", "1", "--eps", "abc"),
+    ("scan", "--from", "1", "--to", "5", "--s", "1", "--eps", "1/0"),
+])
+def test_malformed_epsilon_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("command", ["sum --k 5", "term --n 5"])
+@pytest.mark.parametrize("v", ["inf", "1e400", "0", "-2", "nan"])
+def test_bad_power_is_domain_error(capsys, command, v):
+    code, out, err = run(capsys, *command.split(), "--v", v)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "DomainError"
+
+
+def test_power_prints_as_a_number(capsys):
+    _, out, _ = run(capsys, "sum", "--k", "5", "--v", "2.1", "--format", "json")
+    assert '"v": 2.1,' in out
+    assert json.loads(out)["value"] == partial_sum(5, SeriesSpec(v=Fraction(21, 10))).value.decimal()
+    _, out, _ = run(capsys, "term", "--n", "5", "--v", "3.0", "--format", "json")
+    assert '"v": 3,' in out
+
+
 def test_resource_limit_is_precision_error(capsys):
     code, _, err = run(capsys, "sum", "--k", "5", "--bits", str(MAX_BITS + 1))
     assert code == 2

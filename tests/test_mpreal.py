@@ -75,10 +75,17 @@ def test_division_tracks_interval_endpoints():
     assert q.err <= Fraction(1, 1 << 120)
 
 
+def test_ball_is_three_fields():
+    x = MpReal.from_fraction(Fraction(1, 3), 64)
+    assert MpReal.__slots__ == ("man", "exp", "err")
+    assert (x.man, x.exp) == (round(Fraction(1 << 72, 3)), -72)
+    assert x.add(x).sub(x).mul(MpReal.from_int(3)).err == 9 * x.err
+
+
 def test_division_by_zero_ball_raises():
     zero_ish = MpReal(1, -200, Fraction(1, 1 << 100))
     with pytest.raises(DomainError):
-        MpReal.from_int(1, 64).div(zero_ish, 64)
+        MpReal.from_int(1).div(zero_ish, 64)
 
 
 def test_round_to_keeps_containment():
@@ -246,7 +253,7 @@ def _remainder_ball(n: int, bits: int) -> tuple[int, MpReal]:
     """n = k*pi + r from reduce_fixed with log2 n + 32 guard bits, r as a ball."""
     w = bits + clog2(max(n, 2)) + 32
     k, R, e = reduce_fixed(n, w)
-    return k, MpReal(R, -w, Fraction(e, 1 << w), bits)
+    return k, MpReal(R, -w, Fraction(e, 1 << w))
 
 
 def test_reduce_mod_pi_leaves_small_remainder():
@@ -278,7 +285,7 @@ def test_sin_cos_pythagorean_identity():
     x = MpReal.from_fraction(Fraction(7, 5), 160)
     s = sin_reduced(x, 128)
     c = cos_reduced(x, 128)
-    residual = s.mul(s).add(c.mul(c)).sub(MpReal.from_int(1, 128))
+    residual = s.mul(s).add(c.mul(c)).sub(MpReal.from_int(1))
     assert abs(residual.center()) <= residual.err + Fraction(1, 1 << 120)
 
 
@@ -356,7 +363,7 @@ def test_sin_cos_reduced_containment_sweep():
     for x, bits in _reduction_sweep_balls(rng):
         b = MpReal.from_fraction(x, bits + 20)
         widen = Fraction(rng.randrange(0, 8), 1 << (bits + 12))
-        balls.append((MpReal(b.man, b.exp, b.err + widen, bits), bits))
+        balls.append((MpReal(b.man, b.exp, b.err + widen), bits))
     for _ in range(15):                     # centers with exp > 0: large even integers
         bits = rng.choice((8, 64))
         err = Fraction(rng.randrange(0, 4), 1 << (bits + 4))
@@ -500,7 +507,7 @@ def test_sin_int_is_the_ball_primitive():
     for n, bits in ((355, 96), (103993, 200), (7, 64)):
         w = bits + clog2(max(n, 2)) + 40
         S, e = sin_ball(n, w)
-        want = MpReal(S, -w, Fraction(e, 1 << w), bits).round_to(bits)
+        want = MpReal(S, -w, Fraction(e, 1 << w)).round_to(bits)
         got = sin_int(n, bits)
         assert (got.man, got.exp, got.err) == (want.man, want.exp, want.err)
 

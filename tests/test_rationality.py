@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import flintlab.rationality as rationality
 from flintlab import (
     DomainError,
     MpReal,
+    PrecisionError,
     cf_terms,
     compute_pi,
     convergent_numerators_up_to,
@@ -14,6 +16,7 @@ from flintlab import (
     local_exponent,
     spike_indices,
 )
+from flintlab.mpreal import abs_sin_canonical
 from oracles import cf_terms_ref, pi_fraction
 
 PI_CF_20 = [3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2]
@@ -206,3 +209,46 @@ def test_spike_minimal_range():
 def test_spike_rejects_nonpositive_range():
     with pytest.raises(DomainError):
         spike_indices(0)
+
+
+def test_spike_records_are_the_convergent_numerators():
+    apx, err = pi_fraction(40)
+    terms, _, _ = cf_terms_ref(apx - err, apx + err, 30)
+    numerators = [c.p for c in convergents(terms)]
+    assert numerators[-1] > 110_000
+    records = spike_indices(110_000)
+    assert [r.n for r in records] == [1] + [p for p in numerators if p <= 110_000]
+    assert [r.n for r in records] == [1, 3, 22, 333, 355, 103993, 104348]
+
+
+def _spike_key(records):
+    return [(r.n, r.abs_sin.man, r.abs_sin.exp, r.abs_sin.err, r.lam,
+             r.is_convergent_numerator) for r in records]
+
+
+def test_spike_ties_escalate_without_changing_the_records(monkeypatch):
+    # At the first guard bits, n = 355 gets a genuine but 4-bit bracket,
+    # |sin 355| < 2**-5, which ties with the record 333 and then with every
+    # later n with |sin n| < 2**-5: 377 and 399 (near multiples of 7*pi).
+    real = rationality._canonical_sine
+    escalated = []
+
+    def coarse_355(n, bits, guard):
+        if guard > rationality._SPIKE_GUARD:
+            escalated.append(n)
+        elif n == 355:
+            return abs_sin_canonical(355, 4), 4
+        return real(n, bits, guard)
+
+    want = _spike_key(spike_indices(400))
+    monkeypatch.setattr(rationality, "_canonical_sine", coarse_355)
+    assert _spike_key(spike_indices(400)) == want
+    assert set(escalated) == {333, 355, 377, 399}    # one win, two losses
+
+
+def test_spike_tie_at_the_precision_cap(monkeypatch):
+    # m = 0 brackets never separate: the doubling stops at 2**20 bits
+    monkeypatch.setattr(rationality, "_canonical_sine",
+                        lambda n, bits, guard: (0, bits + guard))
+    with pytest.raises(PrecisionError, match="undecided"):
+        spike_indices(5)

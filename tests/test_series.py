@@ -49,6 +49,20 @@ def test_spec_canonicalizes_integral_float_power():
     assert SeriesSpec(v=3.5).v == 3.5
 
 
+def test_spec_power_is_exact():
+    assert SeriesSpec(v="2.1").v == Fraction(21, 10)
+    assert SeriesSpec(v="21/10") == SeriesSpec(v=Fraction(21, 10))
+    assert SeriesSpec(v=2.1).v == Fraction(2.1) != Fraction(21, 10)
+    assert SeriesSpec(v="3.0").v == 3 and isinstance(SeriesSpec(v="3.0").v, int)
+
+
+@pytest.mark.parametrize("v", ["inf", "1e400", "nan", "abc", "1/0", "-1", "0",
+                               float("inf"), 10**400, True, None])
+def test_spec_rejects_bad_power(v):
+    with pytest.raises(DomainError):
+        SeriesSpec(v=v)
+
+
 def test_first_term_value():
     t = term(1, SeriesSpec())
     assert t.decimal(12).startswith("1.41228292743")
@@ -178,6 +192,42 @@ def test_checkpoint_file_errors(tmp_path):
     wrong_version.write_text(json.dumps(good))
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(str(wrong_version))
+
+
+def test_checkpoint_writes_the_exact_power(tmp_path):
+    path = tmp_path / "c.json"
+    spec = SeriesSpec(v="2.1", bits=64)
+    save_checkpoint(partial_sum(30, spec), str(path))
+    doc = json.loads(path.read_text())
+    assert (doc["version"], doc["spec"]["v"]) == (2, "21/10")
+    loaded = load_checkpoint(str(path))
+    assert loaded.spec == spec
+    assert partial_sum(60, spec, checkpoint=loaded) == partial_sum(60, spec)
+
+
+def test_checkpoint_reads_version_1_float_power(tmp_path):
+    # version 1 stored v as a JSON number: a float v is its binary value
+    path = tmp_path / "c.json"
+    spec = SeriesSpec(v=2.1, bits=64)
+    save_checkpoint(partial_sum(30, spec), str(path))
+    doc = json.loads(path.read_text())
+    doc["version"], doc["spec"]["v"] = 1, 2.1
+    path.write_text(json.dumps(doc))
+    loaded = load_checkpoint(str(path))
+    assert loaded.spec.v == Fraction(2.1)
+    assert partial_sum(60, spec, checkpoint=loaded) == partial_sum(60, spec)
+    with pytest.raises(CheckpointMismatchError):
+        partial_sum(60, SeriesSpec(v="2.1", bits=64), checkpoint=loaded)
+
+
+@pytest.mark.parametrize("version, v", [(1, "3"), (2, 3), (2, 2.5)])
+def test_checkpoint_power_must_match_its_version(tmp_path, version, v):
+    path = tmp_path / "c.json"
+    doc = json.loads(_checkpoint_text(tmp_path))
+    doc["version"], doc["spec"]["v"] = version, v
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointMismatchError):
+        load_checkpoint(str(path))
 
 
 def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
