@@ -14,14 +14,34 @@ the same ln n that gives ln_lhs and ln_rhs; the reported right side is
 that interval times the exact n^(2s).  eps is an exact fraction end to
 end, so scans are bit-reproducible regardless of chunking or processes.
 
-A range scan (scan_criterion) decides most indices without ln or exp.
-"Satisfied" means sin^2(n) * n^(2-eps) > 1.  The scan compares the
-rounded sine of the rotation walk with certified bounds on n^-(2-eps)
-that hold over short runs of n (see _scan_chunk); an index whose sine
-falls between the two bounds goes to the escalating kernel.  Float
-margins, which need ln, are computed (by the same kernel, so
-bit-identical to check_criterion's) only for indices that a float
+A range scan (scan_criterion) reports the violators, the count of
+indices and the least float margin with its n, and it takes one of two
+paths to the same output.  "Satisfied" means sin^2(n) * n^(2-eps) > 1.
+
+The sparse path (_sparse_scan) visits only the n near multiples of pi.
+By Jordan's inequality a violator lies within (pi/2) * n^-(1-eps/2) of
+some k*pi, so the n within a slightly wider window form a superset of
+the violators; every other n is satisfied.  The window D is certified
+on integers, from the upper end of an fx_pow ball and the mantissa M of
+pi at W = 2*bitlen(hi) + 64 bits, plus k1 + 1 units for |k*(pi -
+M/2**W)|, and the k with k*M within D of a multiple of 2**W are found by
+a Euclid-like modular search in O(log) big-integer steps each.  The
+worst margin widens the window by doubling factors until the least
+margin found provably beats every n outside it.
+
+The walk (_scan_chunk) compares the rounded sine of the rotation walk
+with certified bounds on n^-(2-eps) that hold over short runs of n; an
+index whose sine falls between the two bounds goes to the escalating
+kernel.  Float margins are computed only for indices that a float
 screen marks as candidates for the running worst margin.
+
+Both paths decide every index they do not settle at once by the same
+escalating kernel as check_criterion, so verdicts and margins are
+bit-identical.  _use_sparse picks the path from (lo, hi, eps) alone: the
+sparse one where few n are candidates, the walk for dense eps (at eps =
+1.5 the walk is faster) and for short ranges.  Only the walk runs a
+process pool; the sparse path runs in-process.  Ranges end below 2**472,
+where the float-margin argument of _scan_chunk holds.
 """
 
 from __future__ import annotations
@@ -41,6 +61,7 @@ from .mpreal import (
     fx_ln_int,
     fx_pow,
     ln2_mantissa,
+    pi_mantissa,
     round_div,
     sin_ball,
 )
@@ -58,6 +79,10 @@ _WALK_BASE = 40           # the scan's sine is round(|sin n| * 2**(40 + clog2 n)
 _SUBBLOCK_SHIFT = 5       # one pair of thresholds serves n .. n + (n >> 5)
 _SCREEN_SLACK = 1e-6      # worst-margin screen tolerance, per unit of s
 _SCREEN_MIN_M = 1 << 30   # a smaller m makes every n a worst-margin candidate
+_SCAN_LIMIT = 1 << 472    # the float-margin argument of _scan_chunk holds below this n
+_SPARSE_COST = 32         # walked indices that cost about as much as one kernel call
+_SPARSE_BASE = 4096       # walked indices that cost about the sparse path's fixed work
+_LN2 = math.log(2)
 
 
 @dataclass(frozen=True)
@@ -148,7 +173,7 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
     c = Fraction(2 * s + 2) - eps
     verdict, ln_lhs, ln_rhs, (lo, hi, scale) = _decided_kernel(
         n, s, c.numerator, c.denominator, bits)
-    lhs = MpReal.from_int(g_value(n).value ** (2 * s))
+    lhs = MpReal(g_value(n).value ** (2 * s), 0)
     n2s = n ** (2 * s)                   # rhs = n^(2s) * sin^2(n) * n^(2-eps)
     man = (lo + hi) * n2s // 2
     err = Fraction((hi - lo) * n2s + 2, 1 << (scale + 1))
@@ -184,6 +209,16 @@ def _sine_thresholds(n: int, c: Fraction, w: int) -> tuple[int, int]:
     return -(-one // (E - err)), one // (E + err)
 
 
+def _min_m(c: int, bits: int) -> int:
+    """Least walked sine m = round(|sin n| * 2**(_WALK_BASE + c)) at which the
+    float-margin argument (2) of _scan_chunk holds for every n with clog2 n = c.
+
+    e_max bounds the error e of the kernel's first sine ball over those n.
+    """
+    e_max = (1 << c) // 6 + 8 * (bits + 56 + c) + 53
+    return max(_SCREEN_MIN_M, ((e_max << 15) >> bits) + 1)
+
+
 def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
     """Violators, count and (worst margin, its n) for lo..hi, without ln or exp per n.
 
@@ -206,7 +241,7 @@ def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
     per-n loop; the chunk keeps the least, and the first n among equals.
     The screen x = 2*(ln m - w*ln 2) + (2-eps)*ln n estimates the same
     quantity, ln(sin^2 n * n^(2-eps)).  The kernel evaluates n when m <
-    min_m (below) or x < worst + s*_SCREEN_SLACK.  For n < 2**472 (so w
+    min_m = _min_m(c, bits) or x < worst + s*_SCREEN_SLACK.  For n < 2**472 (so w
     and ln n are below 512) and m >= min_m, x and the kernel's float each
     lie within s * 5e-7 of the true value, so a skipped n has a kernel
     margin above worst, and a per-n loop would not have taken it either:
@@ -235,8 +270,7 @@ def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
             c = clog2(max(n, 2))
             top, w = 1 << c, _WALK_BASE + c
             ln_scale = 2 * w * math.log(2)
-            e_max = (1 << c) // 6 + 8 * (bits + 56 + c) + 53
-            min_m = max(_SCREEN_MIN_M, ((e_max << 15) >> bits) + 1)
+            min_m = _min_m(c, bits)
             t_next = _sine_thresholds(n, c_pow, w)[0]
         if n > sub_end:
             sub_end = min(top, n + (n >> _SUBBLOCK_SHIFT))
@@ -261,31 +295,205 @@ def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
     return violations, hi - lo + 1, worst
 
 
+def _blocks(lo: int, hi: int):
+    """(c, a, b) for each run a..b of lo..hi with equal c = clog2(max(n, 2))."""
+    a = lo
+    while a <= hi:
+        c = clog2(max(a, 2))
+        b = min(hi, 1 << c)
+        yield c, a, b
+        a = b + 1
+
+
+def _use_sparse(lo: int, hi: int, eps: Fraction) -> bool:
+    """Whether scan_criterion takes _sparse_scan rather than the walk.
+
+    Decided from (lo, hi, eps) alone, never from threads or chunking: both
+    paths give the same output, so this only picks the faster one.  About
+    n^-(1-eps/2) of the indices near n are sparse candidates (all of them
+    where that exceeds 1), each costing one kernel call, some
+    _SPARSE_COST walked indices; _SPARSE_BASE stands for the sparse
+    path's fixed work, mostly the rounds that look for the worst margin.
+    """
+    expo = float(eps) / 2 - 1
+    estimate = sum((b - a + 1) * min(1.0, float(a) ** expo) for _, a, b in _blocks(lo, hi))
+    return _SPARSE_COST * estimate + _SPARSE_BASE < hi - lo + 1
+
+
+def _first_hit(a: int, b: int, m: int, lo: int, hi: int) -> int | None:
+    """Least x >= 0 with lo <= (a*x + b) mod m <= hi, or None if there is none.
+
+    Needs 0 <= a, b < m and 0 <= lo <= hi < m.  Each round answers, or
+    asks the same question at a modulus at most half as large, so there
+    are at most log2(m) + 1 rounds (the Euclid-like recursion behind the
+    three-distance theorem; Slater 1967):
+    * v -> m - 1 - v maps residues to residues, so (a, b, lo, hi) ->
+      (m - a, m - 1 - b, m - 1 - hi, m - 1 - lo) keeps every solution and
+      makes 2a <= m.
+    * Lap 0, before a*x + b first reaches m, rises from b in steps of a:
+      if b < lo its first value >= lo is at x = ceil((lo - b)/a), a hit
+      iff that value is <= hi; if b > hi it has no hit.
+    * Lap j >= 1 hits where a*x lies in [j*m + lo - b, j*m + hi - b].  Its
+      least x, x_j = ceil((j*m + lo - b)/a), is a hit iff (-(j*m + lo -
+      b)) mod a <= hi - lo.  x_j grows with j, so the answer comes from
+      the least such j; with j = y + 1 that is the least y with
+      (((-m) mod a) * y + (b - lo - m) mod a) mod a in [0, hi - lo], the
+      same question at modulus a.
+    """
+    rounds = []
+    while True:
+        if lo <= b <= hi:
+            x = 0
+            break
+        if a == 0:
+            return None
+        if 2 * a > m:
+            a, b, lo, hi = m - a, m - 1 - b, m - 1 - hi, m - 1 - lo
+        if b < lo:
+            x = -((b - lo) // a)
+            if b + a * x <= hi:
+                break
+        rounds.append((m, lo - b, a))
+        a, b, m, lo, hi = (-m) % a, (b - lo - m) % a, a, 0, min(hi - lo, a - 1)
+    for m, gap, a in reversed(rounds):
+        x = -(-((x + 1) * m + gap) // a)
+    return x
+
+
+def _near_multiples(M: int, W: int, k0: int, k1: int, D: int):
+    """round(k*M / 2**W), ascending, for each k in k0..k1 such that k*M
+    lies within D of a multiple of 2**W.
+
+    Needs 0 <= D and 2D < 2**W.  Then k qualifies iff (k*M + D) mod 2**W
+    <= 2D, and that multiple is the nearest one, so the rounding gives it.
+    """
+    mod = 1 << W
+    step = M % mod
+    k = k0
+    while True:
+        x = _first_hit(step, (k * M + D) % mod, mod, 0, 2 * D)
+        if x is None or k + x > k1:
+            return
+        k += x
+        yield (k * M + (mod >> 1)) >> W
+        k += 1
+
+
+def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int,
+                 bits: int) -> tuple[list[int], int, tuple[float, int]]:
+    """_scan_chunk's result for lo..hi, from the n near multiples of pi alone.
+
+    Superset.  Let T = 2**t and D_T(n) = (pi/2) * T * n^-(1-eps/2).  By
+    Jordan's inequality, |sin x| >= (2/pi)|x| for |x| <= pi/2, an n with
+    |sin n| < T * n^-(1-eps/2) lies within D_T(n) of some k*pi.  A
+    violator has sin^2(n) * n^(2-eps) < 1, so it lies within D_1(n).  Each
+    n in a window goes to _decided_kernel, which decides it exactly as the
+    walk does; every other n is satisfied.
+
+    Window.  lo..hi splits into blocks a..b of equal c = clog2(max(n, 2)),
+    and D_T(a) >= D_T(n) serves a whole block.  M = pi_mantissa(W) with W
+    = 2*bitlen(hi) + 64 has |pi * 2**W - M| <= 1/2, and fx_pow gives
+    a^(eps/2) <= (E + err) * 2**(q-v), so, in units of 2**-W,
+        D_T(a) * 2**W <= (M + 1) * T * (E + err) * 2**(q-v) / (2a).
+    The block's window is the ceiling of that, or the ceiling of
+    (M + 1) * (2 min_m + 1) / 2**(w+2) >= (pi/2) * (min_m + 1/2) * 2**(W-w),
+    w = _WALK_BASE + c, if larger: an n outside the window then has
+    |sin n| * 2**w >= min_m + 1/2, a walked m >= _min_m(c, bits).  The k
+    with k*pi within 1/2 of a..b lie in k0..k1, k0 = floor((a-1) * 2**W /
+    (M+1)) and k1 = ceil((b+1) * 2**W / (M-1)).  If |k*pi - n| is below
+    the window, |k*M - n * 2**W| is below the window plus k/2 units, so
+    with D = window + k1 + 1 units _near_multiples lists k and n.  All of
+    this is integer arithmetic.
+
+    Small n.  A block where 2D >= 2**W, a window of 1/2 or more, is handed
+    to the kernel whole, so no rounding to the nearest integer is needed
+    there.  At eps = 0.1 and T = 1 that is n <= 4: D_1(5) < 0.34.
+
+    Worst margin.  The walk reports the least kernel margin over lo..hi,
+    first n among equals.  An n outside the windows of T has sin^2(n) *
+    n^(2-eps) >= T^2 and m >= min_m, so by argument (2) of _scan_chunk
+    (the range is below 2**472) its kernel margin is at least 2t ln 2 -
+    s * 5e-7.  So from t = 0 up, the least margin over the windows' n is
+    final once it lies below 2t ln 2 - s * _SCREEN_SLACK (the float
+    rounding of that bound is below 1e-12), or once every block is whole;
+    otherwise t grows by one.  The windows grow with t, and every n in
+    them is decided once.
+    """
+    half_eps = (Fraction(2 * s + 2) - Fraction(c_num, c_den)) / 2
+    W = 2 * hi.bit_length() + 64
+    M = pi_mantissa(W)
+    blocks = []
+    for c, a, b in _blocks(lo, hi):
+        v = 64
+        while True:
+            E, err, q = fx_pow(*fx_ln_int(a, v), half_eps, v)
+            if E > err:
+                break
+            v *= 2
+        num, den = (M + 1) * (E + err), 2 * a
+        if q >= v:
+            num <<= q - v
+        else:
+            den <<= v - q
+        d_min = -((-(M + 1) * (2 * _min_m(c, bits) + 1)) >> (_WALK_BASE + c + 2))
+        k0 = ((a - 1) << W) // (M + 1)
+        k1 = -(-((b + 1) << W) // (M - 1))
+        blocks.append((a, b, num, den, d_min, k0, k1))
+    decided: dict[int, tuple[bool, float]] = {}
+    t = 0
+    while True:
+        whole = True
+        for a, b, num, den, d_min, k0, k1 in blocks:
+            D = max(-(-(num << t) // den), d_min) + k1 + 1
+            if 2 * D >= 1 << W:
+                ns = range(a, b + 1)
+            else:
+                whole = False
+                ns = (n for n in _near_multiples(M, W, k0, k1, D) if a <= n <= b)
+            for n in ns:
+                if n not in decided:
+                    verdict, ln_lhs, ln_rhs, _ = _decided_kernel(n, s, c_num, c_den, bits)
+                    decided[n] = verdict, ln_rhs - ln_lhs
+        worst = min(((margin, n) for n, (_, margin) in decided.items()),
+                    default=(math.inf, -1))
+        if whole or worst[0] < 2 * t * _LN2 - s * _SCREEN_SLACK:
+            break
+        t += 1
+    violations = sorted(n for n, (verdict, _) in decided.items() if not verdict)
+    return violations, hi - lo + 1, worst
+
+
 def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
                    bits: int = 64, threads: int = 1) -> ScanResult:
     """Check every n in the inclusive range; report violations ascending.
 
-    The range is cut into fixed 4096-wide chunks which may be evaluated
-    in worker processes (at most one per chunk and per CPU, whatever
-    `threads` asks for); chunk results are merged in ascending order, so
-    the output is independent of `threads`.
+    The range must end below 2**472.  On the walk, the range is cut into
+    fixed 4096-wide chunks which may be evaluated in worker processes (at
+    most one per chunk and per CPU, whatever `threads` asks for); chunk
+    results are merged in ascending order, so the output is independent
+    of `threads`.  The sparse path ignores `threads` and starts no pool.
     """
     lo, hi = n_range
     if not (isinstance(lo, int) and isinstance(hi, int)) or lo < 1 or hi < lo:
         raise DomainError(f"bad scan range {n_range!r}; need 1 <= lo <= hi")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"scan_criterion requires an integer s >= 1, got {s!r}")
+    if hi >= _SCAN_LIMIT:
+        raise DomainError(f"scan ranges must end below 2**472, got {hi}")
     eps = _epsilon_fraction(epsilon)
     c = Fraction(2 * s + 2) - eps
-    chunks = [(a, min(a + _CHUNK - 1, hi), s, c.numerator, c.denominator, bits)
-              for a in range(lo, hi + 1, _CHUNK)]
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(_scan_chunk, chunks))
+    if _use_sparse(lo, hi, eps):
+        pieces = [_sparse_scan(lo, hi, s, c.numerator, c.denominator, bits)]
     else:
-        pieces = [_scan_chunk(chunk) for chunk in chunks]
+        chunks = [(a, min(a + _CHUNK - 1, hi), s, c.numerator, c.denominator, bits)
+                  for a in range(lo, hi + 1, _CHUNK)]
+        workers = min(threads, len(chunks), os.cpu_count() or 1)
+        if workers > 1:
+            import concurrent.futures as cf
+            with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+                pieces = list(pool.map(_scan_chunk, chunks))
+        else:
+            pieces = [_scan_chunk(chunk) for chunk in chunks]
     violation_ns: list[int] = []
     checked = 0
     worst = (float("inf"), -1)

@@ -306,10 +306,6 @@ class MpReal:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_int(cls, value: int) -> "MpReal":
-        return cls(value, 0)
-
-    @classmethod
     def from_fraction(cls, value: Fraction, bits: int) -> "MpReal":
         _require_bits(bits)
         w = bits + 8
@@ -324,10 +320,6 @@ class MpReal:
         except Exception as exc:
             raise DomainError(f"not a decimal number: {text!r}") from exc
         return cls.from_fraction(value, bits)
-
-    @classmethod
-    def zero(cls) -> "MpReal":
-        return cls(0, 0)
 
     # -- views -------------------------------------------------------------
 

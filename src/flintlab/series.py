@@ -112,10 +112,20 @@ def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, in
     G(n)^(2s) and n^(2s) are not computed: G(n) = n, so they cancel, and
     T and e_units, a rounding and a ceiling of integer ratios, are the same
     without the common factor.  So s does not enter the work.
+
+    A large integer part iv of v can make n**iv huge while the term rounds
+    to 0.  So when iv > acc (a term of n >= 2 is then below 2**-acc
+    unless sin n is tiny) n**iv is formed only after a test on bit
+    lengths.  With bl(x) = x.bit_length(), x >= 2**(bl(x) - 1) for x >= 1,
+    and m - 1 >= 1, p_units - p_err >= 1 past the escalation test,
+    den_lo >= 2**(u*(bl(m-1) - 1) + iv*(bl(n) - 1) + bl(p_units - p_err) - 1).
+    If that exponent is at least shift + 1, then den_c > den_lo >= 2N, so
+    T = round_div(N, den_c) = 0, and 0 < N/den_lo - N/den_hi <= 1/2, so
+    e_units = 3: the values the full formulas give.  Below the gate the
+    test costs one comparison per attempt.
     """
     acc = spec.acc_scale
     iv, frac = divmod(spec.v, 1)
-    n_pow = n ** iv
     w1 = acc + _SIN_MARGIN
     while True:
         w = w1 + clog2(max(n, 2))
@@ -131,6 +141,10 @@ def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, in
             w1, m = 2 * w1, None
             continue
         shift = acc + spec.u * w + w - q
+        if iv > acc and (spec.u * ((m - 1).bit_length() - 1) + iv * (n.bit_length() - 1)
+                         + (p_units - p_err).bit_length() > shift + 1):
+            return 0, 3
+        n_pow = n ** iv
         N = 1 << shift
         den_c = (m ** spec.u) * n_pow * p_units
         T = round_div(N, den_c)

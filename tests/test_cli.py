@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
@@ -245,6 +246,34 @@ def test_malformed_epsilon_is_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "DomainError"
+
+
+def test_scan_past_the_margin_argument_is_domain_error(capsys):
+    code, out, err = run(capsys, "scan", "--from", "1", "--to", str(1 << 472),
+                         "--s", "1", "--eps", "0.1")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "DomainError"
+
+
+def test_far_scan_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "scan", "--from", "1", "--to", "1000000000000000",
+                       "--s", "1", "--eps", "0.1", "--format", "csv")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    ns = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert len(ns) == 62
+    assert ns[-3:] == ["428224593349304", "567979811876093", "856449186698608"]
+
+
+def test_large_power_sum_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "sum", "--k", "300", "--v", "100000", "--format", "json")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    assert json.loads(out)["value"].startswith("1.412")
 
 
 @pytest.mark.parametrize("command", ["sum --k 5", "term --n 5"])

@@ -17,6 +17,7 @@ import pytest
 
 from flintlab.cli import main
 from oracles import DATA_DIR
+from scan_paths import PATHS, forced
 
 GOLDEN_DIR = DATA_DIR / "cli_golden"
 FORMATS = ("text", "json", "csv")
@@ -58,6 +59,18 @@ def _stdout(capsys, argv):
 @pytest.mark.parametrize("case, argv", CASES, ids=[c for c, _ in CASES])
 def test_cli_stdout_matches_golden(capsys, case, argv):
     code, out = _stdout(capsys, argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / f"{case}.out").read_bytes()
+
+
+SCAN_CASES = [(case, argv) for case, argv in CASES if case.startswith("scan.")]
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("case, argv", SCAN_CASES, ids=[c for c, _ in SCAN_CASES])
+def test_scan_golden_on_every_path(capsys, case, argv, path):
+    with forced(path):
+        code, out = _stdout(capsys, argv)
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / f"{case}.out").read_bytes()
 

@@ -13,6 +13,7 @@ from flintlab import (
     scan_criterion,
 )
 from flintlab.mpreal import abs_sin_canonical, clog2
+from scan_paths import PATHS, forced, per_n_chunk, scan, scan_key
 
 
 def test_check_satisfied_case():
@@ -82,12 +83,9 @@ def test_scan_clean_stretch():
 
 
 def test_scan_threads_do_not_change_output():
-    single = scan_criterion((1, 9000), 1, "0.1", threads=1)
-    multi = scan_criterion((1, 9000), 1, "0.1", threads=4)
-    assert [r.n for r in single.violations] == [r.n for r in multi.violations]
-    assert single.summary == multi.summary
-    for a, b in zip(single.violations, multi.violations):
-        assert (a.margin, a.ln_lhs, a.ln_rhs) == (b.margin, b.ln_lhs, b.ln_rhs)
+    single = scan("walk", (1, 9000), 1, "0.1", threads=1)
+    for path, threads in (("walk", 4), ("sparse", 1), ("sparse", 4)):
+        assert scan_key(scan(path, (1, 9000), 1, "0.1", threads=threads)) == scan_key(single)
 
 
 class _RecordingPool:
@@ -121,13 +119,24 @@ def _empty_chunk(args):
     (1, 8 * 4096, 8, []),
 ])
 def test_scan_threads_are_clamped(monkeypatch, threads, hi, cpus, workers):
+    # at eps = 1.9 nearly every n is a sparse candidate, so the scan walks
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(criterion, "_scan_chunk", _empty_chunk)
-    result = scan_criterion((1, hi), 1, "0.1", threads=threads)
+    result = scan_criterion((1, hi), 1, "1.9", threads=threads)
     assert result.summary["checked"] == hi
     assert _RecordingPool.sizes == workers
+
+
+@pytest.mark.parametrize("threads", [1, 2, 64])
+def test_sparse_scan_starts_no_pool(monkeypatch, threads):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(criterion, "_scan_chunk", _empty_chunk)
+    result = scan_criterion((1, 8 * 4096), 1, "0.1", threads=threads)
+    assert [r.n for r in result.violations][:5] == [1, 3, 22, 44, 355]
+    assert _RecordingPool.sizes == []
 
 
 def test_scan_verdicts_invariant_in_s():
@@ -140,26 +149,6 @@ def test_scan_verdicts_invariant_in_s():
     assert [n for n, ok in zip(near, low) if not ok] == violators
 
 
-def _per_n_chunk(args):
-    """The scan chunk as a per-n loop: _decided_kernel decides every n."""
-    lo, hi, s, c_num, c_den, bits = args
-    violations = []
-    worst = (float("inf"), -1)
-    for n in range(lo, hi + 1):
-        verdict, ln_lhs, ln_rhs, _ = criterion._decided_kernel(n, s, c_num, c_den, bits)
-        margin = ln_rhs - ln_lhs
-        if not verdict:
-            violations.append(n)
-        if margin < worst[0]:
-            worst = (margin, n)
-    return violations, hi - lo + 1, worst
-
-
-def _scan_key(result):
-    return result.summary, [(r.n, r.satisfied, r.margin, r.ln_lhs, r.ln_rhs,
-                             r.rhs.man, r.rhs.exp, r.rhs.err) for r in result.violations]
-
-
 # 18953/9970 is just above 1.9; near 199/100 the thresholds of neighbouring
 # subblocks differ little
 _EPSILONS = ["0.1", Fraction(1, 3), "1.9", "0.001", Fraction(1, 997), Fraction(18953, 9970),
@@ -169,21 +158,22 @@ _EPSILONS = ["0.1", Fraction(1, 3), "1.9", "0.001", Fraction(1, 997), Fraction(1
 @pytest.mark.parametrize("eps", _EPSILONS)
 @pytest.mark.parametrize("s", [1, 3])
 @pytest.mark.parametrize("window", [(1, 400), (1492, 1691), (4000, 4200), (8100, 8300)])
-def test_scan_matches_per_n_loop(monkeypatch, window, s, eps):
+def test_scan_matches_per_n_loop(window, s, eps):
     # The windows cross the powers of two 256, 4096 and 8192, which are
-    # also WALK_BLOCK edges.  At eps = 1.9 the worst margin of 1492..1691
-    # beats the window's previous record by only 0.004.
-    fast = scan_criterion(window, s, eps)
-    monkeypatch.setattr(criterion, "_scan_chunk", _per_n_chunk)
-    assert _scan_key(fast) == _scan_key(scan_criterion(window, s, eps))
+    # also WALK_BLOCK edges and the sparse path's block edges.  At eps =
+    # 1.9 the worst margin of 1492..1691 beats the window's previous
+    # record by only 0.004.
+    want = scan_key(scan("per_n", window, s, eps))
+    assert scan_key(scan("walk", window, s, eps)) == want
+    assert scan_key(scan("sparse", window, s, eps)) == want
 
 
 @pytest.mark.parametrize("s, eps", [(1, "0.1"), (1, Fraction(1, 997)), (3, "1.9")])
-def test_scan_on_two_processes_matches_per_n_loop(monkeypatch, s, eps):
+def test_scan_on_two_processes_matches_per_n_loop(s, eps):
     window = (1, 8300)          # three chunks
-    fast = scan_criterion(window, s, eps, threads=2)
-    monkeypatch.setattr(criterion, "_scan_chunk", _per_n_chunk)
-    assert _scan_key(fast) == _scan_key(scan_criterion(window, s, eps, threads=1))
+    want = scan_key(scan("per_n", window, s, eps))
+    assert scan_key(scan("walk", window, s, eps, threads=2)) == want
+    assert scan_key(scan("sparse", window, s, eps, threads=2)) == want
 
 
 def _count_kernel_calls(monkeypatch):
@@ -208,7 +198,7 @@ def _coarse_walk(lo, hi, base):
 @pytest.mark.parametrize("force", ["no exact test", "coarse walk"])
 def test_scan_fallback_keeps_the_output(monkeypatch, force, eps):
     window = (1, 2000)
-    want = _scan_key(scan_criterion(window, 1, eps))
+    want = scan_key(scan("sparse", window, 1, eps))
     calls = _count_kernel_calls(monkeypatch)
     if force == "no exact test":
         # thresholds no (2m -/+ 1)^2 can pass: neither test is certain
@@ -216,7 +206,7 @@ def test_scan_fallback_keeps_the_output(monkeypatch, force, eps):
     else:
         monkeypatch.setattr(criterion, "_WALK_BASE", 0)
         monkeypatch.setattr(criterion, "abs_sin_walk", _coarse_walk)
-    assert _scan_key(scan_criterion(window, 1, eps)) == want
+    assert scan_key(scan("walk", window, 1, eps)) == want
     if force == "no exact test":
         assert sorted(set(calls)) == list(range(window[0], window[1] + 1))
 
@@ -246,7 +236,7 @@ def test_sine_thresholds_bound_the_power(base):
 @pytest.mark.parametrize("eps", ["0.1", "0.001", Fraction(1, 997), "1.95", "1.99"])
 def test_scan_calls_the_kernel_rarely(monkeypatch, eps):
     calls = _count_kernel_calls(monkeypatch)
-    result = scan_criterion((1, 8192), 1, eps)
+    result = scan("walk", (1, 8192), 1, eps)
     assert len(calls) - len(result.violations) <= 64
 
 
@@ -264,3 +254,67 @@ def test_scan_summary_json():
     doc = result.summary
     assert set(doc) == {"checked", "violations", "worst_margin_n", "worst_margin"}
     assert doc["worst_margin_n"] == 22
+
+
+@pytest.mark.parametrize("eps", ["0.1", "0.5", "1", "1.5", "1.9"])
+@pytest.mark.parametrize("s", [1, 3])
+def test_scan_paths_agree_from_one(s, eps):
+    # at eps = 1.9 the sparse windows reach 1/2 up to n near 9e9, so the
+    # sparse path decides every n by the kernel: a shorter range there
+    window = (1, 10_000 if eps == "1.9" else 100_000)
+    assert scan_key(scan("sparse", window, s, eps)) == scan_key(scan("walk", window, s, eps))
+
+
+@pytest.mark.parametrize("window, s, eps", [
+    ((1_040_000, 1_048_000), 1, "0.5"),        # violators 1042060 and 1042415
+    ((99_944_000, 99_947_000), 3, "1"),        # six violators from 99944417 on
+    ((245_847_922, 245_853_922), 1, "0.1"),    # the convergent numerator 245850922
+    ((1_000_000, 1_004_000), 1, "0.1"),        # no violator: only the worst margin
+    ((2**60 + 12345, 2**60 + 14345), 1, "0.1"),
+])
+def test_scan_paths_match_per_n_loop_far_out(window, s, eps):
+    want = scan_key(scan("per_n", window, s, eps))
+    assert scan_key(scan("sparse", window, s, eps)) == want
+    assert scan_key(scan("walk", window, s, eps)) == want
+
+
+def test_scan_paths_match_on_two_processes_far_out():
+    window = (99_940_000, 99_950_000)
+    want = scan_key(scan("walk", window, 1, "1", threads=1))
+    assert [n for n, *_ in want[1]][:2] == [99944417, 99944772]
+    assert scan_key(scan("walk", window, 1, "1", threads=2)) == want
+    assert scan_key(scan("sparse", window, 1, "1", threads=2)) == want
+
+
+@pytest.mark.parametrize("eps", ["0.1", "0.001", Fraction(1, 997)])
+def test_sparse_scan_calls_the_kernel_rarely(monkeypatch, eps):
+    calls = _count_kernel_calls(monkeypatch)
+    result = scan("sparse", (1, 10**6), 1, eps)
+    assert len(calls) - len(result.violations) <= 64
+
+
+def test_path_choice():
+    assert criterion._use_sparse(1, 32768, Fraction(1, 10))
+    assert criterion._use_sparse(1, 10**15, Fraction(1, 10))
+    assert criterion._use_sparse(1, 100_000, Fraction(1))
+    assert not criterion._use_sparse(1, 400, Fraction(1, 10))
+    assert not criterion._use_sparse(1, 300_000, Fraction(3, 2))
+    assert not criterion._use_sparse(1, 32768, Fraction(19, 10))
+
+
+def test_first_hit_is_the_least_solution():
+    rng = random.Random(1967)
+    for _ in range(3000):
+        m = rng.choice([rng.randrange(1, 200), 1 << rng.randrange(1, 9)])
+        a, b = rng.randrange(m), rng.randrange(m)
+        lo = rng.randrange(m)
+        hi = rng.randrange(lo, m)
+        want = next((x for x in range(m) if lo <= (a * x + b) % m <= hi), None)
+        assert criterion._first_hit(a, b, m, lo, hi) == want, (a, b, m, lo, hi)
+
+
+def test_scan_refuses_ranges_past_the_margin_argument():
+    with pytest.raises(DomainError):
+        scan_criterion((1, 1 << 472), 1, "0.1")
+    top = (1 << 472) - 1
+    assert scan_criterion((top - 4, top), 1, "0.1").summary["checked"] == 5

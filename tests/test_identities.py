@@ -26,7 +26,7 @@ def test_multiple_angle_passes_at_assorted_orders():
 
 
 def test_multiple_angle_at_zero_angle():
-    report = verify_multiple_angle(9, MpReal.from_int(0), 128)
+    report = verify_multiple_angle(9, MpReal(0, 0), 128)
     assert report.passed
     assert report.residual.center() == 0
 
@@ -52,7 +52,7 @@ def test_multiple_angle_records_parameters():
 
 def test_multiple_angle_rejects_bad_order():
     with pytest.raises(DomainError):
-        verify_multiple_angle(0, MpReal.from_int(1), 64)
+        verify_multiple_angle(0, MpReal(1, 0), 64)
 
 
 def test_sweep_shape_and_seed_recording():
@@ -95,7 +95,7 @@ def test_sinc_sequence_validation():
 
 
 def test_angle_difference_passes():
-    n = MpReal.from_int(7)
+    n = MpReal(7, 0)
     a = MpReal.from_fraction(Fraction(5, 7), 160)
     report = verify_angle_difference(n, a, 128)
     assert report.passed
@@ -106,7 +106,7 @@ def test_angle_difference_passes():
 def test_angle_difference_degenerate_near_sine_zero():
     # sin(pi) is zero to working precision: the decomposition must refuse
     with pytest.raises(DegenerateInputError):
-        verify_angle_difference(compute_pi(128), MpReal.from_int(1), 96)
+        verify_angle_difference(compute_pi(128), MpReal(1, 0), 96)
 
 
 def test_multiple_angle_sweep_needs_an_index():

@@ -284,3 +284,18 @@ def test_higher_sine_power():
     t = term(3, SeriesSpec(u=3, bits=96))
     want = 1 / (abs(math.sin(3)) ** 3 * 27)
     assert abs(float(t.center()) - want) < 1e-12
+
+
+@pytest.mark.parametrize("v", [300, 100_000, Fraction(200_001, 2)])
+def test_large_power_terms_round_to_zero(v):
+    spec = SeriesSpec(v=v, bits=128)                 # units of 2**-208
+    for n in (2, 3, 22, 355):
+        t = term(n, spec)
+        assert (t.man, t.err) == (0, Fraction(3, 1 << 208)), n
+        sin_apx, sin_err = sin_by_reduction(n)
+        top = 1 / ((abs(sin_apx) - sin_err) ** 2 * Fraction(n) ** math.floor(v))
+        assert top < Fraction(1, 1 << 209)
+    one = term(1, spec)
+    total = partial_sum(300, spec)
+    assert total.units == one.man
+    assert total.err == one.err + 299 * Fraction(3, 1 << 208)
