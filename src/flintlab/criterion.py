@@ -29,11 +29,11 @@ a Euclid-like modular search in O(log) big-integer steps each.  The
 worst margin widens the window by doubling factors until the least
 margin found provably beats every n outside it.
 
-The walk (_scan_chunk) compares the rounded sine of the rotation walk
-with certified bounds on n^-(2-eps) that hold over short runs of n; an
-index whose sine falls between the two bounds goes to the escalating
-kernel.  Float margins are computed only for indices that a float
-screen marks as candidates for the running worst margin.
+The walk (_scan_chunk) decides verdicts only, comparing the rounded
+sine of the rotation walk with certified bounds on n^-(2-eps) that hold
+over short runs of n; an index whose sine falls between the two bounds
+goes to the escalating kernel.  scan_criterion takes its worst margin
+from the violators' reports, or from the sparse path if none is deep.
 
 Both paths decide every index they do not settle at once by the same
 escalating kernel as check_criterion, so verdicts and margins are
@@ -41,7 +41,7 @@ bit-identical.  _use_sparse picks the path from (lo, hi, eps) alone: the
 sparse one where few n are candidates, the walk for dense eps (at eps =
 1.5 the walk is faster) and for short ranges.  Only the walk runs a
 process pool; the sparse path runs in-process.  Ranges end below 2**472,
-where the float-margin argument of _scan_chunk holds.
+where the float-margin bound of _min_m holds.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .combinatorics import g_value
 from .errors import DomainError, UndecidableError
 from .mpreal import (
     MpReal,
+    _require_bits,
     abs_sin_walk,
     clog2,
     exact_fraction,
@@ -77,9 +78,9 @@ _ESCALATION_CAP = 1 << 20
 _CHUNK = 4096
 _WALK_BASE = 40           # the scan's sine is round(|sin n| * 2**(40 + clog2 n))
 _SUBBLOCK_SHIFT = 5       # one pair of thresholds serves n .. n + (n >> 5)
-_SCREEN_SLACK = 1e-6      # worst-margin screen tolerance, per unit of s
-_SCREEN_MIN_M = 1 << 30   # a smaller m makes every n a worst-margin candidate
-_SCAN_LIMIT = 1 << 472    # the float-margin argument of _scan_chunk holds below this n
+_SCREEN_SLACK = 1e-6      # worst-margin tolerance, per unit of s
+_SCREEN_MIN_M = 1 << 30   # floor of _min_m
+_SCAN_LIMIT = 1 << 472    # the float-margin bound of _min_m holds below this n
 _SPARSE_COST = 32         # walked indices that cost about as much as one kernel call
 _SPARSE_BASE = 4096       # walked indices that cost about the sparse path's fixed work
 _LN2 = math.log(2)
@@ -169,6 +170,7 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
         raise DomainError(f"check_criterion requires an integer n >= 1, got {n!r}")
     if not isinstance(s, int) or s < 1:
         raise DomainError(f"check_criterion requires an integer s >= 1, got {s!r}")
+    _require_bits(bits)
     eps = _epsilon_fraction(epsilon)
     c = Fraction(2 * s + 2) - eps
     verdict, ln_lhs, ln_rhs, (lo, hi, scale) = _decided_kernel(
@@ -210,89 +212,60 @@ def _sine_thresholds(n: int, c: Fraction, w: int) -> tuple[int, int]:
 
 
 def _min_m(c: int, bits: int) -> int:
-    """Least walked sine m = round(|sin n| * 2**(_WALK_BASE + c)) at which the
-    float-margin argument (2) of _scan_chunk holds for every n with clog2 n = c.
+    """Least walked sine m = round(|sin n| * 2**(_WALK_BASE + c)) from which the
+    kernel's float margin of n is within s * 5e-7 of ln(sin^2 n * n^(2-eps)),
+    for every n with clog2 n = c < 472 and bits >= 8.
 
-    e_max bounds the error e of the kernel's first sine ball over those n.
+    e_max bounds the error e <= n/6 + 8*wr + 52 ulps of the kernel's first
+    sine ball, at wr = bits + 56 + c (see mpreal.abs_sin_walk for the
+    terms).  m >= min_m > e * 2**(15 - bits) gives |sin n| * 2**wr >
+    (m - 1/2) * 2**(bits + 16) >= e * 2**30, so its ln sin^2 n is within
+    2**-28; escalation only narrows the ball.  Its fixed-point ln n and
+    ln 2 are within 2**-46, so ln_lhs = 2s*ln n and ln_rhs = ln sin^2 n +
+    (2s+2-eps)*ln n gain at most (2s + 2) * 2**-46 more.  Rounding them
+    and their difference to floats adds 2**-52 times magnitudes below
+    (4s + 4) * ln n + 2w (w, ln n < 512): less than s * 2**-39.
     """
     e_max = (1 << c) // 6 + 8 * (bits + 56 + c) + 53
     return max(_SCREEN_MIN_M, ((e_max << 15) >> bits) + 1)
 
 
-def _scan_chunk(args) -> tuple[list[int], int, tuple[float, int]]:
-    """Violators, count and (worst margin, its n) for lo..hi, without ln or exp per n.
+def _scan_chunk(args) -> list[int]:
+    """The violators in lo..hi, ascending, without ln or exp per n.
 
-    Verdict.  m = round(|sin n| * 2**w) from abs_sin_walk with
-    w = _WALK_BASE + c, c = clog2(n), so |sin n| * 2**(w+1) lies strictly
-    inside (2m - 1, 2m + 1).  "Satisfied", sin^2(n) * n^(2-eps) > 1, is
-    certain when (2m - 1)^2 exceeds the t_sat of _sine_thresholds, and
-    "violated" is certain when (2m + 1)^2 is below its t_vio; equality is
-    impossible, sin n being transcendental.  The indices of one w are cut
-    into subblocks a..b, b = a + (a >> _SUBBLOCK_SHIFT) clipped at the
-    power of two.  t_vio comes from the ball at b, and t_sat from the ball
-    at a - 1, the previous subblock's b, which is sound since a - 1 < a;
-    the first subblock of a w (or of the chunk) takes a fresh ball at a.
-    So each subblock costs one ball.  n^(2-eps) varies by a factor below
+    m = round(|sin n| * 2**w) from abs_sin_walk with w = _WALK_BASE + c,
+    c = clog2(n), so |sin n| * 2**(w+1) lies strictly inside (2m - 1,
+    2m + 1).  "Satisfied", sin^2(n) * n^(2-eps) > 1, is certain when
+    (2m - 1)^2 exceeds the t_sat of _sine_thresholds, and "violated" is
+    certain when (2m + 1)^2 is below its t_vio; equality is impossible,
+    sin n being transcendental.  The indices of one w are cut into
+    subblocks a..b, b = a + (a >> _SUBBLOCK_SHIFT) clipped at the power
+    of two.  t_vio comes from the ball at b, and t_sat from the ball at
+    a - 1, the previous subblock's b, which is sound since a - 1 < a; the
+    first subblock of a w (or of the chunk) takes a fresh ball at a.  So
+    each subblock costs one ball.  n^(2-eps) varies by a factor below
     (1 + 2**-5)^2 over a - 1..b, so only an n whose sin^2 n lies in that
-    narrow band is left open.  Whenever neither test is certain,
-    _decided_kernel decides n as check_criterion does.
-
-    Margin.  The reported margin of n is _decided_kernel's float, as in a
-    per-n loop; the chunk keeps the least, and the first n among equals.
-    The screen x = 2*(ln m - w*ln 2) + (2-eps)*ln n estimates the same
-    quantity, ln(sin^2 n * n^(2-eps)).  The kernel evaluates n when m <
-    min_m = _min_m(c, bits) or x < worst + s*_SCREEN_SLACK.  For n < 2**472 (so w
-    and ln n are below 512) and m >= min_m, x and the kernel's float each
-    lie within s * 5e-7 of the true value, so a skipped n has a kernel
-    margin above worst, and a per-n loop would not have taken it either:
-    (1) |ln m - ln(|sin n| * 2**w)| <= 1/(2m - 1) < 2**-30 for m >= 2**30,
-    and the float operations in x add less than 2**-36.
-    (2) The kernel's first attempt has wr = bits + 56 + c and a sine ball
-    within e <= n/6 + 8*wr + 52 ulps (see mpreal.abs_sin_walk for the
-    terms).  min_m > e * 2**(15 - bits) gives |sin n| * 2**wr > (m - 1/2)
-    * 2**(bits + 16) >= e * 2**30, so its ln sin^2 n is within 2**-28;
-    escalation only narrows the ball.  Its fixed-point ln n and ln 2 are
-    within 2**-46, so ln_lhs = 2s*ln n and ln_rhs = ln sin^2 n +
-    (2s+2-eps)*ln n gain at most (2s + 2) * 2**-46 more.  Rounding them and
-    their difference to floats adds 2**-52 times magnitudes below
-    (4s + 4) * ln n + 2w: less than s * 2**-39.
+    narrow band is left open, and _decided_kernel decides it as
+    check_criterion does.
     """
     lo, hi, s, c_num, c_den, bits = args
     c_pow = Fraction(c_num, c_den) - 2 * s          # 2 - eps
-    slope = float(c_pow)
-    slack = s * _SCREEN_SLACK
-    log = math.log
     violations: list[int] = []
-    worst = (float("inf"), -1)
     top = sub_end = 0     # last n of the current w (a power of two), of the subblock
     for n, m in zip(range(lo, hi + 1), abs_sin_walk(lo, hi, _WALK_BASE)):
         if n > top:
             c = clog2(max(n, 2))
             top, w = 1 << c, _WALK_BASE + c
-            ln_scale = 2 * w * math.log(2)
-            min_m = _min_m(c, bits)
             t_next = _sine_thresholds(n, c_pow, w)[0]
         if n > sub_end:
             sub_end = min(top, n + (n >> _SUBBLOCK_SHIFT))
             t_sat = t_next
             t_next, t_vio = _sine_thresholds(sub_end, c_pow, w)
-        margin = None
         if max(2 * m - 1, 0) ** 2 > t_sat:
-            verdict = True
-        elif (2 * m + 1) ** 2 < t_vio:
-            verdict = False
-        else:
-            verdict, ln_lhs, ln_rhs, _ = _decided_kernel(n, s, c_num, c_den, bits)
-            margin = ln_rhs - ln_lhs
-        if not verdict:
+            continue
+        if (2 * m + 1) ** 2 < t_vio or not _decided_kernel(n, s, c_num, c_den, bits)[0]:
             violations.append(n)
-        if margin is None and (m < min_m or
-                               2 * log(m) - ln_scale + slope * log(n) < worst[0] + slack):
-            _, ln_lhs, ln_rhs, _ = _decided_kernel(n, s, c_num, c_den, bits)
-            margin = ln_rhs - ln_lhs
-        if margin is not None and margin < worst[0]:
-            worst = (margin, n)
-    return violations, hi - lo + 1, worst
+    return violations
 
 
 def _blocks(lo: int, hi: int):
@@ -380,8 +353,8 @@ def _near_multiples(M: int, W: int, k0: int, k1: int, D: int):
 
 
 def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int,
-                 bits: int) -> tuple[list[int], int, tuple[float, int]]:
-    """_scan_chunk's result for lo..hi, from the n near multiples of pi alone.
+                 bits: int) -> tuple[list[int], tuple[float, int]]:
+    """Violators and (worst margin, its n) for lo..hi, from the n near multiples of pi.
 
     Superset.  Let T = 2**t and D_T(n) = (pi/2) * T * n^-(1-eps/2).  By
     Jordan's inequality, |sin x| >= (2/pi)|x| for |x| <= pi/2, an n with
@@ -409,15 +382,14 @@ def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int,
     to the kernel whole, so no rounding to the nearest integer is needed
     there.  At eps = 0.1 and T = 1 that is n <= 4: D_1(5) < 0.34.
 
-    Worst margin.  The walk reports the least kernel margin over lo..hi,
+    Worst margin.  The scan reports the least kernel margin over lo..hi,
     first n among equals.  An n outside the windows of T has sin^2(n) *
-    n^(2-eps) >= T^2 and m >= min_m, so by argument (2) of _scan_chunk
-    (the range is below 2**472) its kernel margin is at least 2t ln 2 -
-    s * 5e-7.  So from t = 0 up, the least margin over the windows' n is
-    final once it lies below 2t ln 2 - s * _SCREEN_SLACK (the float
-    rounding of that bound is below 1e-12), or once every block is whole;
-    otherwise t grows by one.  The windows grow with t, and every n in
-    them is decided once.
+    n^(2-eps) >= T^2 and m >= min_m, so by _min_m (the range is below
+    2**472) its kernel margin is at least 2t ln 2 - s * 5e-7.  So from
+    t = 0 up, the least margin over the windows' n is final once it lies
+    below 2t ln 2 - s * _SCREEN_SLACK (the float rounding of that bound is
+    below 1e-12), or once every block is whole; otherwise t grows by one.
+    The windows grow with t, and every n in them is decided once.
     """
     half_eps = (Fraction(2 * s + 2) - Fraction(c_num, c_den)) / 2
     W = 2 * hi.bit_length() + 64
@@ -460,7 +432,7 @@ def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int,
             break
         t += 1
     violations = sorted(n for n, (verdict, _) in decided.items() if not verdict)
-    return violations, hi - lo + 1, worst
+    return violations, worst
 
 
 def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
@@ -472,6 +444,16 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     most one per chunk and per CPU, whatever `threads` asks for); chunk
     results are merged in ascending order, so the output is independent
     of `threads`.  The sparse path ignores `threads` and starts no pool.
+
+    Worst margin: the least (margin, n), first n among equals.  On the
+    walk it is the least over the violators' reports if that lies below
+    -s * _SCREEN_SLACK, else _sparse_scan's.  A satisfied n's kernel float
+    exceeds -s * 1e-6 whatever its walked sine: its deciding interval lies
+    above 1, so the product of the ball centres does too, and the float is
+    the log of that product but for fixed-point logs at w >= 56 bits (off
+    by below 2**-40) and float rounding (below s * 2**-39, see _min_m).
+    So such a violator beats every satisfied n.  The walk runs where many
+    n are candidates, so only short ranges fall back.
     """
     lo, hi = n_range
     if not (isinstance(lo, int) and isinstance(hi, int)) or lo < 1 or hi < lo:
@@ -480,12 +462,15 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
         raise DomainError(f"scan_criterion requires an integer s >= 1, got {s!r}")
     if hi >= _SCAN_LIMIT:
         raise DomainError(f"scan ranges must end below 2**472, got {hi}")
+    _require_bits(bits)
     eps = _epsilon_fraction(epsilon)
     c = Fraction(2 * s + 2) - eps
-    if _use_sparse(lo, hi, eps):
-        pieces = [_sparse_scan(lo, hi, s, c.numerator, c.denominator, bits)]
+    kernel_args = s, c.numerator, c.denominator, bits
+    sparse = _use_sparse(lo, hi, eps)
+    if sparse:
+        violation_ns, worst = _sparse_scan(lo, hi, *kernel_args)
     else:
-        chunks = [(a, min(a + _CHUNK - 1, hi), s, c.numerator, c.denominator, bits)
+        chunks = [(a, min(a + _CHUNK - 1, hi), *kernel_args)
                   for a in range(lo, hi + 1, _CHUNK)]
         workers = min(threads, len(chunks), os.cpu_count() or 1)
         if workers > 1:
@@ -494,17 +479,14 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
                 pieces = list(pool.map(_scan_chunk, chunks))
         else:
             pieces = [_scan_chunk(chunk) for chunk in chunks]
-    violation_ns: list[int] = []
-    checked = 0
-    worst = (float("inf"), -1)
-    for vios, count, piece_worst in pieces:
-        violation_ns.extend(vios)
-        checked += count
-        if piece_worst[1] >= 0 and piece_worst < worst:
-            worst = piece_worst
+        violation_ns = [n for piece in pieces for n in piece]
     violations = [check_criterion(n, s, eps, bits) for n in violation_ns]
+    if not sparse:
+        worst = min(((r.margin, r.n) for r in violations), default=(math.inf, -1))
+        if not worst[0] < -s * _SCREEN_SLACK:
+            worst = _sparse_scan(lo, hi, *kernel_args)[1]
     summary = {
-        "checked": checked,
+        "checked": hi - lo + 1,
         "violations": len(violations),
         "worst_margin_n": worst[1],
         "worst_margin": worst[0],

@@ -100,7 +100,7 @@ __all__ = [
 ]
 
 MAX_BITS = 10_000_000
-SIN_GUARD_BITS = 32      # first guard-bit count of abs_sin_canonical and the walk
+SIN_GUARD_BITS = 32      # least first guard-bit count of abs_sin_canonical and the walk
 WALK_BLOCK = 4096        # abs_sin_walk re-anchors at least this often
 _STR_BITS = 8192         # _digits converts integers up to this size directly
 
@@ -661,14 +661,20 @@ def _round_abs(S: int, e: int, g: int) -> int | None:
 def abs_sin_canonical(n: int, w: int) -> int:
     """round(|sin n| * 2**w) for integer n >= 1, exactly.
 
-    Ziv's rounding test: evaluate sin_ball with g = SIN_GUARD_BITS extra
-    bits, and accept the rounding to w bits only when the whole ball
-    rounds the same way; otherwise double g.  |sin n| * 2**w is never a
-    half-integer, so the loop ends.  The result depends on (n, w) alone.
-    For accuracy near 2**-w, w must already include ceil(log2 n) guard
-    bits (see sin_ball).
+    Ziv's rounding test: evaluate sin_ball with g extra bits, and accept
+    the rounding to w bits only when the whole ball rounds the same way;
+    otherwise double g.  |sin n| * 2**w is never a half-integer, so the
+    loop ends.  The result depends on (n, w) alone.  For accuracy near
+    2**-w, w must already include ceil(log2 n) guard bits (see sin_ball).
+
+    The first g is max(SIN_GUARD_BITS, clog2 n + 8).  sin_ball's reduction
+    error is about n/(2 pi) ulps (reduce_fixed), and 2**g >= 256 n keeps
+    the ball's width below 1/800 of the rounding step 2**g, so about one
+    n in 800 needs a second ball.  A fixed g fails for nearly every n once
+    n/6 nears 2**g, from n near 2.6e10 at g = 32.  For n < 2**24, g = 32,
+    taken without counting bits (this runs once per n in sum and spikes).
     """
-    g = SIN_GUARD_BITS
+    g = (n - 1).bit_length() + 8 if n >> 24 else SIN_GUARD_BITS
     while True:
         S, e = sin_ball(n, w + g)
         m = _round_abs(S, e, g)
@@ -688,9 +694,10 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
 
     The values are the canonical ones, so they do not depend on lo or on
     where the walk anchors.  Within a block of equal w, at W = w + g bits
-    with g = SIN_GUARD_BITS, (C, S) ~ (cos n, sin n) * 2**W is rotated by
-    (C1, S1) ~ (cos 1, sin 1) * 2**W: C' = (C*C1 - S*S1) >> W and
-    S' = (S*C1 + C*S1) >> W.  A block starts on a direct ball and ends
+    with g = max(SIN_GUARD_BITS, c + 8), c = clog2(max(n, 2)) (the first
+    guard of abs_sin_canonical at 2**c), (C, S) ~ (cos n, sin n) * 2**W is
+    rotated by (C1, S1) ~ (cos 1, sin 1) * 2**W: C' = (C*C1 - S*S1) >> W
+    and S' = (S*C1 + C*S1) >> W.  A block starts on a direct ball and ends
     before the next multiple of WALK_BLOCK and before w changes (at each
     power of two).
 
@@ -711,22 +718,24 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
     a ball for sin n and goes through the same rounding test as
     abs_sin_canonical; an ambiguous n falls back to abs_sin_canonical.
 
-    The condition D*e1 < 2**(W-1) holds for base >= 8.  Then
-    W >= 40 + clog2(n), so n < 2**(W-40).  The reduction error is at
+    The condition D*e1 < 2**(W-1) holds for base >= 8.  Then g >= 32
+    gives W >= 40 + c, so n <= 2**(W-40).  The reduction error is at
     most n/6 + 3 ulps.  For |x| <= 1.6 the Taylor terms start below
     2**(W+1) and at least halve from the second on, so the kernels stop
     with i <= W + 4 and report at most 8*W + 48 ulps; hence
     e0 <= n/6 + 8*W + 52 and e1 <= 8*W + 51.  A block has at most
     WALK_BLOCK - 1 steps, so D <= n/3 + 2**14 * (8*W + 53), and
-    D*e1 < 2**(W-1) for every W >= 40.
+    D*e1 < 2**(W-1) for every W >= 40, however g grows W.  The same
+    n/3 term bounds the width 2D against the step 2**g >= 256 * 2**c, so
+    few walked n fall back.
     """
     if lo < 1 or base < 8:
         raise DomainError(f"abs_sin_walk requires lo >= 1 and base >= 8, got {lo!r}, {base!r}")
-    g = SIN_GUARD_BITS
     n = lo
     while n <= hi:
         c = clog2(max(n, 2))
         w = base + c
+        g = max(SIN_GUARD_BITS, c + 8)
         # the block ends at the last n with this w, or of this WALK_BLOCK
         end = min(hi, 1 << c, (n - 1) // WALK_BLOCK * WALK_BLOCK + WALK_BLOCK)
         W = w + g

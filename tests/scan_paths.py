@@ -2,43 +2,52 @@
 
 scan_criterion takes the sparse path or the walk as _use_sparse decides
 from (lo, hi, eps).  ``forced`` overrides that choice, and its "per_n"
-path replaces the walk's chunk with a loop in which _decided_kernel
-decides every n: the oracle that both paths must match.
+path replaces scan_criterion with ``per_n_scan``: a brute-force loop in
+which _decided_kernel decides every n, the oracle that both paths must
+match.  It shares no merge or worst-margin code with scan_criterion.
 """
 
 import contextlib
+import math
+from fractions import Fraction
 
+import flintlab.cli as cli
 import flintlab.criterion as criterion
 
 PATHS = ("walk", "sparse", "per_n")
 
 
-def per_n_chunk(args):
-    """The scan chunk as a per-n loop: _decided_kernel decides every n."""
-    lo, hi, s, c_num, c_den, bits = args
-    violations = []
-    worst = (float("inf"), -1)
+def per_n_scan(n_range, s, epsilon, bits=64, threads=1):
+    """scan_criterion's result, with every n decided and its margin taken."""
+    lo, hi = n_range
+    c = Fraction(2 * s + 2) - Fraction(epsilon)
+    violators = []
+    worst = (math.inf, -1)
     for n in range(lo, hi + 1):
-        verdict, ln_lhs, ln_rhs, _ = criterion._decided_kernel(n, s, c_num, c_den, bits)
+        verdict, ln_lhs, ln_rhs, _ = criterion._decided_kernel(
+            n, s, c.numerator, c.denominator, bits)
         margin = ln_rhs - ln_lhs
         if not verdict:
-            violations.append(n)
+            violators.append(n)
         if margin < worst[0]:
             worst = (margin, n)
-    return violations, hi - lo + 1, worst
+    violations = [criterion.check_criterion(n, s, epsilon, bits) for n in violators]
+    summary = {"checked": hi - lo + 1, "violations": len(violations),
+               "worst_margin_n": worst[1], "worst_margin": worst[0]}
+    return criterion.ScanResult(violations, summary)
 
 
 @contextlib.contextmanager
 def forced(path):
     """Make scan_criterion take `path`, one of PATHS, until the block ends."""
-    saved = criterion._use_sparse, criterion._scan_chunk
+    saved = criterion._use_sparse, criterion.scan_criterion, cli.scan_criterion
     criterion._use_sparse = lambda *args: path == "sparse"
     if path == "per_n":
-        criterion._scan_chunk = per_n_chunk
+        criterion.scan_criterion = cli.scan_criterion = per_n_scan
     try:
         yield
     finally:
-        criterion._use_sparse, criterion._scan_chunk = saved
+        criterion._use_sparse, criterion.scan_criterion, cli.scan_criterion = saved
 
 
 def scan(path, window, s, eps, threads=1):

@@ -1,14 +1,18 @@
 """Slow agreement checks between the scan paths, too long for the test suite.
 
-    PYTHONPATH=src:tests python tests/slow_scan_windows.py [windows] [grid]
+    PYTHONPATH=src:tests python tests/slow_scan_windows.py [windows] [dense] [grid]
 
 ``windows`` compares the walk and the sparse path, at threads 1 and 2, on
 200001-wide windows around the eps = 0.1 violators 147373401987 and
-428224593349304 (the walk takes several seconds per window).  ``grid``
-compares both paths with the per-n loop on 1..1e5 at eps in {0.1, 0.5,
-1, 1.5, 1.9} and s in {1, 3}.  With no argument both run.  One line per
-check; the exit code is 1 if any output differs.  pytest does not collect
-this file.
+428224593349304.  ``dense`` compares the walk at threads 1 and 2, the
+sparse path and the per-n loop on 10001-wide windows at eps = 1.5 past
+2.6e10, where the walk's sines need more than 32 guard bits: 1e12 +-
+5000 holds no violator, so the walk takes its worst margin from the
+sparse path, and 1000000030003 +- 5000 holds 29.  ``grid`` compares
+both paths with the per-n loop on 1..1e5 at eps in {0.1, 0.5, 1, 1.5,
+1.9} and s in {1, 3}.  With no argument all three run.  One line per
+check; the exit code is 1 if any output differs.  pytest does not
+collect this file.
 """
 
 import sys
@@ -18,6 +22,8 @@ from scan_paths import scan, scan_key
 
 WINDOW_CENTRES = (147373401987, 428224593349304)
 HALF_WIDTH = 100_000
+DENSE_CENTRES = (10**12, 1_000_000_030_003)
+DENSE_HALF_WIDTH = 5_000
 
 
 def _timed(path, window, s, eps, threads=1):
@@ -42,6 +48,22 @@ def windows() -> bool:
     return ok
 
 
+def dense() -> bool:
+    ok = True
+    for centre in DENSE_CENTRES:
+        window = (centre - DENSE_HALF_WIDTH, centre + DENSE_HALF_WIDTH)
+        want, t_per_n = _timed("per_n", window, 1, "1.5")
+        times, same = [f"per-n {t_per_n:.2f} s"], True
+        for path, threads in (("walk", 1), ("walk", 2), ("sparse", 1)):
+            key, t = _timed(path, window, 1, "1.5", threads)
+            same &= key == want
+            times.append(f"{path} threads {threads} {t:.2f} s")
+        ok &= same
+        print(f"{window} eps 1.5: {want[0]['violations']} violators, "
+              f"{'same' if same else 'DIFFERENT'}; {', '.join(times)}", flush=True)
+    return ok
+
+
 def grid() -> bool:
     ok = True
     window = (1, 100_000)
@@ -59,7 +81,7 @@ def grid() -> bool:
 
 
 if __name__ == "__main__":
-    checks = {"windows": windows, "grid": grid}
+    checks = {"windows": windows, "dense": dense, "grid": grid}
     names = sys.argv[1:] or list(checks)
     unknown = [name for name in names if name not in checks]
     if unknown:

@@ -8,12 +8,14 @@ import pytest
 
 import flintlab.criterion as criterion
 from flintlab import (
+    MAX_BITS,
     DomainError,
+    ResourceLimitError,
     check_criterion,
     scan_criterion,
 )
 from flintlab.mpreal import abs_sin_canonical, clog2
-from scan_paths import PATHS, forced, per_n_chunk, scan, scan_key
+from scan_paths import forced, scan, scan_key
 
 
 def test_check_satisfied_case():
@@ -107,8 +109,7 @@ class _RecordingPool:
 
 
 def _empty_chunk(args):
-    lo, hi = args[:2]
-    return [], hi - lo + 1, (float("inf"), -1)
+    return []
 
 
 @pytest.mark.parametrize("threads, hi, cpus, workers", [
@@ -124,6 +125,8 @@ def test_scan_threads_are_clamped(monkeypatch, threads, hi, cpus, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(criterion, "_scan_chunk", _empty_chunk)
+    # no violator means a worst-margin search on the sparse path: skip it
+    monkeypatch.setattr(criterion, "_sparse_scan", lambda *args: ([], (math.inf, -1)))
     result = scan_criterion((1, hi), 1, "1.9", threads=threads)
     assert result.summary["checked"] == hi
     assert _RecordingPool.sizes == workers
@@ -157,12 +160,14 @@ _EPSILONS = ["0.1", Fraction(1, 3), "1.9", "0.001", Fraction(1, 997), Fraction(1
 
 @pytest.mark.parametrize("eps", _EPSILONS)
 @pytest.mark.parametrize("s", [1, 3])
-@pytest.mark.parametrize("window", [(1, 400), (1492, 1691), (4000, 4200), (8100, 8300)])
+@pytest.mark.parametrize("window", [(1, 400), (1492, 1691), (4000, 4200), (8100, 8300),
+                                    (4, 6), (20_000, 20_100)])
 def test_scan_matches_per_n_loop(window, s, eps):
     # The windows cross the powers of two 256, 4096 and 8192, which are
     # also WALK_BLOCK edges and the sparse path's block edges.  At eps =
     # 1.9 the worst margin of 1492..1691 beats the window's previous
-    # record by only 0.004.
+    # record by only 0.004.  4..6 and 20000..20100 hold no violator at
+    # small eps, so the walk takes its worst margin from the sparse path.
     want = scan_key(scan("per_n", window, s, eps))
     assert scan_key(scan("walk", window, s, eps)) == want
     assert scan_key(scan("sparse", window, s, eps)) == want
@@ -174,6 +179,41 @@ def test_scan_on_two_processes_matches_per_n_loop(s, eps):
     want = scan_key(scan("per_n", window, s, eps))
     assert scan_key(scan("walk", window, s, eps, threads=2)) == want
     assert scan_key(scan("sparse", window, s, eps, threads=2)) == want
+
+
+@pytest.mark.parametrize("eps", ["0.1", "1.9"])
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("window", [(1, 400), (1492, 1691)])
+def test_walk_worst_margin_fallback_matches_per_n_loop(monkeypatch, window, s, eps):
+    # no violator is deep enough, so the walk takes _sparse_scan's worst margin
+    want = scan_key(scan("per_n", window, s, eps))
+    sparse_calls = []
+    sparse_scan = criterion._sparse_scan
+
+    def recording(*args):
+        sparse_calls.append(args[:2])
+        return sparse_scan(*args)
+
+    monkeypatch.setattr(criterion, "_SCREEN_SLACK", math.inf)
+    monkeypatch.setattr(criterion, "_sparse_scan", recording)
+    assert scan_key(scan("walk", window, s, eps)) == want
+    assert sparse_calls == [window]
+
+
+@pytest.mark.parametrize("bits, error", [
+    (-60, DomainError), (2.5, DomainError), (4, DomainError), ("64", DomainError),
+    (MAX_BITS + 1, ResourceLimitError),
+])
+def test_bits_are_checked_before_any_work(monkeypatch, bits, error):
+    def no_work(*args):
+        raise AssertionError("the kernel ran before bits were checked")
+
+    monkeypatch.setattr(criterion, "_decided_kernel", no_work)
+    with pytest.raises(error):
+        check_criterion(5, 1, "0.1", bits=bits)
+    for path in ("walk", "sparse"):
+        with forced(path), pytest.raises(error):
+            scan_criterion((1, 400), 1, "0.1", bits=bits)
 
 
 def _count_kernel_calls(monkeypatch):
@@ -271,6 +311,7 @@ def test_scan_paths_agree_from_one(s, eps):
     ((245_847_922, 245_853_922), 1, "0.1"),    # the convergent numerator 245850922
     ((1_000_000, 1_004_000), 1, "0.1"),        # no violator: only the worst margin
     ((2**60 + 12345, 2**60 + 14345), 1, "0.1"),
+    ((1_000_000, 1_004_000), 3, "0.1"),
 ])
 def test_scan_paths_match_per_n_loop_far_out(window, s, eps):
     want = scan_key(scan("per_n", window, s, eps))

@@ -564,3 +564,33 @@ def test_walk_does_not_depend_on_its_start():
     assert list(abs_sin_walk(5, 4, base)) == []
     with pytest.raises(DomainError):
         list(abs_sin_walk(1, 5, 7))
+
+
+def test_walk_far_out_needs_few_sine_balls(monkeypatch):
+    # past n near 2.6e10 a fixed 32 guard bits no longer cover the reduction
+    # error of about n/6 ulps: every n needed two sin_ball calls (8192 here)
+    calls = []
+    ball = mpreal.sin_ball
+
+    def counting(n, w):
+        calls.append((n, w))
+        return ball(n, w)
+
+    monkeypatch.setattr(mpreal, "sin_ball", counting)
+    # the first guard stays at 32 bits up to n = 2**24
+    for n, guard in ((1 << 24, 32), ((1 << 24) + 1, 33)):
+        calls.clear()
+        abs_sin_canonical(n, 64)
+        assert calls[0] == (n, 64 + guard)
+    calls.clear()
+    lo, base = 10**12, 40
+    walked = list(abs_sin_walk(lo, lo + 4095, base))
+    assert len(calls) <= 64
+    monkeypatch.undo()
+    w = base + clog2(lo)
+    assert walked == [abs_sin_canonical(n, w) for n in range(lo, lo + 4096)]
+    for n in (lo, lo + 1, lo + 4095):
+        want, want_err = sin_by_reduction(n)
+        ends = {round_div(v.numerator, v.denominator)
+                for v in ((abs(want) - want_err) * (1 << w), (abs(want) + want_err) * (1 << w))}
+        assert ends == {walked[n - lo]}
