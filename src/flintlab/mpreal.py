@@ -46,8 +46,8 @@ spike search:
   rounds the same way; otherwise double the guard bits.  The result is
   a pure function of (n, w), whatever computed it.
 * :func:`abs_sin_walk` yields those same integers for consecutive n by
-  rotating ``(cos n, sin n)`` by ``(cos 1, sin 1)`` -- four
-  multiplications instead of a reduction and a Taylor sum per n.  It
+  the recurrence ``sin(n + 1) = 2 cos 1 * sin n - sin(n - 1)`` -- one
+  multiplication instead of a reduction and a Taylor sum per n.  It
   re-anchors on a direct ball every 4096 steps and wherever w changes,
   carries a proven drift bound, and hands any n whose rounding the
   drift leaves ambiguous to :func:`abs_sin_canonical`.
@@ -102,6 +102,7 @@ __all__ = [
 MAX_BITS = 10_000_000
 SIN_GUARD_BITS = 32      # least first guard-bit count of abs_sin_canonical and the walk
 WALK_BLOCK = 4096        # abs_sin_walk re-anchors at least this often
+_ROTATION_GUARD = 16     # bits of (cos 1, sin 1) beyond the walk's scale
 _STR_BITS = 8192         # _digits converts integers up to this size directly
 
 _ZERO = Fraction(0)
@@ -630,17 +631,21 @@ def sin_ball(n: int, w: int) -> tuple[int, int]:
     return (-S if k & 1 else S), e_red + e_sin + 1
 
 
-def _sincos_ball(n: int, w: int) -> tuple[int, int, int]:
-    """(C, S, err_ulps): cos n and sin n at 2**-w from one reduction.
+def _sincos_ball(n: int, w: int) -> tuple[int, int, int, int]:
+    """(C, S, e_red, e_ker): cos x and sin x at 2**-w from one reduction of n.
 
-    Both components are within err_ulps of the truth, as in sin_ball.
+    C and S are each within e_ker ulps of cos x and sin x for an x with
+    |x - n| <= e_red * 2**-w: x = k*pi + R * 2**-w for the reduce_fixed
+    triple (k, R, e_red), and e_ker is the larger kernel error.  As sine
+    and cosine are 1-Lipschitz, both are within e_red + e_ker ulps of
+    cos n and sin n.
     """
     k, R, e_red = reduce_fixed(n, w)
     S, e_sin = fx_sin(R, w)
     C, e_cos = fx_cos(R, w)
     if k & 1:
         C, S = -C, -S
-    return C, S, e_red + max(e_sin, e_cos) + 1
+    return C, S, e_red, max(e_sin, e_cos)
 
 
 def _round_abs(S: int, e: int, g: int) -> int | None:
@@ -685,8 +690,9 @@ def abs_sin_canonical(n: int, w: int) -> int:
 
 @lru_cache(maxsize=256)
 def _rotation(W: int) -> tuple[int, int, int]:
-    """(cos 1, sin 1) at 2**-W with their common error."""
-    return _sincos_ball(1, W)
+    """(cos 1, sin 1) at 2**-(W + _ROTATION_GUARD) with their common error."""
+    C1, S1, e_red, e_ker = _sincos_ball(1, W + _ROTATION_GUARD)
+    return C1, S1, e_red + e_ker
 
 
 def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
@@ -695,42 +701,63 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
     The values are the canonical ones, so they do not depend on lo or on
     where the walk anchors.  Within a block of equal w, at W = w + g bits
     with g = max(SIN_GUARD_BITS, c + 8), c = clog2(max(n, 2)) (the first
-    guard of abs_sin_canonical at 2**c), (C, S) ~ (cos n, sin n) * 2**W is
-    rotated by (C1, S1) ~ (cos 1, sin 1) * 2**W: C' = (C*C1 - S*S1) >> W
-    and S' = (S*C1 + C*S1) >> W.  A block starts on a direct ball and ends
-    before the next multiple of WALK_BLOCK and before w changes (at each
-    power of two).
+    guard of abs_sin_canonical at 2**c), S ~ sin n * 2**W advances by the
+    three-term recurrence sin(n + 1) = 2 cos 1 * sin n - sin(n - 1):
+    S' = (K*S >> W) - S_prev with K ~ 2 cos 1 * 2**W, one multiplication
+    per n.  A block starts on a direct ball and ends before the next
+    multiple of WALK_BLOCK and before w changes (at each power of two).
 
-    Error bound.  Treat points as complex numbers at scale 2**-W, let
-    u = cos n + j*sin n, U = (C + j*S) * 2**-W with |U - u| <= D * 2**-W,
-    and let the direct ball of n = 1 give rho = cos 1 + j*sin 1 and
-    P = (C1 + j*S1) * 2**-W with each component within e1 ulps, so
-    |P - rho| <= sqrt2*e1 * 2**-W.  Since |u| = |rho| = 1,
+    Error bound.  The direct ball (C, S, e_red, e0) = _sincos_ball(n0, W)
+    of the block's first n0 holds cos x0 and sin x0, each within e0 ulps,
+    for an x0 with |x0 - n0| <= e_red * 2**-W.  The reduction error is a
+    shift of the angle, which the recurrence carries along unchanged, so
+    the walk tracks t_j = sin(x0 + j) * 2**W: with e_j = S_j - t_j for
+    n = n0 + j, |S_j - sin n * 2**W| <= e_red + |e_j|, sine being
+    1-Lipschitz.  With |K - 2 cos 1 * 2**W| <= kappa and f_j in [0, 1)
+    the part the shift drops,
 
-        |U*P - u*rho| <= |U - u| * |P| + |P - rho|
-                      <= D*2**-W * (1 + sqrt2*e1*2**-W) + sqrt2*e1*2**-W,
+        e_{j+1} = 2 cos 1 * e_j - e_{j-1} + d_j,
+        d_j = (K - 2 cos 1 * 2**W) * (t_j + e_j) * 2**-W - f_j,
 
-    and flooring both components adds less than sqrt2 * 2**-W.  So one
-    step turns D into D + sqrt2*(e1 + 1) + sqrt2*D*e1*2**-W.  While
-    D*e1 < 2**(W-1) the last term is below 1, and D += 2*e1 + 4 is a
-    sound update.  An anchor with componentwise error e0 starts at
-    D = 2*e0 >= sqrt2*e0.  |S * 2**-W - sin n| <= |U - u|, so (S, D) is
-    a ball for sin n and goes through the same rounding test as
-    abs_sin_canonical; an ambiguous n falls back to abs_sin_canonical.
+    so |d_j| < kappa + 2 while kappa * |e_j| <= 2**W.  By induction on j,
+    with the Chebyshev polynomials U_j of the second kind at cos 1
+    (U_{j+1} = 2 cos 1 * U_j - U_{j-1}, U_{-1} = 0, U_0 = 1),
 
-    The condition D*e1 < 2**(W-1) holds for base >= 8.  Then g >= 32
-    gives W >= 40 + c, so n <= 2**(W-40).  The reduction error is at
-    most n/6 + 3 ulps.  For |x| <= 1.6 the Taylor terms start below
-    2**(W+1) and at least halve from the second on, so the kernels stop
-    with i <= W + 4 and report at most 8*W + 48 ulps; hence
-    e0 <= n/6 + 8*W + 52 and e1 <= 8*W + 51.  A block has at most
-    WALK_BLOCK - 1 steps, so D <= n/3 + 2**14 * (8*W + 53), and
-    D*e1 < 2**(W-1) for every W >= 40, however g grows W.  The same
-    n/3 term bounds the width 2D against the step 2**g >= 256 * 2**c, so
-    few walked n fall back.
+        e_j = U_j * e_0 - U_{j-1} * e_{-1} + sum_{i<j} U_{j-1-i} * d_i,
+
+    and |U_j| = |sin(j + 1)| / sin 1 < 6/5.  So |e_j| < 6/5 * (|e_0| +
+    |e_{-1}| + j * (kappa + 2)), and D = e_red + ceil(6/5 * (e0 + d)) +
+    j * ceil(6/5 * (kappa + 2)), with d the bound on |e_{-1}| below, is a
+    radius for sin n that grows by a fixed step per n.  (S, D) goes
+    through the same rounding test as abs_sin_canonical; an ambiguous n
+    falls back to abs_sin_canonical.
+
+    Starting values.  |e_0| <= e0.  (C1, S1, e1) = _rotation(W) holds
+    cos 1 and sin 1 at 2**-(W + h), h = _ROTATION_GUARD, each within e1
+    ulps, and S_{-1} = (S*C1 - C*S1) >> (W + h) rotates back to t_{-1}.
+    Written out, its error is (cos 1 * dS - sin 1 * dC) + (sin x0 * dC1 -
+    cos x0 * dS1) * 2**-h + (dS*dC1 - dC*dS1) * 2**-(W+h), minus the
+    dropped fraction, with every d a component error.  By Cauchy-Schwarz
+    on unit vectors the first two are at most sqrt2*e0 and
+    sqrt2*e1*2**-h, and the third is below 1 while e0*e1 < 2**(W+h-1);
+    so |e_{-1}| < sqrt2*(e0 + e1*2**-h) + 2 <= d = (3*e0 >> 1) + (e1 >>
+    (h-1)) + 4.  K = C1 >> (h - 1) gives kappa = 2*e1*2**-h + 1 <= (e1 >>
+    (h-1)) + 2, which the guard h keeps at 2 while e1 < 2**15.
+
+    The side conditions hold for base >= 8.  Then g >= 32 gives W >= 40 +
+    c, so n <= 2**(W-40).  The reduction error e_red is at most n/6 + 3
+    ulps.  For |x| <= 1.6 the Taylor terms start below 2**(W+1) and at
+    least halve from the second on, so the kernels stop with i <= W + 4
+    and report at most 8*W + 48 ulps; hence e0 <= 8*W + 48 and e1 <=
+    8*(W + h) + 50 = 8*W + 178.  A block has at most WALK_BLOCK - 1
+    steps, so D <= e_red + 3*e0 + e1/4 + 2**15 <= n/6 + 26*W + 2**16 and
+    kappa <= W/2**12 + 3, which keep kappa*D < 2**(W-1) for every W >=
+    40, however g grows W.  The same n/6 term bounds the width 2D against
+    the step 2**g >= 256 * 2**c, so few walked n fall back.
     """
     if lo < 1 or base < 8:
         raise DomainError(f"abs_sin_walk requires lo >= 1 and base >= 8, got {lo!r}, {base!r}")
+    h = _ROTATION_GUARD
     n = lo
     while n <= hi:
         c = clog2(max(n, 2))
@@ -739,16 +766,19 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
         # the block ends at the last n with this w, or of this WALK_BLOCK
         end = min(hi, 1 << c, (n - 1) // WALK_BLOCK * WALK_BLOCK + WALK_BLOCK)
         W = w + g
-        C, S, e0 = _sincos_ball(n, W)
+        C, S, e_red, e0 = _sincos_ball(n, W)
         C1, S1, e1 = _rotation(W)
-        step = 2 * e1 + 4
-        D = 2 * e0
+        prev = (S * C1 - C * S1) >> (W + h)
+        K = C1 >> (h - 1)
+        kappa = (e1 >> (h - 1)) + 2
+        D = e_red + (6 * (e0 + (3 * e0 >> 1) + (e1 >> (h - 1)) + 4) + 4) // 5
+        step = (6 * (kappa + 2) + 4) // 5
         while True:
             m = _round_abs(S, D, g)
             yield abs_sin_canonical(n, w) if m is None else m
             if n == end:
                 break
-            C, S = (C * C1 - S * S1) >> W, (S * C1 + C * S1) >> W
+            prev, S = S, (K * S >> W) - prev
             D += step
             n += 1
         n += 1

@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, PrecisionError
-from .mpreal import (MpReal, abs_sin_canonical, clog2, compute_pi, fx_ln_int,
-                     ln2_mantissa, sin_int)
+from .mpreal import (MpReal, _require_bits, abs_sin_canonical, clog2, compute_pi,
+                     fx_ln_int, ln2_mantissa, sin_int)
 
 __all__ = [
     "CfExpansion",
@@ -212,6 +212,7 @@ def convergent_numerators_up_to(n_max: int) -> set[int]:
 
 def local_exponent(n: int, bits: int = 64) -> float:
     """lambda(n) = -ln|sin n| / ln n, as a float."""
+    _require_bits(bits)
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"local_exponent requires an integer n >= 2, got {n!r}")
     w = max(bits, 64)
@@ -252,6 +253,7 @@ def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:
     impossible for distinct positive integers, so separation always
     exists.)  Only a record builds its ball and its local exponent.
     """
+    _require_bits(bits)
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError(f"spike_indices requires an integer n_max >= 1, got {n_max!r}")
     numerators = convergent_numerators_up_to(n_max)

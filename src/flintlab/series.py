@@ -123,6 +123,19 @@ def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, in
     T = round_div(N, den_c) = 0, and 0 < N/den_lo - N/den_hi <= 1/2, so
     e_units = 3: the values the full formulas give.  Below the gate the
     test costs one comparison per attempt.
+
+    The error width is 3 for nearly every term, and one test on T, m and
+    the power ball proves it without den_lo, den_hi and a second
+    division.  With a = N/den_c, T = round(a) gives a <= T + 1/2, and
+    N/den_lo - N/den_hi = a * (A - B), where A = (1 - 1/m)**-u / (1 - k)
+    and B = (1 + 1/m)**-u / (1 + k), k = p_err/p_units.  Let t = u/m + k.
+    Bernoulli's inequality gives (1 - 1/m)**u >= 1 - u/m and
+    (1 + 1/m)**-u >= 1 - u/m, so A <= 1/(1 - t) and B >= (1 - u/m)(1 - k)
+    >= 1 - t.  The test 4(T + 1)(u*p_units + p_err*m) <= m*p_units says
+    t <= 1/(4(T + 1)) <= 1/4, so A - B <= t/(1 - t) + t <= 7t/3, and
+    0 < a * (A - B) <= (T + 1/2) * 7/(12(T + 1)) < 1: the ceiling is 1 and
+    e_units = 3, what the exact formula gives.  Only terms with a tiny
+    sin n fail the test and take the exact formula.
     """
     acc = spec.acc_scale
     iv, frac = divmod(spec.v, 1)
@@ -148,13 +161,20 @@ def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, in
         N = 1 << shift
         den_c = (m ** spec.u) * n_pow * p_units
         T = round_div(N, den_c)
-        den_lo = ((m - 1) ** spec.u) * n_pow * (p_units - p_err)
-        den_hi = ((m + 1) ** spec.u) * n_pow * (p_units + p_err)
-        # ceil(N/den_lo - N/den_hi), on integers
-        e_units = -(-(N * (den_hi - den_lo)) // (den_lo * den_hi)) + 2
+        if (T + 1) * (spec.u * p_units + p_err * m) << 2 <= m * p_units:
+            return T, 3
+        e_units = _width_units(N, m, spec.u, n_pow, p_units, p_err)
         if e_units <= 1 << 14:
             return T, e_units
         w1, m = 2 * w1, None
+
+
+def _width_units(N: int, m: int, u: int, n_pow: int, p_units: int, p_err: int) -> int:
+    """ceil(N/den_lo - N/den_hi) + 2 on integers: the exact error width of a
+    term whose sine and power balls are m +- 1 and p_units +- p_err."""
+    den_lo = ((m - 1) ** u) * n_pow * (p_units - p_err)
+    den_hi = ((m + 1) ** u) * n_pow * (p_units + p_err)
+    return -(-(N * (den_hi - den_lo)) // (den_lo * den_hi)) + 2
 
 
 def term(n: int, spec: SeriesSpec) -> MpReal:

@@ -5,6 +5,7 @@ Pascal's triangle by addition, polynomial recurrences, and Fraction
 Taylor sums with explicit remainder bounds.  Nothing imports flintlab.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -166,6 +167,31 @@ def sin_by_reduction(n: int, digit_count: int = 80,
     if k % 2:
         approx = -approx
     return approx, taylor_err + reduction_err
+
+
+def term_units_ref(n: int, u: int, v: Fraction, acc: int, sine, power) -> tuple[int, int]:
+    """(T, e_units) of one series term 1/(|sin n|^u * n^v) at the scale
+    2**-acc: the package's escalating loop with its exact error width,
+    in Fractions.  sine(n, w) = round(|sin n| * 2**w), and power(n, f, w)
+    = (P, P_err, q) with |P - n**f * 2**(w-q)| <= P_err; the package
+    supplies both, so only the arithmetic on them is checked here."""
+    iv, frac = divmod(Fraction(v), 1)
+    w1 = acc + 48                       # the package's first sine margin
+    while True:
+        w = w1 + (max(n, 2) - 1).bit_length()
+        m = sine(n, w)
+        p, p_err, q = power(n, frac, w) if frac else (1, 0, w)
+        if m <= 1 or p <= p_err:
+            w1 *= 2
+            continue
+        N = Fraction(2) ** (acc + u * w + w - q)
+        a = N / (m ** u * n ** iv * p)
+        T = math.floor(a + Fraction(1, 2))
+        x = N / ((m - 1) ** u * n ** iv * (p - p_err)) - N / ((m + 1) ** u * n ** iv * (p + p_err))
+        e_units = math.ceil(x) + 2
+        if e_units <= 1 << 14:
+            return T, e_units
+        w1 *= 2
 
 
 # The fixed-point Taylor kernels in their first form: every step divides

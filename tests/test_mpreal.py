@@ -535,9 +535,9 @@ def test_abs_sin_canonical_is_the_correct_rounding(n):
 
 
 # A walk rounding that the drift bound leaves ambiguous, found by search
-# over 1..20000 at base 256 (the default sum's precision): the walk must
-# hand it to the direct path.
-AMBIGUOUS_WALK_N = 1588
+# at base 256 (the default sum's precision): the walk must hand it to the
+# direct path.  On 1..20000 the walk decides every n itself.
+AMBIGUOUS_WALK_N = 999206
 
 
 def test_walk_equals_direct_canonical_path(monkeypatch):
@@ -550,10 +550,44 @@ def test_walk_equals_direct_canonical_path(monkeypatch):
         return direct(n, w)
 
     monkeypatch.setattr(mpreal, "abs_sin_canonical", recording)
-    walked = list(abs_sin_walk(1, 20000, base))
+    for lo, hi in ((1, 20000), (990000, 1010000)):
+        fallbacks.clear()
+        walked = list(abs_sin_walk(lo, hi, base))
+        assert len(fallbacks) < 40
+        assert walked == [direct(n, base + clog2(max(n, 2))) for n in range(lo, hi + 1)]
     assert AMBIGUOUS_WALK_N in fallbacks
-    assert len(fallbacks) < 40
-    assert walked == [direct(n, base + clog2(max(n, 2))) for n in range(1, 20001)]
+
+
+@pytest.mark.parametrize("lo, hi, points", [
+    # block starts 1, 2, 3, 5, 4097, 8193 and the last steps of blocks at
+    # 4095, 4096, 8191, 8192; 2**14 ends the last block with clog2 n = 14
+    (1, 8200, (1, 2, 3, 5, 4095, 4096, 4097, 8191, 8192, 8193)),
+    (2**14 - 2, 2**14 + 1, (2**14 - 1, 2**14, 2**14 + 1)),
+    # 10**12 is a multiple of WALK_BLOCK: a block of one n, then a full one
+    (10**12, 10**12 + 4096, (10**12, 10**12 + 1, 10**12 + 4095, 10**12 + 4096)),
+])
+def test_walk_radius_holds_the_sine(monkeypatch, lo, hi, points):
+    # every (S, D, g) the walk hands to the rounding test is a ball for
+    # sin n at 2**-W, W = w + g
+    base = 256
+    round_abs = mpreal._round_abs
+    balls = []
+
+    def recording(S, e, g):
+        balls.append((S, e, g))
+        return round_abs(S, e, g)
+
+    monkeypatch.setattr(mpreal, "_round_abs", recording)
+    walk = abs_sin_walk(lo, hi, base)
+    for n in range(lo, hi + 1):
+        balls.clear()
+        next(walk)
+        if n in points:
+            S, D, g = balls[0]
+            W = base + clog2(max(n, 2)) + g
+            want, want_err = sin_by_reduction(n, 130, 60)
+            assert abs(Fraction(S, 1 << W) - want) <= Fraction(D, 1 << W) + want_err, n
+            assert want_err < Fraction(1, 1 << W)
 
 
 def test_walk_does_not_depend_on_its_start():

@@ -9,6 +9,7 @@ from flintlab import (
     DomainError,
     MpReal,
     PrecisionError,
+    ResourceLimitError,
     cf_terms,
     compute_pi,
     convergent_numerators_up_to,
@@ -16,7 +17,7 @@ from flintlab import (
     local_exponent,
     spike_indices,
 )
-from flintlab.mpreal import abs_sin_canonical
+from flintlab.mpreal import MAX_BITS, abs_sin_canonical
 from oracles import cf_terms_ref, pi_fraction
 
 PI_CF_20 = [3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2]
@@ -176,6 +177,17 @@ def test_local_exponent_tracks_float_reference():
 def test_local_exponent_rejects_n_one():
     with pytest.raises(DomainError):
         local_exponent(1)
+
+
+@pytest.mark.parametrize("bits, error", [
+    (-60, DomainError), (2.5, DomainError), (4, DomainError), ("64", DomainError),
+    (MAX_BITS + 1, ResourceLimitError),
+])
+def test_bits_are_checked_on_entry(bits, error):
+    with pytest.raises(error):
+        spike_indices(100, bits)
+    with pytest.raises(error):
+        local_exponent(355, bits)
 
 
 def test_spike_indices_400():

@@ -15,7 +15,9 @@ from flintlab import (
     save_checkpoint,
     term,
 )
-from oracles import sin_by_reduction
+import flintlab.series as series
+from flintlab.mpreal import abs_sin_canonical, fx_ln_int, fx_pow
+from oracles import sin_by_reduction, term_units_ref
 
 
 def oracle_term(n: int, s: int = 0) -> tuple[Fraction, Fraction]:
@@ -95,6 +97,50 @@ def test_term_units_identical_across_s():
         base = term(n, SeriesSpec(s=0))
         for s in (1, 2, 3):
             assert term(n, SeriesSpec(s=s)).man == base.man
+
+
+def _power(n, frac, w):
+    return fx_pow(*fx_ln_int(n, w), frac, w)
+
+
+GRID_N = (1, 2, 3, 22, 355, 103993, 104348, 833719)
+
+
+@pytest.mark.parametrize("u", [1, 2, 3, 4])
+@pytest.mark.parametrize("v", [2, 3, Fraction(5, 2), Fraction(1, 10)])
+def test_term_units_match_the_exact_width(u, v, monkeypatch):
+    # the width certificate must give the exact formula's e_units, and
+    # decline where a tiny sine makes the width larger
+    exact = series._width_units
+    widths = []
+
+    def recording(*args):
+        widths.append(exact(*args))
+        return widths[-1]
+
+    monkeypatch.setattr(series, "_width_units", recording)
+    for bits in (8, 128, 1024):
+        spec = SeriesSpec(u=u, v=v, bits=bits)
+        ns = GRID_N + tuple(range(1000, 1040)) if bits == 128 else GRID_N
+        for n in ns:
+            want = term_units_ref(n, u, v, spec.acc_scale, abs_sin_canonical, _power)
+            assert series._term_units(n, spec) == want, (bits, n)
+    if (u, v) == (4, 2):
+        # 355 fails the certificate at every bits, and its width is 20
+        assert widths == [20, 20, 20]
+    if v == 3 or u < 3:
+        assert widths == []
+
+
+def test_sum_over_a_run_matches_the_exact_width():
+    spec = SeriesSpec(u=3, v=Fraction(1, 10), bits=64)
+    want = [term_units_ref(n, 3, spec.v, spec.acc_scale, abs_sin_canonical, _power)
+            for n in range(300, 421)]
+    first = partial_sum(299, spec)
+    r = partial_sum(420, spec, checkpoint=first)
+    assert r.units - first.units == sum(t for t, _ in want)
+    assert r.err_units - first.err_units == sum(e for _, e in want)
+    assert max(e for _, e in want) > 3               # 355 is in the run
 
 
 def test_term_rejects_bad_index():
