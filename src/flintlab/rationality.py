@@ -9,9 +9,9 @@ precision-exhausted.  (Quotients are discontinuous in the input; a
 center-only extraction silently corrupts the tail.)
 
 Spikes are the running record minima of |sin n| -- parameter-free, and
-exactly the indices where the series term 1/(sin^2 n * n^3) jumps.  For
-n >= 3 every record index is a numerator of a continued-fraction
-convergent of pi; the local exponent
+exactly the indices where the series term 1/(sin^2 n * n^3) jumps.  The
+records are exactly 1 and the numerators of the continued-fraction
+convergents of pi (see spike_indices); the local exponent
 
     lambda(n) = -ln|sin n| / ln n
 
@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, PrecisionError
-from .mpreal import (MpReal, _require_bits, abs_sin_canonical, clog2, compute_pi,
-                     fx_ln_int, ln2_mantissa, sin_int)
+from .mpreal import (MpReal, _require_bits, clog2, compute_pi, fx_ln_int, ln2_mantissa,
+                     sin_int)
 
 __all__ = [
     "CfExpansion",
@@ -58,7 +58,6 @@ class CfExpansion:
 
 
 _LEHMER_MIN_BITS = 320    # below this size cf_terms steps on the integers alone
-_SPIKE_GUARD = 8          # spike_indices' first guard bits, beyond bits + clog2 n
 
 
 def _cf_matrix(terms: Sequence[int], lo: int, hi: int) -> tuple[int, int, int, int]:
@@ -234,45 +233,40 @@ class SpikeRecord:
     is_convergent_numerator: bool
 
 
-def _canonical_sine(n: int, bits: int, guard: int) -> tuple[int, int]:
-    """(m, w) with m = round(|sin n| * 2**w), w = bits + guard + clog2 n."""
-    w = bits + guard + clog2(n)
-    return abs_sin_canonical(n, w), w
-
-
 def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:
     """Running record minima of |sin n| for 1 <= n <= n_max, ascending.
 
-    Each record's |sin| is *strictly* below every predecessor's, decided
-    on integers: (m, w) from _canonical_sine puts |sin n| * 2**(w+1)
-    strictly inside (2m - 1, 2m + 1), as |sin n| * 2**w is never a
-    half-integer.  n beats the last record b when (2m + 1) * 2**w_b <=
-    (2m_b - 1) * 2**w, and loses when (2m - 1) * 2**w_b >= (2m_b + 1) *
-    2**w; otherwise both are recomputed with the guard bits doubled.
-    (|sin a| = |sin b| would force a +- b to be a multiple of pi,
-    impossible for distinct positive integers, so separation always
-    exists.)  Only a record builds its ball and its local exponent.
+    n is a record when |sin n| < |sin m| for every 1 <= m < n.  The records
+    are 1 and the convergent numerators p_k <= n_max of pi, so they are
+    read off convergent_numerators_up_to instead of searched for:
+
+    * Write ||x|| for the distance from x to the nearest integer.  With k
+      the integer nearest n/pi, n = k*pi + r with |r| = pi*||n/pi|| <= pi/2,
+      so |sin n| = |sin r| = sin(pi*||n/pi||), which increases with
+      ||n/pi|| on [0, 1/2].  So the records of |sin n| are the records of
+      ||n/pi||: the n with ||n/pi|| < ||m/pi|| for all 1 <= m < n.  With p
+      the integer nearest n/pi, these are the p/n that are best
+      approximations of the second kind of 1/pi = [0; 3, 7, 15, 1, ...].
+    * By Lagrange's theorem (see Khinchin, Continued Fractions) the best
+      approximations of the second kind of an irrational number are
+      exactly its convergents, save p_0/q_0 when a_1 = 1.  For
+      1/pi, a_1 = 3, so the convergent denominators q_0 = 1 < q_1 = 3 <
+      q_2 = 22 < ... strictly increase and every one is a record: the
+      records are exactly 1, 3, 22, 333, 355, 103993, ....  The
+      convergents of 1/pi are the reciprocals of pi's, so q_{k+1} = p_k:
+      the records are 1 and pi's convergent numerators.
+    * The records are strict: ||n/pi|| = ||m/pi|| for n != m would put
+      n - m or n + m on a nonzero multiple of pi, which no integer is.
+
+    Each record carries sin_int(n, bits).abs_() and, for n >= 2, its local
+    exponent; ln 1 = 0 leaves lambda undefined at n = 1.  |sin p_k| is
+    about pi/(a_{k+1} p_k), so local_exponent raises PrecisionError once
+    it falls below 2**-max(bits, 64): bits must exceed about log2(n_max).
     """
     _require_bits(bits)
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError(f"spike_indices requires an integer n_max >= 1, got {n_max!r}")
-    numerators = convergent_numerators_up_to(n_max)
-    records: list[SpikeRecord] = []
-    best = (0, 0)          # the last record's (m, w) at _SPIKE_GUARD
-    for n in range(1, n_max + 1):
-        first = m, w = _canonical_sine(n, bits, _SPIKE_GUARD)
-        (mb, wb), guard = best, _SPIKE_GUARD
-        while records and (2 * m + 1) << wb > (2 * mb - 1) << w:
-            if (2 * m - 1) << wb >= (2 * mb + 1) << w:
-                break                                   # n loses
-            guard *= 2
-            b = records[-1].n
-            if bits + guard > 1 << 20:
-                raise PrecisionError(
-                    f"|sin {n}| vs |sin {b}| undecided at {bits + guard} bits")
-            (m, w), (mb, wb) = _canonical_sine(n, bits, guard), _canonical_sine(b, bits, guard)
-        else:                                           # n is a record
-            lam = local_exponent(n, bits) if n >= 2 else None
-            records.append(SpikeRecord(n, sin_int(n, bits).abs_(), lam, n in numerators))
-            best = first
+    records = [SpikeRecord(1, sin_int(1, bits).abs_(), None, False)]
+    for p in sorted(convergent_numerators_up_to(n_max)):
+        records.append(SpikeRecord(p, sin_int(p, bits).abs_(), local_exponent(p, bits), True))
     return records

@@ -39,7 +39,6 @@ from .mpreal import (
     exact_fraction,
     fx_ln_int,
     fx_pow,
-    round_div,
 )
 
 __all__ = [
@@ -98,16 +97,32 @@ class SeriesSpec:
 _SIN_MARGIN = 48
 
 
-def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, int]:
+def _term_units(n: int, spec: SeriesSpec) -> tuple[int, int]:
     """(T, e): term(n) = T * 2**-A with |error| <= e * 2**-A, A = acc_scale.
 
-    Deterministic in (n, spec) alone.  m = round(|sin n| * 2**w) is
-    exact, so its error is at most half an ulp and a radius of 1 covers it.
-    A caller may pass m for the first working precision w (partial_sum
-    takes it from abs_sin_walk); otherwise, and at every escalation, it
-    comes from abs_sin_canonical.  The working precision starts high
-    enough that the escalation loop is idle in practice, but it is
-    there, and it never consults the surrounding summation context.
+    Deterministic in (n, spec) alone: _units with the spec's values and
+    n's block formed for this one term.
+    """
+    iv, frac = divmod(spec.v, 1)
+    return _units(n, clog2(max(n, 2)), None, spec.u, iv, frac, spec.acc_scale)
+
+
+def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
+           acc: int) -> tuple[int, int]:
+    """(T, e) of _term_units, from values that are fixed per spec or per block.
+
+    u is the sine power, v = iv + frac with frac in [0, 1), acc the
+    accumulator scale and c = clog2(max(n, 2)), which is the same for
+    every n of a power-of-two block (2**(c-1), 2**c]; partial_sum forms
+    them once per spec and per block.  The first working precision is
+    w = acc + _SIN_MARGIN + c.
+
+    m = round(|sin n| * 2**w) is exact, so its error is at most half an
+    ulp and a radius of 1 covers it.  A caller may pass m for the first
+    w (partial_sum takes it from abs_sin_walk); otherwise, and at every
+    escalation, it comes from abs_sin_canonical.  The working precision
+    starts high enough that the escalation loop is idle in practice, but
+    it is there, and it never consults the surrounding summation context.
 
     G(n)^(2s) and n^(2s) are not computed: G(n) = n, so they cancel, and
     T and e_units, a rounding and a ceiling of integer ratios, are the same
@@ -137,11 +152,9 @@ def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, in
     e_units = 3, what the exact formula gives.  Only terms with a tiny
     sin n fail the test and take the exact formula.
     """
-    acc = spec.acc_scale
-    iv, frac = divmod(spec.v, 1)
     w1 = acc + _SIN_MARGIN
     while True:
-        w = w1 + clog2(max(n, 2))
+        w = w1 + c
         if w > MAX_BITS:
             raise ResourceLimitError(
                 f"term(n={n}) escalated past the {MAX_BITS}-bit ceiling"
@@ -153,17 +166,17 @@ def _term_units(n: int, spec: SeriesSpec, m: int | None = None) -> tuple[int, in
         if m <= 1 or p_units <= p_err:
             w1, m = 2 * w1, None
             continue
-        shift = acc + spec.u * w + w - q
-        if iv > acc and (spec.u * ((m - 1).bit_length() - 1) + iv * (n.bit_length() - 1)
+        shift = acc + u * w + w - q
+        if iv > acc and (u * ((m - 1).bit_length() - 1) + iv * (n.bit_length() - 1)
                          + (p_units - p_err).bit_length() > shift + 1):
             return 0, 3
         n_pow = n ** iv
         N = 1 << shift
-        den_c = (m ** spec.u) * n_pow * p_units
-        T = round_div(N, den_c)
-        if (T + 1) * (spec.u * p_units + p_err * m) << 2 <= m * p_units:
+        den_c = (m ** u) * n_pow * p_units
+        T = ((N << 1) + den_c) // (den_c << 1)            # round_div(N, den_c)
+        if (T + 1) * (u * p_units + p_err * m) << 2 <= m * p_units:
             return T, 3
-        e_units = _width_units(N, m, spec.u, n_pow, p_units, p_err)
+        e_units = _width_units(N, m, u, n_pow, p_units, p_err)
         if e_units <= 1 << 14:
             return T, e_units
         w1, m = 2 * w1, None
@@ -233,11 +246,18 @@ def partial_sum(k: int, spec: SeriesSpec,
         start = checkpoint.k + 1
         units = checkpoint.units
         err_units = checkpoint.err_units
-    walk = abs_sin_walk(start, k, spec.acc_scale + _SIN_MARGIN)
-    for n, m in zip(range(start, k + 1), walk):
-        t, e = _term_units(n, spec, m)
-        units += t
-        err_units += e
+    acc, u = spec.acc_scale, spec.u
+    iv, frac = divmod(spec.v, 1)
+    walk = abs_sin_walk(start, k, acc + _SIN_MARGIN)
+    lo = start
+    while lo <= k:
+        c = clog2(max(lo, 2))
+        hi = min(k, 1 << c)                 # the block of n with clog2(max(n, 2)) = c
+        for n, m in zip(range(lo, hi + 1), walk):
+            t, e = _units(n, c, m, u, iv, frac, acc)
+            units += t
+            err_units += e
+        lo = hi + 1
     return PartialSumResult(spec, k, units, err_units)
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately primitive: digit-by-digit spigot for pi,
 Pascal's triangle by addition, polynomial recurrences, and Fraction
-Taylor sums with explicit remainder bounds.  Nothing imports flintlab.
+Taylor sums with explicit remainder bounds.  Nothing imports flintlab:
+where an oracle needs one of its primitives, the caller passes it in.
 """
 
 import math
@@ -192,6 +193,49 @@ def term_units_ref(n: int, u: int, v: Fraction, acc: int, sine, power) -> tuple[
         if e_units <= 1 << 14:
             return T, e_units
         w1 *= 2
+
+
+_SPIKE_GUARD = 8          # spike_records_ref's first guard bits, beyond bits + clog2 n
+
+
+def _canonical_sine(n: int, bits: int, guard: int, sine) -> tuple[int, int]:
+    """(m, w) with m = sine(n, w) = round(|sin n| * 2**w), w = bits + guard + clog2 n."""
+    w = bits + guard + (n - 1).bit_length()
+    return sine(n, w), w
+
+
+def spike_records_ref(n_max: int, bits: int, canonical_sine,
+                      undecided=ArithmeticError) -> list[int]:
+    """Running record minima of |sin n| for 1 <= n <= n_max, ascending, by
+    the integer record loop the package's spike_indices once ran.
+
+    canonical_sine(n, w) = round(|sin n| * 2**w); the package supplies it.
+    Each record's |sin| is *strictly* below every predecessor's, decided
+    on integers: (m, w) from _canonical_sine puts |sin n| * 2**(w+1)
+    strictly inside (2m - 1, 2m + 1), as |sin n| * 2**w is never a
+    half-integer.  n beats the last record b when (2m + 1) * 2**w_b <=
+    (2m_b - 1) * 2**w, and loses when (2m - 1) * 2**w_b >= (2m_b + 1) *
+    2**w; otherwise both are recomputed with the guard bits doubled, and a
+    tie still open past 2**20 bits raises `undecided`.
+    """
+    records: list[int] = []
+    best = (0, 0)          # the last record's (m, w) at _SPIKE_GUARD
+    for n in range(1, n_max + 1):
+        first = m, w = _canonical_sine(n, bits, _SPIKE_GUARD, canonical_sine)
+        (mb, wb), guard = best, _SPIKE_GUARD
+        while records and (2 * m + 1) << wb > (2 * mb - 1) << w:
+            if (2 * m - 1) << wb >= (2 * mb + 1) << w:
+                break                                   # n loses
+            guard *= 2
+            b = records[-1]
+            if bits + guard > 1 << 20:
+                raise undecided(f"|sin {n}| vs |sin {b}| undecided at {bits + guard} bits")
+            m, w = _canonical_sine(n, bits, guard, canonical_sine)
+            mb, wb = _canonical_sine(b, bits, guard, canonical_sine)
+        else:                                           # n is a record
+            records.append(n)
+            best = first
+    return records
 
 
 # The fixed-point Taylor kernels in their first form: every step divides

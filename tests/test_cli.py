@@ -298,6 +298,14 @@ def test_resource_limit_is_precision_error(capsys):
     assert json.loads(err)["error"] == "ResourceLimitError"
 
 
+def test_spikes_past_the_precision_fail_cleanly(capsys):
+    code, out, err = run(capsys, "spikes", "--n-max", str(10**30), "--bits", "64")
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "PrecisionError"
+
+
 def test_unreadable_file_is_usage_error(capsys):
     code, out, err = run(capsys, "pi", "--bits", "64", "--fixture", "/nonexistent/pi.txt")
     assert code == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-import flintlab.rationality as rationality
+import oracles
 from flintlab import (
     DomainError,
     MpReal,
@@ -15,10 +15,11 @@ from flintlab import (
     convergent_numerators_up_to,
     convergents,
     local_exponent,
+    sin_int,
     spike_indices,
 )
 from flintlab.mpreal import MAX_BITS, abs_sin_canonical
-from oracles import cf_terms_ref, pi_fraction
+from oracles import cf_terms_ref, pi_fraction, sin_by_reduction, spike_records_ref
 
 PI_CF_20 = [3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2]
 
@@ -234,33 +235,77 @@ def test_spike_records_are_the_convergent_numerators():
 
 
 def _spike_key(records):
-    return [(r.n, r.abs_sin.man, r.abs_sin.exp, r.abs_sin.err, r.lam,
+    return [(r.n, r.abs_sin.man, r.abs_sin.exp, r.abs_sin.err, repr(r.lam),
              r.is_convergent_numerator) for r in records]
+
+
+SPIKE_GRID_N = (1, 2, 3, 4, 21, 22, 23, 332, 333, 354, 355, 356,
+                12000, 103992, 103993, 110000)
+
+
+@pytest.mark.parametrize("bits", [8, 64, 200])
+def test_spike_indices_equal_the_record_loop(bits):
+    # The loop's records up to n_max are a prefix of its records up to
+    # 110000, so one run covers the grid.  Each record gets the ball, the
+    # exponent and the flag the loop gave it.
+    numerators = convergent_numerators_up_to(110_000)
+    want = []
+    for n in spike_records_ref(110_000, bits, abs_sin_canonical):
+        s = sin_int(n, bits).abs_()
+        lam = local_exponent(n, bits) if n >= 2 else None
+        want.append((n, s.man, s.exp, s.err, repr(lam), n in numerators))
+    for n_max in SPIKE_GRID_N:
+        got = _spike_key(spike_indices(n_max, bits))
+        assert got == [key for key in want if key[0] <= n_max], n_max
 
 
 def test_spike_ties_escalate_without_changing_the_records(monkeypatch):
     # At the first guard bits, n = 355 gets a genuine but 4-bit bracket,
     # |sin 355| < 2**-5, which ties with the record 333 and then with every
     # later n with |sin n| < 2**-5: 377 and 399 (near multiples of 7*pi).
-    real = rationality._canonical_sine
+    real = oracles._canonical_sine
     escalated = []
 
-    def coarse_355(n, bits, guard):
-        if guard > rationality._SPIKE_GUARD:
+    def coarse_355(n, bits, guard, sine):
+        if guard > oracles._SPIKE_GUARD:
             escalated.append(n)
         elif n == 355:
-            return abs_sin_canonical(355, 4), 4
-        return real(n, bits, guard)
+            return sine(355, 4), 4
+        return real(n, bits, guard, sine)
 
-    want = _spike_key(spike_indices(400))
-    monkeypatch.setattr(rationality, "_canonical_sine", coarse_355)
-    assert _spike_key(spike_indices(400)) == want
+    want = spike_records_ref(400, 64, abs_sin_canonical)
+    assert want == [r.n for r in spike_indices(400)]
+    monkeypatch.setattr(oracles, "_canonical_sine", coarse_355)
+    assert spike_records_ref(400, 64, abs_sin_canonical) == want
     assert set(escalated) == {333, 355, 377, 399}    # one win, two losses
 
 
 def test_spike_tie_at_the_precision_cap(monkeypatch):
     # m = 0 brackets never separate: the doubling stops at 2**20 bits
-    monkeypatch.setattr(rationality, "_canonical_sine",
-                        lambda n, bits, guard: (0, bits + guard))
+    monkeypatch.setattr(oracles, "_canonical_sine",
+                        lambda n, bits, guard, sine: (0, bits + guard))
     with pytest.raises(PrecisionError, match="undecided"):
-        spike_indices(5)
+        spike_records_ref(5, 64, abs_sin_canonical, PrecisionError)
+
+
+def test_spikes_to_1e30_are_the_convergent_numerators():
+    n_max = 10**30
+    apx, err = pi_fraction(120)
+    terms, _, _ = cf_terms_ref(apx - err, apx + err, 10**6)
+    numerators = [c.p for c in convergents(terms)]
+    assert numerators[-1] > n_max
+    records = spike_indices(n_max, 128)
+    assert [r.n for r in records] == [1] + [p for p in numerators if p <= n_max]
+    assert all(r.is_convergent_numerator and r.lam > 0 for r in records[1:])
+    for r in records:
+        # 100 digits of pi leave a reduction error of about 1e-70 at 1e30
+        approx, rad = sin_by_reduction(r.n, 100)
+        assert rad < Fraction(1, 1 << 200)
+        assert abs(abs(approx) - r.abs_sin.center()) <= rad + r.abs_sin.err, r.n
+
+
+def test_spikes_to_1e30_need_more_than_64_bits():
+    # |sin p| falls below 2**-64 before 1e30, and local_exponent says so
+    with pytest.raises(PrecisionError, match="indistinguishable") as info:
+        spike_indices(10**30, 64)
+    assert info.type is PrecisionError
