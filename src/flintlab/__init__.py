@@ -7,67 +7,30 @@ the near-resonances, deterministic checkpointable partial sums, and a
 scan of the bounding inequality that controls convergence.
 """
 
-from .combinatorics import (
-    GValue,
-    binomial,
-    g_value,
-    g_value_double_sum,
-    multiple_angle_coefficients,
-)
-from .criterion import (
-    CriterionReport,
-    ScanResult,
-    check_criterion,
-    scan_criterion,
-)
-from .errors import (
-    CheckpointMismatchError,
-    DegenerateInputError,
-    DomainError,
-    FlintlabError,
-    PrecisionError,
-    ResourceLimitError,
-    UndecidableError,
-    UsageError,
-)
-from .identities import (
-    ResidualReport,
-    seeded_thetas,
-    verify_angle_difference,
-    verify_multiple_angle,
-    verify_multiple_angle_sweep,
-    verify_sinc_limit,
-)
-from .mpreal import (
-    MAX_BITS,
-    MpReal,
-    compute_pi,
-    cos_reduced,
-    exact_decimal,
-    guaranteed_decimal,
-    sin_int,
-    sin_reduced,
-)
-from .rationality import (
-    CfExpansion,
-    Convergent,
-    SpikeRecord,
-    cf_terms,
-    convergent_numerators_up_to,
-    convergents,
-    local_exponent,
-    spike_indices,
-)
-from .series import (
-    EquivalenceRow,
-    PartialSumResult,
-    SeriesSpec,
-    equivalence_experiment,
-    load_checkpoint,
-    partial_sum,
-    save_checkpoint,
-    term,
-)
+import importlib
+
+# public name -> submodule that defines it; imported on first use (PEP 562),
+# so ``import flintlab`` and ``python -m flintlab <cmd>`` load only what runs
+_HOME = {
+    **dict.fromkeys(("GValue", "binomial", "g_value", "g_value_double_sum",
+                     "multiple_angle_coefficients"), "combinatorics"),
+    **dict.fromkeys(("CriterionReport", "ScanResult", "check_criterion",
+                     "scan_criterion"), "criterion"),
+    **dict.fromkeys(("CheckpointMismatchError", "DegenerateInputError", "DomainError",
+                     "FlintlabError", "PrecisionError", "ResourceLimitError",
+                     "UndecidableError", "UsageError"), "errors"),
+    **dict.fromkeys(("ResidualReport", "seeded_thetas", "verify_angle_difference",
+                     "verify_multiple_angle", "verify_multiple_angle_sweep",
+                     "verify_sinc_limit"), "identities"),
+    **dict.fromkeys(("MAX_BITS", "MpReal", "compute_pi", "cos_reduced", "exact_decimal",
+                     "guaranteed_decimal", "sin_int", "sin_reduced"), "mpreal"),
+    **dict.fromkeys(("CfExpansion", "Convergent", "SpikeRecord", "cf_terms",
+                     "convergent_numerators_up_to", "convergents", "local_exponent",
+                     "spike_indices"), "rationality"),
+    **dict.fromkeys(("EquivalenceRow", "PartialSumResult", "SeriesSpec",
+                     "equivalence_experiment", "load_checkpoint", "partial_sum",
+                     "save_checkpoint", "term"), "series"),
+}
 
 __version__ = "0.1.0"
 
@@ -120,3 +83,17 @@ __all__ = [
     "verify_multiple_angle_sweep",
     "verify_sinc_limit",
 ]
+
+
+def __getattr__(name):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

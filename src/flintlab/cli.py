@@ -6,36 +6,24 @@ Each ``_cmd_<name>`` computes its result once and returns one
 reads ``--format``; CSV is comma-separated, RFC 4180-quoted and
 LF-terminated.  ``main`` checks ``--bits >= 8`` once for every
 subcommand that has it.  ``flintlab --help`` prints ``_DESCRIPTION``.
+
+Only ``mpreal`` and ``errors`` load with this module.  Each ``_cmd_<name>``
+imports what else it runs when it is called, so a cold start loads only
+that, and a name replaced in its home module (a test's patch, a tracing
+wrapper) is the one the command calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinatorics import g_value, multiple_angle_coefficients
-from .criterion import check_criterion, scan_criterion
 from .errors import CheckpointMismatchError, PrecisionError, UsageError
-from .identities import (
-    verify_angle_difference,
-    verify_multiple_angle_sweep,
-    verify_sinc_limit,
-)
 from .mpreal import MpReal, compute_pi, floor_log10, round_div, sin_int
-from .rationality import cf_terms, local_exponent, spike_indices
-from .series import (
-    SeriesSpec,
-    load_checkpoint,
-    partial_sum,
-    save_checkpoint,
-    equivalence_experiment,
-    term,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -79,9 +67,9 @@ class _Record(NamedTuple):
 
 def _render(record: _Record, fmt: str) -> None:
     if fmt == "json":
-        json.dump(record.doc, sys.stdout)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(record.doc) + "\n")
     elif fmt == "csv" and record.csv is not None:
+        import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows(record.csv)
     else:
         for line in record.text:
@@ -125,6 +113,7 @@ def _number(x: int | Fraction) -> int | float:
 
 
 def _cmd_sum(args) -> _Record:
+    from .series import SeriesSpec, load_checkpoint, partial_sum, save_checkpoint
     spec = SeriesSpec(s=args.s, u=args.u, v=args.v, bits=args.bits)
     checkpoint = load_checkpoint(args.resume) if args.resume else None
     result = partial_sum(args.k, spec, checkpoint=checkpoint)
@@ -137,6 +126,7 @@ def _cmd_sum(args) -> _Record:
 
 
 def _cmd_term(args) -> _Record:
+    from .series import SeriesSpec, term
     spec = SeriesSpec(s=args.s, u=args.u, v=args.v, bits=args.bits)
     val = term(args.n, spec)
     doc = {"n": args.n, "s": spec.s, "u": spec.u, "v": _number(spec.v), "bits": spec.bits,
@@ -148,12 +138,14 @@ def _cmd_term(args) -> _Record:
 # ---------------------------------------------------------------- g / coeffs
 
 def _cmd_g(args) -> _Record:
+    from .combinatorics import g_value
     result = g_value(args.n)
     doc = {"n": result.n, "g": result.value}
     return _Record(doc, [result.value], _one_row(doc, "n", "g"))
 
 
 def _cmd_coeffs(args) -> _Record:
+    from .combinatorics import multiple_angle_coefficients
     coeffs = [[p, c] for p, c in multiple_angle_coefficients(args.n)]
     return _Record({"n": args.n, "coefficients": coeffs},
                    [f"{p} {c}" for p, c in coeffs], [["power", "coeff"]] + coeffs)
@@ -197,6 +189,7 @@ def _cmd_sin(args) -> _Record:
 
 
 def _cmd_cf(args) -> _Record:
+    from .rationality import cf_terms
     expansion = cf_terms(compute_pi(args.bits), args.count)
     doc = {"bits": args.bits, "count": args.count, "terms": list(expansion.terms),
            "exhausted": expansion.exhausted, "complete": expansion.complete}
@@ -208,6 +201,7 @@ def _cmd_cf(args) -> _Record:
 # ---------------------------------------------------------------- spikes / lambda
 
 def _cmd_spikes(args) -> _Record:
+    from .rationality import spike_indices
     records = spike_indices(args.n_max, args.bits)
     doc = {"n_max": args.n_max, "bits": args.bits, "spikes": [
         {"n": r.n, "abs_sin": r.abs_sin.decimal(15), "lambda": r.lam,
@@ -220,6 +214,7 @@ def _cmd_spikes(args) -> _Record:
 
 
 def _cmd_lambda(args) -> _Record:
+    from .rationality import local_exponent
     lam = local_exponent(args.n, args.bits)
     doc = {"n": args.n, "bits": args.bits, "lambda": lam}
     return _Record(doc, [repr(lam)], _one_row(doc, "n", "lambda"))
@@ -233,6 +228,7 @@ def _criterion_csv(reports) -> list:
 
 
 def _cmd_criterion(args) -> _Record:
+    from .criterion import check_criterion
     report = check_criterion(args.n, args.s, args.eps, args.bits)
     doc = {"n": report.n, "s": report.s, "epsilon": report.epsilon,
            "satisfied": report.satisfied, "margin": report.margin,
@@ -246,6 +242,7 @@ def _cmd_criterion(args) -> _Record:
 
 
 def _cmd_scan(args) -> _Record:
+    from .criterion import scan_criterion
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     result = scan_criterion((getattr(args, "from"), args.to), args.s, args.eps,
@@ -267,6 +264,7 @@ def _cmd_scan(args) -> _Record:
 # ---------------------------------------------------------------- identity / equiv
 
 def _cmd_sinc(args) -> _Record:
+    from .identities import verify_sinc_limit
     ms = [Fraction(1, 10 ** j) for j in range(1, args.depth + 1)]
     pairs = verify_sinc_limit(ms, args.bits)
     rows = [{"m": m.decimal(20), "ratio": ratio.decimal(),
@@ -280,6 +278,7 @@ def _cmd_sinc(args) -> _Record:
 def _cmd_identity(args) -> _Record:
     if args.check == "sinc":
         return _cmd_sinc(args)
+    from .identities import verify_angle_difference, verify_multiple_angle_sweep
     if args.check == "multiple-angle":
         reports = verify_multiple_angle_sweep(args.n_max, args.count,
                                               args.bits, seed=args.seed)
@@ -303,6 +302,7 @@ def _cmd_identity(args) -> _Record:
 
 
 def _cmd_equiv(args) -> _Record:
+    from .series import equivalence_experiment
     rows = equivalence_experiment(args.k, args.s_max, args.bits)
     doc = {"k": args.k, "bits": args.bits, "rows": [
         {"s": r.s, "value": r.value.decimal(), "err": _sci(r.err),
@@ -437,8 +437,7 @@ _EXIT_CODES = ((CheckpointMismatchError, 3), (UsageError, 1), (PrecisionError, 2
 
 
 def _emit_error(exc: BaseException) -> None:
-    json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-    sys.stderr.write("\n")
+    sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,6 @@ import contextlib
 import math
 from fractions import Fraction
 
-import flintlab.cli as cli
 import flintlab.criterion as criterion
 
 PATHS = ("walk", "sparse", "per_n")
@@ -40,14 +39,14 @@ def per_n_scan(n_range, s, epsilon, bits=64, threads=1):
 @contextlib.contextmanager
 def forced(path):
     """Make scan_criterion take `path`, one of PATHS, until the block ends."""
-    saved = criterion._use_sparse, criterion.scan_criterion, cli.scan_criterion
+    saved = criterion._use_sparse, criterion.scan_criterion
     criterion._use_sparse = lambda *args: path == "sparse"
     if path == "per_n":
-        criterion.scan_criterion = cli.scan_criterion = per_n_scan
+        criterion.scan_criterion = per_n_scan
     try:
         yield
     finally:
-        criterion._use_sparse, criterion.scan_criterion, cli.scan_criterion = saved
+        criterion._use_sparse, criterion.scan_criterion = saved
 
 
 def scan(path, window, s, eps, threads=1):

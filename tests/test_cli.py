@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import flintlab.cli as cli
+import flintlab.criterion as criterion
 from flintlab import MAX_BITS, SeriesSpec, partial_sum, sin_int
 from flintlab.cli import main
 from oracles import DATA_DIR, sci_ref
@@ -385,7 +386,9 @@ def _raise(exc):
     ("_cmd_g", ["g", "--n", "4"], KeyboardInterrupt(), 130),
 ])
 def test_unexpected_failure_is_one_json_line(capsys, monkeypatch, target, argv, exc, want):
-    monkeypatch.setattr(cli, target, _raise(exc))
+    # the scan command imports scan_criterion from its home module when it runs
+    home = criterion if target == "scan_criterion" else cli
+    monkeypatch.setattr(home, target, _raise(exc))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (want, "")
     lines = err.splitlines()
