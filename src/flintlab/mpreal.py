@@ -845,10 +845,9 @@ def cos_reduced(x: MpReal, bits: int) -> MpReal:
 def exact_decimal(value: Fraction) -> str:
     """Exact decimal expansion; the denominator must divide some 10**d."""
     den = value.denominator
-    two = five = 0
-    while den % 2 == 0:
-        den //= 2
-        two += 1
+    two = (den & -den).bit_length() - 1
+    den >>= two
+    five = 0
     while den % 5 == 0:
         den //= 5
         five += 1

@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 
+def _is_int(x) -> bool:
+    """x is an int and not a bool (JSON true and false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     """Parameters of one family member: depth s, sine power u, n-power v.
@@ -69,9 +74,9 @@ class SeriesSpec:
     bits: int = 128
 
     def __post_init__(self) -> None:
-        if not isinstance(self.s, int) or self.s < 0:
+        if not _is_int(self.s) or self.s < 0:
             raise DomainError(f"s must be an integer >= 0, got {self.s!r}")
-        if not isinstance(self.u, int) or self.u < 1:
+        if not _is_int(self.u) or self.u < 1:
             raise DomainError(f"u must be an integer >= 1, got {self.u!r}")
         v = exact_fraction(self.v, "v")
         if not v > 0:
@@ -81,7 +86,7 @@ class SeriesSpec:
         except OverflowError:
             raise DomainError(f"v must be below 2**1024, got {self.v!r}") from None
         object.__setattr__(self, "v", v.numerator if v.denominator == 1 else v)
-        if not isinstance(self.bits, int) or self.bits < 8:
+        if not _is_int(self.bits) or self.bits < 8:
             raise DomainError(f"bits must be an integer >= 8, got {self.bits!r}")
         if self.bits > MAX_BITS:
             raise ResourceLimitError(f"bits={self.bits} exceeds maximum {MAX_BITS}")
@@ -123,6 +128,14 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
     escalation, it comes from abs_sin_canonical.  The working precision
     starts high enough that the escalation loop is idle in practice, but
     it is there, and it never consults the surrounding summation context.
+
+    For integer v (frac = 0) with iv <= acc, the first attempt has
+    p_units, p_err, q = 1, 0, w, and partial_sum runs it inline: per block
+    N << 1 = 2 << (acc + u*w), per term T from den_c = m**u * n**iv and the
+    width test (T + 1)*u << 2 <= m.  A term calls _units only when m <= 1
+    or that test fails, and then _units repeats the same attempt and goes
+    on to _width_units or an escalation.  Any change to the first attempt
+    here must be made there too.
 
     G(n)^(2s) and n^(2s) are not computed: G(n) = n, so they cancel, and
     T and e_units, a rounding and a ceiling of integer ratios, are the same
@@ -228,6 +241,14 @@ def partial_sum(k: int, spec: SeriesSpec,
     Resuming from a checkpoint is bit-identical to a fresh run: the
     accumulator is an exact integer and per-term units are independent
     of where the range was split.
+
+    The sines come from abs_sin_walk, one power-of-two block of n at a
+    time, and each term's (T, e) is _units' with that block's values.
+    For integer v with iv <= acc (and w <= MAX_BITS) the loop body is
+    _units' first attempt, inline and line for line: if m > 1, it forms
+    T and takes e = 3 when the width test proves it.  Every other term,
+    and every term of a fractional v or of iv > acc, calls _units, which
+    owns the exact width and every escalation.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"partial_sum requires an integer k >= 1, got {k!r}")
@@ -253,7 +274,18 @@ def partial_sum(k: int, spec: SeriesSpec,
     while lo <= k:
         c = clog2(max(lo, 2))
         hi = min(k, 1 << c)                 # the block of n with clog2(max(n, 2)) = c
+        w = acc + _SIN_MARGIN + c
+        inline = not frac and iv <= acc and w <= MAX_BITS
+        if inline:
+            N2 = 2 << (acc + u * w)         # _units' N << 1 at p_units, p_err, q = 1, 0, w
         for n, m in zip(range(lo, hi + 1), walk):
+            if inline and m > 1:
+                den = m ** u * n ** iv
+                T = (N2 + den) // (den << 1)
+                if (T + 1) * u << 2 <= m:
+                    units += T
+                    err_units += 3
+                    continue
             t, e = _units(n, c, m, u, iv, frac, acc)
             units += t
             err_units += e
@@ -321,10 +353,13 @@ def load_checkpoint(path: str) -> PartialSumResult:
     except json.JSONDecodeError as exc:
         raise UsageError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version not in (1, 2):
+    if isinstance(version, bool) or version not in (1, 2):
         raise CheckpointMismatchError(f"checkpoint {path}: unsupported version {version!r}")
     try:
         raw = doc["spec"]
+        for name in ("s", "u", "bits"):
+            if isinstance(raw[name], bool):
+                raise CheckpointMismatchError(f"checkpoint {path}: bad {name}={raw[name]!r}")
         v = raw["v"]
         if isinstance(v, str) != (version == 2):
             raise CheckpointMismatchError(
@@ -336,7 +371,7 @@ def load_checkpoint(path: str) -> PartialSumResult:
         err_text = doc["err"]
     except (KeyError, TypeError) as exc:
         raise UsageError(f"checkpoint {path} is missing fields: {exc}") from exc
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise CheckpointMismatchError(f"checkpoint {path}: bad k={k!r}")
     acc = spec.acc_scale
     units = _decimal_to_units(value_text, acc, "value")

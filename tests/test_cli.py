@@ -327,6 +327,23 @@ def test_checkpoint_mismatch_exit_code(capsys, tmp_path):
     assert json.loads(err)["error"] == "CheckpointMismatchError"
 
 
+@pytest.mark.parametrize("top, spec", [({"k": True}, {}), ({}, {"s": False, "u": True})])
+def test_resume_refuses_boolean_fields(capsys, tmp_path, top, spec):
+    # JSON true and false are not the integers 1 and 0
+    path = tmp_path / "c.json"
+    code, _, _ = run(capsys, "sum", "--k", "2", "--checkpoint", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc.update(top)
+    doc["spec"].update(spec)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sum", "--k", "3", "--resume", str(path))
+    assert (code, out) == (3, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "CheckpointMismatchError"
+
+
 def test_cli_resume_round_trip(capsys, tmp_path):
     path = tmp_path / "c.json"
     run(capsys, "sum", "--k", "120", "--s", "1", "--checkpoint", str(path))

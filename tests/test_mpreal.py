@@ -114,6 +114,36 @@ def test_exact_decimal_requires_dyadic():
         exact_decimal(Fraction(1, 3))
 
 
+def _exact_decimal_by_division(value: Fraction) -> str:
+    """exact_decimal with the factors of two counted one division at a time."""
+    den = value.denominator
+    two = five = 0
+    while den % 2 == 0:
+        den //= 2
+        two += 1
+    while den % 5 == 0:
+        den //= 5
+        five += 1
+    if den != 1:
+        raise DomainError("value has no finite decimal expansion")
+    d = max(two, five)
+    return mpreal._format_units(value.numerator * 10 ** d // value.denominator, d)
+
+
+def test_exact_decimal_matches_counting_twos_by_division():
+    rng = random.Random(11)
+    values = [Fraction(rng.randrange(-2**300, 2**300), 1 << rng.randrange(0, 400))
+              for _ in range(200)]
+    values += [Fraction(rng.randrange(-10**9, 10**9), 2**a * 5**b)
+               for a in range(0, 70, 7) for b in range(0, 70, 9)]
+    values += [Fraction(0), Fraction(7), Fraction(1, 5**40)]
+    for value in values:
+        assert exact_decimal(value) == _exact_decimal_by_division(value), value
+    for value in (Fraction(1, 3), Fraction(1, 2**208 * 3), Fraction(7, 2**5 * 5**3 * 11)):
+        with pytest.raises(DomainError, match="no finite decimal expansion"):
+            exact_decimal(value)
+
+
 def test_exact_decimal_beyond_the_int_str_digit_limit():
     # CPython refuses int -> str conversions above 4300 digits by default;
     # the decimal module has no such limit and serves as the reference

@@ -45,6 +45,13 @@ def test_spec_defaults_and_validation():
         SeriesSpec(bits=4)
 
 
+@pytest.mark.parametrize("field", ["s", "u", "bits"])
+@pytest.mark.parametrize("value", [True, False])
+def test_spec_rejects_booleans(field, value):
+    with pytest.raises(DomainError):
+        SeriesSpec(**{field: value})
+
+
 def test_spec_canonicalizes_integral_float_power():
     assert SeriesSpec(v=3.0).v == 3
     assert isinstance(SeriesSpec(v=3.0).v, int)
@@ -141,6 +148,102 @@ def test_sum_over_a_run_matches_the_exact_width():
     assert r.units - first.units == sum(t for t, _ in want)
     assert r.err_units - first.err_units == sum(e for _, e in want)
     assert max(e for _, e in want) > 3               # 355 is in the run
+
+
+SUM_WINDOWS = ((1, 9000), (2**14 - 2, 2**14 + 1), (10**12, 10**12 + 4096))
+
+
+def _window_units(lo: int, hi: int, spec: SeriesSpec) -> tuple[int, int]:
+    """partial_sum's (units, err_units) over n = lo..hi alone."""
+    start = None if lo == 1 else series.PartialSumResult(spec, lo - 1, 0, 0)
+    r = partial_sum(hi, spec, checkpoint=start)
+    return r.units, r.err_units
+
+
+def _per_term_units(lo: int, hi: int, spec: SeriesSpec) -> tuple[int, int]:
+    terms = [series._term_units(n, spec) for n in range(lo, hi + 1)]
+    return sum(t for t, _ in terms), sum(e for _, e in terms)
+
+
+def _record_units(monkeypatch) -> list:
+    """Replace series._units with a wrapper; return the list of its n."""
+    calls = []
+    units = series._units
+
+    def recording(n, *args):
+        calls.append(n)
+        return units(n, *args)
+
+    monkeypatch.setattr(series, "_units", recording)
+    return calls
+
+
+@pytest.mark.parametrize("bits", [8, 128])
+@pytest.mark.parametrize("v", [1, 2, 3])
+@pytest.mark.parametrize("u", [1, 2, 3, 4])
+def test_inline_first_attempt_matches_term_units(u, v, bits):
+    # for integer v partial_sum runs _units' first attempt inline; the
+    # windows cross the walk's blocks at 4096, 8192 and 2**14
+    spec = SeriesSpec(u=u, v=v, bits=bits)
+    for lo, hi in SUM_WINDOWS:
+        assert _window_units(lo, hi, spec) == _per_term_units(lo, hi, spec), (lo, hi)
+
+
+@pytest.mark.parametrize("v, windows", [
+    (100, SUM_WINDOWS),                                  # iv > acc = 88
+    (Fraction(5, 2), ((4000, 4200), (2**14 - 2, 2**14 + 1), (10**12, 10**12 + 64))),
+])
+def test_per_term_path_matches_term_units(v, windows, monkeypatch):
+    # a fractional v and iv > acc call _units for every term
+    spec = SeriesSpec(v=v, bits=8)
+    calls = _record_units(monkeypatch)
+    for lo, hi in windows:
+        got = _window_units(lo, hi, spec)
+        assert calls == list(range(lo, hi + 1))
+        assert got == _per_term_units(lo, hi, spec), (lo, hi)
+        calls.clear()
+
+
+@pytest.mark.parametrize("u, v, fallbacks, widths", [
+    (2, 3, [], []),
+    (4, 2, [355], [20]),
+    (4, 1, [355, 710, 1065, 103993, 104348], [6285, 52, 5, 3, 15]),
+])
+def test_inline_width_test_falls_back_to_units(u, v, fallbacks, widths, monkeypatch):
+    # a tiny sine fails the inline width test; _units repeats the attempt
+    # and takes the exact width from _width_units.  At (4, 1), 103993
+    # misses the test by a factor below 2, and its exact width is 3
+    exact = series._width_units
+    seen = []
+
+    def recording(*args):
+        seen.append(exact(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(series, "_width_units", recording)
+    calls = _record_units(monkeypatch)
+    for lo, hi in ((1, 9000), (103_900, 104_400)):
+        _window_units(lo, hi, SeriesSpec(u=u, v=v))
+    assert (calls, seen) == (fallbacks, widths)
+
+
+def test_walk_value_at_most_one_goes_to_units(monkeypatch):
+    # m <= 1 is never divided by inline: _units escalates past it
+    spec = SeriesSpec()
+    bad = {7: 0, 8: 1}
+    walk = series.abs_sin_walk
+
+    def spoiled(lo, hi, base):
+        for n, m in zip(range(lo, hi + 1), walk(lo, hi, base)):
+            yield bad.get(n, m)
+
+    monkeypatch.setattr(series, "abs_sin_walk", spoiled)
+    calls = _record_units(monkeypatch)
+    r = partial_sum(10, spec)
+    assert calls == [7, 8]
+    want = [series._units(n, 3, bad[n], 2, 3, 0, spec.acc_scale) if n in bad
+            else series._term_units(n, spec) for n in range(1, 11)]
+    assert (r.units, r.err_units) == (sum(t for t, _ in want), sum(e for _, e in want))
 
 
 def test_term_rejects_bad_index():
@@ -271,6 +374,19 @@ def test_checkpoint_power_must_match_its_version(tmp_path, version, v):
     path = tmp_path / "c.json"
     doc = json.loads(_checkpoint_text(tmp_path))
     doc["version"], doc["spec"]["v"] = version, v
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointMismatchError):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", True), ("s", False), ("u", True), ("bits", True), ("version", True),
+])
+def test_checkpoint_rejects_booleans(tmp_path, field, value):
+    # JSON true and false load as Python bools, which are ints
+    path = tmp_path / "c.json"
+    doc = json.loads(_checkpoint_text(tmp_path))
+    (doc if field in ("k", "version") else doc["spec"])[field] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(str(path))
