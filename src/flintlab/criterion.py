@@ -29,19 +29,22 @@ a Euclid-like modular search in O(log) big-integer steps each.  The
 worst margin widens the window by doubling factors until the least
 margin found provably beats every n outside it.
 
-The walk (_scan_chunk) decides verdicts only, comparing the rounded
-sine of the rotation walk with certified bounds on n^-(2-eps) that hold
-over short runs of n; an index whose sine falls between the two bounds
-goes to the escalating kernel.  scan_criterion takes its worst margin
-from the violators' reports, or from the sparse path if none is deep.
+The walk (_scan_chunk) compares the square of the rounded sine of the
+rotation walk with a certified upper bound on n^-(2-eps) that holds
+over a short run of n; an index whose square is not above it goes to
+the escalating kernel.  scan_criterion takes its worst margin from the
+violators' reports, or from the sparse path if none is deep.
 
 Both paths decide every index they do not settle at once by the same
-escalating kernel as check_criterion, so verdicts and margins are
-bit-identical.  _use_sparse picks the path from (lo, hi, eps) alone: the
-sparse one where few n are candidates, the walk for dense eps (at eps =
-1.5 the walk is faster) and for short ranges.  Only the walk runs a
-process pool; the sparse path runs in-process.  Ranges end below 2**472,
-where the float-margin bound of _min_m holds.
+escalating kernel as check_criterion, once per index, and build each
+violator's report with _report, as check_criterion does, from the call
+that decided it, so reports are bit-identical to check_criterion's.
+_use_sparse picks the path from (lo, hi, eps) alone: the sparse one
+where few n are candidates, the walk for dense eps (at eps = 1.5 the
+walk is faster) and for short ranges.  Only the walk runs a process
+pool, whose workers build their violators' reports; the sparse path runs
+in-process.  Ranges end below 2**472, where the float-margin bound of
+_min_m holds.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .combinatorics import g_value
 from .errors import DomainError, UndecidableError
 from .mpreal import (
     MpReal,
+    _is_int,
     _require_bits,
     abs_sin_walk,
     clog2,
@@ -166,15 +170,19 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
     eps = 0.1 at 64 bits, rhs is near 3.4e125 with a radius near 6.8e94.
     ``lhs`` is exact.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"check_criterion requires an integer n >= 1, got {n!r}")
-    if not isinstance(s, int) or s < 1:
+    if not _is_int(s) or s < 1:
         raise DomainError(f"check_criterion requires an integer s >= 1, got {s!r}")
     _require_bits(bits)
     eps = _epsilon_fraction(epsilon)
     c = Fraction(2 * s + 2) - eps
-    verdict, ln_lhs, ln_rhs, (lo, hi, scale) = _decided_kernel(
-        n, s, c.numerator, c.denominator, bits)
+    return _report(n, s, eps, bits, _decided_kernel(n, s, c.numerator, c.denominator, bits))
+
+
+def _report(n: int, s: int, eps: Fraction, bits: int, kernel_out) -> CriterionReport:
+    """The report of index n, built from the _decided_kernel output that decided it."""
+    verdict, ln_lhs, ln_rhs, (lo, hi, scale) = kernel_out
     lhs = MpReal(g_value(n).value ** (2 * s), 0)
     n2s = n ** (2 * s)                   # rhs = n^(2s) * sin^2(n) * n^(2-eps)
     man = (lo + hi) * n2s // 2
@@ -192,23 +200,20 @@ class ScanResult:
     summary: dict
 
 
-def _sine_thresholds(n: int, c: Fraction, w: int) -> tuple[int, int]:
-    """(t_sat, t_vio) with t_sat >= 2**(2w+2) / n^c >= t_vio, from one ball for n^c.
+def _sine_thresholds(n: int, c: Fraction, w: int) -> int:
+    """t_sat >= 2**(2w+2) / n^c, from one ball for n^c.
 
     For c > 0, sin^2(x) * x^c > 1 at every x >= n when (|sin x| *
-    2**(w+1))^2 > t_sat, and sin^2(x) * x^c < 1 at every x <= n when it is
-    below t_vio.  fx_pow at v = w + 8 bits gives (E - err) * 2**(q-v) <=
-    n^c <= (E + err) * 2**(q-v), with q <= c*log2(n) + 1 <= 2w + 1.  A ball
-    with E <= err carries no information, so it gives t_sat = 2**(2w+4),
-    above every (2m - 1)^2 with m <= 2**w, and t_vio = 0, below every
-    square.
+    2**(w+1))^2 > t_sat.  fx_pow at v = w + 8 bits gives (E - err) *
+    2**(q-v) <= n^c, with q <= c*log2(n) + 1 <= 2w + 1.  A ball with E <=
+    err carries no information, so it gives t_sat = 2**(2w+4), above
+    every (2m - 1)^2 with m <= 2**w.
     """
     v = w + 8
     E, err, q = fx_pow(*fx_ln_int(n, v), c, v)
     if E <= err:
-        return 1 << (2 * w + 4), 0
-    one = 1 << (2 * w + 2 + v - q)
-    return -(-one // (E - err)), one // (E + err)
+        return 1 << (2 * w + 4)
+    return -(-(1 << (2 * w + 2 + v - q)) // (E - err))
 
 
 def _min_m(c: int, bits: int) -> int:
@@ -230,42 +235,42 @@ def _min_m(c: int, bits: int) -> int:
     return max(_SCREEN_MIN_M, ((e_max << 15) >> bits) + 1)
 
 
-def _scan_chunk(args) -> list[int]:
-    """The violators in lo..hi, ascending, without ln or exp per n.
+def _scan_chunk(args) -> tuple[list[CriterionReport], dict[int, float]]:
+    """The violators' reports in lo..hi, ascending, and the kernel margin of
+    every n the chunk decided by _decided_kernel.
 
     m = round(|sin n| * 2**w) from abs_sin_walk with w = _WALK_BASE + c,
     c = clog2(n), so |sin n| * 2**(w+1) lies strictly inside (2m - 1,
     2m + 1).  "Satisfied", sin^2(n) * n^(2-eps) > 1, is certain when
-    (2m - 1)^2 exceeds the t_sat of _sine_thresholds, and "violated" is
-    certain when (2m + 1)^2 is below its t_vio; equality is impossible,
-    sin n being transcendental.  The indices of one w are cut into
-    subblocks a..b, b = a + (a >> _SUBBLOCK_SHIFT) clipped at the power
-    of two.  t_vio comes from the ball at b, and t_sat from the ball at
-    a - 1, the previous subblock's b, which is sound since a - 1 < a; the
-    first subblock of a w (or of the chunk) takes a fresh ball at a.  So
-    each subblock costs one ball.  n^(2-eps) varies by a factor below
-    (1 + 2**-5)^2 over a - 1..b, so only an n whose sin^2 n lies in that
-    narrow band is left open, and _decided_kernel decides it as
-    check_criterion does.
+    (2m - 1)^2 exceeds the t_sat of _sine_thresholds; equality is
+    impossible, sin n being transcendental.  The indices of one w are cut
+    into subblocks a..b, b = a + (a >> _SUBBLOCK_SHIFT) clipped at the
+    power of two, and t_sat comes from one ball at a.  n^(2-eps) varies
+    by a factor below (1 + 2**-5)^2 over a..b, so only an n whose sin^2 n
+    lies in that narrow band, or below it, is left open.  _decided_kernel
+    decides each such n once, as check_criterion does, and a violator's
+    report is built here from that call, in the worker that found it.
     """
     lo, hi, s, c_num, c_den, bits = args
-    c_pow = Fraction(c_num, c_den) - 2 * s          # 2 - eps
-    violations: list[int] = []
+    eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
+    c_pow = 2 - eps
+    violations: list[CriterionReport] = []
+    margins: dict[int, float] = {}
     top = sub_end = 0     # last n of the current w (a power of two), of the subblock
     for n, m in zip(range(lo, hi + 1), abs_sin_walk(lo, hi, _WALK_BASE)):
         if n > top:
             c = clog2(max(n, 2))
             top, w = 1 << c, _WALK_BASE + c
-            t_next = _sine_thresholds(n, c_pow, w)[0]
         if n > sub_end:
             sub_end = min(top, n + (n >> _SUBBLOCK_SHIFT))
-            t_sat = t_next
-            t_next, t_vio = _sine_thresholds(sub_end, c_pow, w)
+            t_sat = _sine_thresholds(n, c_pow, w)
         if max(2 * m - 1, 0) ** 2 > t_sat:
             continue
-        if (2 * m + 1) ** 2 < t_vio or not _decided_kernel(n, s, c_num, c_den, bits)[0]:
-            violations.append(n)
-    return violations
+        out = _decided_kernel(n, s, c_num, c_den, bits)
+        margins[n] = out[2] - out[1]
+        if not out[0]:
+            violations.append(_report(n, s, eps, bits, out))
+    return violations, margins
 
 
 def _blocks(lo: int, hi: int):
@@ -352,16 +357,19 @@ def _near_multiples(M: int, W: int, k0: int, k1: int, D: int):
         k += 1
 
 
-def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int,
-                 bits: int) -> tuple[list[int], tuple[float, int]]:
-    """Violators and (worst margin, its n) for lo..hi, from the n near multiples of pi.
+def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
+                 known: dict[int, float] | None = None,
+                 ) -> tuple[list[CriterionReport], tuple[float, int]]:
+    """Violators' reports and (worst margin, its n) for lo..hi, from the n near
+    multiples of pi.
 
     Superset.  Let T = 2**t and D_T(n) = (pi/2) * T * n^-(1-eps/2).  By
     Jordan's inequality, |sin x| >= (2/pi)|x| for |x| <= pi/2, an n with
     |sin n| < T * n^-(1-eps/2) lies within D_T(n) of some k*pi.  A
     violator has sin^2(n) * n^(2-eps) < 1, so it lies within D_1(n).  Each
-    n in a window goes to _decided_kernel, which decides it exactly as the
-    walk does; every other n is satisfied.
+    n in a window goes to _decided_kernel once, which decides it exactly as
+    the walk does, and a violator's report is built from that call; every
+    other n is satisfied.
 
     Window.  lo..hi splits into blocks a..b of equal c = clog2(max(n, 2)),
     and D_T(a) >= D_T(n) serves a whole block.  M = pi_mantissa(W) with W
@@ -390,8 +398,17 @@ def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int,
     below 2t ln 2 - s * _SCREEN_SLACK (the float rounding of that bound is
     below 1e-12), or once every block is whole; otherwise t grows by one.
     The windows grow with t, and every n in them is decided once.
+
+    Known margins.  `known` maps n in lo..hi that a caller has already
+    decided to their kernel margins; those n are not decided again, and
+    their margins count towards the worst.  That keeps the argument above:
+    once every n in the windows is decided, the least margin over a larger
+    set of n in lo..hi is still final when it lies below the bound, and an
+    n outside the windows lies strictly above that bound.  Reports are
+    returned only for the violators decided here.
     """
-    half_eps = (Fraction(2 * s + 2) - Fraction(c_num, c_den)) / 2
+    eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
+    half_eps = eps / 2
     W = 2 * hi.bit_length() + 64
     M = pi_mantissa(W)
     blocks = []
@@ -411,7 +428,8 @@ def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int,
         k0 = ((a - 1) << W) // (M + 1)
         k1 = -(-((b + 1) << W) // (M - 1))
         blocks.append((a, b, num, den, d_min, k0, k1))
-    decided: dict[int, tuple[bool, float]] = {}
+    decided = dict(known or {})         # n -> kernel margin
+    violations: dict[int, CriterionReport] = {}
     t = 0
     while True:
         whole = True
@@ -424,15 +442,15 @@ def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int,
                 ns = (n for n in _near_multiples(M, W, k0, k1, D) if a <= n <= b)
             for n in ns:
                 if n not in decided:
-                    verdict, ln_lhs, ln_rhs, _ = _decided_kernel(n, s, c_num, c_den, bits)
-                    decided[n] = verdict, ln_rhs - ln_lhs
-        worst = min(((margin, n) for n, (_, margin) in decided.items()),
-                    default=(math.inf, -1))
+                    out = _decided_kernel(n, s, c_num, c_den, bits)
+                    decided[n] = out[2] - out[1]
+                    if not out[0]:
+                        violations[n] = _report(n, s, eps, bits, out)
+        worst = min(((margin, n) for n, margin in decided.items()), default=(math.inf, -1))
         if whole or worst[0] < 2 * t * _LN2 - s * _SCREEN_SLACK:
             break
         t += 1
-    violations = sorted(n for n, (verdict, _) in decided.items() if not verdict)
-    return violations, worst
+    return [violations[n] for n in sorted(violations)], worst
 
 
 def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
@@ -445,20 +463,27 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     results are merged in ascending order, so the output is independent
     of `threads`.  The sparse path ignores `threads` and starts no pool.
 
+    Each index is decided at most once per call, and each violator's
+    report comes from the _decided_kernel call that decided it, built
+    where that call ran: in _sparse_scan, or in the worker that ran the
+    walk's chunk.  scan_criterion only merges them.
+
     Worst margin: the least (margin, n), first n among equals.  On the
     walk it is the least over the violators' reports if that lies below
-    -s * _SCREEN_SLACK, else _sparse_scan's.  A satisfied n's kernel float
-    exceeds -s * 1e-6 whatever its walked sine: its deciding interval lies
-    above 1, so the product of the ball centres does too, and the float is
-    the log of that product but for fixed-point logs at w >= 56 bits (off
-    by below 2**-40) and float rounding (below s * 2**-39, see _min_m).
-    So such a violator beats every satisfied n.  The walk runs where many
-    n are candidates, so only short ranges fall back.
+    -s * _SCREEN_SLACK, else _sparse_scan's, which is handed the margins
+    of every n the chunks decided, so that none is decided again.  A
+    satisfied n's kernel float exceeds -s * 1e-6 whatever its walked
+    sine: its deciding interval lies above 1, so the product of the ball
+    centres does too, and the float is the log of that product but for
+    fixed-point logs at w >= 56 bits (off by below 2**-40) and float
+    rounding (below s * 2**-39, see _min_m).  So such a violator beats
+    every satisfied n.  The walk runs where many n are candidates, so
+    only short ranges fall back.
     """
     lo, hi = n_range
-    if not (isinstance(lo, int) and isinstance(hi, int)) or lo < 1 or hi < lo:
+    if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
         raise DomainError(f"bad scan range {n_range!r}; need 1 <= lo <= hi")
-    if not isinstance(s, int) or s < 1:
+    if not _is_int(s) or s < 1:
         raise DomainError(f"scan_criterion requires an integer s >= 1, got {s!r}")
     if hi >= _SCAN_LIMIT:
         raise DomainError(f"scan ranges must end below 2**472, got {hi}")
@@ -466,9 +491,8 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     eps = _epsilon_fraction(epsilon)
     c = Fraction(2 * s + 2) - eps
     kernel_args = s, c.numerator, c.denominator, bits
-    sparse = _use_sparse(lo, hi, eps)
-    if sparse:
-        violation_ns, worst = _sparse_scan(lo, hi, *kernel_args)
+    if _use_sparse(lo, hi, eps):
+        violations, worst = _sparse_scan(lo, hi, *kernel_args)
     else:
         chunks = [(a, min(a + _CHUNK - 1, hi), *kernel_args)
                   for a in range(lo, hi + 1, _CHUNK)]
@@ -479,12 +503,11 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
                 pieces = list(pool.map(_scan_chunk, chunks))
         else:
             pieces = [_scan_chunk(chunk) for chunk in chunks]
-        violation_ns = [n for piece in pieces for n in piece]
-    violations = [check_criterion(n, s, eps, bits) for n in violation_ns]
-    if not sparse:
+        violations = [r for reports, _ in pieces for r in reports]
         worst = min(((r.margin, r.n) for r in violations), default=(math.inf, -1))
         if not worst[0] < -s * _SCREEN_SLACK:
-            worst = _sparse_scan(lo, hi, *kernel_args)[1]
+            known = {n: margin for _, margins in pieces for n, margin in margins.items()}
+            worst = _sparse_scan(lo, hi, *kernel_args, known)[1]
     summary = {
         "checked": hi - lo + 1,
         "violations": len(violations),

@@ -30,6 +30,7 @@ from .combinatorics import multiple_angle_coefficients
 from .errors import DegenerateInputError, DomainError
 from .mpreal import (
     MpReal,
+    _is_int,
     clog2,
     cos_reduced,
     pi_mantissa,
@@ -79,7 +80,7 @@ def verify_multiple_angle(n: int, theta: MpReal, bits: int = 192,
     Tolerance is 2**-(bits - 32); the 32 guard bits are recorded in the
     report.  Working precision additionally absorbs log2(sum |c_p|).
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"verify_multiple_angle requires an integer n >= 1, got {n!r}")
     coeffs = _coeffs(n)
     abs_sum = sum(abs(c) for _, c in coeffs)

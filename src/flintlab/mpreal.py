@@ -118,8 +118,13 @@ def round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
+def _is_int(x) -> bool:
+    """x is an int and not a bool (JSON true and false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require_bits(bits: int) -> None:
-    if not isinstance(bits, int) or bits < 8:
+    if not _is_int(bits) or bits < 8:
         raise DomainError(f"precision must be an integer >= 8 bits, got {bits!r}")
     if bits > MAX_BITS:
         raise ResourceLimitError(
@@ -382,20 +387,32 @@ class MpReal:
         return MpReal(man, -w, err)
 
     def round_to(self, bits: int) -> "MpReal":
-        """Coarsen the center to scale 2**-(bits+8), folding the shift into err."""
+        """Coarsen the center to scale 2**-(bits+8), folding the shift into err.
+
+        If exp < -(bits+8), the center man * 2**exp becomes man' *
+        2**-(bits+8) with man' = round_div(man, 2**sh), sh = -(bits+8) -
+        exp, and err = p/q grows by d * 2**exp, d = |man - man' * 2**sh|.
+        The result is rounded up to a multiple of 2**-scale, scale = bits +
+        24, which keeps err denominators bounded.  With k = -exp that is
+        ceil((p * 2**k + d*q) * 2**scale / (q * 2**k)) units, computed
+        exactly on integers, and one Fraction is built from it.
+        """
         _require_bits(bits)
         exp_t = -(bits + 8)
-        if self.exp >= exp_t:
-            man, err = self.man, self.err
-            exp_t = self.exp
-        else:
-            man = round_div(self.man, 1 << (exp_t - self.exp))
-            err = self.err + abs(self.center() - Fraction(man, 1 << -exp_t))
-        # keep err denominators bounded: round the bound itself up
         scale = bits + 24
-        err = Fraction(-((-err.numerator << scale) // err.denominator),
-                       1 << scale) if err else _ZERO
-        return MpReal(man, exp_t, err)
+        num, den = self.err.numerator, self.err.denominator
+        if self.exp >= exp_t:
+            man, exp_t = self.man, self.exp
+            num <<= scale
+        else:
+            sh, k = exp_t - self.exp, -self.exp
+            man = round_div(self.man, 1 << sh)
+            num = (num << k) + abs(self.man - (man << sh)) * den
+            if scale >= k:
+                num <<= scale - k
+            else:
+                den <<= k - scale
+        return MpReal(man, exp_t, Fraction(-(-num // den), 1 << scale))
 
     # -- display -----------------------------------------------------------
 
@@ -790,7 +807,7 @@ def sin_int(n: int, bits: int) -> MpReal:
     Computed as (-1)**k * sin(r) from the reduction n = k*pi + r.
     """
     _require_bits(bits)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"sin_int requires an integer n >= 1, got {n!r}")
     w = bits + clog2(max(n, 2)) + 40
     if w > MAX_BITS:

@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, PrecisionError
-from .mpreal import (MpReal, _require_bits, clog2, compute_pi, fx_ln_int, ln2_mantissa,
-                     sin_int)
+from .mpreal import (MpReal, _is_int, _require_bits, clog2, compute_pi, fx_ln_int,
+                     ln2_mantissa, sin_int)
 
 __all__ = [
     "CfExpansion",
@@ -212,7 +212,7 @@ def convergent_numerators_up_to(n_max: int) -> set[int]:
 def local_exponent(n: int, bits: int = 64) -> float:
     """lambda(n) = -ln|sin n| / ln n, as a float."""
     _require_bits(bits)
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise DomainError(f"local_exponent requires an integer n >= 2, got {n!r}")
     w = max(bits, 64)
     s = sin_int(n, w)
@@ -264,7 +264,7 @@ def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:
     it falls below 2**-max(bits, 64): bits must exceed about log2(n_max).
     """
     _require_bits(bits)
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise DomainError(f"spike_indices requires an integer n_max >= 1, got {n_max!r}")
     records = [SpikeRecord(1, sin_int(1, bits).abs_(), None, False)]
     for p in sorted(convergent_numerators_up_to(n_max)):

@@ -32,6 +32,7 @@ from .errors import CheckpointMismatchError, DomainError, ResourceLimitError, Us
 from .mpreal import (
     MAX_BITS,
     MpReal,
+    _is_int,
     abs_sin_canonical,
     abs_sin_walk,
     clog2,
@@ -51,11 +52,6 @@ __all__ = [
     "save_checkpoint",
     "term",
 ]
-
-
-def _is_int(x) -> bool:
-    """x is an int and not a bool (JSON true and false load as bools)."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -205,7 +201,7 @@ def _width_units(N: int, m: int, u: int, n_pow: int, p_units: int, p_err: int) -
 
 def term(n: int, spec: SeriesSpec) -> MpReal:
     """One positive term G(n)^(2s) / (|sin n|^u * n^(v+2s)), error-bounded."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"term requires an integer n >= 1, got {n!r}")
     units, err = _term_units(n, spec)
     acc = spec.acc_scale
@@ -250,7 +246,7 @@ def partial_sum(k: int, spec: SeriesSpec,
     and every term of a fractional v or of iv > acc, calls _units, which
     owns the exact width and every escalation.
     """
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise DomainError(f"partial_sum requires an integer k >= 1, got {k!r}")
     start = 1
     units = 0

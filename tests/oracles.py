@@ -309,3 +309,21 @@ def sci_ref(x: Fraction, digits: int = 3) -> str:
         e10 += 1
     mant = f"{scaled / scale:.{digits - 1}f}"
     return f"{mant}e{e10:+03d}"
+
+
+def round_to_ref(man: int, exp: int, err: Fraction, bits: int) -> tuple[int, int, Fraction]:
+    """MpReal(man, exp, err).round_to(bits) as (man, exp, err), by Fraction arithmetic.
+
+    The center moves to the nearest multiple of 2**-(bits+8) (halves up)
+    when exp lies below that scale; err grows by the distance moved and
+    is then rounded up to a multiple of 2**-(bits+24).
+    """
+    center = Fraction(man) * Fraction(2) ** exp
+    if exp >= -(bits + 8):
+        new_man, new_exp = man, exp
+    else:
+        new_exp = -(bits + 8)
+        new_man = math.floor(center * 2 ** (bits + 8) + Fraction(1, 2))
+    moved = abs(center - Fraction(new_man) * Fraction(2) ** new_exp)
+    unit = Fraction(1, 1 << (bits + 24))
+    return new_man, new_exp, math.ceil((err + moved) / unit) * unit

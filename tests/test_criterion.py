@@ -109,7 +109,7 @@ class _RecordingPool:
 
 
 def _empty_chunk(args):
-    return []
+    return [], {}
 
 
 @pytest.mark.parametrize("threads, hi, cpus, workers", [
@@ -241,8 +241,8 @@ def test_scan_fallback_keeps_the_output(monkeypatch, force, eps):
     want = scan_key(scan("sparse", window, 1, eps))
     calls = _count_kernel_calls(monkeypatch)
     if force == "no exact test":
-        # thresholds no (2m -/+ 1)^2 can pass: neither test is certain
-        monkeypatch.setattr(criterion, "_sine_thresholds", lambda *args: (math.inf, 0))
+        # a threshold no (2m - 1)^2 can pass: "satisfied" is never certain
+        monkeypatch.setattr(criterion, "_sine_thresholds", lambda *args: math.inf)
     else:
         monkeypatch.setattr(criterion, "_WALK_BASE", 0)
         monkeypatch.setattr(criterion, "abs_sin_walk", _coarse_walk)
@@ -253,9 +253,9 @@ def test_scan_fallback_keeps_the_output(monkeypatch, force, eps):
 
 @pytest.mark.parametrize("base", [criterion._WALK_BASE, 0])
 def test_sine_thresholds_bound_the_power(base):
-    # with c = p/q: t_sat**q * n**p >= 2**((2w+2)q) >= t_vio**q * n**p, exactly,
-    # at both ends of a subblock a..b; at base 0 (the coarse walk) fx_pow's
-    # ball is often uninformative
+    # with c = p/q: t_sat**q * n**p >= 2**((2w+2)q), exactly, at both ends
+    # of a subblock a..b; at base 0 (the coarse walk) fx_pow's ball is
+    # often uninformative
     rng = random.Random(9970)
     for _ in range(300):
         q = rng.randrange(1, 1000)
@@ -265,12 +265,49 @@ def test_sine_thresholds_bound_the_power(base):
         w = base + clog2(max(b, 2))
         one = 1 << ((2 * w + 2) * c.denominator)
         for n in (a, b):
-            t_sat, t_vio = criterion._sine_thresholds(n, c, w)
+            t_sat = criterion._sine_thresholds(n, c, w)
             assert t_sat ** c.denominator * n ** c.numerator >= one, (n, c, w)
-            assert t_vio ** c.denominator * n ** c.numerator <= one, (n, c, w)
-            assert t_vio <= t_sat
             if base:
                 assert n == 1 or t_sat < 1 << (2 * w + 2)
+
+
+def _report_fields(r):
+    return (r.n, r.s, r.epsilon, r.satisfied, r.margin, r.ln_lhs, r.ln_rhs,
+            r.lhs.man, r.lhs.exp, r.lhs.err, r.rhs.man, r.rhs.exp, r.rhs.err)
+
+
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("path, window, eps, threads", [
+    ("sparse", (1, 32768), "0.1", 1),
+    ("walk", (1, 8300), "1.5", 1),
+    ("walk", (1, 8300), "1.5", 2),            # three chunks on two processes
+])
+def test_scan_reports_equal_check_criterion(path, window, eps, threads, s):
+    result = scan(path, window, s, eps, threads=threads)
+    assert len(result.violations) > 3
+    for r in result.violations:
+        assert _report_fields(r) == _report_fields(check_criterion(r.n, s, eps))
+
+
+@pytest.mark.parametrize("path, window, s, eps, slack", [
+    ("sparse", (1, 32768), 1, "0.1", criterion._SCREEN_SLACK),
+    ("sparse", (1, 32768), 3, "0.1", criterion._SCREEN_SLACK),
+    ("walk", (1, 8300), 1, "1.5", criterion._SCREEN_SLACK),
+    ("walk", (1, 8300), 3, "1.5", criterion._SCREEN_SLACK),
+    # no violator is deep enough: the sparse path finds the worst margin
+    # and must not decide again what the walk decided
+    ("walk", (1, 400), 1, "0.1", math.inf),
+])
+def test_scan_decides_each_index_once(monkeypatch, path, window, s, eps, slack):
+    # the pool stand-in runs the chunks in this process, where calls are counted
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(criterion, "_SCREEN_SLACK", slack)
+    want = scan_key(scan(path, window, s, eps))
+    calls = _count_kernel_calls(monkeypatch)
+    assert scan_key(scan(path, window, s, eps, threads=2)) == want
+    assert len(calls) == len(set(calls)) >= len(want[1])
 
 
 @pytest.mark.parametrize("eps", ["0.1", "0.001", Fraction(1, 997), "1.95", "1.99"])
@@ -287,6 +324,18 @@ def test_scan_range_validation():
         scan_criterion((10, 5), 1, "0.1")
     with pytest.raises(DomainError):
         scan_criterion((1, 10), 0, "0.1")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_criterion(True, 1, "0.1"),
+    lambda: check_criterion(5, True, "0.1"),
+    lambda: scan_criterion((True, 5), 1, "0.1"),
+    lambda: scan_criterion((1, True), 1, "0.1"),
+    lambda: scan_criterion((1, 5), True, "0.1"),
+], ids=["check-n", "check-s", "scan-lo", "scan-hi", "scan-s"])
+def test_bools_are_not_integers(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_scan_summary_json():

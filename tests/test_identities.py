@@ -53,6 +53,8 @@ def test_multiple_angle_records_parameters():
 def test_multiple_angle_rejects_bad_order():
     with pytest.raises(DomainError):
         verify_multiple_angle(0, MpReal(1, 0), 64)
+    with pytest.raises(DomainError):
+        verify_multiple_angle(True, MpReal(1, 0), 64)
 
 
 def test_sweep_shape_and_seed_recording():

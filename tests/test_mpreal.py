@@ -42,6 +42,7 @@ from oracles import (
     load_pi_fixture,
     machin_pi_rational,
     pi_fraction,
+    round_to_ref,
     sin_by_reduction,
     taylor_cos,
     taylor_sin,
@@ -93,6 +94,37 @@ def test_round_to_keeps_containment():
     coarse = x.round_to(32)
     assert coarse.lower() <= Fraction(22, 7) <= coarse.upper()
     assert coarse.err <= Fraction(1, 1 << 30)
+
+
+@pytest.mark.parametrize("man, exp, err, bits", [
+    (12345, -40, Fraction(0), 8),                  # err = 0, a shift to make
+    (5, -3, Fraction(0), 8),                       # exp >= -(bits+8): no shift, err stays 0
+    (7, -16, Fraction(1, 3), 8),                   # exp = -(bits+8), non-dyadic err
+    (-(3 << 200), -300, Fraction(2, 7), 64),       # negative man
+    (3 << 5, -78, Fraction(0), 64),                # a round_div tie: halves go up
+    (-(3 << 5), -78, Fraction(0), 64),             # a negative tie
+    (1, 40, Fraction(10**30 + 1, 10**9), 53),      # exp > 0
+    (-1, -(1 << 10), Fraction(1, 1 << 2000), 9),   # 2**-k far below the err grid
+])
+def test_round_to_matches_fraction_oracle_on_edges(man, exp, err, bits):
+    got = MpReal(man, exp, err).round_to(bits)
+    assert (got.man, got.exp, got.err) == round_to_ref(man, exp, err, bits)
+
+
+def test_round_to_matches_fraction_oracle():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        man = rng.randrange(-(1 << rng.randrange(1, 400)), 1 << rng.randrange(1, 400))
+        exp = rng.randrange(-500, 50)
+        err = rng.choice([
+            Fraction(0),
+            Fraction(rng.randrange(1, 1 << 60), rng.randrange(1, 1 << 60)),   # mostly non-dyadic
+            Fraction(rng.randrange(1 << 80), 1 << rng.randrange(300)),
+        ])
+        bits = rng.choice([8, 9, 16, 53, 64, 100, 200])
+        got = MpReal(man, exp, err).round_to(bits)
+        assert (got.man, got.exp, got.err) == round_to_ref(man, exp, err, bits), \
+            (man, exp, err, bits)
 
 
 def test_from_decimal_round_trip():
@@ -277,6 +309,8 @@ def test_sin_int_rejects_bad_input():
         sin_int(0, 64)
     with pytest.raises(DomainError):
         sin_int(2.5, 64)
+    with pytest.raises(DomainError):
+        sin_int(True, 64)
 
 
 def _remainder_ball(n: int, bits: int) -> tuple[int, MpReal]:

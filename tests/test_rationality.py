@@ -222,6 +222,8 @@ def test_spike_minimal_range():
 def test_spike_rejects_nonpositive_range():
     with pytest.raises(DomainError):
         spike_indices(0)
+    with pytest.raises(DomainError):
+        spike_indices(True)
 
 
 def test_spike_records_are_the_convergent_numerators():

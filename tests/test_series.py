@@ -251,6 +251,8 @@ def test_term_rejects_bad_index():
         term(0, SeriesSpec())
     with pytest.raises(DomainError):
         term(2.5, SeriesSpec())
+    with pytest.raises(DomainError):
+        term(True, SeriesSpec())
 
 
 def test_partial_sum_small_and_frozen():
@@ -275,6 +277,8 @@ def test_partial_sum_matches_oracle_sum():
 def test_partial_sum_requires_positive_k():
     with pytest.raises(DomainError):
         partial_sum(0, SeriesSpec())
+    with pytest.raises(DomainError):
+        partial_sum(True, SeriesSpec())
 
 
 def test_resume_is_bit_identical():
