@@ -6,8 +6,9 @@ whose failure at an index marks a term the convergence argument cannot
 absorb.  With G(n) = n both sides carry the exact factor n^(2s), so the
 inequality is sin^2(n) * n^(2-eps) >= 1 for every s.  A verdict is
 accepted only when 1 falls strictly outside the error interval of the
-left side; overlap escalates the working precision (doubling, capped at
-2**20 bits) -- sin n is never zero at an integer, so separation exists.
+left side and the sine ball's radius is below 2**-24 of its centre;
+otherwise the working precision doubles (capped at 2**20 bits) -- sin n
+is never zero at an integer, so both are reached.
 
 One index (check_criterion) takes n^(2-eps) from mpreal.fx_pow, fed with
 the same ln n that gives ln_lhs and ln_rhs; the reported right side is
@@ -43,8 +44,10 @@ _use_sparse picks the path from (lo, hi, eps) alone: the sparse one
 where few n are candidates, the walk for dense eps (at eps = 1.5 the
 walk is faster) and for short ranges.  Only the walk runs a process
 pool, whose workers build their violators' reports; the sparse path runs
-in-process.  Ranges end below 2**472, where the float-margin bound of
-_min_m holds.
+in-process.  Every decided n's float margin is within s * 5e-7 of
+ln(sin^2(n) * n^(2-eps)) (see _decided_kernel), and both paths' worst
+margins rest on that bound.  Ranges end below 2**1024 - 2**970, where
+_use_sparse's floats overflow.
 """
 
 from __future__ import annotations
@@ -83,8 +86,7 @@ _CHUNK = 4096
 _WALK_BASE = 40           # the scan's sine is round(|sin n| * 2**(40 + clog2 n))
 _SUBBLOCK_SHIFT = 5       # one pair of thresholds serves n .. n + (n >> 5)
 _SCREEN_SLACK = 1e-6      # worst-margin tolerance, per unit of s
-_SCREEN_MIN_M = 1 << 30   # floor of _min_m
-_SCAN_LIMIT = 1 << 472    # the float-margin bound of _min_m holds below this n
+_SCAN_LIMIT = (1 << 1024) - (1 << 970)   # float(n) in _use_sparse overflows from here
 _SPARSE_COST = 32         # walked indices that cost about as much as one kernel call
 _SPARSE_BASE = 4096       # walked indices that cost about the sparse path's fixed work
 _LN2 = math.log(2)
@@ -115,14 +117,15 @@ def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
 
     c = c_num/c_den = 2s + 2 - eps; the verdict uses c - 2s, the floats c.
     Returns (verdict, ln_lhs, ln_rhs, interval) where verdict is
-    True/False/None (None = the interval holds 1, caller escalates) and
-    interval = (lo, hi, scale_bits) brackets sin^2(n) * n^(2-eps) in exact
-    integer units of 2**-scale_bits.
+    True/False/None (None = the sine ball's radius is 2**-24 of its centre
+    or more, or the interval holds 1: the caller escalates) and interval =
+    (lo, hi, scale_bits) brackets sin^2(n) * n^(2-eps) in exact integer
+    units of 2**-scale_bits.
     """
     wr = w + clog2(max(n, 2)) + 8
     S, e_abs = sin_ball(n, wr)
     m = abs(S)
-    if m <= e_abs:
+    if m <= e_abs << 24:
         return None, 0.0, 0.0, None
     ln_n, e_ln = fx_ln_int(n, w)
     e_pow, e_tot, q = fx_pow(ln_n, e_ln, Fraction(c_num - 2 * s * c_den, c_den), w)
@@ -147,7 +150,25 @@ def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
 
 
 def _decided_kernel(n: int, s: int, c_num: int, c_den: int, bits: int):
-    """Escalate _kernel until the verdict is strict; deterministic in inputs."""
+    """Escalate _kernel until the verdict is strict and the sine ball narrow;
+    deterministic in inputs.
+
+    Float margin.  For n < 2**1024 the returned ln_rhs - ln_lhs is within
+    1.2e-7 + s * 1e-9 <= s * 5e-7 of ln(sin^2(n) * n^(2-eps)).
+    * Sine.  _kernel decides only when its sine ball (S, e) at wr = w +
+      clog2 n + 8 has m = |S| > e * 2**24.  Then |sin n| * 2**wr lies
+      within a factor 1 +- 2**-24 of m, so 2 ln(m * 2**-wr) is within
+      2**-23 * (1 + 2**-24) < 1.2e-7 of ln sin^2 n.
+    * Fixed point.  With L = fx_ln_int(n, w), ln_rhs - ln_lhs is (ln_sin2
+      + round((2-eps) * L)) * 2**-w, since 2s*L is an integer.  fx_ln_int
+      is within 2.7w + b + 40 ulps at a b-bit argument (its atanh loop
+      stops by i = w/3 + 2).  So ln_sin2 = 2 * (ln m - wr * ln 2) is off
+      by at most 2 * (2.7w + 1.5wr + 41) ulps, and round((2-eps) * L) by
+      2 * (2.7w + 1064) + 1/2; with w >= 56 both are below 1e-13.
+    * Floats.  Rounding ln_rhs, ln_lhs and their difference adds at most
+      2**-52 * (|ln_rhs| + |ln_lhs|), with ln n < 710 and |ln sin^2 n| <
+      2 * wr * ln 2 (m > 2**24, w <= 2**20): below 3.3e-10 + s * 7e-13.
+    """
     w = bits + 48
     while True:
         verdict, ln_lhs, ln_rhs, interval = _kernel(n, s, c_num, c_den, w)
@@ -216,25 +237,6 @@ def _sine_thresholds(n: int, c: Fraction, w: int) -> int:
     return -(-(1 << (2 * w + 2 + v - q)) // (E - err))
 
 
-def _min_m(c: int, bits: int) -> int:
-    """Least walked sine m = round(|sin n| * 2**(_WALK_BASE + c)) from which the
-    kernel's float margin of n is within s * 5e-7 of ln(sin^2 n * n^(2-eps)),
-    for every n with clog2 n = c < 472 and bits >= 8.
-
-    e_max bounds the error e <= n/6 + 8*wr + 52 ulps of the kernel's first
-    sine ball, at wr = bits + 56 + c (see mpreal.abs_sin_walk for the
-    terms).  m >= min_m > e * 2**(15 - bits) gives |sin n| * 2**wr >
-    (m - 1/2) * 2**(bits + 16) >= e * 2**30, so its ln sin^2 n is within
-    2**-28; escalation only narrows the ball.  Its fixed-point ln n and
-    ln 2 are within 2**-46, so ln_lhs = 2s*ln n and ln_rhs = ln sin^2 n +
-    (2s+2-eps)*ln n gain at most (2s + 2) * 2**-46 more.  Rounding them
-    and their difference to floats adds 2**-52 times magnitudes below
-    (4s + 4) * ln n + 2w (w, ln n < 512): less than s * 2**-39.
-    """
-    e_max = (1 << c) // 6 + 8 * (bits + 56 + c) + 53
-    return max(_SCREEN_MIN_M, ((e_max << 15) >> bits) + 1)
-
-
 def _scan_chunk(args) -> tuple[list[CriterionReport], dict[int, float]]:
     """The violators' reports in lo..hi, ascending, and the kernel margin of
     every n the chunk decided by _decided_kernel.
@@ -274,12 +276,11 @@ def _scan_chunk(args) -> tuple[list[CriterionReport], dict[int, float]]:
 
 
 def _blocks(lo: int, hi: int):
-    """(c, a, b) for each run a..b of lo..hi with equal c = clog2(max(n, 2))."""
+    """(a, b) for each run a..b of lo..hi with equal clog2(max(n, 2))."""
     a = lo
     while a <= hi:
-        c = clog2(max(a, 2))
-        b = min(hi, 1 << c)
-        yield c, a, b
+        b = min(hi, 1 << clog2(max(a, 2)))
+        yield a, b
         a = b + 1
 
 
@@ -294,7 +295,7 @@ def _use_sparse(lo: int, hi: int, eps: Fraction) -> bool:
     path's fixed work, mostly the rounds that look for the worst margin.
     """
     expo = float(eps) / 2 - 1
-    estimate = sum((b - a + 1) * min(1.0, float(a) ** expo) for _, a, b in _blocks(lo, hi))
+    estimate = sum((b - a + 1) * min(1.0, float(a) ** expo) for a, b in _blocks(lo, hi))
     return _SPARSE_COST * estimate + _SPARSE_BASE < hi - lo + 1
 
 
@@ -376,12 +377,9 @@ def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
     = 2*bitlen(hi) + 64 has |pi * 2**W - M| <= 1/2, and fx_pow gives
     a^(eps/2) <= (E + err) * 2**(q-v), so, in units of 2**-W,
         D_T(a) * 2**W <= (M + 1) * T * (E + err) * 2**(q-v) / (2a).
-    The block's window is the ceiling of that, or the ceiling of
-    (M + 1) * (2 min_m + 1) / 2**(w+2) >= (pi/2) * (min_m + 1/2) * 2**(W-w),
-    w = _WALK_BASE + c, if larger: an n outside the window then has
-    |sin n| * 2**w >= min_m + 1/2, a walked m >= _min_m(c, bits).  The k
-    with k*pi within 1/2 of a..b lie in k0..k1, k0 = floor((a-1) * 2**W /
-    (M+1)) and k1 = ceil((b+1) * 2**W / (M-1)).  If |k*pi - n| is below
+    The block's window is the ceiling of that.  The k with k*pi within 1/2
+    of a..b lie in k0..k1, k0 = floor((a-1) * 2**W / (M+1)) and k1 =
+    ceil((b+1) * 2**W / (M-1)).  If |k*pi - n| is below
     the window, |k*M - n * 2**W| is below the window plus k/2 units, so
     with D = window + k1 + 1 units _near_multiples lists k and n.  All of
     this is integer arithmetic.
@@ -392,12 +390,12 @@ def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
 
     Worst margin.  The scan reports the least kernel margin over lo..hi,
     first n among equals.  An n outside the windows of T has sin^2(n) *
-    n^(2-eps) >= T^2 and m >= min_m, so by _min_m (the range is below
-    2**472) its kernel margin is at least 2t ln 2 - s * 5e-7.  So from
-    t = 0 up, the least margin over the windows' n is final once it lies
-    below 2t ln 2 - s * _SCREEN_SLACK (the float rounding of that bound is
-    below 1e-12), or once every block is whole; otherwise t grows by one.
-    The windows grow with t, and every n in them is decided once.
+    n^(2-eps) >= T^2, so by _decided_kernel's bound its kernel margin is
+    at least 2t ln 2 - s * 5e-7.  So from t = 0 up, the least margin over
+    the windows' n is final once it lies below 2t ln 2 - s * _SCREEN_SLACK
+    (the float rounding of that bound is below 1e-12), or once every block
+    is whole; otherwise t grows by one.  The windows grow with t, and
+    every n in them is decided once.
 
     Known margins.  `known` maps n in lo..hi that a caller has already
     decided to their kernel margins; those n are not decided again, and
@@ -412,7 +410,7 @@ def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
     W = 2 * hi.bit_length() + 64
     M = pi_mantissa(W)
     blocks = []
-    for c, a, b in _blocks(lo, hi):
+    for a, b in _blocks(lo, hi):
         v = 64
         while True:
             E, err, q = fx_pow(*fx_ln_int(a, v), half_eps, v)
@@ -424,17 +422,16 @@ def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
             num <<= q - v
         else:
             den <<= v - q
-        d_min = -((-(M + 1) * (2 * _min_m(c, bits) + 1)) >> (_WALK_BASE + c + 2))
         k0 = ((a - 1) << W) // (M + 1)
         k1 = -(-((b + 1) << W) // (M - 1))
-        blocks.append((a, b, num, den, d_min, k0, k1))
+        blocks.append((a, b, num, den, k0, k1))
     decided = dict(known or {})         # n -> kernel margin
     violations: dict[int, CriterionReport] = {}
     t = 0
     while True:
         whole = True
-        for a, b, num, den, d_min, k0, k1 in blocks:
-            D = max(-(-(num << t) // den), d_min) + k1 + 1
+        for a, b, num, den, k0, k1 in blocks:
+            D = -(-(num << t) // den) + k1 + 1
             if 2 * D >= 1 << W:
                 ns = range(a, b + 1)
             else:
@@ -457,11 +454,11 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
                    bits: int = 64, threads: int = 1) -> ScanResult:
     """Check every n in the inclusive range; report violations ascending.
 
-    The range must end below 2**472.  On the walk, the range is cut into
-    fixed 4096-wide chunks which may be evaluated in worker processes (at
-    most one per chunk and per CPU, whatever `threads` asks for); chunk
-    results are merged in ascending order, so the output is independent
-    of `threads`.  The sparse path ignores `threads` and starts no pool.
+    The range must end below 2**1024 - 2**970.  On the walk, the range is
+    cut into fixed 4096-wide chunks which may be evaluated in worker
+    processes (at most one per chunk and per CPU, whatever `threads` asks
+    for); chunk results are merged in ascending order, so the output is
+    independent of `threads`.  The sparse path ignores `threads` and starts no pool.
 
     Each index is decided at most once per call, and each violator's
     report comes from the _decided_kernel call that decided it, built
@@ -472,11 +469,8 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     walk it is the least over the violators' reports if that lies below
     -s * _SCREEN_SLACK, else _sparse_scan's, which is handed the margins
     of every n the chunks decided, so that none is decided again.  A
-    satisfied n's kernel float exceeds -s * 1e-6 whatever its walked
-    sine: its deciding interval lies above 1, so the product of the ball
-    centres does too, and the float is the log of that product but for
-    fixed-point logs at w >= 56 bits (off by below 2**-40) and float
-    rounding (below s * 2**-39, see _min_m).  So such a violator beats
+    satisfied n has sin^2(n) * n^(2-eps) > 1, so by _decided_kernel's
+    bound its kernel float exceeds -s * 5e-7, and such a violator beats
     every satisfied n.  The walk runs where many n are candidates, so
     only short ranges fall back.
     """
@@ -486,7 +480,7 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     if not _is_int(s) or s < 1:
         raise DomainError(f"scan_criterion requires an integer s >= 1, got {s!r}")
     if hi >= _SCAN_LIMIT:
-        raise DomainError(f"scan ranges must end below 2**472, got {hi}")
+        raise DomainError(f"scan ranges must end below 2**1024 - 2**970, got {hi}")
     _require_bits(bits)
     eps = _epsilon_fraction(epsilon)
     c = Fraction(2 * s + 2) - eps

@@ -166,9 +166,6 @@ class Convergent:
     q: int
     index: int
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 def convergents(terms: Sequence[int]) -> list[Convergent]:
     """p_k/q_k from the standard recurrence p_k = a_k p_{k-1} + p_{k-2}."""

@@ -250,12 +250,23 @@ def test_malformed_epsilon_is_domain_error(capsys, argv):
 
 
 def test_scan_past_the_margin_argument_is_domain_error(capsys):
-    code, out, err = run(capsys, "scan", "--from", "1", "--to", str(1 << 472),
-                         "--s", "1", "--eps", "0.1")
-    assert (code, out) == (1, "")
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "DomainError"
+    for hi in (criterion._SCAN_LIMIT, 10**1000):
+        code, out, err = run(capsys, "scan", "--from", "1", "--to", str(hi),
+                             "--s", "1", "--eps", "0.1")
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DomainError"
+
+
+def test_criterion_margin_near_pi_is_accurate(capsys):
+    # a convergent numerator of pi near 1.1e36, where |sin n| is about 1e-36
+    code, out, _ = run(capsys, "criterion", "--n", "1139633139961839625160418214775137593",
+                       "--s", "1", "--eps", "0.1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["satisfied"] is False
+    assert round(doc["margin"], 4) == -8.8338
 
 
 def test_far_scan_is_fast(capsys):

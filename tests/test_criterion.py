@@ -1,7 +1,9 @@
 import concurrent.futures
+import functools
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from flintlab import (
     scan_criterion,
 )
 from flintlab.mpreal import abs_sin_canonical, clog2
+from flintlab.rationality import spike_indices
 from scan_paths import forced, scan, scan_key
 
 
@@ -361,6 +364,7 @@ def test_scan_paths_agree_from_one(s, eps):
     ((1_000_000, 1_004_000), 1, "0.1"),        # no violator: only the worst margin
     ((2**60 + 12345, 2**60 + 14345), 1, "0.1"),
     ((1_000_000, 1_004_000), 3, "0.1"),
+    ((criterion._SCAN_LIMIT - 41, criterion._SCAN_LIMIT - 1), 1, "1.9"),  # the last n
 ])
 def test_scan_paths_match_per_n_loop_far_out(window, s, eps):
     want = scan_key(scan("per_n", window, s, eps))
@@ -404,7 +408,33 @@ def test_first_hit_is_the_least_solution():
 
 
 def test_scan_refuses_ranges_past_the_margin_argument():
-    with pytest.raises(DomainError):
-        scan_criterion((1, 1 << 472), 1, "0.1")
-    top = (1 << 472) - 1
+    for hi in (criterion._SCAN_LIMIT, 1 << 1024, 10**1000):
+        with pytest.raises(DomainError):
+            scan_criterion((1, hi), 1, "0.1")
+    top = criterion._SCAN_LIMIT - 1
+    assert float(top) == sys.float_info.max
     assert scan_criterion((top - 4, top), 1, "0.1").summary["checked"] == 5
+
+
+@functools.cache
+def _pi_convergents_1e28_1e40():
+    return [r.n for r in spike_indices(10**40, 512) if r.n >= 10**28]
+
+
+@pytest.mark.parametrize("bits", [8, 64])
+@pytest.mark.parametrize("s", [1, 3])
+def test_margin_matches_512_bits_at_pi_convergents(s, bits):
+    # near multiples of pi the sine ball's relative radius, not the
+    # verdict, decides how far the kernel escalates
+    for n in _pi_convergents_1e28_1e40():
+        want = check_criterion(n, s, "0.1", 512)
+        got = check_criterion(n, s, "0.1", bits)
+        assert got.satisfied == want.satisfied, n
+        assert abs(got.margin - want.margin) <= s * 1e-6, n
+
+
+def test_sparse_scan_to_1e32_calls_the_kernel_per_violator(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    result = scan_criterion((1, 10**32), 1, "0.1")
+    assert result.summary["violations"] == len(result.violations) == 500
+    assert len(calls) <= 3 * 500
