@@ -403,7 +403,8 @@ def build_parser() -> _Parser:
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--eps", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for walked blocks; output does not depend on it")
     p.add_argument("--summary-out", metavar="PATH",
                    help="also write the run summary JSON here")
     _finish(p, _cmd_scan, bits=64)

@@ -16,38 +16,32 @@ that interval times the exact n^(2s).  eps is an exact fraction end to
 end, so scans are bit-reproducible regardless of chunking or processes.
 
 A range scan (scan_criterion) reports the violators, the count of
-indices and the least float margin with its n, and it takes one of two
-paths to the same output.  "Satisfied" means sin^2(n) * n^(2-eps) > 1.
+indices and the least float margin with its n; "satisfied" means
+sin^2(n) * n^(2-eps) > 1.  It cuts the range into blocks of equal
+clog2 n and runs rounds t = 0, 1, ... (_scan).  Each index it does not
+settle at once goes to the escalating kernel once, and a violator's
+report is built from that call (_report), so reports equal
+check_criterion's bit for bit.
 
-The sparse path (_sparse_scan) visits only the n near multiples of pi.
-By Jordan's inequality a violator lies within (pi/2) * n^-(1-eps/2) of
-some k*pi, so the n within a slightly wider window form a superset of
-the violators; every other n is satisfied.  The window D is certified
-on integers, from the upper end of an fx_pow ball and the mantissa M of
-pi at W = 2*bitlen(hi) + 64 bits, plus k1 + 1 units for |k*(pi -
-M/2**W)|, and the k with k*M within D of a multiple of 2**W are found by
-a Euclid-like modular search in O(log) big-integer steps each.  The
-worst margin widens the window by doubling factors until the least
-margin found provably beats every n outside it.
+Windows.  By Jordan's inequality a violator lies within (pi/2) *
+n^-(1-eps/2) of some k*pi, so the n within a slightly wider window,
+certified on integers, form a superset of the violators.  A Euclid-like
+modular search (_near_multiples) lists them in O(log) big-integer steps
+each; a block whose window spans every n takes them all.
 
-The walk (_scan_chunk) compares the square of the rounded sine of the
-rotation walk with a certified upper bound on n^-(2-eps) that holds
-over a short run of n; an index whose square is not above it goes to
-the escalating kernel.  scan_criterion takes its worst margin from the
-violators' reports, or from the sparse path if none is deep.
+The walk.  In round 0 a block from n = 64 on whose window holds
+1/_SPARSE_COST of its n or more (_walks) is screened instead: the square
+of the rounded sine of the rotation walk is compared with a certified
+bound on n^-(2-eps) that holds over a short run of n (_screen), and only
+the n it leaves open go to the kernel.  Walked pieces of _CHUNK indices
+run on a process pool when a round walks two or more chunks' worth and
+threads > 1; their workers build their violators' reports.
 
-Both paths decide every index they do not settle at once by the same
-escalating kernel as check_criterion, once per index, and build each
-violator's report with _report, as check_criterion does, from the call
-that decided it, so reports are bit-identical to check_criterion's.
-_use_sparse picks the path from (lo, hi, eps) alone: the sparse one
-where few n are candidates, the walk for dense eps (at eps = 1.5 the
-walk is faster) and for short ranges.  Only the walk runs a process
-pool, whose workers build their violators' reports; the sparse path runs
-in-process.  Every decided n's float margin is within s * 5e-7 of
-ln(sin^2(n) * n^(2-eps)) (see _decided_kernel), and both paths' worst
-margins rest on that bound.  Ranges end below 2**1024 - 2**970, where
-_use_sparse's floats overflow.
+Worst margin.  Later rounds widen every window by doubling factors until
+the least margin found provably beats every n outside them, skipping
+the rounds that would decide nothing.  Every decided n's float margin is
+within s * 5e-7 of ln(sin^2(n) * n^(2-eps)) (see _decided_kernel), and
+that argument rests on it.  Ranges end below 2**1024 - 2**970.
 """
 
 from __future__ import annotations
@@ -82,13 +76,12 @@ __all__ = [
 ]
 
 _ESCALATION_CAP = 1 << 20
-_CHUNK = 4096
+_CHUNK = 4096             # most indices in one walked piece
 _WALK_BASE = 40           # the scan's sine is round(|sin n| * 2**(40 + clog2 n))
 _SUBBLOCK_SHIFT = 5       # one pair of thresholds serves n .. n + (n >> 5)
 _SCREEN_SLACK = 1e-6      # worst-margin tolerance, per unit of s
-_SCAN_LIMIT = (1 << 1024) - (1 << 970)   # float(n) in _use_sparse overflows from here
+_SCAN_LIMIT = (1 << 1024) - (1 << 970)   # _decided_kernel's float bound assumes n < 2**1024
 _SPARSE_COST = 32         # walked indices that cost about as much as one kernel call
-_SPARSE_BASE = 4096       # walked indices that cost about the sparse path's fixed work
 _LN2 = math.log(2)
 
 
@@ -237,66 +230,54 @@ def _sine_thresholds(n: int, c: Fraction, w: int) -> int:
     return -(-(1 << (2 * w + 2 + v - q)) // (E - err))
 
 
-def _scan_chunk(args) -> tuple[list[CriterionReport], dict[int, float]]:
-    """The violators' reports in lo..hi, ascending, and the kernel margin of
-    every n the chunk decided by _decided_kernel.
+def _screen(ns: range, c_pow: Fraction):
+    """The n of ns, a run of one block, that the walk does not settle.
 
     m = round(|sin n| * 2**w) from abs_sin_walk with w = _WALK_BASE + c,
     c = clog2(n), so |sin n| * 2**(w+1) lies strictly inside (2m - 1,
     2m + 1).  "Satisfied", sin^2(n) * n^(2-eps) > 1, is certain when
     (2m - 1)^2 exceeds the t_sat of _sine_thresholds; equality is
-    impossible, sin n being transcendental.  The indices of one w are cut
-    into subblocks a..b, b = a + (a >> _SUBBLOCK_SHIFT) clipped at the
-    power of two, and t_sat comes from one ball at a.  n^(2-eps) varies
-    by a factor below (1 + 2**-5)^2 over a..b, so only an n whose sin^2 n
-    lies in that narrow band, or below it, is left open.  _decided_kernel
-    decides each such n once, as check_criterion does, and a violator's
-    report is built here from that call, in the worker that found it.
+    impossible, sin n being transcendental.  The run is cut into
+    subblocks a..b, b = a + (a >> _SUBBLOCK_SHIFT), and t_sat comes from
+    one ball at a.  n^(2-eps) varies by a factor below (1 + 2**-5)^2 over
+    a..b, so only an n whose sin^2 n lies in that narrow band, or below
+    it, is left open.
     """
-    lo, hi, s, c_num, c_den, bits = args
-    eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
-    c_pow = 2 - eps
-    violations: list[CriterionReport] = []
-    margins: dict[int, float] = {}
-    top = sub_end = 0     # last n of the current w (a power of two), of the subblock
-    for n, m in zip(range(lo, hi + 1), abs_sin_walk(lo, hi, _WALK_BASE)):
-        if n > top:
-            c = clog2(max(n, 2))
-            top, w = 1 << c, _WALK_BASE + c
+    w = _WALK_BASE + clog2(max(ns.start, 2))
+    sub_end = 0
+    for n, m in zip(ns, abs_sin_walk(ns.start, ns[-1], _WALK_BASE)):
         if n > sub_end:
-            sub_end = min(top, n + (n >> _SUBBLOCK_SHIFT))
+            sub_end = n + (n >> _SUBBLOCK_SHIFT)
             t_sat = _sine_thresholds(n, c_pow, w)
-        if max(2 * m - 1, 0) ** 2 > t_sat:
-            continue
+        if max(2 * m - 1, 0) ** 2 <= t_sat:
+            yield n
+
+
+def _decide(args) -> list[tuple[int, float, CriterionReport | None]]:
+    """(n, kernel margin, report or None) for each n that _decided_kernel
+    decides: every n of ns, or, when `walk` is set, those that _screen
+    leaves open.  A violator's report is built from the call that decided
+    it, in the process that ran it."""
+    ns, walk, s, c_num, c_den, bits = args
+    eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
+    decided = []
+    for n in _screen(ns, 2 - eps) if walk else ns:
         out = _decided_kernel(n, s, c_num, c_den, bits)
-        margins[n] = out[2] - out[1]
-        if not out[0]:
-            violations.append(_report(n, s, eps, bits, out))
-    return violations, margins
+        decided.append((n, out[2] - out[1], None if out[0] else _report(n, s, eps, bits, out)))
+    return decided
 
 
-def _blocks(lo: int, hi: int):
-    """(a, b) for each run a..b of lo..hi with equal clog2(max(n, 2))."""
-    a = lo
-    while a <= hi:
-        b = min(hi, 1 << clog2(max(a, 2)))
-        yield a, b
-        a = b + 1
+def _walks(a: int, D: int, M: int) -> bool:
+    """Whether round 0 walks the block from a rather than search its window
+    of D units (M is pi's mantissa in the same units).
 
-
-def _use_sparse(lo: int, hi: int, eps: Fraction) -> bool:
-    """Whether scan_criterion takes _sparse_scan rather than the walk.
-
-    Decided from (lo, hi, eps) alone, never from threads or chunking: both
-    paths give the same output, so this only picks the faster one.  About
-    n^-(1-eps/2) of the indices near n are sparse candidates (all of them
-    where that exceeds 1), each costing one kernel call, some
-    _SPARSE_COST walked indices; _SPARSE_BASE stands for the sparse
-    path's fixed work, mostly the rounds that look for the worst margin.
+    The window holds a share 2D/M of the block's n, each costing one
+    kernel call, and a walked n costs about 1/_SPARSE_COST of one.  Below
+    a = 64 a subblock of _screen holds at most two n, so its threshold
+    ball makes a walked n cost about a fifth of a kernel call: those
+    blocks are never walked.
     """
-    expo = float(eps) / 2 - 1
-    estimate = sum((b - a + 1) * min(1.0, float(a) ** expo) for a, b in _blocks(lo, hi))
-    return _SPARSE_COST * estimate + _SPARSE_BASE < hi - lo + 1
+    return a >> (_SUBBLOCK_SHIFT + 1) > 0 and 2 * D * _SPARSE_COST >= M
 
 
 def _first_hit(a: int, b: int, m: int, lo: int, hi: int) -> int | None:
@@ -358,19 +339,16 @@ def _near_multiples(M: int, W: int, k0: int, k1: int, D: int):
         k += 1
 
 
-def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
-                 known: dict[int, float] | None = None,
-                 ) -> tuple[list[CriterionReport], tuple[float, int]]:
-    """Violators' reports and (worst margin, its n) for lo..hi, from the n near
-    multiples of pi.
+def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
+          threads: int) -> tuple[list[CriterionReport], tuple[float, int]]:
+    """Violators' reports, ascending, and (worst margin, its n) for lo..hi.
 
     Superset.  Let T = 2**t and D_T(n) = (pi/2) * T * n^-(1-eps/2).  By
     Jordan's inequality, |sin x| >= (2/pi)|x| for |x| <= pi/2, an n with
     |sin n| < T * n^-(1-eps/2) lies within D_T(n) of some k*pi.  A
     violator has sin^2(n) * n^(2-eps) < 1, so it lies within D_1(n).  Each
-    n in a window goes to _decided_kernel once, which decides it exactly as
-    the walk does, and a violator's report is built from that call; every
-    other n is satisfied.
+    n in a window goes to _decided_kernel once, and a violator's report is
+    built from that call; every other n is satisfied.
 
     Window.  lo..hi splits into blocks a..b of equal c = clog2(max(n, 2)),
     and D_T(a) >= D_T(n) serves a whole block.  M = pi_mantissa(W) with W
@@ -384,95 +362,119 @@ def _sparse_scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
     with D = window + k1 + 1 units _near_multiples lists k and n.  All of
     this is integer arithmetic.
 
-    Small n.  A block where 2D >= 2**W, a window of 1/2 or more, is handed
-    to the kernel whole, so no rounding to the nearest integer is needed
+    Small n.  A block where 2D >= 2**W, a window of 1/2 or more, is whole:
+    it takes every n, so no rounding to the nearest integer is needed
     there.  At eps = 0.1 and T = 1 that is n <= 4: D_1(5) < 0.34.
+
+    Round 0.  A block where _walks(a, D, M) holds at t = 0 is walked
+    instead: _screen leaves open every n that is not certainly satisfied,
+    so it keeps every violator, and an n it settles has sin^2(n) *
+    n^(2-eps) > 1, which is all that lying outside the window of t = 0
+    says.  Walked pieces of at most _CHUNK indices go to worker processes
+    when the round walks at least 2 * _CHUNK indices and threads > 1.
 
     Worst margin.  The scan reports the least kernel margin over lo..hi,
     first n among equals.  An n outside the windows of T has sin^2(n) *
     n^(2-eps) >= T^2, so by _decided_kernel's bound its kernel margin is
     at least 2t ln 2 - s * 5e-7.  So from t = 0 up, the least margin over
-    the windows' n is final once it lies below 2t ln 2 - s * _SCREEN_SLACK
+    the decided n is final once it lies below 2t ln 2 - s * _SCREEN_SLACK
     (the float rounding of that bound is below 1e-12), or once every block
-    is whole; otherwise t grows by one.  The windows grow with t, and
-    every n in them is decided once.
-
-    Known margins.  `known` maps n in lo..hi that a caller has already
-    decided to their kernel margins; those n are not decided again, and
-    their margins count towards the worst.  That keeps the argument above:
-    once every n in the windows is decided, the least margin over a larger
-    set of n in lo..hi is still final when it lies below the bound, and an
-    n outside the windows lies strictly above that bound.  Reports are
-    returned only for the violators decided here.
+    is whole.  Otherwise the next round is the least t' > t that decides
+    an n not yet decided, is whole, or has that bound above the least
+    margin: the rounds between would decide nothing and end nothing.
+    Each of these three grows with t, as the windows do, so t' is found by
+    doubling t' - t, then bisecting, with probes that stop at the first
+    new n.
     """
     eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
-    half_eps = eps / 2
     W = 2 * hi.bit_length() + 64
     M = pi_mantissa(W)
     blocks = []
-    for a, b in _blocks(lo, hi):
+    a = lo
+    while a <= hi:
+        b = min(hi, 1 << clog2(max(a, 2)))
         v = 64
         while True:
-            E, err, q = fx_pow(*fx_ln_int(a, v), half_eps, v)
+            E, err, q = fx_pow(*fx_ln_int(a, v), eps / 2, v)
             if E > err:
                 break
             v *= 2
-        num, den = (M + 1) * (E + err), 2 * a
-        if q >= v:
-            num <<= q - v
-        else:
-            den <<= v - q
+        num, den = (M + 1) * (E + err) << max(q - v, 0), 2 * a << max(v - q, 0)
         k0 = ((a - 1) << W) // (M + 1)
         k1 = -(-((b + 1) << W) // (M - 1))
         blocks.append((a, b, num, den, k0, k1))
-    decided = dict(known or {})         # n -> kernel margin
-    violations: dict[int, CriterionReport] = {}
-    t = 0
-    while True:
-        whole = True
+        a = b + 1
+
+    def windows(t):
+        """(a, b, D, whole, the n of the window) for each block at round t."""
         for a, b, num, den, k0, k1 in blocks:
             D = -(-(num << t) // den) + k1 + 1
-            if 2 * D >= 1 << W:
-                ns = range(a, b + 1)
-            else:
+            whole = 2 * D >= 1 << W
+            yield a, b, D, whole, (range(a, b + 1) if whole else (
+                n for n in _near_multiples(M, W, k0, k1, D) if a <= n <= b))
+
+    def ends(t):
+        return worst[0] < 2 * t * _LN2 - s * _SCREEN_SLACK
+
+    def opens(t):
+        """Whether round t ends the scan or decides an n not yet decided."""
+        if ends(t):
+            return True
+        rows = list(windows(t))
+        return all(row[3] for row in rows) or any(
+            n not in decided for row in rows for n in row[4])
+
+    decided: set[int] = set()
+    violations: list[CriterionReport] = []
+    worst = (math.inf, -1)
+    t = 0
+    while True:
+        walked, candidates, whole = [], [], True
+        for a, b, D, full, ns in windows(t):
+            if t == 0 and _walks(a, D, M):
+                walked += [(range(x, min(x + _CHUNK, b + 1)), True, s, c_num, c_den, bits)
+                           for x in range(a, b + 1, _CHUNK)]
                 whole = False
-                ns = (n for n in _near_multiples(M, W, k0, k1, D) if a <= n <= b)
-            for n in ns:
-                if n not in decided:
-                    out = _decided_kernel(n, s, c_num, c_den, bits)
-                    decided[n] = out[2] - out[1]
-                    if not out[0]:
-                        violations[n] = _report(n, s, eps, bits, out)
-        worst = min(((margin, n) for n, margin in decided.items()), default=(math.inf, -1))
-        if whole or worst[0] < 2 * t * _LN2 - s * _SCREEN_SLACK:
+            else:
+                whole &= full
+                candidates += [n for n in ns if n not in decided]
+        here = (candidates, False, s, c_num, c_den, bits)
+        workers = min(threads, len(walked), os.cpu_count() or 1)
+        if workers > 1 and sum(len(piece[0]) for piece in walked) >= 2 * _CHUNK:
+            import concurrent.futures as cf
+            with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+                pooled = pool.map(_decide, walked)
+                out = [*_decide(here), *(x for part in pooled for x in part)]
+        else:
+            out = [x for piece in [*walked, here] for x in _decide(piece)]
+        decided.update(n for n, _, _ in out)
+        worst = min([worst, *((margin, n) for n, margin, _ in out)])
+        violations += [report for _, _, report in out if report is not None]
+        if whole or ends(t):
             break
-        t += 1
-    return [violations[n] for n in sorted(violations)], worst
+        below, step = t, 1          # round t + 1, t + 3, t + 7, ... until one opens
+        while not opens(below + step):
+            below, step = below + step, 2 * step
+        while step > 1:             # then bisect
+            step //= 2
+            if not opens(below + step):
+                below += step
+        t = below + 1
+    violations.sort(key=lambda r: r.n)
+    return violations, worst
 
 
 def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
                    bits: int = 64, threads: int = 1) -> ScanResult:
     """Check every n in the inclusive range; report violations ascending.
 
-    The range must end below 2**1024 - 2**970.  On the walk, the range is
-    cut into fixed 4096-wide chunks which may be evaluated in worker
-    processes (at most one per chunk and per CPU, whatever `threads` asks
-    for); chunk results are merged in ascending order, so the output is
-    independent of `threads`.  The sparse path ignores `threads` and starts no pool.
-
-    Each index is decided at most once per call, and each violator's
-    report comes from the _decided_kernel call that decided it, built
-    where that call ran: in _sparse_scan, or in the worker that ran the
-    walk's chunk.  scan_criterion only merges them.
-
-    Worst margin: the least (margin, n), first n among equals.  On the
-    walk it is the least over the violators' reports if that lies below
-    -s * _SCREEN_SLACK, else _sparse_scan's, which is handed the margins
-    of every n the chunks decided, so that none is decided again.  A
-    satisfied n has sin^2(n) * n^(2-eps) > 1, so by _decided_kernel's
-    bound its kernel float exceeds -s * 5e-7, and such a violator beats
-    every satisfied n.  The walk runs where many n are candidates, so
-    only short ranges fall back.
+    The range must end below 2**1024 - 2**970.  Each index is decided at
+    most once, and each violator's report comes from the _decided_kernel
+    call that decided it, so it equals check_criterion's.  The worst
+    margin is the least (margin, n), first n among equals.  Walked pieces
+    may run in worker processes (at most one per piece and per CPU,
+    whatever `threads` asks for) when a scan walks 8192 indices or more;
+    the output does not depend on `threads`.
     """
     lo, hi = n_range
     if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
@@ -482,26 +484,8 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     if hi >= _SCAN_LIMIT:
         raise DomainError(f"scan ranges must end below 2**1024 - 2**970, got {hi}")
     _require_bits(bits)
-    eps = _epsilon_fraction(epsilon)
-    c = Fraction(2 * s + 2) - eps
-    kernel_args = s, c.numerator, c.denominator, bits
-    if _use_sparse(lo, hi, eps):
-        violations, worst = _sparse_scan(lo, hi, *kernel_args)
-    else:
-        chunks = [(a, min(a + _CHUNK - 1, hi), *kernel_args)
-                  for a in range(lo, hi + 1, _CHUNK)]
-        workers = min(threads, len(chunks), os.cpu_count() or 1)
-        if workers > 1:
-            import concurrent.futures as cf
-            with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-                pieces = list(pool.map(_scan_chunk, chunks))
-        else:
-            pieces = [_scan_chunk(chunk) for chunk in chunks]
-        violations = [r for reports, _ in pieces for r in reports]
-        worst = min(((r.margin, r.n) for r in violations), default=(math.inf, -1))
-        if not worst[0] < -s * _SCREEN_SLACK:
-            known = {n: margin for _, margins in pieces for n, margin in margins.items()}
-            worst = _sparse_scan(lo, hi, *kernel_args, known)[1]
+    c = Fraction(2 * s + 2) - _epsilon_fraction(epsilon)
+    violations, worst = _scan(lo, hi, s, c.numerator, c.denominator, bits, threads)
     summary = {
         "checked": hi - lo + 1,
         "violations": len(violations),

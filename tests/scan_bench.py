@@ -7,20 +7,24 @@ Each SRC_DIR is the ``src`` directory of a checkout, for instance
 interpreter per tree with PYTHONPATH=SRC_DIR; the trees take turns within every run, and
 alternate which goes first, so they share the machine's drift.  Each interpreter
 warms the constant caches with one untimed benchmark operation, then times
-three operations with ``time.perf_counter`` and ``time.process_time``:
+four operations with ``time.perf_counter`` and ``time.process_time``:
 
 * ``scan_op``: the benchmark's ``scan`` operation (perfbench/workloads.py,
-  seed 0): n = 1..32768, s = 1, eps = 0.1 at threads 2, which takes the
-  sparse path; timed over SCAN_OP_REPEAT calls, as one call takes a few ms;
-* ``walk_t1`` and ``walk_t2``: the dense walk, n = 1..1e5, s = 1,
-  eps = 1.5, at threads 1 and 2 (the pool's start-up is part of the call).
+  seed 0): n = 1..32768, s = 1, eps = 0.1 at threads 2, which walks no
+  block and starts no pool; timed over SCAN_OP_REPEAT calls, as one call
+  takes a few ms;
+* ``walk_t1`` and ``walk_t2``: n = 1..1e5, s = 1, eps = 1.5, at threads
+  1 and 2, which walks every block from 65 on (the pool's start-up is part
+  of the call at threads 2);
+* ``mixed``: n = 1..1e5, s = 1, eps = 1 at threads 1, which walks
+  65..1024 and takes the near multiples of pi, or every n, elsewhere.
 
 CPU seconds count the parent interpreter only, not its pool workers.
 
 One more, untimed, interpreter per tree counts the calls of
 ``criterion._decided_kernel`` and the distinct n they decide, per
 operation.  The walk is counted at threads 1, where the calls run in the
-counting process; its chunks, and so its calls, are the same at threads 2.
+counting process; its pieces, and so its calls, are the same at threads 2.
 
 Prints one JSON document: per tree and operation the median and quartiles
 of the wall and CPU seconds and the indices per wall second at the median;
@@ -41,7 +45,8 @@ import time
 
 SCAN_OP = ((1, 32768), 1, "0.1", 2)
 WALK = ((1, 100_000), 1, "1.5")
-OPERATIONS = {"scan_op": SCAN_OP, "walk_t1": (*WALK, 1), "walk_t2": (*WALK, 2)}
+OPERATIONS = {"scan_op": SCAN_OP, "walk_t1": (*WALK, 1), "walk_t2": (*WALK, 2),
+              "mixed": ((1, 100_000), 1, "1", 1)}
 SCAN_OP_REPEAT = 20
 
 
@@ -85,7 +90,7 @@ def worker(count: bool) -> None:
 
     criterion._decided_kernel = counting
     counts = {}
-    for name in ("scan_op", "walk_t1"):
+    for name in ("scan_op", "walk_t1", "mixed"):
         window, s, eps, threads = OPERATIONS[name]
         calls.clear()
         result = criterion.scan_criterion(window, s, eps, threads=threads)

@@ -2,17 +2,20 @@
 
     PYTHONPATH=src:tests python tests/slow_scan_windows.py [windows] [dense] [grid]
 
-``windows`` compares the walk and the sparse path, at threads 1 and 2, on
+The paths are those of scan_paths.forced: "walk" walks every block in
+round 0, "sparse" takes every block's near multiples of pi, "auto" lets
+the scan choose per block, and "per_n" decides every n.  ``windows``
+compares the walk, at threads 1 and 2, with the sparse path on
 200001-wide windows around the eps = 0.1 violators 147373401987 and
 428224593349304.  ``dense`` compares the walk at threads 1 and 2, the
 sparse path and the per-n loop on 10001-wide windows at eps = 1.5 past
 2.6e10, where the walk's sines need more than 32 guard bits: 1e12 +-
-5000 holds no violator, so the walk takes its worst margin from the
-sparse path, and 1000000030003 +- 5000 holds 29.  ``grid`` compares
-both paths with the per-n loop on 1..1e5 at eps in {0.1, 0.5, 1, 1.5,
-1.9} and s in {1, 3}.  With no argument all three run.  One line per
-check; the exit code is 1 if any output differs.  pytest does not
-collect this file.
+5000 holds no violator, so the worst margin takes rounds past the walk,
+and 1000000030003 +- 5000 holds 29.  ``grid`` compares the walk, the
+sparse path and the unforced scan with the per-n loop on 1..1e5 at eps
+in {0.1, 0.5, 1, 1.5, 1.9} and s in {1, 3}.  With no argument all three
+run.  One line per check; the exit code is 1 if any output differs.
+pytest does not collect this file.
 """
 
 import sys
@@ -70,13 +73,14 @@ def grid() -> bool:
     for eps in ("0.1", "0.5", "1", "1.5", "1.9"):
         for s in (1, 3):
             want, t_per_n = _timed("per_n", window, s, eps)
-            walk, t_walk = _timed("walk", window, s, eps)
-            sparse, t_sparse = _timed("sparse", window, s, eps)
-            same = walk == want and sparse == want
+            times, same = [f"per-n {t_per_n:.2f} s"], True
+            for path in ("walk", "sparse", "auto"):
+                key, t = _timed(path, window, s, eps)
+                same &= key == want
+                times.append(f"{path} {t:.2f} s")
             ok &= same
             print(f"{window} eps {eps} s {s}: {want[0]['violations']} violators, "
-                  f"{'same' if same else 'DIFFERENT'}; per-n {t_per_n:.2f} s, "
-                  f"walk {t_walk:.2f} s, sparse {t_sparse:.2f} s", flush=True)
+                  f"{'same' if same else 'DIFFERENT'}; {', '.join(times)}", flush=True)
     return ok
 
 

@@ -16,7 +16,7 @@ from flintlab import (
     check_criterion,
     scan_criterion,
 )
-from flintlab.mpreal import abs_sin_canonical, clog2
+from flintlab.mpreal import abs_sin_canonical, clog2, pi_mantissa
 from flintlab.rationality import spike_indices
 from scan_paths import forced, scan, scan_key
 
@@ -89,7 +89,7 @@ def test_scan_clean_stretch():
 
 def test_scan_threads_do_not_change_output():
     single = scan("walk", (1, 9000), 1, "0.1", threads=1)
-    for path, threads in (("walk", 4), ("sparse", 1), ("sparse", 4)):
+    for path, threads in (("walk", 4), ("sparse", 1), ("sparse", 4), ("auto", 4)):
         assert scan_key(scan(path, (1, 9000), 1, "0.1", threads=threads)) == scan_key(single)
 
 
@@ -111,25 +111,21 @@ class _RecordingPool:
         return [fn(chunk) for chunk in chunks]
 
 
-def _empty_chunk(args):
-    return [], {}
-
-
 @pytest.mark.parametrize("threads, hi, cpus, workers", [
     (64, 8 * 4096, 3, [3]),      # capped by the CPUs
-    (64, 5000, 16, [2]),         # capped by the chunks
+    (64, 5000, 16, []),          # fewer than two chunks walked: no pool
     (2, 8 * 4096, 2, [2]),
-    (8, 4096, 8, []),            # one chunk: no pool
+    (8, 4096, 8, []),
     (1, 8 * 4096, 8, []),
+    (64, 8 * 4096, 16, [13]),    # capped by the pieces: 65..4096 in six, the rest in seven
 ])
 def test_scan_threads_are_clamped(monkeypatch, threads, hi, cpus, workers):
-    # at eps = 1.9 nearly every n is a sparse candidate, so the scan walks
+    # at eps = 1.9 every block from 65 on is walked; a _decide that decides
+    # nothing leaves round 1, whose windows are whole, to end the scan
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(criterion, "_scan_chunk", _empty_chunk)
-    # no violator means a worst-margin search on the sparse path: skip it
-    monkeypatch.setattr(criterion, "_sparse_scan", lambda *args: ([], (math.inf, -1)))
+    monkeypatch.setattr(criterion, "_decide", lambda args: [])
     result = scan_criterion((1, hi), 1, "1.9", threads=threads)
     assert result.summary["checked"] == hi
     assert _RecordingPool.sizes == workers
@@ -139,7 +135,6 @@ def test_scan_threads_are_clamped(monkeypatch, threads, hi, cpus, workers):
 def test_sparse_scan_starts_no_pool(monkeypatch, threads):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(criterion, "_scan_chunk", _empty_chunk)
     result = scan_criterion((1, 8 * 4096), 1, "0.1", threads=threads)
     assert [r.n for r in result.violations][:5] == [1, 3, 22, 44, 355]
     assert _RecordingPool.sizes == []
@@ -166,41 +161,40 @@ _EPSILONS = ["0.1", Fraction(1, 3), "1.9", "0.001", Fraction(1, 997), Fraction(1
 @pytest.mark.parametrize("window", [(1, 400), (1492, 1691), (4000, 4200), (8100, 8300),
                                     (4, 6), (20_000, 20_100)])
 def test_scan_matches_per_n_loop(window, s, eps):
-    # The windows cross the powers of two 256, 4096 and 8192, which are
-    # also WALK_BLOCK edges and the sparse path's block edges.  At eps =
-    # 1.9 the worst margin of 1492..1691 beats the window's previous
-    # record by only 0.004.  4..6 and 20000..20100 hold no violator at
-    # small eps, so the walk takes its worst margin from the sparse path.
+    # The windows cross the powers of two 256, 4096 and 8192, the blocks'
+    # edges.  At eps = 1.9 the worst margin of 1492..1691 beats the
+    # window's previous record by only 0.004.  4..6 and 20000..20100 hold
+    # no violator at small eps, so the worst margin takes rounds past 0.
+    # Unforced, 1..400 walks 65..400 from eps = 0.34 on and takes every n
+    # or the near multiples of pi below.
     want = scan_key(scan("per_n", window, s, eps))
-    assert scan_key(scan("walk", window, s, eps)) == want
-    assert scan_key(scan("sparse", window, s, eps)) == want
+    for path in ("walk", "sparse", "auto"):
+        assert scan_key(scan(path, window, s, eps)) == want, path
 
 
-@pytest.mark.parametrize("s, eps", [(1, "0.1"), (1, Fraction(1, 997)), (3, "1.9")])
+@pytest.mark.parametrize("s, eps", [(1, "0.1"), (1, Fraction(1, 997)), (3, "1.9"), (1, "1"),
+                                    (1, "1.5")])
 def test_scan_on_two_processes_matches_per_n_loop(s, eps):
-    window = (1, 8300)          # three chunks
+    # forced, the walk fills more than two chunks and starts the pool;
+    # unforced, 1..8300 walks 65..8300 at eps 1.5 and 1.9, on the pool, and
+    # 65..1024 at eps 1, between blocks that take near multiples of pi
+    window = (1, 8300)
     want = scan_key(scan("per_n", window, s, eps))
-    assert scan_key(scan("walk", window, s, eps, threads=2)) == want
-    assert scan_key(scan("sparse", window, s, eps, threads=2)) == want
+    for path in ("walk", "sparse", "auto"):
+        assert scan_key(scan(path, window, s, eps, threads=2)) == want, path
 
 
 @pytest.mark.parametrize("eps", ["0.1", "1.9"])
 @pytest.mark.parametrize("s", [1, 3])
-@pytest.mark.parametrize("window", [(1, 400), (1492, 1691)])
+@pytest.mark.parametrize("window", [(4, 6), (20_000, 20_100)])
 def test_walk_worst_margin_fallback_matches_per_n_loop(monkeypatch, window, s, eps):
-    # no violator is deep enough, so the walk takes _sparse_scan's worst margin
+    # at eps = 0.1 neither window holds a violator, so the walked round 0
+    # does not settle the worst margin and the window rounds after it must
+    # not decide again what the walk decided
     want = scan_key(scan("per_n", window, s, eps))
-    sparse_calls = []
-    sparse_scan = criterion._sparse_scan
-
-    def recording(*args):
-        sparse_calls.append(args[:2])
-        return sparse_scan(*args)
-
-    monkeypatch.setattr(criterion, "_SCREEN_SLACK", math.inf)
-    monkeypatch.setattr(criterion, "_sparse_scan", recording)
+    calls = _count_kernel_calls(monkeypatch)
     assert scan_key(scan("walk", window, s, eps)) == want
-    assert sparse_calls == [window]
+    assert len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize("bits, error", [
@@ -297,9 +291,10 @@ def test_scan_reports_equal_check_criterion(path, window, eps, threads, s):
     ("sparse", (1, 32768), 3, "0.1", criterion._SCREEN_SLACK),
     ("walk", (1, 8300), 1, "1.5", criterion._SCREEN_SLACK),
     ("walk", (1, 8300), 3, "1.5", criterion._SCREEN_SLACK),
-    # no violator is deep enough: the sparse path finds the worst margin
-    # and must not decide again what the walk decided
+    # with no bound to end them, the rounds run until every window is
+    # whole, and none may decide again what the walk or a round decided
     ("walk", (1, 400), 1, "0.1", math.inf),
+    ("auto", (1, 8300), 1, "1.5", criterion._SCREEN_SLACK),   # walks 65..8300 on the pool
 ])
 def test_scan_decides_each_index_once(monkeypatch, path, window, s, eps, slack):
     # the pool stand-in runs the chunks in this process, where calls are counted
@@ -388,12 +383,55 @@ def test_sparse_scan_calls_the_kernel_rarely(monkeypatch, eps):
 
 
 def test_path_choice():
-    assert criterion._use_sparse(1, 32768, Fraction(1, 10))
-    assert criterion._use_sparse(1, 10**15, Fraction(1, 10))
-    assert criterion._use_sparse(1, 100_000, Fraction(1))
-    assert not criterion._use_sparse(1, 400, Fraction(1, 10))
-    assert not criterion._use_sparse(1, 300_000, Fraction(3, 2))
-    assert not criterion._use_sparse(1, 32768, Fraction(19, 10))
+    M = pi_mantissa(100)
+    share = -(-M // (2 * criterion._SPARSE_COST))      # the least D with 2D/M >= 1/32
+    for a, D, walks in [
+        (1, M, False), (63, M, False),                    # below 64 never
+        (64, share, True), (64, share - 1, False),
+        (1 << 40, M, True), (1 << 40, share - 1, False), (65, 0, False),
+    ]:
+        assert bool(criterion._walks(a, D, M)) == walks, (a, D)
+
+
+@pytest.mark.parametrize("window, eps, walked", [
+    ((1, 100_000), "1", [(65, 128), (129, 256), (257, 512), (513, 1024)]),
+    ((1, 32768), "0.1", []),                              # the benchmark's scan
+    ((1, 20_000), "1.5", [(65, 128), (129, 256), (257, 512), (513, 1024), (1025, 2048),
+                          (2049, 4096), (4097, 8192), (8193, 12288), (12289, 16384),
+                          (16385, 20000)]),
+])
+def test_walked_pieces(monkeypatch, window, eps, walked):
+    pieces = []
+    screen = criterion._screen
+
+    def recording(ns, c_pow):
+        pieces.append((ns.start, ns[-1]))
+        return screen(ns, c_pow)
+
+    monkeypatch.setattr(criterion, "_screen", recording)
+    want = scan_key(scan("sparse", window, 1, eps))
+    assert pieces == []
+    assert scan_key(scan_criterion(window, 1, eps)) == want
+    assert pieces == walked
+
+
+def test_rounds_that_decide_nothing_are_skipped(monkeypatch):
+    # the least margin, near 1341.6, needs the bound of round 968: probes
+    # find it without enumerating the windows of every round in between
+    window = (criterion._SCAN_LIMIT - 5, criterion._SCAN_LIMIT - 1)
+    want = scan_key(scan("per_n", window, 1, "0.1"))
+    searches = []
+    near_multiples = criterion._near_multiples
+
+    def counting(*args):
+        searches.append(args[-1])
+        return near_multiples(*args)
+
+    monkeypatch.setattr(criterion, "_near_multiples", counting)
+    calls = _count_kernel_calls(monkeypatch)
+    assert scan_key(scan_criterion(window, 1, "0.1")) == want
+    assert len(searches) <= 40
+    assert len(calls) == 1
 
 
 def test_first_hit_is_the_least_solution():
