@@ -17,25 +17,15 @@ end, so scans are bit-reproducible regardless of chunking or processes.
 
 A range scan (scan_criterion) reports the violators, the count of
 indices and the least float margin with its n; "satisfied" means
-sin^2(n) * n^(2-eps) > 1.  It cuts the range into blocks of equal
-clog2 n and runs rounds t = 0, 1, ... (_scan).  Each index it does not
-settle at once goes to the escalating kernel once, and a violator's
-report is built from that call (_report), so reports equal
+sin^2(n) * n^(2-eps) > 1.  Only an n close to a multiple of pi can
+violate: |sin n| < n^-(1-eps/2) puts n within arcsin n^-(1-eps/2) of
+some k*pi.  The scan cuts the range into blocks of equal clog2 n, bounds
+that distance per block on integers, and lists the n within it by a
+Euclid-like modular search (_near_multiples), or takes every n of a
+block whose windows cover it (_scan).  Each listed n goes to the
+escalating kernel once, in pieces that may run on a process pool, and a
+violator's report is built from that call (_report), so reports equal
 check_criterion's bit for bit.
-
-Windows.  By Jordan's inequality a violator lies within (pi/2) *
-n^-(1-eps/2) of some k*pi, so the n within a slightly wider window,
-certified on integers, form a superset of the violators.  A Euclid-like
-modular search (_near_multiples) lists them in O(log) big-integer steps
-each; a block whose window spans every n takes them all.
-
-The walk.  In round 0 a block from n = 64 on whose window holds
-1/_SPARSE_COST of its n or more (_walks) is screened instead: the square
-of the rounded sine of the rotation walk is compared with a certified
-bound on n^-(2-eps) that holds over a short run of n (_screen), and only
-the n it leaves open go to the kernel.  Walked pieces of _CHUNK indices
-run on a process pool when a round walks two or more chunks' worth and
-threads > 1; their workers build their violators' reports.
 
 Worst margin.  Later rounds widen every window by doubling factors until
 the least margin found provably beats every n outside them, skipping
@@ -57,7 +47,6 @@ from .mpreal import (
     MpReal,
     _is_int,
     _require_bits,
-    abs_sin_walk,
     clog2,
     exact_fraction,
     fx_ln_int,
@@ -76,12 +65,9 @@ __all__ = [
 ]
 
 _ESCALATION_CAP = 1 << 20
-_CHUNK = 4096             # most indices in one walked piece
-_WALK_BASE = 40           # the scan's sine is round(|sin n| * 2**(40 + clog2 n))
-_SUBBLOCK_SHIFT = 5       # one pair of thresholds serves n .. n + (n >> 5)
+_CHUNK = 1024             # most candidates in one piece of a round
 _SCREEN_SLACK = 1e-6      # worst-margin tolerance, per unit of s
 _SCAN_LIMIT = (1 << 1024) - (1 << 970)   # _decided_kernel's float bound assumes n < 2**1024
-_SPARSE_COST = 32         # walked indices that cost about as much as one kernel call
 _LN2 = math.log(2)
 
 
@@ -214,70 +200,17 @@ class ScanResult:
     summary: dict
 
 
-def _sine_thresholds(n: int, c: Fraction, w: int) -> int:
-    """t_sat >= 2**(2w+2) / n^c, from one ball for n^c.
-
-    For c > 0, sin^2(x) * x^c > 1 at every x >= n when (|sin x| *
-    2**(w+1))^2 > t_sat.  fx_pow at v = w + 8 bits gives (E - err) *
-    2**(q-v) <= n^c, with q <= c*log2(n) + 1 <= 2w + 1.  A ball with E <=
-    err carries no information, so it gives t_sat = 2**(2w+4), above
-    every (2m - 1)^2 with m <= 2**w.
-    """
-    v = w + 8
-    E, err, q = fx_pow(*fx_ln_int(n, v), c, v)
-    if E <= err:
-        return 1 << (2 * w + 4)
-    return -(-(1 << (2 * w + 2 + v - q)) // (E - err))
-
-
-def _screen(ns: range, c_pow: Fraction):
-    """The n of ns, a run of one block, that the walk does not settle.
-
-    m = round(|sin n| * 2**w) from abs_sin_walk with w = _WALK_BASE + c,
-    c = clog2(n), so |sin n| * 2**(w+1) lies strictly inside (2m - 1,
-    2m + 1).  "Satisfied", sin^2(n) * n^(2-eps) > 1, is certain when
-    (2m - 1)^2 exceeds the t_sat of _sine_thresholds; equality is
-    impossible, sin n being transcendental.  The run is cut into
-    subblocks a..b, b = a + (a >> _SUBBLOCK_SHIFT), and t_sat comes from
-    one ball at a.  n^(2-eps) varies by a factor below (1 + 2**-5)^2 over
-    a..b, so only an n whose sin^2 n lies in that narrow band, or below
-    it, is left open.
-    """
-    w = _WALK_BASE + clog2(max(ns.start, 2))
-    sub_end = 0
-    for n, m in zip(ns, abs_sin_walk(ns.start, ns[-1], _WALK_BASE)):
-        if n > sub_end:
-            sub_end = n + (n >> _SUBBLOCK_SHIFT)
-            t_sat = _sine_thresholds(n, c_pow, w)
-        if max(2 * m - 1, 0) ** 2 <= t_sat:
-            yield n
-
-
 def _decide(args) -> list[tuple[int, float, CriterionReport | None]]:
-    """(n, kernel margin, report or None) for each n that _decided_kernel
-    decides: every n of ns, or, when `walk` is set, those that _screen
-    leaves open.  A violator's report is built from the call that decided
-    it, in the process that ran it."""
-    ns, walk, s, c_num, c_den, bits = args
+    """(n, kernel margin, report or None) for each n of a piece, as
+    _decided_kernel decides it.  A violator's report is built from the
+    call that decided it, in the process that ran it."""
+    ns, s, c_num, c_den, bits = args
     eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
     decided = []
-    for n in _screen(ns, 2 - eps) if walk else ns:
+    for n in ns:
         out = _decided_kernel(n, s, c_num, c_den, bits)
         decided.append((n, out[2] - out[1], None if out[0] else _report(n, s, eps, bits, out)))
     return decided
-
-
-def _walks(a: int, D: int, M: int) -> bool:
-    """Whether round 0 walks the block from a rather than search its window
-    of D units (M is pi's mantissa in the same units).
-
-    The window holds a share 2D/M of the block's n, each costing one
-    kernel call, and a walked n costs about 1/_SPARSE_COST of one.  Below
-    a = 64 a subblock of _screen holds at most two n, so its threshold
-    ball makes a walked n cost about a fifth of a kernel call: those
-    blocks are never walked.
-    """
-    return a >> (_SUBBLOCK_SHIFT + 1) > 0 and 2 * D * _SPARSE_COST >= M
 
 
 def _first_hit(a: int, b: int, m: int, lo: int, hi: int) -> int | None:
@@ -321,13 +254,19 @@ def _first_hit(a: int, b: int, m: int, lo: int, hi: int) -> int | None:
 
 
 def _near_multiples(M: int, W: int, k0: int, k1: int, D: int):
-    """round(k*M / 2**W), ascending, for each k in k0..k1 such that k*M
-    lies within D of a multiple of 2**W.
+    """Ascending, the n with |k*M - n * 2**W| <= D for some k in k0..k1.
 
-    Needs 0 <= D and 2D < 2**W.  Then k qualifies iff (k*M + D) mod 2**W
-    <= 2D, and that multiple is the nearest one, so the rounding gives it.
+    Needs 0 <= D and 2D < M, so the n of distinct k are distinct and
+    ascend with k.  If 2D < 2**W, a k has at most one such n, the nearest
+    round(k*M / 2**W), and has it iff (k*M + D) mod 2**W <= 2D: _first_hit
+    jumps to the next such k.  Otherwise every k has the n from
+    ceil((k*M - D) / 2**W) to floor((k*M + D) / 2**W), listed directly.
     """
     mod = 1 << W
+    if 2 * D >= mod:
+        for k in range(k0, k1 + 1):
+            yield from range(-((D - k * M) >> W), ((k * M + D) >> W) + 1)
+        return
     step = M % mod
     k = k0
     while True:
@@ -339,39 +278,56 @@ def _near_multiples(M: int, W: int, k0: int, k1: int, D: int):
         k += 1
 
 
+def _arcsin_units(Z: int, W: int, M: int) -> int:
+    """An integer at least arcsin(Z * 2**-W) * 2**W, for 0 <= Z < 2**W,
+    with M = pi_mantissa(W).
+
+    With z = Z * 2**-W and F = 4**W it is the lesser of two bounds:
+    * Z + ceil(Z^3 / (6F)) + ceil(3 Z^5 / (40F (F - Z^2))): arcsin z is
+      the sum of c_j z^(2j+1) with c_0 = 1, c_1 = 1/6, c_2 = 3/40, and
+      c_(j+1) / c_j = (2j+1)^2 / ((2j+2)(2j+3)) < 1, so the terms from
+      j = 2 on are below 3/40 * z^5 / (1 - z^2).  It is tight for small z.
+    * ceil((M+1)/2) - isqrt(F - Z^2): arcsin z = pi/2 - arccos z, and
+      arccos z >= sin(arccos z) = sqrt(1 - z^2), while M + 1 >= pi * 2**W.
+      It is tight as z nears 1, where the series converges slowly.
+    """
+    F = 1 << 2 * W
+    Z2 = Z * Z
+    series = Z - (-Z2 * Z // (6 * F)) - (-3 * Z2 * Z2 * Z // (40 * F * (F - Z2)))
+    return min(series, -(-(M + 1) // 2) - math.isqrt(F - Z2))
+
+
 def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
           threads: int) -> tuple[list[CriterionReport], tuple[float, int]]:
     """Violators' reports, ascending, and (worst margin, its n) for lo..hi.
 
-    Superset.  Let T = 2**t and D_T(n) = (pi/2) * T * n^-(1-eps/2).  By
-    Jordan's inequality, |sin x| >= (2/pi)|x| for |x| <= pi/2, an n with
-    |sin n| < T * n^-(1-eps/2) lies within D_T(n) of some k*pi.  A
-    violator has sin^2(n) * n^(2-eps) < 1, so it lies within D_1(n).  Each
-    n in a window goes to _decided_kernel once, and a violator's report is
-    built from that call; every other n is satisfied.
+    Superset.  Let T = 2**t and z_T(n) = T * n^-(1-eps/2).  Write n = k*pi
+    + r with k the nearest integer to n/pi, so |r| <= pi/2 and |sin n| =
+    sin |r|.  If |sin n| < z_T(n) < 1 then |r| < arcsin z_T(n).  A violator
+    has sin^2(n) * n^(2-eps) < 1, that is |sin n| < z_1(n).  Each n in a
+    window goes to _decided_kernel once, and a violator's report is built
+    from that call; every other n is satisfied.
 
     Window.  lo..hi splits into blocks a..b of equal c = clog2(max(n, 2)),
-    and D_T(a) >= D_T(n) serves a whole block.  M = pi_mantissa(W) with W
+    and z_T(a) >= z_T(n) serves a whole block.  M = pi_mantissa(W) with W
     = 2*bitlen(hi) + 64 has |pi * 2**W - M| <= 1/2, and fx_pow gives
-    a^(eps/2) <= (E + err) * 2**(q-v), so, in units of 2**-W,
-        D_T(a) * 2**W <= (M + 1) * T * (E + err) * 2**(q-v) / (2a).
-    The block's window is the ceiling of that.  The k with k*pi within 1/2
-    of a..b lie in k0..k1, k0 = floor((a-1) * 2**W / (M+1)) and k1 =
-    ceil((b+1) * 2**W / (M-1)).  If |k*pi - n| is below
-    the window, |k*M - n * 2**W| is below the window plus k/2 units, so
-    with D = window + k1 + 1 units _near_multiples lists k and n.  All of
-    this is integer arithmetic.
+    a^(eps/2) <= (E + err) * 2**(q-v), so z_T(a) <= Z * 2**-W with
+        Z = ceil((E + err) * 2**(q-v+W+t) / a).
+    If Z >= 2**W the block is whole: it takes every n.  Otherwise A =
+    _arcsin_units(Z, W, M) >= arcsin(z_T(a)) * 2**W.  The k with k*pi
+    within pi/2 of a..b lie in k0..k1, k0 = floor((a-1) * 2**W / (M+1))
+    and k1 = ceil((b+1) * 2**W / (M-1)): k0*pi <= a - 1 and k1*pi >= b +
+    1, so any other k has k*pi at least pi - 1 > pi/2 beyond a..b.  If
+    |k*pi - n| < arcsin z_T(n), then |k*M - n * 2**W| < A + k/2, so with D
+    = A + k1 + 1 _near_multiples lists n.  If 2D >= M the windows of
+    neighbouring k overlap, every n lies in one, and the block is whole.
+    All of this is integer arithmetic.
 
-    Small n.  A block where 2D >= 2**W, a window of 1/2 or more, is whole:
-    it takes every n, so no rounding to the nearest integer is needed
-    there.  At eps = 0.1 and T = 1 that is n <= 4: D_1(5) < 0.34.
-
-    Round 0.  A block where _walks(a, D, M) holds at t = 0 is walked
-    instead: _screen leaves open every n that is not certainly satisfied,
-    so it keeps every violator, and an n it settles has sin^2(n) *
-    n^(2-eps) > 1, which is all that lying outside the window of t = 0
-    says.  Walked pieces of at most _CHUNK indices go to worker processes
-    when the round walks at least 2 * _CHUNK indices and threads > 1.
+    Pieces.  Each round cuts its candidates, ascending, into pieces of at
+    most _CHUNK.  They go to worker processes when threads > 1 and there
+    are two pieces or more (min(threads, pieces, CPUs) workers).  Which n
+    are decided, their least (margin, n) and the reports sorted by n do
+    not depend on the pieces, so the output does not depend on threads.
 
     Worst margin.  The scan reports the least kernel margin over lo..hi,
     first n among equals.  An n outside the windows of T has sin^2(n) *
@@ -399,19 +355,24 @@ def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
             if E > err:
                 break
             v *= 2
-        num, den = (M + 1) * (E + err) << max(q - v, 0), 2 * a << max(v - q, 0)
+        shift = q - v + W
+        num, den = (E + err) << max(shift, 0), a << max(-shift, 0)
         k0 = ((a - 1) << W) // (M + 1)
         k1 = -(-((b + 1) << W) // (M - 1))
         blocks.append((a, b, num, den, k0, k1))
         a = b + 1
 
     def windows(t):
-        """(a, b, D, whole, the n of the window) for each block at round t."""
+        """(whole, the n of the window) for each block at round t."""
         for a, b, num, den, k0, k1 in blocks:
-            D = -(-(num << t) // den) + k1 + 1
-            whole = 2 * D >= 1 << W
-            yield a, b, D, whole, (range(a, b + 1) if whole else (
-                n for n in _near_multiples(M, W, k0, k1, D) if a <= n <= b))
+            Z = -(-(num << t) // den)
+            whole = Z >= 1 << W
+            if not whole:
+                D = _arcsin_units(Z, W, M) + k1 + 1
+                whole = 2 * D >= M
+            block = range(a, b + 1)
+            yield whole, block if whole else filter(
+                block.__contains__, _near_multiples(M, W, k0, k1, D))
 
     def ends(t):
         return worst[0] < 2 * t * _LN2 - s * _SCREEN_SLACK
@@ -421,36 +382,29 @@ def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
         if ends(t):
             return True
         rows = list(windows(t))
-        return all(row[3] for row in rows) or any(
-            n not in decided for row in rows for n in row[4])
+        return all(whole for whole, _ in rows) or any(
+            n not in decided for _, ns in rows for n in ns)
 
     decided: set[int] = set()
     violations: list[CriterionReport] = []
     worst = (math.inf, -1)
     t = 0
     while True:
-        walked, candidates, whole = [], [], True
-        for a, b, D, full, ns in windows(t):
-            if t == 0 and _walks(a, D, M):
-                walked += [(range(x, min(x + _CHUNK, b + 1)), True, s, c_num, c_den, bits)
-                           for x in range(a, b + 1, _CHUNK)]
-                whole = False
-            else:
-                whole &= full
-                candidates += [n for n in ns if n not in decided]
-        here = (candidates, False, s, c_num, c_den, bits)
-        workers = min(threads, len(walked), os.cpu_count() or 1)
-        if workers > 1 and sum(len(piece[0]) for piece in walked) >= 2 * _CHUNK:
+        rows = list(windows(t))
+        candidates = [n for _, ns in rows for n in ns if n not in decided]
+        pieces = [(candidates[i:i + _CHUNK], s, c_num, c_den, bits)
+                  for i in range(0, len(candidates), _CHUNK)]
+        workers = min(threads, len(pieces), os.cpu_count() or 1)
+        if workers > 1:
             import concurrent.futures as cf
             with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-                pooled = pool.map(_decide, walked)
-                out = [*_decide(here), *(x for part in pooled for x in part)]
+                out = [x for part in pool.map(_decide, pieces) for x in part]
         else:
-            out = [x for piece in [*walked, here] for x in _decide(piece)]
+            out = [x for piece in pieces for x in _decide(piece)]
         decided.update(n for n, _, _ in out)
         worst = min([worst, *((margin, n) for n, margin, _ in out)])
         violations += [report for _, _, report in out if report is not None]
-        if whole or ends(t):
+        if all(whole for whole, _ in rows) or ends(t):
             break
         below, step = t, 1          # round t + 1, t + 3, t + 7, ... until one opens
         while not opens(below + step):
@@ -468,13 +422,14 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
                    bits: int = 64, threads: int = 1) -> ScanResult:
     """Check every n in the inclusive range; report violations ascending.
 
-    The range must end below 2**1024 - 2**970.  Each index is decided at
-    most once, and each violator's report comes from the _decided_kernel
-    call that decided it, so it equals check_criterion's.  The worst
-    margin is the least (margin, n), first n among equals.  Walked pieces
-    may run in worker processes (at most one per piece and per CPU,
-    whatever `threads` asks for) when a scan walks 8192 indices or more;
-    the output does not depend on `threads`.
+    The range must end below 2**1024 - 2**970.  Only the n near multiples
+    of pi can violate; each of them is decided at most once, and each
+    violator's report comes from the _decided_kernel call that decided it,
+    so it equals check_criterion's.  The worst margin is the least
+    (margin, n), first n among equals.  A round with more than _CHUNK
+    candidates may run its pieces in worker processes (at most one per
+    piece and per CPU, whatever `threads` asks for); the output does not
+    depend on `threads`.
     """
     lo, hi = n_range
     if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:

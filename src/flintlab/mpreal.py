@@ -32,13 +32,13 @@ w, because the subtraction ``x - k*pi`` cancels that many leading bits.
 
 Sine at integer arguments has one primitive, :func:`sin_ball`: the
 reduction, then the Taylor kernel, returning the signed integer ball
-``(S, err_ulps)`` at scale ``2**-w``.  :func:`sin_int` and the criterion
-kernel use the ball as it is.  Ball arguments have two entry points,
+``(S, err_ulps)`` at scale ``2**-w``.  :func:`sin_int` (and through it
+the spike search) and the criterion kernel (and through it the scan)
+use the ball as it is.  Ball arguments have two entry points,
 :func:`sin_reduced` and :func:`cos_reduced`, which share one body:
 reduce the center, run the kernel, add the ball's radius.
 
-Two layers on top of the ball serve the partial sums, the scan and the
-spike search:
+Two layers on top of the ball serve the partial sums:
 
 * :func:`abs_sin_canonical` returns ``round(|sin n| * 2**w)`` exactly,
   with the same Ziv-style test as the constants: evaluate the ball with
@@ -50,7 +50,9 @@ spike search:
   multiplication instead of a reduction and a Taylor sum per n.  It
   re-anchors on a direct ball every 4096 steps and wherever w changes,
   carries a proven drift bound, and hands any n whose rounding the
-  drift leaves ambiguous to :func:`abs_sin_canonical`.
+  drift leaves ambiguous to :func:`abs_sin_canonical`.  partial_sum
+  takes every sine from it; a term that escalates, or one computed on
+  its own (term), calls abs_sin_canonical.
 
 The Taylor kernels at the bottom of the file work on plain integers at
 a fixed scale and report their rounding as a ulp count, which callers
@@ -693,8 +695,9 @@ def abs_sin_canonical(n: int, w: int) -> int:
     error is about n/(2 pi) ulps (reduce_fixed), and 2**g >= 256 n keeps
     the ball's width below 1/800 of the rounding step 2**g, so about one
     n in 800 needs a second ball.  A fixed g fails for nearly every n once
-    n/6 nears 2**g, from n near 2.6e10 at g = 32.  For n < 2**24, g = 32,
-    taken without counting bits (this runs once per n in sum and spikes).
+    n/6 nears 2**g, from n near 2.6e10 at g = 32.  For n < 2**24, g = 32
+    without counting bits.  Callers: the walk's fallback, and every term
+    that series computes without the walk or escalates.
     """
     g = (n - 1).bit_length() + 8 if n >> 24 else SIN_GUARD_BITS
     while True:

@@ -212,7 +212,11 @@ def local_exponent(n: int, bits: int = 64) -> float:
     if not _is_int(n) or n < 2:
         raise DomainError(f"local_exponent requires an integer n >= 2, got {n!r}")
     w = max(bits, 64)
-    s = sin_int(n, w)
+    return _lambda(n, sin_int(n, w), w)
+
+
+def _lambda(n: int, s: MpReal, w: int) -> float:
+    """local_exponent(n) from s = sin_int(n, w), w >= 64."""
     man = abs(s.man)
     if man == 0:
         raise PrecisionError(f"|sin {n}| indistinguishable from 0 at {w} bits")
@@ -256,7 +260,8 @@ def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:
       n - m or n + m on a nonzero multiple of pi, which no integer is.
 
     Each record carries sin_int(n, bits).abs_() and, for n >= 2, its local
-    exponent; ln 1 = 0 leaves lambda undefined at n = 1.  |sin p_k| is
+    exponent, taken from the same sine ball when bits >= 64 (local_exponent
+    works at max(bits, 64)); ln 1 = 0 leaves lambda undefined at n = 1.  |sin p_k| is
     about pi/(a_{k+1} p_k), so local_exponent raises PrecisionError once
     it falls below 2**-max(bits, 64): bits must exceed about log2(n_max).
     """
@@ -265,5 +270,7 @@ def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:
         raise DomainError(f"spike_indices requires an integer n_max >= 1, got {n_max!r}")
     records = [SpikeRecord(1, sin_int(1, bits).abs_(), None, False)]
     for p in sorted(convergent_numerators_up_to(n_max)):
-        records.append(SpikeRecord(p, sin_int(p, bits).abs_(), local_exponent(p, bits), True))
+        s = sin_int(p, bits)
+        lam = _lambda(p, s if bits >= 64 else sin_int(p, 64), max(bits, 64))
+        records.append(SpikeRecord(p, s.abs_(), lam, True))
     return records

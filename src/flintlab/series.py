@@ -96,6 +96,8 @@ class SeriesSpec:
 # bits of |sin n| beyond the accumulator scale (plus ceil(log2 n) for
 # the cancellation in the reduction) at a term's first attempt
 _SIN_MARGIN = 48
+# most bits of m**u, the sine power a term forms at one attempt
+_POWER_BITS = 2 * MAX_BITS
 
 
 def _term_units(n: int, spec: SeriesSpec) -> tuple[int, int]:
@@ -160,6 +162,13 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
     0 < a * (A - B) <= (T + 1/2) * 7/(12(T + 1)) < 1: the ceiling is 1 and
     e_units = 3, what the exact formula gives.  Only terms with a tiny
     sin n fail the test and take the exact formula.
+
+    A term far too large for its w skips the exact formula too.  A >= (1 -
+    1/m)**-u >= 1 + u/m and B <= 1, so the width is at least (T - 1/2) *
+    u/m, and (2T - 1) * u > m * 2**15 makes it exceed 2**14, which the
+    exact formula would reject.  The next w is then taken at once.  The
+    sine power m**u has u*w bits, so an attempt whose u*w exceeds
+    _POWER_BITS raises ResourceLimitError before forming it.
     """
     w1 = acc + _SIN_MARGIN
     while True:
@@ -167,6 +176,10 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
         if w > MAX_BITS:
             raise ResourceLimitError(
                 f"term(n={n}) escalated past the {MAX_BITS}-bit ceiling"
+            )
+        if u * w > _POWER_BITS:
+            raise ResourceLimitError(
+                f"term(n={n}) needs a sine power of {u * w} bits (max {_POWER_BITS})"
             )
         if m is None:
             m = abs_sin_canonical(n, w)
@@ -185,9 +198,10 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
         T = ((N << 1) + den_c) // (den_c << 1)            # round_div(N, den_c)
         if (T + 1) * (u * p_units + p_err * m) << 2 <= m * p_units:
             return T, 3
-        e_units = _width_units(N, m, u, n_pow, p_units, p_err)
-        if e_units <= 1 << 14:
-            return T, e_units
+        if (2 * T - 1) * u <= m << 15:
+            e_units = _width_units(N, m, u, n_pow, p_units, p_err)
+            if e_units <= 1 << 14:
+                return T, e_units
         w1, m = 2 * w1, None
 
 
@@ -240,11 +254,11 @@ def partial_sum(k: int, spec: SeriesSpec,
 
     The sines come from abs_sin_walk, one power-of-two block of n at a
     time, and each term's (T, e) is _units' with that block's values.
-    For integer v with iv <= acc (and w <= MAX_BITS) the loop body is
-    _units' first attempt, inline and line for line: if m > 1, it forms
-    T and takes e = 3 when the width test proves it.  Every other term,
-    and every term of a fractional v or of iv > acc, calls _units, which
-    owns the exact width and every escalation.
+    For integer v with iv <= acc (and w <= MAX_BITS, u*w <= _POWER_BITS)
+    the loop body is _units' first attempt, inline and line for line: if
+    m > 1, it forms T and takes e = 3 when the width test proves it.
+    Every other term, and every term of a fractional v or of iv > acc,
+    calls _units, which owns the exact width and every escalation.
     """
     if not _is_int(k) or k < 1:
         raise DomainError(f"partial_sum requires an integer k >= 1, got {k!r}")
@@ -271,7 +285,7 @@ def partial_sum(k: int, spec: SeriesSpec,
         c = clog2(max(lo, 2))
         hi = min(k, 1 << c)                 # the block of n with clog2(max(n, 2)) = c
         w = acc + _SIN_MARGIN + c
-        inline = not frac and iv <= acc and w <= MAX_BITS
+        inline = not frac and iv <= acc and w <= MAX_BITS and u * w <= _POWER_BITS
         if inline:
             N2 = 2 << (acc + u * w)         # _units' N << 1 at p_units, p_err, q = 1, 0, w
         for n, m in zip(range(lo, hi + 1), walk):

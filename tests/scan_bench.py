@@ -7,24 +7,28 @@ Each SRC_DIR is the ``src`` directory of a checkout, for instance
 interpreter per tree with PYTHONPATH=SRC_DIR; the trees take turns within every run, and
 alternate which goes first, so they share the machine's drift.  Each interpreter
 warms the constant caches with one untimed benchmark operation, then times
-four operations with ``time.perf_counter`` and ``time.process_time``:
+every operation at threads 1 and at threads 2 (``<name>@<threads>``) with
+``time.perf_counter`` and ``time.process_time``:
 
 * ``scan_op``: the benchmark's ``scan`` operation (perfbench/workloads.py,
-  seed 0): n = 1..32768, s = 1, eps = 0.1 at threads 2, which walks no
-  block and starts no pool; timed over SCAN_OP_REPEAT calls, as one call
-  takes a few ms;
-* ``walk_t1`` and ``walk_t2``: n = 1..1e5, s = 1, eps = 1.5, at threads
-  1 and 2, which walks every block from 65 on (the pool's start-up is part
-  of the call at threads 2);
-* ``mixed``: n = 1..1e5, s = 1, eps = 1 at threads 1, which walks
-  65..1024 and takes the near multiples of pi, or every n, elsewhere.
+  seed 0, which runs it at threads 2): n = 1..32768, s = 1, eps = 0.1,
+  which has 17 or fewer candidates and starts no pool; timed over
+  SCAN_OP_REPEAT calls, as one call takes a few ms;
+* ``dense``: n = 1..1e5, s = 1, eps = 1.5, about 5000 candidates;
+* ``dense_19``: n = 1..1e5, s = 1, eps = 1.9, about 41000 candidates,
+  whose windows span several n around each multiple of pi;
+* ``mixed``: n = 1..1e5, s = 1, eps = 1, a few hundred candidates;
+* ``mixed_1e6``: n = 1..1e6, s = 1, eps = 1.3, about 9000 candidates;
+* ``far``: n = 1..1e40, s = 1, eps = 0.1, about 1800 candidates.
 
-CPU seconds count the parent interpreter only, not its pool workers.
+At threads 2 a round with more than one piece of candidates runs on a
+process pool, whose start-up is part of the call.  CPU seconds count the
+parent interpreter only, not its pool workers.
 
 One more, untimed, interpreter per tree counts the calls of
 ``criterion._decided_kernel`` and the distinct n they decide, per
-operation.  The walk is counted at threads 1, where the calls run in the
-counting process; its pieces, and so its calls, are the same at threads 2.
+operation, at threads 1, where the calls run in the counting process;
+the n decided do not depend on threads.
 
 Prints one JSON document: per tree and operation the median and quartiles
 of the wall and CPU seconds and the indices per wall second at the median;
@@ -43,10 +47,12 @@ import subprocess
 import sys
 import time
 
-SCAN_OP = ((1, 32768), 1, "0.1", 2)
-WALK = ((1, 100_000), 1, "1.5")
-OPERATIONS = {"scan_op": SCAN_OP, "walk_t1": (*WALK, 1), "walk_t2": (*WALK, 2),
-              "mixed": ((1, 100_000), 1, "1", 1)}
+SCAN_OP = ((1, 32768), 1, "0.1")
+SCANS = {"scan_op": SCAN_OP, "dense": ((1, 100_000), 1, "1.5"),
+         "dense_19": ((1, 100_000), 1, "1.9"), "mixed": ((1, 100_000), 1, "1"),
+         "mixed_1e6": ((1, 10**6), 1, "1.3"), "far": ((1, 10**40), 1, "0.1")}
+OPERATIONS = {f"{name}@{threads}": (*scan, threads)
+              for name, scan in SCANS.items() for threads in (1, 2)}
 SCAN_OP_REPEAT = 20
 
 
@@ -64,7 +70,7 @@ def run_operations() -> dict:
 
     out = {}
     for name, (window, s, eps, threads) in OPERATIONS.items():
-        repeat = SCAN_OP_REPEAT if name == "scan_op" else 1
+        repeat = SCAN_OP_REPEAT if name.startswith("scan_op@") else 1
         t0, c0 = time.perf_counter(), time.process_time()
         for _ in range(repeat):
             result = scan_criterion(window, s, eps, threads=threads)
@@ -76,8 +82,8 @@ def worker(count: bool) -> None:
     """One tree's interpreter: print the timed operations, or the call counts."""
     from flintlab import criterion
 
-    window, s, eps, threads = SCAN_OP
-    criterion.scan_criterion(window, s, eps, threads=threads)
+    window, s, eps = SCAN_OP
+    criterion.scan_criterion(window, s, eps, threads=2)
     if not count:
         print(json.dumps(run_operations()))
         return
@@ -90,10 +96,9 @@ def worker(count: bool) -> None:
 
     criterion._decided_kernel = counting
     counts = {}
-    for name in ("scan_op", "walk_t1", "mixed"):
-        window, s, eps, threads = OPERATIONS[name]
+    for name, (window, s, eps) in SCANS.items():
         calls.clear()
-        result = criterion.scan_criterion(window, s, eps, threads=threads)
+        result = criterion.scan_criterion(window, s, eps, threads=1)
         counts[name] = {"kernel_calls": len(calls), "distinct_n": len(set(calls)),
                         "violators": len(result.violations)}
     print(json.dumps(counts))
@@ -135,7 +140,7 @@ def main() -> int:
     for label, src in trees.items():
         result[label] = {"counts": call(src, "--count")}
         for name, (window, *_) in OPERATIONS.items():
-            repeat = SCAN_OP_REPEAT if name == "scan_op" else 1
+            repeat = SCAN_OP_REPEAT if name.startswith("scan_op@") else 1
             wall = [sample[name][1] for sample in samples[label]]
             cpu = [sample[name][2] for sample in samples[label]]
             indices = (window[1] - window[0] + 1) * repeat

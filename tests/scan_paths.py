@@ -1,12 +1,10 @@
 """scan_criterion down a chosen path, for the tests and slow_scan_windows.py.
 
-In round 0 scan_criterion walks the blocks where _walks holds and takes
-the n near multiples of pi, or every n, in the others.  ``forced``
-overrides that choice: "walk" walks every block in round 0, "sparse"
-none, and "auto" leaves the choice to _walks.  Its "per_n" path replaces
-scan_criterion with ``per_n_scan``: a brute-force loop in which
-_decided_kernel decides every n, the oracle that every path must match.
-It shares no merge or worst-margin code with scan_criterion.
+"auto" is scan_criterion as it is: windows around the near multiples of
+pi, decided on the escalating kernel.  "per_n" replaces scan_criterion
+with ``per_n_scan``: a brute-force loop in which _decided_kernel decides
+every n, the oracle that the scan must match.  It shares no window,
+merge or worst-margin code with scan_criterion.
 """
 
 import contextlib
@@ -15,7 +13,7 @@ from fractions import Fraction
 
 import flintlab.criterion as criterion
 
-PATHS = ("auto", "walk", "sparse", "per_n")
+PATHS = ("auto", "per_n")
 
 
 def per_n_scan(n_range, s, epsilon, bits=64, threads=1):
@@ -41,15 +39,13 @@ def per_n_scan(n_range, s, epsilon, bits=64, threads=1):
 @contextlib.contextmanager
 def forced(path):
     """Make scan_criterion take `path`, one of PATHS, until the block ends."""
-    saved = criterion._walks, criterion.scan_criterion
-    if path in ("walk", "sparse"):
-        criterion._walks = lambda *args: path == "walk"
+    saved = criterion.scan_criterion
     if path == "per_n":
         criterion.scan_criterion = per_n_scan
     try:
         yield
     finally:
-        criterion._walks, criterion.scan_criterion = saved
+        criterion.scan_criterion = saved
 
 
 def scan(path, window, s, eps, threads=1):

@@ -288,6 +288,15 @@ def test_large_power_sum_is_fast(capsys):
     assert json.loads(out)["value"].startswith("1.412")
 
 
+def test_huge_sine_power_fails_cleanly(capsys):
+    # 1/|sin 1|**20000 needs a w whose m**u passes the bound on sine powers
+    code, out, err = run(capsys, "sum", "--k", "3", "--u", "20000")
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ResourceLimitError"
+
+
 @pytest.mark.parametrize("command", ["sum --k 5", "term --n 5"])
 @pytest.mark.parametrize("v", ["inf", "1e400", "0", "-2", "nan"])
 def test_bad_power_is_domain_error(capsys, command, v):

@@ -16,9 +16,9 @@ from flintlab import (
     check_criterion,
     scan_criterion,
 )
-from flintlab.mpreal import abs_sin_canonical, clog2, pi_mantissa
+from flintlab.mpreal import MpReal, pi_mantissa, sin_reduced
 from flintlab.rationality import spike_indices
-from scan_paths import forced, scan, scan_key
+from scan_paths import scan, scan_key
 
 
 def test_check_satisfied_case():
@@ -88,9 +88,11 @@ def test_scan_clean_stretch():
 
 
 def test_scan_threads_do_not_change_output():
-    single = scan("walk", (1, 9000), 1, "0.1", threads=1)
-    for path, threads in (("walk", 4), ("sparse", 1), ("sparse", 4), ("auto", 4)):
-        assert scan_key(scan(path, (1, 9000), 1, "0.1", threads=threads)) == scan_key(single)
+    # at eps = 1.5 round 0 has two pieces, which run on the pool
+    for eps in ("0.1", "1.5"):
+        single = scan_key(scan_criterion((1, 9000), 1, eps, threads=1))
+        for threads in (2, 4):
+            assert scan_key(scan_criterion((1, 9000), 1, eps, threads=threads)) == single
 
 
 class _RecordingPool:
@@ -111,24 +113,50 @@ class _RecordingPool:
         return [fn(chunk) for chunk in chunks]
 
 
+def _record_real_pools(monkeypatch):
+    """The max_workers of every real ProcessPoolExecutor the scan starts."""
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recording(real):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
 @pytest.mark.parametrize("threads, hi, cpus, workers", [
     (64, 8 * 4096, 3, [3]),      # capped by the CPUs
-    (64, 5000, 16, []),          # fewer than two chunks walked: no pool
+    (64, 5000, 16, [3]),         # capped by the pieces
     (2, 8 * 4096, 2, [2]),
-    (8, 4096, 8, []),
+    (8, 4096, 8, [3]),
     (1, 8 * 4096, 8, []),
-    (64, 8 * 4096, 16, [13]),    # capped by the pieces: 65..4096 in six, the rest in seven
+    (64, 8 * 4096, 16, [15]),    # capped by the pieces
+    (64, 1024, 16, []),          # one piece: no pool
 ])
 def test_scan_threads_are_clamped(monkeypatch, threads, hi, cpus, workers):
-    # at eps = 1.9 every block from 65 on is walked; a _decide that decides
-    # nothing leaves round 1, whose windows are whole, to end the scan
+    # at eps = 1.9 round 0 has 14503 candidates on 1..32768, 2492 on
+    # 1..5000, 2078 on 1..4096 and 573 on 1..1024; a _decide that finds
+    # every n violated ends the scan after round 0
+    pieces = []
+
+    def violated(args):
+        pieces.append(args[0])
+        return [(n, -1.0, None) for n in args[0]]
+
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(criterion, "_decide", lambda args: [])
+    monkeypatch.setattr(criterion, "_decide", violated)
     result = scan_criterion((1, hi), 1, "1.9", threads=threads)
     assert result.summary["checked"] == hi
     assert _RecordingPool.sizes == workers
+    assert all(len(piece) == criterion._CHUNK for piece in pieces[:-1])
+    assert 0 < len(pieces[-1]) <= criterion._CHUNK
+    candidates = [n for piece in pieces for n in piece]
+    assert candidates == sorted(set(candidates))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 64])
@@ -165,35 +193,36 @@ def test_scan_matches_per_n_loop(window, s, eps):
     # edges.  At eps = 1.9 the worst margin of 1492..1691 beats the
     # window's previous record by only 0.004.  4..6 and 20000..20100 hold
     # no violator at small eps, so the worst margin takes rounds past 0.
-    # Unforced, 1..400 walks 65..400 from eps = 0.34 on and takes every n
-    # or the near multiples of pi below.
+    # From eps = 1.9 on, the windows of 1..400 span 1/2 or more, and
+    # _near_multiples lists several n per multiple of pi.
     want = scan_key(scan("per_n", window, s, eps))
-    for path in ("walk", "sparse", "auto"):
-        assert scan_key(scan(path, window, s, eps)) == want, path
+    assert scan_key(scan("auto", window, s, eps)) == want
 
 
 @pytest.mark.parametrize("s, eps", [(1, "0.1"), (1, Fraction(1, 997)), (3, "1.9"), (1, "1"),
                                     (1, "1.5")])
-def test_scan_on_two_processes_matches_per_n_loop(s, eps):
-    # forced, the walk fills more than two chunks and starts the pool;
-    # unforced, 1..8300 walks 65..8300 at eps 1.5 and 1.9, on the pool, and
-    # 65..1024 at eps 1, between blocks that take near multiples of pi
+def test_scan_on_two_processes_matches_per_n_loop(monkeypatch, s, eps):
+    # pieces of a third of the violators' count make every round 0 run
+    # about four pieces on a real pool of two processes
     window = (1, 8300)
     want = scan_key(scan("per_n", window, s, eps))
-    for path in ("walk", "sparse", "auto"):
-        assert scan_key(scan(path, window, s, eps, threads=2)) == want, path
+    monkeypatch.setattr(criterion, "_CHUNK", max(4, want[0]["violations"] // 3))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes = _record_real_pools(monkeypatch)
+    assert scan_key(scan("auto", window, s, eps, threads=2)) == want
+    assert sizes and sizes[0] == 2
 
 
 @pytest.mark.parametrize("eps", ["0.1", "1.9"])
 @pytest.mark.parametrize("s", [1, 3])
 @pytest.mark.parametrize("window", [(4, 6), (20_000, 20_100)])
 def test_walk_worst_margin_fallback_matches_per_n_loop(monkeypatch, window, s, eps):
-    # at eps = 0.1 neither window holds a violator, so the walked round 0
-    # does not settle the worst margin and the window rounds after it must
-    # not decide again what the walk decided
+    # at eps = 0.1 neither window holds a violator, so round 0 does not
+    # settle the worst margin, and the rounds after it must not decide
+    # again what round 0 decided
     want = scan_key(scan("per_n", window, s, eps))
     calls = _count_kernel_calls(monkeypatch)
-    assert scan_key(scan("walk", window, s, eps)) == want
+    assert scan_key(scan("auto", window, s, eps)) == want
     assert len(calls) == len(set(calls))
 
 
@@ -208,9 +237,8 @@ def test_bits_are_checked_before_any_work(monkeypatch, bits, error):
     monkeypatch.setattr(criterion, "_decided_kernel", no_work)
     with pytest.raises(error):
         check_criterion(5, 1, "0.1", bits=bits)
-    for path in ("walk", "sparse"):
-        with forced(path), pytest.raises(error):
-            scan_criterion((1, 400), 1, "0.1", bits=bits)
+    with pytest.raises(error):
+        scan_criterion((1, 400), 1, "0.1", bits=bits)
 
 
 def _count_kernel_calls(monkeypatch):
@@ -225,94 +253,54 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
-def _coarse_walk(lo, hi, base):
-    """round(|sin n| * 2**clog2(n)): sines so coarse that their rounding
-    intervals often straddle the criterion's threshold."""
-    return (abs_sin_canonical(n, clog2(max(n, 2))) for n in range(lo, hi + 1))
-
-
-@pytest.mark.parametrize("eps", ["0.1", "1.9", Fraction(18953, 9970)])
-@pytest.mark.parametrize("force", ["no exact test", "coarse walk"])
-def test_scan_fallback_keeps_the_output(monkeypatch, force, eps):
-    window = (1, 2000)
-    want = scan_key(scan("sparse", window, 1, eps))
-    calls = _count_kernel_calls(monkeypatch)
-    if force == "no exact test":
-        # a threshold no (2m - 1)^2 can pass: "satisfied" is never certain
-        monkeypatch.setattr(criterion, "_sine_thresholds", lambda *args: math.inf)
-    else:
-        monkeypatch.setattr(criterion, "_WALK_BASE", 0)
-        monkeypatch.setattr(criterion, "abs_sin_walk", _coarse_walk)
-    assert scan_key(scan("walk", window, 1, eps)) == want
-    if force == "no exact test":
-        assert sorted(set(calls)) == list(range(window[0], window[1] + 1))
-
-
-@pytest.mark.parametrize("base", [criterion._WALK_BASE, 0])
-def test_sine_thresholds_bound_the_power(base):
-    # with c = p/q: t_sat**q * n**p >= 2**((2w+2)q), exactly, at both ends
-    # of a subblock a..b; at base 0 (the coarse walk) fx_pow's ball is
-    # often uninformative
-    rng = random.Random(9970)
-    for _ in range(300):
-        q = rng.randrange(1, 1000)
-        c = Fraction(rng.randrange(1, 2 * q), q)
-        a = rng.randrange(1, 1 << rng.randrange(1, 40))
-        b = a + (a >> criterion._SUBBLOCK_SHIFT)
-        w = base + clog2(max(b, 2))
-        one = 1 << ((2 * w + 2) * c.denominator)
-        for n in (a, b):
-            t_sat = criterion._sine_thresholds(n, c, w)
-            assert t_sat ** c.denominator * n ** c.numerator >= one, (n, c, w)
-            if base:
-                assert n == 1 or t_sat < 1 << (2 * w + 2)
-
-
 def _report_fields(r):
     return (r.n, r.s, r.epsilon, r.satisfied, r.margin, r.ln_lhs, r.ln_rhs,
             r.lhs.man, r.lhs.exp, r.lhs.err, r.rhs.man, r.rhs.exp, r.rhs.err)
 
 
 @pytest.mark.parametrize("s", [1, 3])
-@pytest.mark.parametrize("path, window, eps, threads", [
-    ("sparse", (1, 32768), "0.1", 1),
-    ("walk", (1, 8300), "1.5", 1),
-    ("walk", (1, 8300), "1.5", 2),            # three chunks on two processes
+@pytest.mark.parametrize("window, eps, threads", [
+    ((1, 32768), "0.1", 1),
+    ((1, 8300), "1.5", 1),
+    ((1, 8300), "1.9", 2),                  # four pieces on two processes
 ])
-def test_scan_reports_equal_check_criterion(path, window, eps, threads, s):
-    result = scan(path, window, s, eps, threads=threads)
+def test_scan_reports_equal_check_criterion(window, eps, threads, s):
+    result = scan_criterion(window, s, eps, threads=threads)
     assert len(result.violations) > 3
     for r in result.violations:
         assert _report_fields(r) == _report_fields(check_criterion(r.n, s, eps))
 
 
-@pytest.mark.parametrize("path, window, s, eps, slack", [
-    ("sparse", (1, 32768), 1, "0.1", criterion._SCREEN_SLACK),
-    ("sparse", (1, 32768), 3, "0.1", criterion._SCREEN_SLACK),
-    ("walk", (1, 8300), 1, "1.5", criterion._SCREEN_SLACK),
-    ("walk", (1, 8300), 3, "1.5", criterion._SCREEN_SLACK),
+@pytest.mark.parametrize("window, s, eps, slack", [
+    ((1, 32768), 1, "0.1", criterion._SCREEN_SLACK),
+    ((1, 32768), 3, "0.1", criterion._SCREEN_SLACK),
+    ((1, 8300), 1, "1.5", criterion._SCREEN_SLACK),
+    ((1, 8300), 3, "1.5", criterion._SCREEN_SLACK),
     # with no bound to end them, the rounds run until every window is
-    # whole, and none may decide again what the walk or a round decided
-    ("walk", (1, 400), 1, "0.1", math.inf),
-    ("auto", (1, 8300), 1, "1.5", criterion._SCREEN_SLACK),   # walks 65..8300 on the pool
+    # whole, and none may decide again what an earlier round decided
+    ((1, 400), 1, "0.1", math.inf),
+    ((1, 8300), 1, "1.9", criterion._SCREEN_SLACK),   # four pieces on the pool
 ])
-def test_scan_decides_each_index_once(monkeypatch, path, window, s, eps, slack):
-    # the pool stand-in runs the chunks in this process, where calls are counted
+def test_scan_decides_each_index_once(monkeypatch, window, s, eps, slack):
+    # the pool stand-in runs the pieces in this process, where calls are counted
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(criterion, "_SCREEN_SLACK", slack)
-    want = scan_key(scan(path, window, s, eps))
+    want = scan_key(scan_criterion(window, s, eps))
     calls = _count_kernel_calls(monkeypatch)
-    assert scan_key(scan(path, window, s, eps, threads=2)) == want
+    assert scan_key(scan_criterion(window, s, eps, threads=2)) == want
     assert len(calls) == len(set(calls)) >= len(want[1])
 
 
 @pytest.mark.parametrize("eps", ["0.1", "0.001", Fraction(1, 997), "1.95", "1.99"])
 def test_scan_calls_the_kernel_rarely(monkeypatch, eps):
+    # measured on 1..8192: 17 calls for 15 violators at eps = 0.1, 5237
+    # for 5010 at 1.95 and 6776 for 6727 at 1.99
     calls = _count_kernel_calls(monkeypatch)
-    result = scan("walk", (1, 8192), 1, eps)
-    assert len(calls) - len(result.violations) <= 64
+    result = scan_criterion((1, 8192), 1, eps)
+    violators = len(result.violations)
+    assert len(calls) - violators <= 16 + violators // 20
 
 
 def test_scan_range_validation():
@@ -346,10 +334,22 @@ def test_scan_summary_json():
 @pytest.mark.parametrize("eps", ["0.1", "0.5", "1", "1.5", "1.9"])
 @pytest.mark.parametrize("s", [1, 3])
 def test_scan_paths_agree_from_one(s, eps):
-    # at eps = 1.9 the sparse windows reach 1/2 up to n near 9e9, so the
-    # sparse path decides every n by the kernel: a shorter range there
-    window = (1, 10_000 if eps == "1.9" else 100_000)
-    assert scan_key(scan("sparse", window, s, eps)) == scan_key(scan("walk", window, s, eps))
+    # a scan from n = 1 equals the scans of its two parts, whose block
+    # edges, working precision W and so windows differ from its own
+    hi = 10_000 if eps == "1.9" else 100_000
+    cut = hi * 3 // 7
+    whole = scan_criterion((1, hi), s, eps)
+    left, right = scan_criterion((1, cut), s, eps), scan_criterion((cut + 1, hi), s, eps)
+    worst = min((part.summary["worst_margin"], part.summary["worst_margin_n"])
+                for part in (left, right))
+    assert whole.summary == {
+        "checked": hi,
+        "violations": left.summary["violations"] + right.summary["violations"],
+        "worst_margin_n": worst[1],
+        "worst_margin": worst[0],
+    }
+    assert ([_report_fields(r) for r in whole.violations]
+            == [_report_fields(r) for r in left.violations + right.violations])
 
 
 @pytest.mark.parametrize("window, s, eps", [
@@ -363,56 +363,26 @@ def test_scan_paths_agree_from_one(s, eps):
 ])
 def test_scan_paths_match_per_n_loop_far_out(window, s, eps):
     want = scan_key(scan("per_n", window, s, eps))
-    assert scan_key(scan("sparse", window, s, eps)) == want
-    assert scan_key(scan("walk", window, s, eps)) == want
+    assert scan_key(scan("auto", window, s, eps)) == want
 
 
-def test_scan_paths_match_on_two_processes_far_out():
+def test_scan_paths_match_on_two_processes_far_out(monkeypatch):
+    # six candidates in pieces of two run on a real pool of two processes
     window = (99_940_000, 99_950_000)
-    want = scan_key(scan("walk", window, 1, "1", threads=1))
+    want = scan_key(scan_criterion(window, 1, "1", threads=1))
     assert [n for n, *_ in want[1]][:2] == [99944417, 99944772]
-    assert scan_key(scan("walk", window, 1, "1", threads=2)) == want
-    assert scan_key(scan("sparse", window, 1, "1", threads=2)) == want
+    monkeypatch.setattr(criterion, "_CHUNK", 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes = _record_real_pools(monkeypatch)
+    assert scan_key(scan_criterion(window, 1, "1", threads=2)) == want
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("eps", ["0.1", "0.001", Fraction(1, 997)])
 def test_sparse_scan_calls_the_kernel_rarely(monkeypatch, eps):
     calls = _count_kernel_calls(monkeypatch)
-    result = scan("sparse", (1, 10**6), 1, eps)
+    result = scan_criterion((1, 10**6), 1, eps)
     assert len(calls) - len(result.violations) <= 64
-
-
-def test_path_choice():
-    M = pi_mantissa(100)
-    share = -(-M // (2 * criterion._SPARSE_COST))      # the least D with 2D/M >= 1/32
-    for a, D, walks in [
-        (1, M, False), (63, M, False),                    # below 64 never
-        (64, share, True), (64, share - 1, False),
-        (1 << 40, M, True), (1 << 40, share - 1, False), (65, 0, False),
-    ]:
-        assert bool(criterion._walks(a, D, M)) == walks, (a, D)
-
-
-@pytest.mark.parametrize("window, eps, walked", [
-    ((1, 100_000), "1", [(65, 128), (129, 256), (257, 512), (513, 1024)]),
-    ((1, 32768), "0.1", []),                              # the benchmark's scan
-    ((1, 20_000), "1.5", [(65, 128), (129, 256), (257, 512), (513, 1024), (1025, 2048),
-                          (2049, 4096), (4097, 8192), (8193, 12288), (12289, 16384),
-                          (16385, 20000)]),
-])
-def test_walked_pieces(monkeypatch, window, eps, walked):
-    pieces = []
-    screen = criterion._screen
-
-    def recording(ns, c_pow):
-        pieces.append((ns.start, ns[-1]))
-        return screen(ns, c_pow)
-
-    monkeypatch.setattr(criterion, "_screen", recording)
-    want = scan_key(scan("sparse", window, 1, eps))
-    assert pieces == []
-    assert scan_key(scan_criterion(window, 1, eps)) == want
-    assert pieces == walked
 
 
 def test_rounds_that_decide_nothing_are_skipped(monkeypatch):
@@ -443,6 +413,44 @@ def test_first_hit_is_the_least_solution():
         hi = rng.randrange(lo, m)
         want = next((x for x in range(m) if lo <= (a * x + b) % m <= hi), None)
         assert criterion._first_hit(a, b, m, lo, hi) == want, (a, b, m, lo, hi)
+
+
+def test_arcsin_units_bound_arcsin():
+    # certified: sin of the bound, as a ball, is at least z, so the bound
+    # is at least arcsin z (it stays below pi - arcsin z)
+    rng = random.Random(1729)
+    for W in (8, 20, 64, 130):
+        M = pi_mantissa(W)
+        for _ in range(200):
+            Z = rng.randrange(1 << rng.randrange(1, W + 1))
+            A = criterion._arcsin_units(Z, W, M)
+            ball = sin_reduced(MpReal(A, -W), W + 16)
+            assert ball.center() - ball.err >= Fraction(Z, 1 << W), (W, Z, A)
+            z = Z / 2**W
+            if W >= 20 and z <= 0.99:
+                assert A <= 1.04 * math.asin(z) * 2**W + 3, (W, Z, A)
+
+
+@pytest.mark.parametrize("W", [6, 9, 12])
+def test_near_multiples_lists_every_n_within_D(W):
+    # both sides of 2D = 2**W: one n per multiple of pi, or several
+    rng = random.Random(W)
+    M, mod = pi_mantissa(W), 1 << W
+    for _ in range(60):
+        D = rng.randrange(M // 2)
+        k0 = rng.randrange(200)
+        k1 = k0 + rng.randrange(40)
+        want = [n for n in range(-2 - D // mod, (k1 * M + D) // mod + 2)
+                if any(abs(k * M - n * mod) <= D for k in range(k0, k1 + 1))]
+        assert list(criterion._near_multiples(M, W, k0, k1, D)) == want, (D, k0, k1)
+
+
+def test_benchmark_scan_calls_the_kernel_17_times(monkeypatch):
+    # the benchmark's scan operation: 15 violators and two more candidates
+    calls = _count_kernel_calls(monkeypatch)
+    result = scan_criterion((1, 32768), 1, "0.1", threads=2)
+    assert len(result.violations) == 15
+    assert len(calls) <= 17
 
 
 def test_scan_refuses_ranges_past_the_margin_argument():

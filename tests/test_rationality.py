@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import flintlab.rationality as rationality
 import oracles
 from flintlab import (
     DomainError,
@@ -190,6 +191,29 @@ def test_bits_are_checked_on_entry(bits, error):
         spike_indices(100, bits)
     with pytest.raises(error):
         local_exponent(355, bits)
+
+
+@pytest.mark.parametrize("bits", [8, 64, 128])
+def test_spike_records_take_lambda_from_their_sine(monkeypatch, bits):
+    # the records equal sin_int plus local_exponent, lambda floats
+    # included; at 64 bits and more each record computes one sine
+    want = [(1, sin_int(1, bits).abs_(), None)] + [
+        (p, sin_int(p, bits).abs_(), local_exponent(p, bits))
+        for p in (3, 22, 333, 355, 103993, 104348)]
+    calls = []
+    real = rationality.sin_int
+
+    def counting(n, b):
+        calls.append(n)
+        return real(n, b)
+
+    monkeypatch.setattr(rationality, "sin_int", counting)
+    records = spike_indices(200_000, bits)
+    got = [(r.n, r.abs_sin, r.lam) for r in records]
+    assert [(n, a.man, a.exp, a.err, lam) for n, a, lam in got] == [
+        (n, a.man, a.exp, a.err, lam) for n, a, lam in want]
+    if bits >= 64:
+        assert sorted(calls) == [r.n for r in records]
 
 
 def test_spike_indices_400():

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from flintlab import (
     CheckpointMismatchError,
     DomainError,
+    ResourceLimitError,
     SeriesSpec,
     UsageError,
     equivalence_experiment,
@@ -465,3 +467,19 @@ def test_large_power_terms_round_to_zero(v):
     total = partial_sum(300, spec)
     assert total.units == one.man
     assert total.err == one.err + 299 * Fraction(3, 1 << 208)
+
+
+def test_huge_sine_power_raises_at_once():
+    # m**u would have about 2.6e11 bits at the first attempt
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        term(1, SeriesSpec(u=10**9))
+    assert time.perf_counter() - t0 < 1
+
+
+def test_large_sine_power_keeps_its_value():
+    # n = 1 escalates to w = 2049, where m**u has 5000 * 2049 bits, below
+    # the bound; the value is the one computed before the bound existed
+    units, err = series._term_units(1, SeriesSpec(u=5000))
+    assert (units.bit_length(), units % 10**20, units >> 1420, err) == (
+        1454, 60275183898547975274, 9034789900, 3)
