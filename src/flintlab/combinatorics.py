@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError
+from .mpreal import _is_int
 
 __all__ = [
     "GValue",
@@ -36,8 +37,8 @@ __all__ = [
 
 def binomial(n: int, k: int) -> int:
     """Exact C(n, k) with the convention C(n, k) = 0 for k > n."""
-    if n < 0 or k < 0:
-        raise DomainError(f"binomial requires non-negative arguments, got ({n}, {k})")
+    if not (_is_int(n) and _is_int(k)) or n < 0 or k < 0:
+        raise DomainError(f"binomial requires non-negative integers, got ({n!r}, {k!r})")
     if k > n:
         return 0
     return comb(n, k)
@@ -59,8 +60,8 @@ def g_value(n: int) -> GValue:
     approximation; the literal accumulation is available as
     ``g_value_double_sum`` and the two are compared in the test suite.
     """
-    if n < 1:
-        raise DomainError(f"g_value requires n >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"g_value requires an integer n >= 1, got {n!r}")
     return GValue(n, n)
 
 
@@ -71,8 +72,8 @@ def g_value_double_sum(n: int, order: str = "row") -> int:
     must agree with each other and with ``g_value`` -- the summation
     order must not matter for an exact finite sum.
     """
-    if n < 1:
-        raise DomainError(f"g_value_double_sum requires n >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"g_value_double_sum requires an integer n >= 1, got {n!r}")
     imax = (n + 1) // 2
     total = 0
     if order == "row":
@@ -105,8 +106,8 @@ def multiple_angle_coefficients(n: int) -> list[tuple[int, int]]:
     that parity in [0, n-1] appears even when its net coefficient is
     zero.  Summing the coefficients recovers G(n) (set theta -> 0).
     """
-    if n < 1:
-        raise DomainError(f"multiple_angle_coefficients requires n >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"multiple_angle_coefficients requires an integer n >= 1, got {n!r}")
     dense: dict[int, int] = {p: 0 for p in range((n - 1) % 2, n, 2)}
     for i in range((n + 1) // 2 + 1):
         outer = binomial(n, 2 * i + 1)

@@ -41,7 +41,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import g_value
 from .errors import DomainError, UndecidableError
 from .mpreal import (
     MpReal,
@@ -183,9 +182,9 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
 def _report(n: int, s: int, eps: Fraction, bits: int, kernel_out) -> CriterionReport:
     """The report of index n, built from the _decided_kernel output that decided it."""
     verdict, ln_lhs, ln_rhs, (lo, hi, scale) = kernel_out
-    lhs = MpReal(g_value(n).value ** (2 * s), 0)
-    n2s = n ** (2 * s)                   # rhs = n^(2s) * sin^2(n) * n^(2-eps)
-    man = (lo + hi) * n2s // 2
+    n2s = n ** (2 * s)                   # G(n)^(2s), as G(n) = n
+    lhs = MpReal(n2s, 0)
+    man = (lo + hi) * n2s // 2           # rhs = n^(2s) * sin^2(n) * n^(2-eps)
     err = Fraction((hi - lo) * n2s + 2, 1 << (scale + 1))
     rhs = MpReal(man, -scale, err).round_to(bits)
     return CriterionReport(

@@ -139,8 +139,8 @@ def _fixed_units(x: MpReal, w: int) -> tuple[int, int]:
 
 def seeded_thetas(count: int, seed: int, bits: int = 192) -> list[MpReal]:
     """Deterministic angles uniform over (-pi, pi), as tight balls."""
-    if count < 1:
-        raise DomainError(f"seeded_thetas needs count >= 1, got {count}")
+    if not _is_int(count) or count < 1:
+        raise DomainError(f"seeded_thetas needs an integer count >= 1, got {count!r}")
     rng = random.Random(seed)
     w = bits + 16
     pi_man = pi_mantissa(w)
@@ -156,8 +156,9 @@ def seeded_thetas(count: int, seed: int, bits: int = 192) -> list[MpReal]:
 def verify_multiple_angle_sweep(n_max: int, thetas_per_n: int,
                                 bits: int = 192, seed: int = 7041) -> list[ResidualReport]:
     """The multiple-angle check over n in [1, n_max] x seeded angles."""
-    if n_max < 1:
-        raise DomainError(f"verify_multiple_angle_sweep needs n_max >= 1, got {n_max}")
+    if not _is_int(n_max) or n_max < 1:
+        raise DomainError(
+            f"verify_multiple_angle_sweep needs an integer n_max >= 1, got {n_max!r}")
     thetas = seeded_thetas(thetas_per_n, seed, bits)
     reports = []
     for n in range(1, n_max + 1):

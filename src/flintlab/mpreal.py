@@ -33,10 +33,11 @@ w, because the subtraction ``x - k*pi`` cancels that many leading bits.
 Sine at integer arguments has one primitive, :func:`sin_ball`: the
 reduction, then the Taylor kernel, returning the signed integer ball
 ``(S, err_ulps)`` at scale ``2**-w``.  :func:`sin_int` (and through it
-the spike search) and the criterion kernel (and through it the scan)
-use the ball as it is.  Ball arguments have two entry points,
-:func:`sin_reduced` and :func:`cos_reduced`, which share one body:
-reduce the center, run the kernel, add the ball's radius.
+the spike search), the criterion kernel (and through it the scan) and
+the anchors of :func:`abs_sin_walk` use the ball as it is.  Ball
+arguments have two entry points, :func:`sin_reduced` and
+:func:`cos_reduced`, which share one body: reduce the center, run the
+kernel, add the ball's radius.
 
 Two layers on top of the ball serve the partial sums:
 
@@ -48,11 +49,11 @@ Two layers on top of the ball serve the partial sums:
 * :func:`abs_sin_walk` yields those same integers for consecutive n by
   the recurrence ``sin(n + 1) = 2 cos 1 * sin n - sin(n - 1)`` -- one
   multiplication instead of a reduction and a Taylor sum per n.  It
-  re-anchors on a direct ball every 4096 steps and wherever w changes,
-  carries a proven drift bound, and hands any n whose rounding the
-  drift leaves ambiguous to :func:`abs_sin_canonical`.  partial_sum
-  takes every sine from it; a term that escalates, or one computed on
-  its own (term), calls abs_sin_canonical.
+  re-anchors on two direct balls, of n0 and n0 - 1, every 4096 steps
+  and wherever w changes, carries a proven drift bound, and hands any n
+  whose rounding the drift leaves ambiguous to :func:`abs_sin_canonical`.
+  partial_sum takes every sine from it; a term that escalates, or one
+  computed on its own (term), calls abs_sin_canonical.
 
 The Taylor kernels at the bottom of the file work on plain integers at
 a fixed scale and report their rounding as a ulp count, which callers
@@ -104,7 +105,7 @@ __all__ = [
 MAX_BITS = 10_000_000
 SIN_GUARD_BITS = 32      # least first guard-bit count of abs_sin_canonical and the walk
 WALK_BLOCK = 4096        # abs_sin_walk re-anchors at least this often
-_ROTATION_GUARD = 16     # bits of (cos 1, sin 1) beyond the walk's scale
+_ROTATION_GUARD = 16     # bits of cos 1 beyond the walk's scale
 _STR_BITS = 8192         # _digits converts integers up to this size directly
 
 _ZERO = Fraction(0)
@@ -638,33 +639,17 @@ def reduce_fixed(m: int, w: int, d: int = 0) -> tuple[int, int, int]:
 
 
 def sin_ball(n: int, w: int) -> tuple[int, int]:
-    """sin(n) for integer n >= 1 as the integer ball (S, err_ulps) at 2**-w.
+    """sin(n) for integer n >= 0 as the integer ball (S, err_ulps) at 2**-w.
 
     |S * 2**-w - sin n| <= err_ulps * 2**-w.  Computed as (-1)**k sin(r)
     from n = k*pi + r; sine is 1-Lipschitz, so the reduction error adds
     to the kernel's, plus one ulp of slack.  The absolute accuracy is
-    about 2**-(w - log2 n): callers add ceil(log2 n) guard bits.
+    about 2**-(w - log2 n): callers add ceil(log2 n) guard bits.  n = 0,
+    which a walk from 1 anchors on, gives (0, 27).
     """
     k, R, e_red = reduce_fixed(n, w)
     S, e_sin = fx_sin(R, w)
     return (-S if k & 1 else S), e_red + e_sin + 1
-
-
-def _sincos_ball(n: int, w: int) -> tuple[int, int, int, int]:
-    """(C, S, e_red, e_ker): cos x and sin x at 2**-w from one reduction of n.
-
-    C and S are each within e_ker ulps of cos x and sin x for an x with
-    |x - n| <= e_red * 2**-w: x = k*pi + R * 2**-w for the reduce_fixed
-    triple (k, R, e_red), and e_ker is the larger kernel error.  As sine
-    and cosine are 1-Lipschitz, both are within e_red + e_ker ulps of
-    cos n and sin n.
-    """
-    k, R, e_red = reduce_fixed(n, w)
-    S, e_sin = fx_sin(R, w)
-    C, e_cos = fx_cos(R, w)
-    if k & 1:
-        C, S = -C, -S
-    return C, S, e_red, max(e_sin, e_cos)
 
 
 def _round_abs(S: int, e: int, g: int) -> int | None:
@@ -709,10 +694,11 @@ def abs_sin_canonical(n: int, w: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _rotation(W: int) -> tuple[int, int, int]:
-    """(cos 1, sin 1) at 2**-(W + _ROTATION_GUARD) with their common error."""
-    C1, S1, e_red, e_ker = _sincos_ball(1, W + _ROTATION_GUARD)
-    return C1, S1, e_red + e_ker
+def _rotation(W: int) -> tuple[int, int]:
+    """cos 1 at 2**-(W + _ROTATION_GUARD) and its error in ulps; 1 < pi/2
+    needs no reduction."""
+    w = W + _ROTATION_GUARD
+    return fx_cos(1 << w, w)
 
 
 def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
@@ -724,17 +710,14 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
     guard of abs_sin_canonical at 2**c), S ~ sin n * 2**W advances by the
     three-term recurrence sin(n + 1) = 2 cos 1 * sin n - sin(n - 1):
     S' = (K*S >> W) - S_prev with K ~ 2 cos 1 * 2**W, one multiplication
-    per n.  A block starts on a direct ball and ends before the next
+    per n.  A block starts on two direct balls and ends before the next
     multiple of WALK_BLOCK and before w changes (at each power of two).
 
-    Error bound.  The direct ball (C, S, e_red, e0) = _sincos_ball(n0, W)
-    of the block's first n0 holds cos x0 and sin x0, each within e0 ulps,
-    for an x0 with |x0 - n0| <= e_red * 2**-W.  The reduction error is a
-    shift of the angle, which the recurrence carries along unchanged, so
-    the walk tracks t_j = sin(x0 + j) * 2**W: with e_j = S_j - t_j for
-    n = n0 + j, |S_j - sin n * 2**W| <= e_red + |e_j|, sine being
-    1-Lipschitz.  With |K - 2 cos 1 * 2**W| <= kappa and f_j in [0, 1)
-    the part the shift drops,
+    Error bound.  The block's first n0 anchors on (S_0, e0) = sin_ball(n0,
+    W) and (S_{-1}, e_prev) = sin_ball(n0 - 1, W), so with t_j = sin(n0 +
+    j) * 2**W exactly and e_j = S_j - t_j, |e_0| <= e0 and |e_{-1}| <=
+    e_prev.  With |K - 2 cos 1 * 2**W| <= kappa and f_j in [0, 1) the part
+    that >> W drops,
 
         e_{j+1} = 2 cos 1 * e_j - e_{j-1} + d_j,
         d_j = (K - 2 cos 1 * 2**W) * (t_j + e_j) * 2**-W - f_j,
@@ -745,35 +728,27 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
 
         e_j = U_j * e_0 - U_{j-1} * e_{-1} + sum_{i<j} U_{j-1-i} * d_i,
 
-    and |U_j| = |sin(j + 1)| / sin 1 < 6/5.  So |e_j| < 6/5 * (|e_0| +
-    |e_{-1}| + j * (kappa + 2)), and D = e_red + ceil(6/5 * (e0 + d)) +
-    j * ceil(6/5 * (kappa + 2)), with d the bound on |e_{-1}| below, is a
-    radius for sin n that grows by a fixed step per n.  (S, D) goes
-    through the same rounding test as abs_sin_canonical; an ambiguous n
-    falls back to abs_sin_canonical.
-
-    Starting values.  |e_0| <= e0.  (C1, S1, e1) = _rotation(W) holds
-    cos 1 and sin 1 at 2**-(W + h), h = _ROTATION_GUARD, each within e1
-    ulps, and S_{-1} = (S*C1 - C*S1) >> (W + h) rotates back to t_{-1}.
-    Written out, its error is (cos 1 * dS - sin 1 * dC) + (sin x0 * dC1 -
-    cos x0 * dS1) * 2**-h + (dS*dC1 - dC*dS1) * 2**-(W+h), minus the
-    dropped fraction, with every d a component error.  By Cauchy-Schwarz
-    on unit vectors the first two are at most sqrt2*e0 and
-    sqrt2*e1*2**-h, and the third is below 1 while e0*e1 < 2**(W+h-1);
-    so |e_{-1}| < sqrt2*(e0 + e1*2**-h) + 2 <= d = (3*e0 >> 1) + (e1 >>
-    (h-1)) + 4.  K = C1 >> (h - 1) gives kappa = 2*e1*2**-h + 1 <= (e1 >>
-    (h-1)) + 2, which the guard h keeps at 2 while e1 < 2**15.
+    and |U_j| = |sin(j + 1)| / sin 1 < 6/5.  So |e_j| < 6/5 * (e0 + e_prev
+    + j * (kappa + 2)), and D = ceil(6/5 * (e0 + e_prev)) + j * ceil(6/5 *
+    (kappa + 2)) is a radius for sin n that grows by a fixed step per n.
+    (S, D) goes through the same rounding test as abs_sin_canonical; an
+    ambiguous n falls back to abs_sin_canonical.  (C1, e1) = _rotation(W)
+    holds cos 1 at 2**-(W + h), h = _ROTATION_GUARD, within e1 ulps, and K
+    = C1 >> (h - 1) drops less than 1, so kappa = (e1 >> (h - 1)) + 2
+    bounds its error.
 
     The side conditions hold for base >= 8.  Then g >= 32 gives W >= 40 +
-    c, so n <= 2**(W-40).  The reduction error e_red is at most n/6 + 3
-    ulps.  For |x| <= 1.6 the Taylor terms start below 2**(W+1) and at
-    least halve from the second on, so the kernels stop with i <= W + 4
-    and report at most 8*W + 48 ulps; hence e0 <= 8*W + 48 and e1 <=
-    8*(W + h) + 50 = 8*W + 178.  A block has at most WALK_BLOCK - 1
-    steps, so D <= e_red + 3*e0 + e1/4 + 2**15 <= n/6 + 26*W + 2**16 and
-    kappa <= W/2**12 + 3, which keep kappa*D < 2**(W-1) for every W >=
-    40, however g grows W.  The same n/6 term bounds the width 2D against
-    the step 2**g >= 256 * 2**c, so few walked n fall back.
+    c, so n <= 2**(W-40).  Each anchor radius is sin_ball's reduction
+    error, at most n/6 + 3 ulps, plus the kernel's and one: for |x| <=
+    1.6 the Taylor terms start below 2**(W+1) and at least halve from the
+    second on, so the kernels stop with i <= W + 4 and report at most
+    8*W + 48 ulps; hence e0, e_prev <= n/6 + 8*W + 52 and e1 <= 8*(W + h)
+    + 48 = 8*W + 176.  So kappa <= W/2**12 + 3, the step is at most
+    1.2*W/2**12 + 7, and a block has at most WALK_BLOCK - 1 steps: D <=
+    0.4*n + 21*W + 2**15 < 2**(W-41) + 21*W + 2**15, which keeps
+    kappa*D < 2**(W-1) for every W >= 40, however g grows W.  The same
+    0.4*n term bounds the width 2D against the step 2**g >= 256 * 2**c,
+    so few walked n fall back.
     """
     if lo < 1 or base < 8:
         raise DomainError(f"abs_sin_walk requires lo >= 1 and base >= 8, got {lo!r}, {base!r}")
@@ -786,12 +761,12 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
         # the block ends at the last n with this w, or of this WALK_BLOCK
         end = min(hi, 1 << c, (n - 1) // WALK_BLOCK * WALK_BLOCK + WALK_BLOCK)
         W = w + g
-        C, S, e_red, e0 = _sincos_ball(n, W)
-        C1, S1, e1 = _rotation(W)
-        prev = (S * C1 - C * S1) >> (W + h)
+        S, e0 = sin_ball(n, W)
+        prev, e_prev = sin_ball(n - 1, W)
+        C1, e1 = _rotation(W)
         K = C1 >> (h - 1)
         kappa = (e1 >> (h - 1)) + 2
-        D = e_red + (6 * (e0 + (3 * e0 >> 1) + (e1 >> (h - 1)) + 4) + 4) // 5
+        D = (6 * (e0 + e_prev) + 4) // 5
         step = (6 * (kappa + 2) + 4) // 5
         while True:
             m = _round_abs(S, D, g)

@@ -134,8 +134,8 @@ def cf_terms(x: MpReal | Fraction, count: int) -> CfExpansion:
     _cf_run).  Accepts an exact Fraction as well as a ball; an exact
     rational input yields its full (finite) expansion, flagged complete.
     """
-    if count < 1:
-        raise DomainError(f"cf_terms needs count >= 1, got {count}")
+    if not _is_int(count) or count < 1:
+        raise DomainError(f"cf_terms needs an integer count >= 1, got {count!r}")
     if isinstance(x, Fraction):
         a = c = x.numerator
         b = x.denominator
@@ -190,6 +190,8 @@ def convergent_numerators_up_to(n_max: int) -> set[int]:
     certain one: p_k >= 2**(k/2), so `bits` terms would already pass
     2**(bits/2 - 1) > n_max.
     """
+    if not _is_int(n_max):
+        raise DomainError(f"convergent_numerators_up_to needs an integer n_max, got {n_max!r}")
     if n_max < 1:
         return set()
     bits = 128 + 4 * clog2(n_max + 2)

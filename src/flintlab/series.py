@@ -410,8 +410,8 @@ def equivalence_experiment(k: int, s_max: int, bits: int = 128) -> list[Equivale
     so the deltas measure pure rounding; they are bounded by
     err_s + err_0 whenever both error budgets are honest.
     """
-    if k < 1 or s_max < 1:
-        raise DomainError(f"need k >= 1 and s_max >= 1, got k={k}, s_max={s_max}")
+    if not (_is_int(k) and _is_int(s_max)) or k < 1 or s_max < 1:
+        raise DomainError(f"need integers k >= 1 and s_max >= 1, got k={k!r}, s_max={s_max!r}")
     results = [partial_sum(k, SeriesSpec(s=s, u=2, v=3, bits=bits))
                for s in range(s_max + 1)]
     base = results[0]

@@ -18,7 +18,8 @@ self import time.
 Prints one JSON document: per state, tree and command the median and
 quartiles of the wall seconds per call and the median self microseconds
 of each flintlab module; whether every tree printed the same stdout; and
-the machine (CPU count, Python version).
+the machine (CPU count, Python version).  Exits 1 if the trees' stdout
+differs.
 """
 
 import argparse
@@ -117,7 +118,7 @@ def main() -> int:
                 "PYTHONDONTWRITEBYTECODE": env.get("PYTHONDONTWRITEBYTECODE"),
                 "stdout_identical": identical, **result}
     print(json.dumps(doc, indent=1))
-    return 0
+    return 0 if all(state["stdout_identical"] for state in doc["states"].values()) else 1
 
 
 if __name__ == "__main__":

@@ -3,9 +3,15 @@ import pytest
 from flintlab import (
     DomainError,
     binomial,
+    cf_terms,
+    compute_pi,
+    convergent_numerators_up_to,
+    equivalence_experiment,
     g_value,
     g_value_double_sum,
     multiple_angle_coefficients,
+    seeded_thetas,
+    verify_multiple_angle_sweep,
 )
 from oracles import chebyshev_u_at_one, chebyshev_u_coeffs, pascal_triangle
 
@@ -26,6 +32,36 @@ def test_binomial_above_row_is_zero():
 def test_binomial_rejects_negative_arguments(n, k):
     with pytest.raises(DomainError):
         binomial(n, k)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: g_value(2.5),
+    lambda: g_value(True),
+    lambda: g_value_double_sum(2.5),
+    lambda: g_value_double_sum(True),
+    lambda: binomial(2.5, 1),
+    lambda: binomial(5, True),
+    lambda: multiple_angle_coefficients(2.5),
+    lambda: multiple_angle_coefficients(True),
+    lambda: cf_terms(compute_pi(64), 2.5),
+    lambda: cf_terms(compute_pi(64), True),
+    lambda: convergent_numerators_up_to(2.5),
+    lambda: convergent_numerators_up_to(True),
+    lambda: seeded_thetas(2.5, 1),
+    lambda: seeded_thetas(True, 1),
+    lambda: verify_multiple_angle_sweep(2.5, 1),
+    lambda: verify_multiple_angle_sweep(2, 2.5),
+    lambda: verify_multiple_angle_sweep(True, 1),
+    lambda: equivalence_experiment(2.5, 1),
+    lambda: equivalence_experiment(3, True),
+], ids=["g-float", "g-bool", "double-float", "double-bool", "binomial-n", "binomial-k",
+        "coeffs-float", "coeffs-bool", "cf-float", "cf-bool", "numerators-float",
+        "numerators-bool", "thetas-float", "thetas-bool", "sweep-n", "sweep-count",
+        "sweep-bool", "equiv-k", "equiv-s"])
+def test_integer_arguments_refuse_floats_and_bools(call):
+    # each entry point takes its integers through mpreal._is_int
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_g_value_equals_its_index():

@@ -54,6 +54,13 @@ def test_cold_cf_loads_rationality_only():
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
+def test_cold_criterion_loads_no_combinatorics():
+    # the report's left side is n^(2s) itself, since G(n) = n
+    loaded = cli_modules("criterion", "--n", "355", "--s", "1", "--eps", "0.1")
+    assert "flintlab.criterion" in loaded
+    assert "flintlab.combinatorics" not in loaded
+
+
 def test_bare_import_loads_no_submodule():
     loaded = cold_modules("import sys, flintlab")
     assert "flintlab" in loaded

@@ -654,6 +654,18 @@ def test_walk_radius_holds_the_sine(monkeypatch, lo, hi, points):
             assert want_err < Fraction(1, 1 << W)
 
 
+@pytest.mark.parametrize("W", [40, 300, 4000])
+def test_walk_rotation_is_within_kappa_of_twice_cos_one(W):
+    # the walk's K = C1 >> (h - 1) and kappa = (e1 >> (h - 1)) + 2
+    h = mpreal._ROTATION_GUARD
+    C1, e1 = mpreal._rotation(W)
+    K = C1 >> (h - 1)
+    kappa = (e1 >> (h - 1)) + 2
+    cos1, rem = taylor_cos(Fraction(1), W // 4 + 20)
+    assert rem < Fraction(1, 1 << (W + 8))
+    assert abs(K - 2 * cos1 * (1 << W)) + 2 * rem * (1 << W) <= kappa
+
+
 def test_walk_does_not_depend_on_its_start():
     base = 176
     full = list(abs_sin_walk(1, 9000, base))
