@@ -34,55 +34,7 @@ _HOME = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_BITS",
-    "CfExpansion",
-    "CheckpointMismatchError",
-    "Convergent",
-    "CriterionReport",
-    "DegenerateInputError",
-    "DomainError",
-    "EquivalenceRow",
-    "FlintlabError",
-    "GValue",
-    "MpReal",
-    "PartialSumResult",
-    "PrecisionError",
-    "ResidualReport",
-    "ResourceLimitError",
-    "ScanResult",
-    "SeriesSpec",
-    "SpikeRecord",
-    "UndecidableError",
-    "UsageError",
-    "binomial",
-    "cf_terms",
-    "check_criterion",
-    "compute_pi",
-    "convergent_numerators_up_to",
-    "convergents",
-    "cos_reduced",
-    "equivalence_experiment",
-    "exact_decimal",
-    "g_value",
-    "g_value_double_sum",
-    "guaranteed_decimal",
-    "load_checkpoint",
-    "local_exponent",
-    "multiple_angle_coefficients",
-    "partial_sum",
-    "save_checkpoint",
-    "scan_criterion",
-    "seeded_thetas",
-    "sin_int",
-    "sin_reduced",
-    "spike_indices",
-    "term",
-    "verify_angle_difference",
-    "verify_multiple_angle",
-    "verify_multiple_angle_sweep",
-    "verify_sinc_limit",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

@@ -33,6 +33,7 @@ from .mpreal import (
     MAX_BITS,
     MpReal,
     _is_int,
+    _require_bits,
     abs_sin_canonical,
     abs_sin_walk,
     clog2,
@@ -82,10 +83,7 @@ class SeriesSpec:
         except OverflowError:
             raise DomainError(f"v must be below 2**1024, got {self.v!r}") from None
         object.__setattr__(self, "v", v.numerator if v.denominator == 1 else v)
-        if not _is_int(self.bits) or self.bits < 8:
-            raise DomainError(f"bits must be an integer >= 8, got {self.bits!r}")
-        if self.bits > MAX_BITS:
-            raise ResourceLimitError(f"bits={self.bits} exceeds maximum {MAX_BITS}")
+        _require_bits(self.bits)
 
     @property
     def acc_scale(self) -> int:

@@ -1,0 +1,300 @@
+"""A/B timing of one suite of operations on one or more trees.
+
+Usage: python tests/ab_bench.py SUITE [--runs N] LABEL=SRC_DIR [LABEL=SRC_DIR ...]
+
+Each SRC_DIR is the ``src`` directory of a checkout, for instance
+``before=../parent/src after=src``.  Every run starts one fresh interpreter
+per tree with PYTHONPATH=SRC_DIR; the trees take turns within every run, and
+alternate which goes first, so they share the machine's drift.  Each
+interpreter runs the suite's untimed warm-up, then times every operation
+once: wall seconds with ``time.perf_counter``, CPU seconds as
+``time.process_time`` plus the time of the children it waited for
+(``RUSAGE_CHILDREN``), so scan pool workers and cold CLI calls count.  Each
+output is digested after the clocks stop.  One more, untimed, interpreter per
+tree gives the suite's counts.
+
+``sum``: warm-up ``partial_sum(5000)``; operations, at 128 bits:
+
+* ``sum_1e5``: ``partial_sum(100000)`` of the classical series;
+* ``blocks_8192``: the benchmark's ``sum`` operation (perfbench/workloads.py,
+  seed 0): n = 1..8192 in 8 blocks of 1024, each resumed with
+  ``load_checkpoint`` and written with ``save_checkpoint``.
+
+Output (units, err_units).  Counts, over both operations: the terms that
+called ``series._units`` and the walk's fallbacks to
+``mpreal.abs_sin_canonical``.
+
+``scan``: warm-up one ``scan_op`` call; every scan below at threads 1 and 2
+(``<name>@<threads>``).  At threads 2 a round with more than one piece of
+candidates runs on a process pool, whose start-up is timed.
+
+* ``scan_op``: the benchmark's ``scan`` operation (seed 0, run there at
+  threads 2): n = 1..32768, s = 1, eps = 0.1, 17 or fewer candidates and
+  no pool; timed over SCAN_REPEAT calls, as one call takes a few ms;
+* ``dense``: n = 1..1e5, s = 1, eps = 1.5, about 5000 candidates;
+* ``dense_19``: n = 1..1e5, s = 1, eps = 1.9, about 41000 candidates,
+  whose windows span several n around each multiple of pi;
+* ``mixed``: n = 1..1e5, s = 1, eps = 1, a few hundred candidates;
+* ``mixed_1e6``: n = 1..1e6, s = 1, eps = 1.3, about 9000 candidates;
+* ``far``: n = 1..1e40, s = 1, eps = 0.1, about 1800 candidates.
+
+Output ``scan_paths.scan_key``.  Counts, per scan at threads 1 (the n decided
+do not depend on threads): the calls of ``criterion._decided_kernel``, the
+distinct n they decide, the violators.
+
+``cold``: the commands of the benchmark's ``pi`` workload, ``pi --bits 20000
+--digits 4000`` and ``cf --bits 20000 --count 4800`` in JSON, each a fresh
+``python -m flintlab`` in one of two bytecode states
+(``<state>/<command>``).  ``source`` points PYTHONPYCACHEPREFIX at an empty
+directory that PYTHONDONTWRITEBYTECODE=1 keeps empty, so every module a call
+imports, the standard library's too, is compiled from source (an empty
+PYTHONPYCACHEPREFIX would be ignored, and the ``__pycache__`` beside the
+sources read).  ``cached`` points it at a directory that the warm-up, one
+untimed call per command, fills.  Output the call's stdout.  Counts: per
+operation, the median over IMPORTTIME_CALLS calls under ``-X importtime`` of
+each flintlab module's self import microseconds.
+
+Prints one JSON document: the machine (CPU count, Python version); the
+operations and the items each covers; whether every tree gave the same
+outputs; per tree its counts and, per operation, the median and quartiles of
+wall and CPU seconds and the items per wall second at the median.  Exits 1 if
+the trees' outputs differ.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from typing import Callable, NamedTuple
+
+
+class Suite(NamedTuple):
+    operations: dict      # name -> items that one timing covers
+    warm: Callable        # (tmp) -> None, untimed
+    run: Callable         # (name, tmp) -> output, whose repr is digested
+    counts: Callable      # (tmp) -> JSON-able counts
+
+
+def recording(module, name: str) -> list:
+    """Wrap module.name so that each call appends its first argument to the list returned."""
+    calls, inner = [], getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    setattr(module, name, wrapper)
+    return calls
+
+
+SUM_TERMS = {"sum_1e5": 100_000, "blocks_8192": 8192}
+SUM_BLOCKS = 8
+
+
+def sum_warm(tmp: str) -> None:
+    from flintlab import series
+
+    series.partial_sum(5000, series.SeriesSpec())
+
+
+def sum_run(name: str, tmp: str):
+    from flintlab import series
+
+    spec = series.SeriesSpec(0, 2, 3, 128)
+    if name == "sum_1e5":
+        r = series.partial_sum(SUM_TERMS[name], spec)
+    else:
+        path, r = os.path.join(tmp, "sum-checkpoint.json"), None
+        for i in range(1, SUM_BLOCKS + 1):
+            resume = series.load_checkpoint(path) if r is not None else None
+            r = series.partial_sum(SUM_TERMS[name] * i // SUM_BLOCKS, spec, checkpoint=resume)
+            series.save_checkpoint(r, path)
+    return r.units, r.err_units
+
+
+def sum_counts(tmp: str) -> dict:
+    from flintlab import mpreal, series
+
+    units = recording(series, "_units")
+    # the walk looks abs_sin_canonical up in mpreal; _units has its own binding
+    canonical = recording(mpreal, "abs_sin_canonical")
+    for name in SUM_TERMS:
+        sum_run(name, tmp)
+    return {"units_calls": len(units), "walk_canonical_calls": len(canonical),
+            "terms": sum(SUM_TERMS.values())}
+
+
+SCANS = {"scan_op": ((1, 32768), 1, "0.1"), "dense": ((1, 100_000), 1, "1.5"),
+         "dense_19": ((1, 100_000), 1, "1.9"), "mixed": ((1, 100_000), 1, "1"),
+         "mixed_1e6": ((1, 10**6), 1, "1.3"), "far": ((1, 10**40), 1, "0.1")}
+SCAN_REPEAT = {"scan_op": 20}
+
+
+def scan_warm(tmp: str) -> None:
+    from flintlab.criterion import scan_criterion
+
+    scan_criterion(*SCANS["scan_op"], threads=2)
+
+
+def scan_run(operation: str, tmp: str):
+    from flintlab.criterion import scan_criterion
+    from scan_paths import scan_key
+
+    name, threads = operation.split("@")
+    for _ in range(SCAN_REPEAT.get(name, 1)):
+        result = scan_criterion(*SCANS[name], threads=int(threads))
+    return scan_key(result)
+
+
+def scan_counts(tmp: str) -> dict:
+    from flintlab import criterion
+
+    calls = recording(criterion, "_decided_kernel")
+    counts = {}
+    for name, scan in SCANS.items():
+        calls.clear()
+        result = criterion.scan_criterion(*scan, threads=1)
+        counts[name] = {"kernel_calls": len(calls), "distinct_n": len(set(calls)),
+                        "violators": len(result.violations)}
+    return counts
+
+
+COMMANDS = {
+    "pi": ["pi", "--bits", "20000", "--digits", "4000", "--format", "json"],
+    "cf": ["cf", "--bits", "20000", "--count", "4800", "--format", "json"],
+}
+COLD = [f"{state}/{command}" for state in ("source", "cached") for command in COMMANDS]
+IMPORTTIME_CALLS = 3
+
+
+def cold_call(operation: str, tmp: str, *flags: str) -> subprocess.CompletedProcess:
+    """One ``python -m flintlab`` of the operation's command, in its state."""
+    state, command = operation.split("/")
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=os.path.join(tmp, state))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    if state == "source":
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return subprocess.run([sys.executable, *flags, "-m", "flintlab", *COMMANDS[command]],
+                          env=env, capture_output=True, timeout=120, check=True)
+
+
+def cold_warm(tmp: str) -> None:
+    for command in COMMANDS:
+        cold_call(f"cached/{command}", tmp)
+
+
+def module_self_us(stderr: bytes) -> dict:
+    """flintlab module -> self microseconds, from ``-X importtime`` output."""
+    out = {}
+    for line in stderr.decode().splitlines():
+        if line.startswith("import time:"):
+            self_us, _, name = line[len("import time:"):].split("|")
+            name = name.strip()
+            if name == "flintlab" or name.startswith("flintlab."):
+                out[name] = int(self_us)
+    return out
+
+
+def cold_counts(tmp: str) -> dict:
+    counts = {}
+    for operation in COLD:
+        samples = [module_self_us(cold_call(operation, tmp, "-X", "importtime").stderr)
+                   for _ in range(IMPORTTIME_CALLS)]
+        modules = sorted({module for sample in samples for module in sample})
+        self_us = {m: statistics.median(s.get(m, 0) for s in samples) for m in modules}
+        counts[operation] = {"flintlab_self_us": self_us,
+                             "flintlab_self_us_total": sum(self_us.values())}
+    return counts
+
+
+SUITES = {
+    "sum": Suite(SUM_TERMS, sum_warm, sum_run, sum_counts),
+    "scan": Suite({f"{name}@{threads}": (window[1] - window[0] + 1) * SCAN_REPEAT.get(name, 1)
+                   for name, (window, *_) in SCANS.items() for threads in (1, 2)},
+                  scan_warm, scan_run, scan_counts),
+    "cold": Suite(dict.fromkeys(COLD, 1), cold_warm,
+                  lambda operation, tmp: cold_call(operation, tmp).stdout, cold_counts),
+}
+
+
+def clocks() -> tuple:
+    """(wall, CPU of this process and of the children it waited for) seconds."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.perf_counter(), time.process_time() + children.ru_utime + children.ru_stime
+
+
+def worker(suite: Suite, count: bool):
+    """One tree's interpreter: name -> [digest, wall, cpu] per operation, or the counts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        suite.warm(tmp)
+        if count:
+            return suite.counts(tmp)
+        out = {}
+        for name in suite.operations:
+            wall, cpu = clocks()
+            output = suite.run(name, tmp)
+            wall_end, cpu_end = clocks()
+            digest = hashlib.sha256(repr(output).encode()).hexdigest()
+            out[name] = [digest, wall_end - wall, cpu_end - cpu]
+        return out
+
+
+def call(suite: str, src: str, mode: str):
+    proc = subprocess.run([sys.executable, __file__, mode, suite], stdout=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=600, check=True)
+    return json.loads(proc.stdout)
+
+
+def summary(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median_s": round(statistics.median(values), 5),
+            "quartiles_s": [round(q1, 5), round(q3, 5)]}
+
+
+def main() -> int:
+    if len(sys.argv) == 3 and sys.argv[1] in ("--worker", "--count"):
+        print(json.dumps(worker(SUITES[sys.argv[2]], sys.argv[1] == "--count")))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("suite", choices=SUITES)
+    parser.add_argument("--runs", type=int, default=10)
+    parser.add_argument("trees", nargs="+", metavar="LABEL=SRC_DIR")
+    args = parser.parse_args()
+    if args.runs < 2:
+        parser.error("--runs must be at least 2, for quartiles")
+    if any("=" not in tree for tree in args.trees):
+        parser.error("each tree must be given as LABEL=SRC_DIR")
+    trees = {label: os.path.abspath(src)
+             for label, src in (tree.split("=", 1) for tree in args.trees)}
+    operations = SUITES[args.suite].operations
+    samples = {label: [] for label in trees}
+    for run in range(args.runs):
+        for label, src in list(trees.items())[::-1 if run % 2 else 1]:
+            samples[label].append(call(args.suite, src, "--worker"))
+    first = samples[next(iter(trees))][0]
+    identical = all(sample[name][0] == first[name][0]
+                    for runs in samples.values() for sample in runs for name in operations)
+    results = {}
+    for label, src in trees.items():
+        results[label] = {"counts": call(args.suite, src, "--count")}
+        for name, items in operations.items():
+            wall = [sample[name][1] for sample in samples[label]]
+            cpu = [sample[name][2] for sample in samples[label]]
+            results[label][name] = {"wall": summary(wall), "cpu": summary(cpu),
+                                    "items_per_s": round(items / statistics.median(wall), 1)}
+    doc = {"suite": args.suite, "runs": args.runs, "operations": operations,
+           "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
+           "outputs_identical": identical, "trees": results}
+    print(json.dumps(doc, indent=1))
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,19 +1,16 @@
-"""scan_criterion down a chosen path, for the tests and slow_scan_windows.py.
+"""The oracle that scan_criterion must match, for the tests and slow_scan_windows.py.
 
-"auto" is scan_criterion as it is: windows around the near multiples of
-pi, decided on the escalating kernel.  "per_n" replaces scan_criterion
-with ``per_n_scan``: a brute-force loop in which _decided_kernel decides
-every n, the oracle that the scan must match.  It shares no window,
-merge or worst-margin code with scan_criterion.
+scan_criterion decides windows around the near multiples of pi on the
+escalating kernel.  ``per_n_scan`` is a brute-force loop in which
+_decided_kernel decides every n.  It shares no window, merge or
+worst-margin code with scan_criterion.  ``scan_key`` is what the two
+must agree on.
 """
 
-import contextlib
 import math
 from fractions import Fraction
 
 import flintlab.criterion as criterion
-
-PATHS = ("auto", "per_n")
 
 
 def per_n_scan(n_range, s, epsilon, bits=64, threads=1):
@@ -34,23 +31,6 @@ def per_n_scan(n_range, s, epsilon, bits=64, threads=1):
     summary = {"checked": hi - lo + 1, "violations": len(violations),
                "worst_margin_n": worst[1], "worst_margin": worst[0]}
     return criterion.ScanResult(violations, summary)
-
-
-@contextlib.contextmanager
-def forced(path):
-    """Make scan_criterion take `path`, one of PATHS, until the block ends."""
-    saved = criterion.scan_criterion
-    if path == "per_n":
-        criterion.scan_criterion = per_n_scan
-    try:
-        yield
-    finally:
-        criterion.scan_criterion = saved
-
-
-def scan(path, window, s, eps, threads=1):
-    with forced(path):
-        return criterion.scan_criterion(window, s, eps, threads=threads)
 
 
 def scan_key(result):

@@ -15,9 +15,10 @@ import sys
 
 import pytest
 
+import flintlab.criterion as criterion
 from flintlab.cli import main
 from oracles import DATA_DIR
-from scan_paths import PATHS, forced
+from scan_paths import per_n_scan
 
 GOLDEN_DIR = DATA_DIR / "cli_golden"
 FORMATS = ("text", "json", "csv")
@@ -66,11 +67,12 @@ def test_cli_stdout_matches_golden(capsys, case, argv):
 SCAN_CASES = [(case, argv) for case, argv in CASES if case.startswith("scan.")]
 
 
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path", ["auto", "per_n"])
 @pytest.mark.parametrize("case, argv", SCAN_CASES, ids=[c for c, _ in SCAN_CASES])
-def test_scan_golden_on_every_path(capsys, case, argv, path):
-    with forced(path):
-        code, out = _stdout(capsys, argv)
+def test_scan_golden_on_every_path(capsys, monkeypatch, case, argv, path):
+    if path == "per_n":
+        monkeypatch.setattr(criterion, "scan_criterion", per_n_scan)
+    code, out = _stdout(capsys, argv)
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / f"{case}.out").read_bytes()
 

@@ -18,7 +18,7 @@ from flintlab import (
 )
 from flintlab.mpreal import MpReal, pi_mantissa, sin_reduced
 from flintlab.rationality import spike_indices
-from scan_paths import scan, scan_key
+from scan_paths import per_n_scan, scan_key
 
 
 def test_check_satisfied_case():
@@ -195,8 +195,8 @@ def test_scan_matches_per_n_loop(window, s, eps):
     # no violator at small eps, so the worst margin takes rounds past 0.
     # From eps = 1.9 on, the windows of 1..400 span 1/2 or more, and
     # _near_multiples lists several n per multiple of pi.
-    want = scan_key(scan("per_n", window, s, eps))
-    assert scan_key(scan("auto", window, s, eps)) == want
+    want = scan_key(per_n_scan(window, s, eps))
+    assert scan_key(scan_criterion(window, s, eps)) == want
 
 
 @pytest.mark.parametrize("s, eps", [(1, "0.1"), (1, Fraction(1, 997)), (3, "1.9"), (1, "1"),
@@ -205,11 +205,11 @@ def test_scan_on_two_processes_matches_per_n_loop(monkeypatch, s, eps):
     # pieces of a third of the violators' count make every round 0 run
     # about four pieces on a real pool of two processes
     window = (1, 8300)
-    want = scan_key(scan("per_n", window, s, eps))
+    want = scan_key(per_n_scan(window, s, eps))
     monkeypatch.setattr(criterion, "_CHUNK", max(4, want[0]["violations"] // 3))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     sizes = _record_real_pools(monkeypatch)
-    assert scan_key(scan("auto", window, s, eps, threads=2)) == want
+    assert scan_key(scan_criterion(window, s, eps, threads=2)) == want
     assert sizes and sizes[0] == 2
 
 
@@ -220,9 +220,9 @@ def test_walk_worst_margin_fallback_matches_per_n_loop(monkeypatch, window, s, e
     # at eps = 0.1 neither window holds a violator, so round 0 does not
     # settle the worst margin, and the rounds after it must not decide
     # again what round 0 decided
-    want = scan_key(scan("per_n", window, s, eps))
+    want = scan_key(per_n_scan(window, s, eps))
     calls = _count_kernel_calls(monkeypatch)
-    assert scan_key(scan("auto", window, s, eps)) == want
+    assert scan_key(scan_criterion(window, s, eps)) == want
     assert len(calls) == len(set(calls))
 
 
@@ -362,8 +362,8 @@ def test_scan_paths_agree_from_one(s, eps):
     ((criterion._SCAN_LIMIT - 41, criterion._SCAN_LIMIT - 1), 1, "1.9"),  # the last n
 ])
 def test_scan_paths_match_per_n_loop_far_out(window, s, eps):
-    want = scan_key(scan("per_n", window, s, eps))
-    assert scan_key(scan("auto", window, s, eps)) == want
+    want = scan_key(per_n_scan(window, s, eps))
+    assert scan_key(scan_criterion(window, s, eps)) == want
 
 
 def test_scan_paths_match_on_two_processes_far_out(monkeypatch):
@@ -389,7 +389,7 @@ def test_rounds_that_decide_nothing_are_skipped(monkeypatch):
     # the least margin, near 1341.6, needs the bound of round 968: probes
     # find it without enumerating the windows of every round in between
     window = (criterion._SCAN_LIMIT - 5, criterion._SCAN_LIMIT - 1)
-    want = scan_key(scan("per_n", window, 1, "0.1"))
+    want = scan_key(per_n_scan(window, 1, "0.1"))
     searches = []
     near_multiples = criterion._near_multiples
 
