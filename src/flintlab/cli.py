@@ -5,7 +5,8 @@ Each ``_cmd_<name>`` computes its result once and returns one
 (header first) and the exit code.  ``_render`` is the only place that
 reads ``--format``; CSV is comma-separated, RFC 4180-quoted and
 LF-terminated.  ``main`` checks ``--bits >= 8`` once for every
-subcommand that has it.  ``flintlab --help`` prints ``_DESCRIPTION``.
+subcommand that has it.  Integer options also take exact
+``<digits>e<digits>`` (``_int``).  ``flintlab --help`` prints ``_DESCRIPTION``.
 
 Only ``mpreal`` and ``errors`` load with this module.  Each ``_cmd_<name>``
 imports what else it runs when it is called, so a cold start loads only
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -54,6 +56,27 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+_INT_MAX_DIGITS = 4300    # CPython's default limit on int <-> str conversion
+
+
+def _int(text: str) -> int:
+    """An integer option: what int() takes, or exact ``<digits>e<digits>``.
+
+    ``1e12`` is 10**12.  Fractions (``1.5``, ``1e-3``) are refused, and so
+    is a result of more than 4300 digits, with int()'s usage message.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    match = re.fullmatch(r"([0-9]+)e([0-9]+)", text)
+    if match:
+        man, exp = match[1].lstrip("0"), match[2].lstrip("0") or "0"
+        if len(exp) < 5 and len(man) + int(exp) <= _INT_MAX_DIGITS:
+            return int(man or 0) * 10 ** int(exp)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 class _Record(NamedTuple):
@@ -318,7 +341,7 @@ def _cmd_equiv(args) -> _Record:
 def _finish(p: argparse.ArgumentParser, func, bits: int | None = None) -> None:
     """Attach the shared tail of every subcommand: --bits, --format, func."""
     if bits is not None:
-        p.add_argument("--bits", type=int, default=bits,
+        p.add_argument("--bits", type=_int, default=bits,
                        help="working precision in bits, >= 8 (default %(default)s)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text",
                    help="output format (default %(default)s)")
@@ -332,9 +355,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sum", help="partial sum over n in [1, k]",
                        description="Output: k, s, u, v, bits, value, err.")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--u", type=int, default=2)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--s", type=_int, default=0)
+    p.add_argument("--u", type=_int, default=2)
     p.add_argument("--v", default=3, help="n-power v > 0, exact, e.g. 2.1 or 21/10")
     p.add_argument("--checkpoint", metavar="PATH", help="write checkpoint JSON here")
     p.add_argument("--resume", metavar="PATH", help="resume from checkpoint JSON")
@@ -342,26 +365,26 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("term", help="single summand at index n",
                        description="Output: n, s, u, v, value, err.")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--u", type=int, default=2)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--s", type=_int, default=0)
+    p.add_argument("--u", type=_int, default=2)
     p.add_argument("--v", default=3, help="n-power v > 0, exact, e.g. 2.1 or 21/10")
     _finish(p, _cmd_term, bits=128)
 
     p = sub.add_parser("g", help="exact double-binomial value G(n)",
                        description="Output: the integer G(n).")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     _finish(p, _cmd_g)
 
     p = sub.add_parser("coeffs", help="cosine-power coefficients of sin(n t)/sin(t)",
                        description="Output: power/coefficient pairs, ascending.")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     _finish(p, _cmd_coeffs)
 
     p = sub.add_parser("pi", help="certified pi digits",
                        description="Output: value, err; with a fixture "
                        "(--fixture or FLINTLAB_PI_FIXTURE): matched_digits, agrees.")
-    p.add_argument("--digits", type=int, default=None,
+    p.add_argument("--digits", type=_int, default=None,
                    help="cap printed digits (default: all guaranteed)")
     p.add_argument("--fixture", metavar="PATH",
                    help="reference digit file to compare against")
@@ -369,41 +392,41 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sin", help="certified sin(n) for integer n",
                        description="Output: n, bits, value, err.")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     _finish(p, _cmd_sin, bits=128)
 
     p = sub.add_parser("cf", help="stable continued-fraction terms of pi",
                        description="Output: terms plus exhausted/complete flags.")
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_int, default=20)
     _finish(p, _cmd_cf, bits=128)
 
     p = sub.add_parser("spikes", help="record minima of |sin n|",
                        description="Output per spike: n, abs_sin, lambda, "
                        "is_convergent_numerator.")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int, required=True)
     _finish(p, _cmd_spikes, bits=64)
 
     p = sub.add_parser("lambda", help="local sine exponent -ln|sin n|/ln n",
                        description="Output: the exponent as a float.")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     _finish(p, _cmd_lambda, bits=64)
 
     p = sub.add_parser("criterion", help="one bounding inequality check",
                        description="Output: n, s, epsilon, verdict, margin, "
                        "ln_lhs, ln_rhs.")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--s", type=_int, required=True)
     p.add_argument("--eps", required=True, help="epsilon in (0, 2), e.g. 0.1")
     _finish(p, _cmd_criterion, bits=64)
 
     p = sub.add_parser("scan", help="bounding inequality over a range",
                        description="Output: violation rows (csv), or summary "
                        "plus violations (text/json).")
-    p.add_argument("--from", type=int, required=True, dest="from")
-    p.add_argument("--to", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--from", type=_int, required=True, dest="from")
+    p.add_argument("--to", type=_int, required=True)
+    p.add_argument("--s", type=_int, required=True)
     p.add_argument("--eps", required=True)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_int, default=1,
                    help="worker processes for pieces of candidates; output does not depend on it")
     p.add_argument("--summary-out", metavar="PATH",
                    help="also write the run summary JSON here")
@@ -415,18 +438,18 @@ def build_parser() -> _Parser:
                        "Output: residual reports.")
     p.add_argument("--check", required=True,
                    choices=["multiple-angle", "sinc", "angle-diff"])
-    p.add_argument("--n-max", type=int, default=60)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--seed", type=int, default=7041)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--n-max", type=_int, default=60)
+    p.add_argument("--count", type=_int, default=50)
+    p.add_argument("--seed", type=_int, default=7041)
+    p.add_argument("--depth", type=_int, default=8)
     p.add_argument("--n", default=None, help="angle-diff: n as a decimal string")
     p.add_argument("--a", default=None, help="angle-diff: a as a decimal string")
     _finish(p, _cmd_identity, bits=128)
 
     p = sub.add_parser("equiv", help="partial sums across s with exact deltas",
                        description="Output per s: value, err, delta_vs_s0.")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s-max", type=int, default=3)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--s-max", type=_int, default=3)
     _finish(p, _cmd_equiv, bits=128)
 
     return parser

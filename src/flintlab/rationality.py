@@ -160,6 +160,11 @@ def cf_terms(x: MpReal | Fraction, count: int) -> CfExpansion:
     return CfExpansion(tuple(terms), not point, point)
 
 
+_FIRST_TERMS = 8     # convergent_numerators_up_to's first request to cf_terms
+_LAMBDA_BITS = 128   # _lambda's working precision above it
+_LAMBDA_MAN = 192    # sine mantissa bits that _lambda keeps above _LAMBDA_BITS
+
+
 @dataclass(frozen=True)
 class Convergent:
     p: int
@@ -186,26 +191,37 @@ def convergent_numerators_up_to(n_max: int) -> set[int]:
     """Numerators p of convergents of pi with p <= n_max.
 
     pi at bits = 128 + 4*clog2(n_max + 2) pins down the convergents up to
-    about 2**(bits/2) > n_max**2.  Asking for `bits` terms takes every
-    certain one: p_k >= 2**(k/2), so `bits` terms would already pass
-    2**(bits/2 - 1) > n_max.
+    about 2**(bits/2) > n_max**2, and its first `bits` quotients reach past
+    n_max: p_k >= 2**(k/2), so p_bits > 2**(bits/2 - 1) > n_max.
+
+    Stop rule.  The quotients are asked for on demand: _FIRST_TERMS of
+    them, then twice as many each round, at most `bits`, until a numerator
+    passes n_max.  A shorter request returns a prefix of the same certain
+    quotients, so the set does not depend on the round it ends in.  If the
+    expansion is exhausted, or `bits` quotients pass no numerator beyond
+    n_max, PrecisionError.
     """
     if not _is_int(n_max):
         raise DomainError(f"convergent_numerators_up_to needs an integer n_max, got {n_max!r}")
     if n_max < 1:
         return set()
     bits = 128 + 4 * clog2(n_max + 2)
-    exp = cf_terms(compute_pi(bits), bits)
-    out: set[int] = set()
-    for c in convergents(exp.terms):
-        if c.p > n_max:
-            break
-        out.add(c.p)
-    else:
-        raise PrecisionError(
-            f"could not enumerate convergent numerators past {n_max}"
-        )
-    return out
+    pi = compute_pi(bits)
+    count = _FIRST_TERMS
+    while True:
+        terms = cf_terms(pi, count).terms
+        out: set[int] = set()
+        p_prev, p = 0, 1
+        for a in terms:
+            p_prev, p = p, a * p + p_prev
+            if p > n_max:
+                return out
+            out.add(p)
+        if len(terms) < count or count == bits:
+            raise PrecisionError(
+                f"could not enumerate convergent numerators past {n_max}"
+            )
+        count = min(2 * count, bits)
 
 
 def local_exponent(n: int, bits: int = 64) -> float:
@@ -218,12 +234,49 @@ def local_exponent(n: int, bits: int = 64) -> float:
 
 
 def _lambda(n: int, s: MpReal, w: int) -> float:
-    """local_exponent(n) from s = sin_int(n, w), w >= 64."""
-    man = abs(s.man)
+    """local_exponent(n) from s = sin_int(n, w), w >= 64.
+
+    With x = man * 2**e the centre of s, lambda = -ln x / ln n: both logs
+    as integers at scale 2**-v, and their quotient, which Python rounds
+    correctly to a float.  v = w for w <= 128, and for x >= 1/2: there
+    -ln x can be near 0 (n near an odd multiple of pi/2), and a fixed
+    absolute error would be a large relative one.
+
+    Capped precision.  For w > 128 and x < 1/2 (every record p >= 3, as
+    |sin p| <= sin 3 < 0.15), v = 128 and x is first cut to its top 192
+    bits: man = man' * 2**h + r with 0 <= r < 2**h, h = max(L - 192, 0),
+    L = man.bit_length(), and e' = e + h.  Let t = -log2 x > 1.  In ulps
+    of 2**-128:
+
+    * ln x - ln(man' * 2**e') = ln(1 + r / (man' * 2**h)) lies in
+      [0, 2**-191): below 2**-63 ulps.
+    * fx_ln_int(man', 128) is within 2*e1 + 192 + 8 ulps, e1 = 4*i + 8
+      with i its atanh loop count.  The atanh argument is below 1/3, so
+      the powers in that loop fall by 9 a step from below 2**128/3 and
+      vanish by the 40th: i <= 41, e1 <= 172, and the ln is within 544.
+    * e' copies of ln2_mantissa(128) add |e'|/2 ulps.  x < 2**(L + e),
+      which is 2**(192 + e') if h > 0 and at most 2**(192 + e) = 2**(192
+      + e') if h = 0; so |e'| < t + 192.
+
+    So the numerator -ln x = t ln 2 is within 641 + t/2 ulps, a relative
+    error below (641 / (t ln 2) + 1 / (2 ln 2)) * 2**-128 < 2**-118.  The
+    denominator ln n, with b = n.bit_length() >= 2, is within 352 + b ulps
+    (the same atanh count) and at least (b - 1) ln 2, a relative error
+    below 511 * 2**-128 < 2**-118.  The quotient is within 2**-116 of
+    -ln x / ln n, relatively, and a float's ulp is at least 2**-53 of its
+    value: the error is below 2**-63 ulps.  So the float equals the one
+    the full precision gives unless the exact quotient lies within about
+    2**-116 of a rounding boundary.  A ball at w = 2048 has L up to 2056,
+    so this replaces two logs at 2048 bits by two at 128.
+    """
+    man, e = abs(s.man), s.exp
     if man == 0:
         raise PrecisionError(f"|sin {n}| indistinguishable from 0 at {w} bits")
-    # ln|sin n| = ln(man) + exp*ln2, all at scale 2**-w
-    ln_sin = fx_ln_int(man, w)[0] + s.exp * ln2_mantissa(w)
+    if w > _LAMBDA_BITS and man.bit_length() + e < 0:    # x < 1/2
+        h = max(man.bit_length() - _LAMBDA_MAN, 0)
+        man, e, w = man >> h, e + h, _LAMBDA_BITS
+    # ln|sin n| = ln(man) + e*ln2, all at scale 2**-w
+    ln_sin = fx_ln_int(man, w)[0] + e * ln2_mantissa(w)
     ln_n = fx_ln_int(n, w)[0]
     return -ln_sin / ln_n
 
@@ -263,9 +316,11 @@ def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:
 
     Each record carries sin_int(n, bits).abs_() and, for n >= 2, its local
     exponent, taken from the same sine ball when bits >= 64 (local_exponent
-    works at max(bits, 64)); ln 1 = 0 leaves lambda undefined at n = 1.  |sin p_k| is
-    about pi/(a_{k+1} p_k), so local_exponent raises PrecisionError once
-    it falls below 2**-max(bits, 64): bits must exceed about log2(n_max).
+    takes its sine at max(bits, 64) bits, and its logs at that precision up
+    to 128 bits and at 128 above, see _lambda); ln 1 = 0 leaves lambda
+    undefined at n = 1.  |sin p_k| is about pi/(a_{k+1} p_k), so
+    local_exponent raises PrecisionError once it falls below
+    2**-max(bits, 64): bits must exceed about log2(n_max).
     """
     _require_bits(bits)
     if not _is_int(n_max) or n_max < 1:

@@ -42,6 +42,19 @@ Output ``scan_paths.scan_key``.  Counts, per scan at threads 1 (the n decided
 do not depend on threads): the calls of ``criterion._decided_kernel``, the
 distinct n they decide, the violators.
 
+``spikes``: warm-up one ``spikes_op`` call; operations:
+
+* ``spikes_op``: the benchmark's ``spikes`` operation, ``spike_indices(12000,
+  64)``, timed over SPIKES_REPEAT calls, as one call takes well under a ms;
+  its items are n, as the benchmark counts them;
+* ``deep_100``: ``spike_indices(10**100, 512)``, one call, one item;
+* ``deep_300``: ``spike_indices(10**300, 2048)``, one call, one item.
+
+Output (n, abs_sin man/exp/err, lambda) per record.  Counts, per operation
+(one call): the quotients that ``convergent_numerators_up_to`` requests from
+``cf_terms``, the calls of ``fx_ln_int`` and the sum of their working bits,
+the calls of ``fx_atanh``, the records.
+
 ``cold``: the commands of the benchmark's ``pi`` workload, ``pi --bits 20000
 --digits 4000`` and ``cf --bits 20000 --count 4800`` in JSON, each a fresh
 ``python -m flintlab`` in one of two bytecode states
@@ -82,12 +95,12 @@ class Suite(NamedTuple):
     counts: Callable      # (tmp) -> JSON-able counts
 
 
-def recording(module, name: str) -> list:
-    """Wrap module.name so that each call appends its first argument to the list returned."""
+def recording(module, name: str, arg: int = 0) -> list:
+    """Wrap module.name so that each call appends its argument `arg` to the list returned."""
     calls, inner = [], getattr(module, name)
 
     def wrapper(*args):
-        calls.append(args[0])
+        calls.append(args[arg])
         return inner(*args)
 
     setattr(module, name, wrapper)
@@ -166,6 +179,42 @@ def scan_counts(tmp: str) -> dict:
     return counts
 
 
+SPIKES = {"spikes_op": (12000, 64), "deep_100": (10**100, 512), "deep_300": (10**300, 2048)}
+SPIKES_REPEAT = {"spikes_op": 200}
+
+
+def spikes_warm(tmp: str) -> None:
+    from flintlab.rationality import spike_indices
+
+    spike_indices(*SPIKES["spikes_op"])
+
+
+def spikes_run(name: str, tmp: str):
+    from flintlab.rationality import spike_indices
+
+    for _ in range(SPIKES_REPEAT.get(name, 1)):
+        records = spike_indices(*SPIKES[name])
+    return [(r.n, r.abs_sin.man, r.abs_sin.exp, r.abs_sin.err, r.lam) for r in records]
+
+
+def spikes_counts(tmp: str) -> dict:
+    from flintlab import mpreal, rationality
+
+    quotients = recording(rationality, "cf_terms", 1)
+    ln_bits = recording(rationality, "fx_ln_int", 1)
+    # fx_ln_int looks fx_atanh up in mpreal
+    atanh_calls = recording(mpreal, "fx_atanh")
+    counts = {}
+    for name, spikes in SPIKES.items():
+        for calls in (quotients, ln_bits, atanh_calls):
+            calls.clear()
+        records = rationality.spike_indices(*spikes)
+        counts[name] = {"quotients_requested": sum(quotients), "fx_ln_int_calls": len(ln_bits),
+                        "fx_ln_int_bits": sum(ln_bits), "fx_atanh_calls": len(atanh_calls),
+                        "records": len(records)}
+    return counts
+
+
 COMMANDS = {
     "pi": ["pi", "--bits", "20000", "--digits", "4000", "--format", "json"],
     "cf": ["cf", "--bits", "20000", "--count", "4800", "--format", "json"],
@@ -219,6 +268,8 @@ SUITES = {
     "scan": Suite({f"{name}@{threads}": (window[1] - window[0] + 1) * SCAN_REPEAT.get(name, 1)
                    for name, (window, *_) in SCANS.items() for threads in (1, 2)},
                   scan_warm, scan_run, scan_counts),
+    "spikes": Suite({"spikes_op": SPIKES["spikes_op"][0] * SPIKES_REPEAT["spikes_op"],
+                     "deep_100": 1, "deep_300": 1}, spikes_warm, spikes_run, spikes_counts),
     "cold": Suite(dict.fromkeys(COLD, 1), cold_warm,
                   lambda operation, tmp: cold_call(operation, tmp).stdout, cold_counts),
 }

@@ -459,3 +459,29 @@ def test_sci_rounding_carries_into_the_exponent():
     assert cli._sci(Fraction(99996, 10000)) == "1.00e+01"
     assert cli._sci(Fraction(99996, 10 ** 9)) == "1.00e-04"
     assert cli._sci(Fraction(99949, 10000)) == "9.99e+00"
+
+
+def test_integer_options_take_exact_scientific_notation(capsys):
+    code, out, _ = run(capsys, "spikes", "--n-max", "1e12", "--bits", "128", "--format", "csv")
+    assert code == 0
+    assert run(capsys, "spikes", "--n-max", "1000000000000", "--bits", "128",
+               "--format", "csv") == (0, out, "")
+    assert out.splitlines()[-1].startswith("21053343141,")
+    assert cli._int("1e4299") == 10**4299
+    assert (cli._int("007e2"), cli._int("0e9"), cli._int("2e0")) == (700, 0, 2)
+
+
+def test_integer_options_parse_as_int_did():
+    for text in ("12", "-5", " 7 ", "+3", "1_000", "0", "0012", "9" * 4300):
+        assert cli._int(text) == int(text), text
+
+
+@pytest.mark.parametrize("text", ["1.5e3", "1e-3", "1.5", "12.0", "1e", "e5", "-1e3", "1E3",
+                                  "1e+3", "1e4300", "10e4299", "1e99999", "1" * 4301])
+def test_integer_options_refuse_other_numbers(capsys, text):
+    code, out, err = run(capsys, "spikes", f"--n-max={text}")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "UsageError", "message": f"argument --n-max: invalid int value: {text!r}"}

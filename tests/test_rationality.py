@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,8 +20,9 @@ from flintlab import (
     sin_int,
     spike_indices,
 )
-from flintlab.mpreal import MAX_BITS, abs_sin_canonical
-from oracles import cf_terms_ref, pi_fraction, sin_by_reduction, spike_records_ref
+from flintlab.mpreal import MAX_BITS, abs_sin_canonical, fx_ln_int, ln2_mantissa
+from oracles import (DATA_DIR, cf_terms_ref, pi_fraction, sin_by_reduction,
+                     spike_records_ref)
 
 PI_CF_20 = [3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2]
 
@@ -133,6 +135,48 @@ def test_convergent_numerators_past_64_terms(n_max):
     assert convergent_numerators_up_to(n_max) == {p for p in numerators if p <= n_max}
 
 
+NUMERATOR_GRID = (1, 2, 3, 21, 22, 23, 332, 333, 354, 355, 356, 103992, 103993,
+                  104347, 104348, 10**12, 10**40, 10**100)
+
+
+def test_convergent_numerators_match_the_spigot_on_a_grid():
+    # each n_max on, just below or just above a numerator, and far ones
+    # that take several rounds of the doubling
+    apx, err = pi_fraction(300)
+    terms, _, _ = cf_terms_ref(apx - err, apx + err, 10**6)
+    numerators = [c.p for c in convergents(terms)]
+    assert numerators[-1] > NUMERATOR_GRID[-1]
+    for n_max in NUMERATOR_GRID:
+        want = {p for p in numerators if p <= n_max}
+        assert convergent_numerators_up_to(n_max) == want, n_max
+
+
+def test_convergent_numerators_ask_for_few_quotients(monkeypatch):
+    counts = []
+    real = rationality.cf_terms
+
+    def recording(x, count):
+        counts.append(count)
+        return real(x, count)
+
+    monkeypatch.setattr(rationality, "cf_terms", recording)
+    assert convergent_numerators_up_to(12000) == {3, 22, 333, 355}
+    assert sum(counts) <= 16
+    # 1e300 needs about 600 quotients, well short of bits = 128 + 4*997
+    counts.clear()
+    assert len(convergent_numerators_up_to(10**300)) == 598
+    assert sum(counts) <= 2 * 1024
+
+
+def test_convergent_numerators_of_an_exhausted_expansion(monkeypatch):
+    # pi at 16 bits pins down a few quotients only: the expansion ends
+    # before a numerator passes 1e12
+    real = rationality.compute_pi
+    monkeypatch.setattr(rationality, "compute_pi", lambda bits: real(16))
+    with pytest.raises(PrecisionError, match="could not enumerate"):
+        convergent_numerators_up_to(10**12)
+
+
 def test_convergents_classical_values():
     cs = convergents(PI_CF_20[:5])
     assert [(c.p, c.q) for c in cs] == [
@@ -175,6 +219,55 @@ def test_local_exponent_tracks_float_reference():
     for n in (2, 5, 113, 52163):
         want = -math.log(abs(math.sin(n))) / math.log(n)
         assert abs(local_exponent(n) - want) < 1e-12
+
+
+def _lambda_full(n, bits):
+    """lambda(n) with both logs at the sine's own precision, bits >= 64."""
+    s = sin_int(n, bits)
+    ln_sin = fx_ln_int(abs(s.man), bits)[0] + s.exp * ln2_mantissa(bits)
+    return -ln_sin / fx_ln_int(n, bits)[0]
+
+
+@pytest.mark.parametrize("n_max, bits", [(10**40, 192), (10**100, 512)])
+def test_lambda_above_128_bits_equals_full_precision(monkeypatch, n_max, bits):
+    records = spike_indices(n_max, bits)
+    assert len(records) > 70
+    for r in records[1:]:
+        assert r.lam == _lambda_full(r.n, bits), r.n
+    # the records' logs run at 128 bits, whatever the sine's precision
+    widths = []
+    real = rationality.fx_ln_int
+
+    def recording(n, w):
+        widths.append(w)
+        return real(n, w)
+
+    monkeypatch.setattr(rationality, "fx_ln_int", recording)
+    spike_indices(n_max, bits)
+    assert set(widths) == {128} and len(widths) == 2 * (len(records) - 1)
+
+
+def test_lambda_to_1e300_at_2048_bits_is_frozen():
+    # frozen from the full-precision formula (both logs at 2048 bits)
+    frozen = json.loads((DATA_DIR / "spikes_lambda_1e300_2048.json").read_text())
+    records = spike_indices(10**300, 2048)
+    assert str(records[-1].n) == frozen["last_n"]
+    assert [r.lam for r in records[1:]] == frozen["lambda"]
+
+
+def test_local_exponent_at_256_bits_is_frozen():
+    # sin 2 > 1/2 keeps the logs at 256 bits, the others take 128
+    want = {2: 0.13717582464715455, 3: 1.7823800532797796, 22: 1.52931897889343,
+            355: 1.7727016572988021, 52163: 0.49912614933809785}
+    assert {n: local_exponent(n, 256) for n in want} == want
+
+
+def test_local_exponent_near_sin_one_keeps_full_precision():
+    # n near odd multiples of pi/2 (numerators of convergents of pi/2):
+    # 1 - |sin n| falls to about 3e-32, and -ln|sin n| with it, so 128-bit
+    # logs would leave it few correct bits
+    for n in (11, 52174, 3083975227, 214112296674652):
+        assert local_exponent(n, 256) == _lambda_full(n, 256), n
 
 
 def test_local_exponent_rejects_n_one():
