@@ -325,8 +325,15 @@ def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
     Pieces.  Each round cuts its candidates, ascending, into pieces of at
     most _CHUNK.  They go to worker processes when threads > 1 and there
     are two pieces or more (min(threads, pieces, CPUs) workers).  Which n
-    are decided, their least (margin, n) and the reports sorted by n do
-    not depend on the pieces, so the output does not depend on threads.
+    are decided, their least (margin, n) and the reports do not depend on
+    the pieces, so the output does not depend on threads.
+
+    Order.  The reports come out ascending in n without a sort.  Every
+    violator lies in a window of round 0 (t = 0), since |sin n| < z_1(n)
+    <= z_1(a), and round 0 decides every n of its windows.  Its candidates
+    ascend, because the blocks ascend and each block's window list
+    ascends; the pieces keep that order, and pool.map returns them in it.
+    Later rounds decide only n outside round 0's windows, so no violator.
 
     Worst margin.  The scan reports the least kernel margin over lo..hi,
     first n among equals.  An n outside the windows of T has sin^2(n) *
@@ -413,7 +420,6 @@ def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
             if not opens(below + step):
                 below += step
         t = below + 1
-    violations.sort(key=lambda r: r.n)
     return violations, worst
 
 

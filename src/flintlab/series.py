@@ -98,8 +98,8 @@ _SIN_MARGIN = 48
 _POWER_BITS = 2 * MAX_BITS
 
 
-def _term_units(n: int, spec: SeriesSpec) -> tuple[int, int]:
-    """(T, e): term(n) = T * 2**-A with |error| <= e * 2**-A, A = acc_scale.
+def _term_units(n: int, spec: SeriesSpec) -> int:
+    """T: term(n) = T * 2**-A within 3 * 2**-A, A = acc_scale.
 
     Deterministic in (n, spec) alone: _units with the spec's values and
     n's block formed for this one term.
@@ -109,8 +109,8 @@ def _term_units(n: int, spec: SeriesSpec) -> tuple[int, int]:
 
 
 def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
-           acc: int) -> tuple[int, int]:
-    """(T, e) of _term_units, from values that are fixed per spec or per block.
+           acc: int) -> int:
+    """T of _term_units, from values that are fixed per spec or per block.
 
     u is the sine power, v = iv + frac with frac in [0, 1), acc the
     accumulator scale and c = clog2(max(n, 2)), which is the same for
@@ -130,12 +130,36 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
     N << 1 = 2 << (acc + u*w), per term T from den_c = m**u * n**iv and the
     width test (T + 1)*u << 2 <= m.  A term calls _units only when m <= 1
     or that test fails, and then _units repeats the same attempt and goes
-    on to _width_units or an escalation.  Any change to the first attempt
-    here must be made there too.
+    on to an escalation.  Any change to the first attempt here must be
+    made there too.
 
     G(n)^(2s) and n^(2s) are not computed: G(n) = n, so they cancel, and
-    T and e_units, a rounding and a ceiling of integer ratios, are the same
-    without the common factor.  So s does not enter the work.
+    T, a rounding of an integer ratio, is the same without the common
+    factor.  So s does not enter the work.
+
+    The error is 3 units, and the width test proves it.  With the sine
+    and power balls m +- 1 and p_units +- p_err, the term times 2**acc
+    lies between N/den_hi and N/den_lo, where den_lo and den_hi are den_c
+    with m - 1, p_units - p_err and m + 1, p_units + p_err; so does a =
+    N/den_c, and T = round(a) gives |a - T| <= 1/2.  N/den_lo - N/den_hi
+    = a * (A - B), where A = (1 - 1/m)**-u / (1 - k) and B = (1 + 1/m)**-u
+    / (1 + k), k = p_err/p_units.  Let t = u/m + k.  Bernoulli's
+    inequality gives (1 - 1/m)**u >= 1 - u/m and (1 + 1/m)**-u >= 1 -
+    u/m, so A <= 1/(1 - t) and B >= (1 - u/m)(1 - k) >= 1 - t.  The test
+    4(T + 1)(u*p_units + p_err*m) <= m*p_units says t <= 1/(4(T + 1)) <=
+    1/4, so A - B <= t/(1 - t) + t <= 7t/3, and N/den_lo - N/den_hi <= (T
+    + 1/2) * 7/(12(T + 1)) < 1.  So |term * 2**acc - T| < 3/2 <= 3.
+
+    A term that fails the test is retried at a higher w, and every
+    attempt runs the test again, so the next w affects only how many
+    attempts a term takes, never its bound.  Raising w by d multiplies m
+    and p_units by about 2**d and leaves T and p_err about the same, so t
+    shrinks by about 2**d.  With R = floor(4(T + 1)(u*p_units + p_err*m)
+    / (m*p_units)) >= 1, the shortfall of the failed test, the next
+    attempt adds R.bit_length() + 2 to w.  Where there is no T to measure
+    (m <= 1, or p_units <= p_err) w - c doubles instead.  The sine power
+    m**u has u*w bits, so an attempt whose u*w exceeds _POWER_BITS raises
+    ResourceLimitError before it takes the sine.
 
     A large integer part iv of v can make n**iv huge while the term rounds
     to 0.  So when iv > acc (a term of n >= 2 is then below 2**-acc
@@ -144,29 +168,9 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
     and m - 1 >= 1, p_units - p_err >= 1 past the escalation test,
     den_lo >= 2**(u*(bl(m-1) - 1) + iv*(bl(n) - 1) + bl(p_units - p_err) - 1).
     If that exponent is at least shift + 1, then den_c > den_lo >= 2N, so
-    T = round_div(N, den_c) = 0, and 0 < N/den_lo - N/den_hi <= 1/2, so
-    e_units = 3: the values the full formulas give.  Below the gate the
-    test costs one comparison per attempt.
-
-    The error width is 3 for nearly every term, and one test on T, m and
-    the power ball proves it without den_lo, den_hi and a second
-    division.  With a = N/den_c, T = round(a) gives a <= T + 1/2, and
-    N/den_lo - N/den_hi = a * (A - B), where A = (1 - 1/m)**-u / (1 - k)
-    and B = (1 + 1/m)**-u / (1 + k), k = p_err/p_units.  Let t = u/m + k.
-    Bernoulli's inequality gives (1 - 1/m)**u >= 1 - u/m and
-    (1 + 1/m)**-u >= 1 - u/m, so A <= 1/(1 - t) and B >= (1 - u/m)(1 - k)
-    >= 1 - t.  The test 4(T + 1)(u*p_units + p_err*m) <= m*p_units says
-    t <= 1/(4(T + 1)) <= 1/4, so A - B <= t/(1 - t) + t <= 7t/3, and
-    0 < a * (A - B) <= (T + 1/2) * 7/(12(T + 1)) < 1: the ceiling is 1 and
-    e_units = 3, what the exact formula gives.  Only terms with a tiny
-    sin n fail the test and take the exact formula.
-
-    A term far too large for its w skips the exact formula too.  A >= (1 -
-    1/m)**-u >= 1 + u/m and B <= 1, so the width is at least (T - 1/2) *
-    u/m, and (2T - 1) * u > m * 2**15 makes it exceed 2**14, which the
-    exact formula would reject.  The next w is then taken at once.  The
-    sine power m**u has u*w bits, so an attempt whose u*w exceeds
-    _POWER_BITS raises ResourceLimitError before forming it.
+    T = round_div(N, den_c) = 0 and the term times 2**acc lies in [0,
+    N/den_lo] with N/den_lo <= 1/2: within 3 units of T.  Below the gate
+    the test costs one comparison per attempt.
     """
     w1 = acc + _SIN_MARGIN
     while True:
@@ -189,35 +193,23 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
         shift = acc + u * w + w - q
         if iv > acc and (u * ((m - 1).bit_length() - 1) + iv * (n.bit_length() - 1)
                          + (p_units - p_err).bit_length() > shift + 1):
-            return 0, 3
-        n_pow = n ** iv
+            return 0
         N = 1 << shift
-        den_c = (m ** u) * n_pow * p_units
+        den_c = (m ** u) * n ** iv * p_units
         T = ((N << 1) + den_c) // (den_c << 1)            # round_div(N, den_c)
-        if (T + 1) * (u * p_units + p_err * m) << 2 <= m * p_units:
-            return T, 3
-        if (2 * T - 1) * u <= m << 15:
-            e_units = _width_units(N, m, u, n_pow, p_units, p_err)
-            if e_units <= 1 << 14:
-                return T, e_units
-        w1, m = 2 * w1, None
-
-
-def _width_units(N: int, m: int, u: int, n_pow: int, p_units: int, p_err: int) -> int:
-    """ceil(N/den_lo - N/den_hi) + 2 on integers: the exact error width of a
-    term whose sine and power balls are m +- 1 and p_units +- p_err."""
-    den_lo = ((m - 1) ** u) * n_pow * (p_units - p_err)
-    den_hi = ((m + 1) ** u) * n_pow * (p_units + p_err)
-    return -(-(N * (den_hi - den_lo)) // (den_lo * den_hi)) + 2
+        need, have = (T + 1) * (u * p_units + p_err * m) << 2, m * p_units
+        if need <= have:
+            return T
+        w1, m = w1 + (need // have).bit_length() + 2, None
 
 
 def term(n: int, spec: SeriesSpec) -> MpReal:
-    """One positive term G(n)^(2s) / (|sin n|^u * n^(v+2s)), error-bounded."""
+    """One positive term G(n)^(2s) / (|sin n|^u * n^(v+2s)), within 3 units
+    of 2**-acc_scale (_units proves the bound)."""
     if not _is_int(n) or n < 1:
         raise DomainError(f"term requires an integer n >= 1, got {n!r}")
-    units, err = _term_units(n, spec)
     acc = spec.acc_scale
-    return MpReal(units, -acc, Fraction(err, 1 << acc))
+    return MpReal(_term_units(n, spec), -acc, Fraction(3, 1 << acc))
 
 
 @dataclass(frozen=True)
@@ -251,12 +243,15 @@ def partial_sum(k: int, spec: SeriesSpec,
     of where the range was split.
 
     The sines come from abs_sin_walk, one power-of-two block of n at a
-    time, and each term's (T, e) is _units' with that block's values.
-    For integer v with iv <= acc (and w <= MAX_BITS, u*w <= _POWER_BITS)
-    the loop body is _units' first attempt, inline and line for line: if
-    m > 1, it forms T and takes e = 3 when the width test proves it.
-    Every other term, and every term of a fractional v or of iv > acc,
-    calls _units, which owns the exact width and every escalation.
+    time, and each term's T is _units' with that block's values.  For
+    integer v with iv <= acc (and w <= MAX_BITS, u*w <= _POWER_BITS) the
+    loop body is _units' first attempt, inline and line for line: if m >
+    1, it forms T and keeps it when the width test passes.  Every other
+    term, and every term of a fractional v or of iv > acc, calls _units,
+    which owns every escalation.
+
+    Every term is within 3 units, so the run adds 3 * (k - checkpoint.k)
+    units to the checkpoint's err_units, which is carried over as stored.
     """
     if not _is_int(k) or k < 1:
         raise DomainError(f"partial_sum requires an integer k >= 1, got {k!r}")
@@ -292,13 +287,10 @@ def partial_sum(k: int, spec: SeriesSpec,
                 T = (N2 + den) // (den << 1)
                 if (T + 1) * u << 2 <= m:
                     units += T
-                    err_units += 3
                     continue
-            t, e = _units(n, c, m, u, iv, frac, acc)
-            units += t
-            err_units += e
+            units += _units(n, c, m, u, iv, frac, acc)
         lo = hi + 1
-    return PartialSumResult(spec, k, units, err_units)
+    return PartialSumResult(spec, k, units, err_units + 3 * (k - start + 1))
 
 
 # --------------------------------------------------------------------------

@@ -18,11 +18,17 @@ tree gives the suite's counts.
 * ``sum_1e5``: ``partial_sum(100000)`` of the classical series;
 * ``blocks_8192``: the benchmark's ``sum`` operation (perfbench/workloads.py,
   seed 0): n = 1..8192 in 8 blocks of 1024, each resumed with
-  ``load_checkpoint`` and written with ``save_checkpoint``.
+  ``load_checkpoint`` and written with ``save_checkpoint``;
+* ``term_u5000``: ``term(1, SeriesSpec(u=5000))``, a sine power that
+  escalates;
+* ``fail_u20000``: ``partial_sum(3, SeriesSpec(u=20000))``, which raises
+  ``ResourceLimitError``.
 
-Output (units, err_units).  Counts, over both operations: the terms that
-called ``series._units`` and the walk's fallbacks to
-``mpreal.abs_sin_canonical``.
+Output (units, err_units) of a sum, (man, exp, err) of a term, the error's
+type name of a failure.  Counts: over the two sums, the terms that called
+``series._units`` and the walk's fallbacks to ``mpreal.abs_sin_canonical``;
+per sine-power operation, its calls of ``series.abs_sin_canonical``, one
+per attempt whose sine the walk did not supply.
 
 ``scan``: warm-up one ``scan_op`` call; every scan below at threads 1 and 2
 (``<name>@<threads>``).  At threads 2 a round with more than one piece of
@@ -109,6 +115,7 @@ def recording(module, name: str, arg: int = 0) -> list:
 
 SUM_TERMS = {"sum_1e5": 100_000, "blocks_8192": 8192}
 SUM_BLOCKS = 8
+SINE_POWERS = {"term_u5000": 5000, "fail_u20000": 20000}
 
 
 def sum_warm(tmp: str) -> None:
@@ -118,8 +125,17 @@ def sum_warm(tmp: str) -> None:
 
 
 def sum_run(name: str, tmp: str):
-    from flintlab import series
+    from flintlab import ResourceLimitError, series
 
+    if name == "term_u5000":
+        t = series.term(1, series.SeriesSpec(u=SINE_POWERS[name]))
+        return t.man, t.exp, t.err
+    if name == "fail_u20000":
+        try:
+            series.partial_sum(3, series.SeriesSpec(u=SINE_POWERS[name]))
+        except ResourceLimitError as exc:
+            return type(exc).__name__
+        return None
     spec = series.SeriesSpec(0, 2, 3, 128)
     if name == "sum_1e5":
         r = series.partial_sum(SUM_TERMS[name], spec)
@@ -140,8 +156,14 @@ def sum_counts(tmp: str) -> dict:
     canonical = recording(mpreal, "abs_sin_canonical")
     for name in SUM_TERMS:
         sum_run(name, tmp)
-    return {"units_calls": len(units), "walk_canonical_calls": len(canonical),
-            "terms": sum(SUM_TERMS.values())}
+    counts = {"units_calls": len(units), "walk_canonical_calls": len(canonical),
+              "terms": sum(SUM_TERMS.values())}
+    attempts = recording(series, "abs_sin_canonical")
+    for name in SINE_POWERS:
+        attempts.clear()
+        sum_run(name, tmp)
+        counts[name] = {"sine_calls": len(attempts)}
+    return counts
 
 
 SCANS = {"scan_op": ((1, 32768), 1, "0.1"), "dense": ((1, 100_000), 1, "1.5"),
@@ -264,7 +286,7 @@ def cold_counts(tmp: str) -> dict:
 
 
 SUITES = {
-    "sum": Suite(SUM_TERMS, sum_warm, sum_run, sum_counts),
+    "sum": Suite({**SUM_TERMS, **dict.fromkeys(SINE_POWERS, 1)}, sum_warm, sum_run, sum_counts),
     "scan": Suite({f"{name}@{threads}": (window[1] - window[0] + 1) * SCAN_REPEAT.get(name, 1)
                    for name, (window, *_) in SCANS.items() for threads in (1, 2)},
                   scan_warm, scan_run, scan_counts),

@@ -170,12 +170,14 @@ def sin_by_reduction(n: int, digit_count: int = 80,
     return approx, taylor_err + reduction_err
 
 
-def term_units_ref(n: int, u: int, v: Fraction, acc: int, sine, power) -> tuple[int, int]:
-    """(T, e_units) of one series term 1/(|sin n|^u * n^v) at the scale
-    2**-acc: the package's escalating loop with its exact error width,
-    in Fractions.  sine(n, w) = round(|sin n| * 2**w), and power(n, f, w)
-    = (P, P_err, q) with |P - n**f * 2**(w-q)| <= P_err; the package
-    supplies both, so only the arithmetic on them is checked here."""
+def term_units_ref(n: int, u: int, v: Fraction, acc: int, sine, power) -> int:
+    """T of one series term 1/(|sin n|^u * n^v) at the scale 2**-acc,
+    within 3 units: the package's escalating loop in Fractions.  An
+    attempt is accepted when 4(T + 1)(u/m + P_err/P) <= 1, and otherwise
+    the next adds the bit length of that product's floor, plus 2, to w.
+    sine(n, w) = round(|sin n| * 2**w), and power(n, f, w) = (P, P_err, q)
+    with |P - n**f * 2**(w-q)| <= P_err; the package supplies both, so
+    only the arithmetic on them is checked here."""
     iv, frac = divmod(Fraction(v), 1)
     w1 = acc + 48                       # the package's first sine margin
     while True:
@@ -185,14 +187,12 @@ def term_units_ref(n: int, u: int, v: Fraction, acc: int, sine, power) -> tuple[
         if m <= 1 or p <= p_err:
             w1 *= 2
             continue
-        N = Fraction(2) ** (acc + u * w + w - q)
-        a = N / (m ** u * n ** iv * p)
+        a = Fraction(2) ** (acc + u * w + w - q) / (m ** u * n ** iv * p)
         T = math.floor(a + Fraction(1, 2))
-        x = N / ((m - 1) ** u * n ** iv * (p - p_err)) - N / ((m + 1) ** u * n ** iv * (p + p_err))
-        e_units = math.ceil(x) + 2
-        if e_units <= 1 << 14:
-            return T, e_units
-        w1 *= 2
+        shortfall = 4 * (T + 1) * (Fraction(u, m) + Fraction(p_err, p))
+        if shortfall <= 1:
+            return T
+        w1 += math.floor(shortfall).bit_length() + 2
 
 
 _SPIKE_GUARD = 8          # spike_records_ref's first guard bits, beyond bits + clog2 n

@@ -115,41 +115,59 @@ def _power(n, frac, w):
 GRID_N = (1, 2, 3, 22, 355, 103993, 104348, 833719)
 
 
+def _record_sines(monkeypatch) -> list:
+    """Replace series.abs_sin_canonical with a wrapper; return the list of
+    its (n, w).  A term calls it once per attempt that the walk did not
+    supply, so a term of _term_units escalated iff its n is listed twice."""
+    calls = []
+    sine = series.abs_sin_canonical
+
+    def recording(n, w):
+        calls.append((n, w))
+        return sine(n, w)
+
+    monkeypatch.setattr(series, "abs_sin_canonical", recording)
+    return calls
+
+
+# The width test is the only acceptance rule.  The two tests named after
+# the exact width, and test_inline_width_test_falls_back_to_units, check T
+# against the oracle's loop, an error of 3 units and which terms escalate.
+
 @pytest.mark.parametrize("u", [1, 2, 3, 4])
 @pytest.mark.parametrize("v", [2, 3, Fraction(5, 2), Fraction(1, 10)])
 def test_term_units_match_the_exact_width(u, v, monkeypatch):
-    # the width certificate must give the exact formula's e_units, and
-    # decline where a tiny sine makes the width larger
-    exact = series._width_units
-    widths = []
-
-    def recording(*args):
-        widths.append(exact(*args))
-        return widths[-1]
-
-    monkeypatch.setattr(series, "_width_units", recording)
+    # T is the oracle's, every ball has 3 units, and only a tiny sine
+    # makes a term escalate
+    sines = _record_sines(monkeypatch)
+    escalated = []
     for bits in (8, 128, 1024):
         spec = SeriesSpec(u=u, v=v, bits=bits)
         ns = GRID_N + tuple(range(1000, 1040)) if bits == 128 else GRID_N
         for n in ns:
             want = term_units_ref(n, u, v, spec.acc_scale, abs_sin_canonical, _power)
+            sines.clear()
             assert series._term_units(n, spec) == want, (bits, n)
+            escalated += [n] * (len(sines) - 1)
+            t = term(n, spec)
+            assert (t.man, t.err) == (want, Fraction(3, 1 << spec.acc_scale)), (bits, n)
     if (u, v) == (4, 2):
-        # 355 fails the certificate at every bits, and its width is 20
-        assert widths == [20, 20, 20]
+        # 355 fails the width test once at every bits
+        assert escalated == [355, 355, 355]
     if v == 3 or u < 3:
-        assert widths == []
+        assert escalated == []
 
 
-def test_sum_over_a_run_matches_the_exact_width():
+def test_sum_over_a_run_matches_the_exact_width(monkeypatch):
     spec = SeriesSpec(u=3, v=Fraction(1, 10), bits=64)
     want = [term_units_ref(n, 3, spec.v, spec.acc_scale, abs_sin_canonical, _power)
             for n in range(300, 421)]
     first = partial_sum(299, spec)
+    sines = _record_sines(monkeypatch)
     r = partial_sum(420, spec, checkpoint=first)
-    assert r.units - first.units == sum(t for t, _ in want)
-    assert r.err_units - first.err_units == sum(e for _, e in want)
-    assert max(e for _, e in want) > 3               # 355 is in the run
+    assert r.units - first.units == sum(want)
+    assert r.err_units - first.err_units == 3 * len(want)
+    assert 355 in [n for n, _ in sines]              # the walk's sine of 355 escalates
 
 
 SUM_WINDOWS = ((1, 9000), (2**14 - 2, 2**14 + 1), (10**12, 10**12 + 4096))
@@ -163,8 +181,7 @@ def _window_units(lo: int, hi: int, spec: SeriesSpec) -> tuple[int, int]:
 
 
 def _per_term_units(lo: int, hi: int, spec: SeriesSpec) -> tuple[int, int]:
-    terms = [series._term_units(n, spec) for n in range(lo, hi + 1)]
-    return sum(t for t, _ in terms), sum(e for _, e in terms)
+    return sum(series._term_units(n, spec) for n in range(lo, hi + 1)), 3 * (hi - lo + 1)
 
 
 def _record_units(monkeypatch) -> list:
@@ -206,27 +223,83 @@ def test_per_term_path_matches_term_units(v, windows, monkeypatch):
         calls.clear()
 
 
+# the n of (u, v) = (4, 1) whose tiny sine fails the inline width test
+FALLBACKS_4_1 = [355, 710, 1065, 103993, 104348]
+
+
 @pytest.mark.parametrize("u, v, fallbacks, widths", [
     (2, 3, [], []),
-    (4, 2, [355], [20]),
-    (4, 1, [355, 710, 1065, 103993, 104348], [6285, 52, 5, 3, 15]),
+    (4, 2, [355], [3]),
+    (4, 1, FALLBACKS_4_1, [3] * 5),
 ])
 def test_inline_width_test_falls_back_to_units(u, v, fallbacks, widths, monkeypatch):
     # a tiny sine fails the inline width test; _units repeats the attempt
-    # and takes the exact width from _width_units.  At (4, 1), 103993
-    # misses the test by a factor below 2, and its exact width is 3
-    exact = series._width_units
-    seen = []
-
-    def recording(*args):
-        seen.append(exact(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(series, "_width_units", recording)
+    # and escalates until the test passes, so the term's width is 3 units.
+    # At (4, 1), 103993 misses the test by a factor below 2
+    spec = SeriesSpec(u=u, v=v)
     calls = _record_units(monkeypatch)
     for lo, hi in ((1, 9000), (103_900, 104_400)):
-        _window_units(lo, hi, SeriesSpec(u=u, v=v))
+        assert _window_units(lo, hi, spec)[1] == 3 * (hi - lo + 1)
+    monkeypatch.undo()
+    seen = [term(n, spec).err * (1 << spec.acc_scale) for n in calls]
     assert (calls, seen) == (fallbacks, widths)
+
+
+def _term_ball_holds(n: int, spec: SeriesSpec) -> bool:
+    """Whether T +- 3 units holds 1/(|sin n|^u * n^v), for integer v, with
+    |sin n| from the package-independent sin_by_reduction."""
+    T, acc = series._term_units(n, spec), spec.acc_scale
+    # relative error u * sin_err / |sin n| well below 1/T, and a Taylor
+    # remainder (pi/2)**(2j+1)/(2j+1)! below 10**-digits at j terms
+    digits = 20 + (T.bit_length() + spec.u.bit_length()) * 3 // 10
+    sin_apx, sin_err = sin_by_reduction(n, digits, digits // 3 + 10)
+    lo = Fraction(1 << acc) / ((abs(sin_apx) + sin_err) ** spec.u * n ** spec.v)
+    hi = Fraction(1 << acc) / ((abs(sin_apx) - sin_err) ** spec.u * n ** spec.v)
+    return T - 3 <= lo and hi <= T + 3
+
+
+@pytest.mark.parametrize("u, v, fallbacks, windows", [
+    (4, 1, FALLBACKS_4_1, ((1, 9000), (103_900, 104_400))),
+    (4, 2, [355], ((1, 9000),)),
+    (20, 1, None, ((1, 100),)),
+])
+def test_escalated_terms_hold_the_true_value(u, v, fallbacks, windows, monkeypatch):
+    # an escalated term is accepted by the width test alone; its ball
+    # must hold the term computed outside the package
+    spec = SeriesSpec(u=u, v=v)
+    calls = _record_units(monkeypatch)
+    for lo, hi in windows:
+        _window_units(lo, hi, spec)
+    monkeypatch.undo()
+    if fallbacks is not None:
+        assert calls == fallbacks
+    assert len(calls) >= (10 if fallbacks is None else 1)
+    for n in calls:
+        assert _term_ball_holds(n, spec), n
+
+
+@pytest.mark.parametrize("bits", [8, 128])
+@pytest.mark.parametrize("u, v", [(2, 3), (4, 1), (20, 1), (3, Fraction(1, 10)), (2, 100)])
+def test_sum_error_is_three_units_per_term(u, v, bits):
+    spec = SeriesSpec(u=u, v=v, bits=bits)
+    straight = partial_sum(1200, spec)
+    resumed = partial_sum(1200, spec, checkpoint=partial_sum(400, spec))
+    assert straight == resumed
+    assert straight.err_units == 3 * 1200
+
+
+def test_resume_carries_a_stored_error_over(tmp_path):
+    # a checkpoint written when a tiny sine's term took its exact width
+    # (355's was 6285 units at (4, 1)) keeps that err; each new term adds 3
+    spec = SeriesSpec(u=4, v=1)
+    fresh = partial_sum(400, spec)
+    path = str(tmp_path / "c.json")
+    save_checkpoint(series.PartialSumResult(spec, 400, fresh.units, 3 * 399 + 6285), path)
+    assert json.loads(open(path).read())["version"] == 2
+    loaded = load_checkpoint(path)
+    r = partial_sum(1200, spec, checkpoint=loaded)
+    assert r.err_units == 3 * 399 + 6285 + 3 * 800
+    assert r.units == partial_sum(1200, spec).units
 
 
 def test_walk_value_at_most_one_goes_to_units(monkeypatch):
@@ -245,7 +318,7 @@ def test_walk_value_at_most_one_goes_to_units(monkeypatch):
     assert calls == [7, 8]
     want = [series._units(n, 3, bad[n], 2, 3, 0, spec.acc_scale) if n in bad
             else series._term_units(n, spec) for n in range(1, 11)]
-    assert (r.units, r.err_units) == (sum(t for t, _ in want), sum(e for _, e in want))
+    assert (r.units, r.err_units) == (sum(want), 30)
 
 
 def test_term_rejects_bad_index():
@@ -480,6 +553,19 @@ def test_huge_sine_power_raises_at_once():
 def test_large_sine_power_keeps_its_value():
     # n = 1 escalates to w = 2049, where m**u has 5000 * 2049 bits, below
     # the bound; the value is the one computed before the bound existed
-    units, err = series._term_units(1, SeriesSpec(u=5000))
-    assert (units.bit_length(), units % 10**20, units >> 1420, err) == (
-        1454, 60275183898547975274, 9034789900, 3)
+    units = series._term_units(1, SeriesSpec(u=5000))
+    assert (units.bit_length(), units % 10**20, units >> 1420) == (
+        1454, 60275183898547975274, 9034789900)
+
+
+def test_huge_sine_powers_escalate_by_the_shortfall(monkeypatch):
+    # the failed test's shortfall takes n = 1 at u = 5000 from w = 257
+    # straight to the w that passes; at u = 20000 that w needs a sine
+    # power above the bound, so the term raises after one sine
+    sines = _record_sines(monkeypatch)
+    term(1, SeriesSpec(u=5000))
+    assert len(sines) == 2 and sines[0] == (1, 257)
+    sines.clear()
+    with pytest.raises(ResourceLimitError):
+        term(1, SeriesSpec(u=20000))
+    assert sines == [(1, 257)]
