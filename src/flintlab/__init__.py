@@ -24,9 +24,9 @@ _HOME = {
                      "verify_sinc_limit"), "identities"),
     **dict.fromkeys(("MAX_BITS", "MpReal", "compute_pi", "cos_reduced", "exact_decimal",
                      "guaranteed_decimal", "sin_int", "sin_reduced"), "mpreal"),
-    **dict.fromkeys(("CfExpansion", "Convergent", "SpikeRecord", "cf_terms",
-                     "convergent_numerators_up_to", "convergents", "local_exponent",
-                     "spike_indices"), "rationality"),
+    **dict.fromkeys(("CfExpansion", "SpikeRecord", "cf_terms",
+                     "convergent_numerators_up_to", "local_exponent", "spike_indices"),
+                    "rationality"),
     **dict.fromkeys(("EquivalenceRow", "PartialSumResult", "SeriesSpec",
                      "equivalence_experiment", "load_checkpoint", "partial_sum",
                      "save_checkpoint", "term"), "series"),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -192,14 +191,13 @@ def _cmd_pi(args) -> _Record:
     if args.digits is not None and args.digits < 0:
         raise UsageError(f"--digits must be at least 0, got {args.digits}")
     value = compute_pi(args.bits)
-    fixture_path = args.fixture or os.environ.get("FLINTLAB_PI_FIXTURE")
     doc = {"bits": args.bits, "value": value.decimal(args.digits),
            "err": _sci(value.err)}
-    if fixture_path:
-        with open(fixture_path, "r", encoding="utf-8") as fh:
+    if args.fixture:
+        with open(args.fixture, "r", encoding="utf-8") as fh:
             fixture = fh.read().strip()
         matched, agrees = _matched_fraction_digits(value.decimal(), fixture)
-        doc.update({"fixture": fixture_path, "matched_digits": matched,
+        doc.update({"fixture": args.fixture, "matched_digits": matched,
                     "agrees": agrees})
     return _Record(doc, _kv(doc.items()), None)
 
@@ -382,8 +380,8 @@ def build_parser() -> _Parser:
     _finish(p, _cmd_coeffs)
 
     p = sub.add_parser("pi", help="certified pi digits",
-                       description="Output: value, err; with a fixture "
-                       "(--fixture or FLINTLAB_PI_FIXTURE): matched_digits, agrees.")
+                       description="Output: value, err; with --fixture: "
+                       "fixture, matched_digits, agrees.")
     p.add_argument("--digits", type=_int, default=None,
                    help="cap printed digits (default: all guaranteed)")
     p.add_argument("--fixture", metavar="PATH",
@@ -481,7 +479,3 @@ def main(argv=None) -> int:
     except (Exception, KeyboardInterrupt) as exc:   # still one JSON line, never a traceback
         _emit_error(exc)
         return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 1)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -39,8 +39,6 @@ def binomial(n: int, k: int) -> int:
     """Exact C(n, k) with the convention C(n, k) = 0 for k > n."""
     if not (_is_int(n) and _is_int(k)) or n < 0 or k < 0:
         raise DomainError(f"binomial requires non-negative integers, got ({n!r}, {k!r})")
-    if k > n:
-        return 0
     return comb(n, k)
 
 

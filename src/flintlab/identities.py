@@ -21,7 +21,7 @@ generator and the seed travels inside every report they produce.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -73,8 +73,7 @@ def _coeffs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(multiple_angle_coefficients(n))
 
 
-def verify_multiple_angle(n: int, theta: MpReal, bits: int = 192,
-                          _extra: dict | None = None) -> ResidualReport:
+def verify_multiple_angle(n: int, theta: MpReal, bits: int = 192) -> ResidualReport:
     """Residual of sin(n*theta) - sin(theta) * sum c_p cos(theta)^p.
 
     Tolerance is 2**-(bits - 32); the 32 guard bits are recorded in the
@@ -117,8 +116,6 @@ def verify_multiple_angle(n: int, theta: MpReal, bits: int = 192,
         "guard_bits": _GUARD_BITS,
         "work_bits": wp,
     }
-    if _extra:
-        parameters.update(_extra)
     return ResidualReport(
         description="multiple-angle expansion of sin(n*theta) over cos powers",
         parameters=parameters,
@@ -163,8 +160,9 @@ def verify_multiple_angle_sweep(n_max: int, thetas_per_n: int,
     reports = []
     for n in range(1, n_max + 1):
         for i, theta in enumerate(thetas):
-            reports.append(verify_multiple_angle(
-                n, theta, bits, _extra={"seed": seed, "theta_index": i}))
+            report = verify_multiple_angle(n, theta, bits)
+            reports.append(replace(report, parameters={
+                **report.parameters, "seed": seed, "theta_index": i}))
     return reports
 
 

@@ -680,11 +680,11 @@ def abs_sin_canonical(n: int, w: int) -> int:
     error is about n/(2 pi) ulps (reduce_fixed), and 2**g >= 256 n keeps
     the ball's width below 1/800 of the rounding step 2**g, so about one
     n in 800 needs a second ball.  A fixed g fails for nearly every n once
-    n/6 nears 2**g, from n near 2.6e10 at g = 32.  For n < 2**24, g = 32
-    without counting bits.  Callers: the walk's fallback, and every term
-    that series computes without the walk or escalates.
+    n/6 nears 2**g, from n near 2.6e10 at g = 32.  Callers: the walk's
+    fallback, and every term that series computes without the walk or
+    escalates.
     """
-    g = (n - 1).bit_length() + 8 if n >> 24 else SIN_GUARD_BITS
+    g = max(SIN_GUARD_BITS, clog2(n) + 8)
     while True:
         S, e = sin_ball(n, w + g)
         m = _round_abs(S, e, g)

@@ -30,11 +30,9 @@ from .mpreal import (MpReal, _is_int, _require_bits, clog2, compute_pi, fx_ln_in
 
 __all__ = [
     "CfExpansion",
-    "Convergent",
     "SpikeRecord",
     "cf_terms",
     "convergent_numerators_up_to",
-    "convergents",
     "local_exponent",
     "spike_indices",
 ]
@@ -165,28 +163,6 @@ _LAMBDA_BITS = 128   # _lambda's working precision above it
 _LAMBDA_MAN = 192    # sine mantissa bits that _lambda keeps above _LAMBDA_BITS
 
 
-@dataclass(frozen=True)
-class Convergent:
-    p: int
-    q: int
-    index: int
-
-
-def convergents(terms: Sequence[int]) -> list[Convergent]:
-    """p_k/q_k from the standard recurrence p_k = a_k p_{k-1} + p_{k-2}."""
-    if not terms:
-        raise DomainError("convergents requires a non-empty quotient sequence")
-    out: list[Convergent] = []
-    p_prev, p_curr = 1, terms[0]
-    q_prev, q_curr = 0, 1
-    out.append(Convergent(p_curr, q_curr, 0))
-    for i, a in enumerate(terms[1:], start=1):
-        p_prev, p_curr = p_curr, a * p_curr + p_prev
-        q_prev, q_curr = q_curr, a * q_curr + q_prev
-        out.append(Convergent(p_curr, q_curr, i))
-    return out
-
-
 def convergent_numerators_up_to(n_max: int) -> set[int]:
     """Numerators p of convergents of pi with p <= n_max.
 
@@ -225,7 +201,12 @@ def convergent_numerators_up_to(n_max: int) -> set[int]:
 
 
 def local_exponent(n: int, bits: int = 64) -> float:
-    """lambda(n) = -ln|sin n| / ln n, as a float."""
+    """lambda(n) = -ln|sin n| / ln n, as a float.
+
+    The sine is taken at max(bits, 64) bits, and at more where |sin n| >=
+    1/2 until 1 - |sin n| is resolved, so that -ln|sin n| keeps 60 bits
+    however close |sin n| comes to 1 (see _lambda).
+    """
     _require_bits(bits)
     if not _is_int(n) or n < 2:
         raise DomainError(f"local_exponent requires an integer n >= 2, got {n!r}")
@@ -238,15 +219,15 @@ def _lambda(n: int, s: MpReal, w: int) -> float:
 
     With x = man * 2**e the centre of s, lambda = -ln x / ln n: both logs
     as integers at scale 2**-v, and their quotient, which Python rounds
-    correctly to a float.  v = w for w <= 128, and for x >= 1/2: there
-    -ln x can be near 0 (n near an odd multiple of pi/2), and a fixed
-    absolute error would be a large relative one.
+    correctly to a float.  sin_int puts e at -(w + 8) and the radius at
+    most 2**-w.
 
-    Capped precision.  For w > 128 and x < 1/2 (every record p >= 3, as
-    |sin p| <= sin 3 < 0.15), v = 128 and x is first cut to its top 192
-    bits: man = man' * 2**h + r with 0 <= r < 2**h, h = max(L - 192, 0),
-    L = man.bit_length(), and e' = e + h.  Let t = -log2 x > 1.  In ulps
-    of 2**-128:
+    Capped precision, x < 1/2 (every record p >= 3, as |sin p| <= sin 3 <
+    0.15).  v = min(w, 128) and x is first cut to its top 192 bits: man =
+    man' * 2**h + r with 0 <= r < 2**h, h = max(L - 192, 0), L =
+    man.bit_length(), and e' = e + h.  For w <= 128, L <= w + 7 < 192, so
+    nothing changes.  For w > 128, let t = -log2 x > 1.  In ulps of
+    2**-128:
 
     * ln x - ln(man' * 2**e') = ln(1 + r / (man' * 2**h)) lies in
       [0, 2**-191): below 2**-63 ulps.
@@ -268,13 +249,35 @@ def _lambda(n: int, s: MpReal, w: int) -> float:
     the full precision gives unless the exact quotient lies within about
     2**-116 of a rounding boundary.  A ball at w = 2048 has L up to 2056,
     so this replaces two logs at 2048 bits by two at 128.
+
+    Resolved precision, x >= 1/2.  There -ln x can be near 0 (n near an odd
+    multiple of pi/2), and an absolute error near 2**-w a large relative
+    one.  So v = w, first raised, with the sine retaken at each w, until d
+    = 1 - x in units of 2**e is at least w * 2**71: 1 - x >= w * 2**63
+    ulps of 2**-w.  In those ulps, the ball's radius moves ln x by at most
+    3 (ln is 2.01-Lipschitz above 1/2 - 2**-64); fx_ln_int(man, w), with
+    b = w + 8 and i <= w/3 + 2 by the count above, is within 11w/3 + 48;
+    and the w + 8 copies of ln2_mantissa(w) add (w + 8)/2.  The sum is
+    below 6w, and -ln|sin n| >= 1 - |sin n| >= w * 2**63 - 1, so the
+    numerator is within 2**-60 of its value, relatively.  d <= 2**(w + 7)
+    makes the final w at least 71, where the denominator, as above, is
+    within (8w/3 + 40 + b) / ((b - 1) ln 2) * 2**-w < 2**-62.  Each round
+    raises w by the bits d lacks plus 8, so it usually ends after one;
+    |sin n| = 1 for no integer n, so it ends.
     """
     man, e = abs(s.man), s.exp
     if man == 0:
         raise PrecisionError(f"|sin {n}| indistinguishable from 0 at {w} bits")
-    if w > _LAMBDA_BITS and man.bit_length() + e < 0:    # x < 1/2
+    if man.bit_length() + e < 0:    # x < 1/2
         h = max(man.bit_length() - _LAMBDA_MAN, 0)
-        man, e, w = man >> h, e + h, _LAMBDA_BITS
+        man, e, w = man >> h, e + h, min(w, _LAMBDA_BITS)
+    else:
+        d = (1 << -e) - man
+        while d < w << 71:
+            w += max((w << 71).bit_length() - d.bit_length(), 1) + 8
+            s = sin_int(n, w)
+            man, e = abs(s.man), s.exp
+            d = (1 << -e) - man
     # ln|sin n| = ln(man) + e*ln2, all at scale 2**-w
     ln_sin = fx_ln_int(man, w)[0] + e * ln2_mantissa(w)
     ln_n = fx_ln_int(n, w)[0]

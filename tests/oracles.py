@@ -85,6 +85,15 @@ def cf_terms_ref(lo: Fraction, hi: Fraction, count: int) -> tuple[tuple[int, ...
     return tuple(terms), False, False
 
 
+def convergent_numerators(terms) -> list[int]:
+    """Numerators p_0, p_1, ... of the convergents of [a_0; a_1, ...], by
+    p_k = a_k * p_(k-1) + p_(k-2) from p_(-2) = 0 and p_(-1) = 1."""
+    p = [0, 1]
+    for a in terms:
+        p.append(a * p[-1] + p[-2])
+    return p[2:]
+
+
 def pascal_triangle(rows: int) -> list[list[int]]:
     """Rows 0..rows-1 of Pascal's triangle, built by addition only."""
     triangle = [[1]]

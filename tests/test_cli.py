@@ -72,14 +72,12 @@ def test_pi_with_fixture_flag(capsys):
     assert doc["agrees"] is True
 
 
-def test_pi_fixture_from_environment(capsys, monkeypatch):
+def test_pi_ignores_a_fixture_environment_variable(capsys, monkeypatch):
+    # only --fixture names a reference file
     monkeypatch.setenv("FLINTLAB_PI_FIXTURE", FIXTURE)
     code, out, _ = run(capsys, "pi", "--bits", "256", "--format", "json")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["fixture"] == FIXTURE
-    assert doc["matched_digits"] >= 70
-    assert doc["agrees"] is True
+    assert set(json.loads(out)) == {"bits", "value", "err"}
 
 
 def test_pi_digit_cap(capsys):

@@ -8,6 +8,7 @@ submodule on first use; ``python -m flintlab <cmd>`` imports the modules
 import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,17 @@ def test_every_public_name_is_its_home_module_object():
         assert obj is getattr(home, name), name
         if inspect.isclass(obj) or inspect.isfunction(obj):
             assert obj.__module__ == home.__name__, name
+
+
+def test_every_submodule_defines_its_all():
+    # a name deleted from a submodule must leave its __all__ too
+    shorts = [m.name for m in pkgutil.iter_modules(flintlab.__path__)
+              if m.name != "__main__"]      # importing __main__ runs the CLI
+    assert "rationality" in shorts and "cli" in shorts
+    for short in shorts:
+        module = importlib.import_module(f"flintlab.{short}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (short, missing)
 
 
 def test_dir_lists_all():

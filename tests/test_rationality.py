@@ -15,14 +15,13 @@ from flintlab import (
     cf_terms,
     compute_pi,
     convergent_numerators_up_to,
-    convergents,
     local_exponent,
     sin_int,
     spike_indices,
 )
 from flintlab.mpreal import MAX_BITS, abs_sin_canonical, fx_ln_int, ln2_mantissa
-from oracles import (DATA_DIR, cf_terms_ref, pi_fraction, sin_by_reduction,
-                     spike_records_ref)
+from oracles import (DATA_DIR, cf_terms_ref, convergent_numerators, pi_fraction,
+                     sin_by_reduction, spike_records_ref)
 
 PI_CF_20 = [3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2]
 
@@ -130,7 +129,7 @@ def test_cf_terms_of_pi_to_exhaustion():
 def test_convergent_numerators_past_64_terms(n_max):
     apx, err = pi_fraction(300)
     terms, _, _ = cf_terms_ref(apx - err, apx + err, 10**6)
-    numerators = [c.p for c in convergents(terms)]
+    numerators = convergent_numerators(terms)
     assert numerators[-1] > n_max
     assert convergent_numerators_up_to(n_max) == {p for p in numerators if p <= n_max}
 
@@ -144,7 +143,7 @@ def test_convergent_numerators_match_the_spigot_on_a_grid():
     # that take several rounds of the doubling
     apx, err = pi_fraction(300)
     terms, _, _ = cf_terms_ref(apx - err, apx + err, 10**6)
-    numerators = [c.p for c in convergents(terms)]
+    numerators = convergent_numerators(terms)
     assert numerators[-1] > NUMERATOR_GRID[-1]
     for n_max in NUMERATOR_GRID:
         want = {p for p in numerators if p <= n_max}
@@ -175,19 +174,6 @@ def test_convergent_numerators_of_an_exhausted_expansion(monkeypatch):
     monkeypatch.setattr(rationality, "compute_pi", lambda bits: real(16))
     with pytest.raises(PrecisionError, match="could not enumerate"):
         convergent_numerators_up_to(10**12)
-
-
-def test_convergents_classical_values():
-    cs = convergents(PI_CF_20[:5])
-    assert [(c.p, c.q) for c in cs] == [
-        (3, 1), (22, 7), (333, 106), (355, 113), (103993, 33102)]
-    assert Fraction(cs[3].p, cs[3].q) == Fraction(355, 113)
-
-
-def test_convergents_reconstruct_the_rational():
-    terms = [3, 7, 16]
-    last = convergents(terms)[-1]
-    assert Fraction(last.p, last.q) == Fraction(355, 113)
 
 
 def test_convergent_numerators_below_100k():
@@ -265,9 +251,11 @@ def test_local_exponent_at_256_bits_is_frozen():
 def test_local_exponent_near_sin_one_keeps_full_precision():
     # n near odd multiples of pi/2 (numerators of convergents of pi/2):
     # 1 - |sin n| falls to about 3e-32, and -ln|sin n| with it, so 128-bit
-    # logs would leave it few correct bits
+    # logs would leave it few correct bits.  At the default 64 bits the
+    # sine's precision rises until 1 - |sin n| is resolved.
     for n in (11, 52174, 3083975227, 214112296674652):
         assert local_exponent(n, 256) == _lambda_full(n, 256), n
+        assert local_exponent(n) == _lambda_full(n, 512), n
 
 
 def test_local_exponent_rejects_n_one():
@@ -347,7 +335,7 @@ def test_spike_rejects_nonpositive_range():
 def test_spike_records_are_the_convergent_numerators():
     apx, err = pi_fraction(40)
     terms, _, _ = cf_terms_ref(apx - err, apx + err, 30)
-    numerators = [c.p for c in convergents(terms)]
+    numerators = convergent_numerators(terms)
     assert numerators[-1] > 110_000
     records = spike_indices(110_000)
     assert [r.n for r in records] == [1] + [p for p in numerators if p <= 110_000]
@@ -412,7 +400,7 @@ def test_spikes_to_1e30_are_the_convergent_numerators():
     n_max = 10**30
     apx, err = pi_fraction(120)
     terms, _, _ = cf_terms_ref(apx - err, apx + err, 10**6)
-    numerators = [c.p for c in convergents(terms)]
+    numerators = convergent_numerators(terms)
     assert numerators[-1] > n_max
     records = spike_indices(n_max, 128)
     assert [r.n for r in records] == [1] + [p for p in numerators if p <= n_max]
