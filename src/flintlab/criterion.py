@@ -4,11 +4,12 @@
 
 whose failure at an index marks a term the convergence argument cannot
 absorb.  With G(n) = n both sides carry the exact factor n^(2s), so the
-inequality is sin^2(n) * n^(2-eps) >= 1 for every s.  A verdict is
-accepted only when 1 falls strictly outside the error interval of the
-left side and the sine ball's radius is below 2**-24 of its centre;
-otherwise the working precision doubles (capped at 2**20 bits) -- sin n
-is never zero at an integer, so both are reached.
+inequality is sin^2(n) * n^(2-eps) >= 1 for every s.  The sine comes
+from mpreal.sin_rel with its radius below 2**-24 of its centre, which
+raises the sine's own precision as far as that takes (sin n is never
+zero at an integer).  A verdict is accepted only when 1 falls strictly
+outside the error interval of the left side; otherwise the working
+precision of the logs and the power doubles (capped at 2**20 bits).
 
 One index (check_criterion) takes n^(2-eps) from mpreal.fx_pow, fed with
 the same ln n that gives ln_lhs and ln_rhs; the reported right side is
@@ -53,7 +54,7 @@ from .mpreal import (
     ln2_mantissa,
     pi_mantissa,
     round_div,
-    sin_ball,
+    sin_rel,
 )
 
 __all__ = [
@@ -94,17 +95,16 @@ def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
     """One evaluation of sin^2(n) * n^(2-eps) against 1 at working precision w.
 
     c = c_num/c_den = 2s + 2 - eps; the verdict uses c - 2s, the floats c.
+    The sine ball (S, e_abs) at 2**-wr comes from sin_rel, first tried at
+    wr = w + clog2 n + 8, so |S| > e_abs * 2**24 whatever the verdict.
     Returns (verdict, ln_lhs, ln_rhs, interval) where verdict is
-    True/False/None (None = the sine ball's radius is 2**-24 of its centre
-    or more, or the interval holds 1: the caller escalates) and interval =
-    (lo, hi, scale_bits) brackets sin^2(n) * n^(2-eps) in exact integer
-    units of 2**-scale_bits.
+    True/False/None (None = the power n^(2-eps) is unresolved or the
+    interval holds 1: the caller escalates) and interval = (lo, hi,
+    scale_bits) brackets sin^2(n) * n^(2-eps) in exact integer units of
+    2**-scale_bits.
     """
-    wr = w + clog2(max(n, 2)) + 8
-    S, e_abs = sin_ball(n, wr)
+    S, e_abs, wr = sin_rel(n, 24, w + clog2(max(n, 2)) + 8)
     m = abs(S)
-    if m <= e_abs << 24:
-        return None, 0.0, 0.0, None
     ln_n, e_ln = fx_ln_int(n, w)
     e_pow, e_tot, q = fx_pow(ln_n, e_ln, Fraction(c_num - 2 * s * c_den, c_den), w)
     if e_pow <= e_tot:
@@ -128,24 +128,28 @@ def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
 
 
 def _decided_kernel(n: int, s: int, c_num: int, c_den: int, bits: int):
-    """Escalate _kernel until the verdict is strict and the sine ball narrow;
-    deterministic in inputs.
+    """Escalate _kernel until the verdict is strict; deterministic in inputs.
+
+    Only an unresolved power or an interval that holds 1 doubles w:
+    sin_rel already gives the sine to 2**-24 of its size at every w.
 
     Float margin.  For n < 2**1024 the returned ln_rhs - ln_lhs is within
-    1.2e-7 + s * 1e-9 <= s * 5e-7 of ln(sin^2(n) * n^(2-eps)).
-    * Sine.  _kernel decides only when its sine ball (S, e) at wr = w +
-      clog2 n + 8 has m = |S| > e * 2**24.  Then |sin n| * 2**wr lies
-      within a factor 1 +- 2**-24 of m, so 2 ln(m * 2**-wr) is within
+    1.3e-7 + s * 1e-12 <= s * 5e-7 of ln(sin^2(n) * n^(2-eps)).  Below,
+    wr is the sine's precision, w + clog2 n + 8 <= wr <= MAX_BITS, and w
+    >= 56.
+    * Sine.  sin_rel gives m = |S| > e * 2**24, so |sin n| * 2**wr lies
+      within a factor 1 +- 2**-24 of m, and 2 ln(m * 2**-wr) is within
       2**-23 * (1 + 2**-24) < 1.2e-7 of ln sin^2 n.
     * Fixed point.  With L = fx_ln_int(n, w), ln_rhs - ln_lhs is (ln_sin2
       + round((2-eps) * L)) * 2**-w, since 2s*L is an integer.  fx_ln_int
       is within 2.7w + b + 40 ulps at a b-bit argument (its atanh loop
-      stops by i = w/3 + 2).  So ln_sin2 = 2 * (ln m - wr * ln 2) is off
-      by at most 2 * (2.7w + 1.5wr + 41) ulps, and round((2-eps) * L) by
-      2 * (2.7w + 1064) + 1/2; with w >= 56 both are below 1e-13.
+      stops by i = w/3 + 2).  So ln_sin2 = 2 * (ln m - wr * ln 2), with m
+      below 2**(wr+1), is off by at most 2 * (2.7w + 1.5wr + 41) ulps,
+      and round((2-eps) * L) by 2 * (2.7w + 1064) + 1/2; with wr <= 10**7
+      their sum is below 3.1e7 * 2**-56 < 5e-10.
     * Floats.  Rounding ln_rhs, ln_lhs and their difference adds at most
       2**-52 * (|ln_rhs| + |ln_lhs|), with ln n < 710 and |ln sin^2 n| <
-      2 * wr * ln 2 (m > 2**24, w <= 2**20): below 3.3e-10 + s * 7e-13.
+      2 * wr * ln 2 (m > 2**24): below 3.2e-9 + s * 7e-13.
     """
     w = bits + 48
     while True:

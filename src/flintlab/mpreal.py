@@ -32,12 +32,16 @@ w, because the subtraction ``x - k*pi`` cancels that many leading bits.
 
 Sine at integer arguments has one primitive, :func:`sin_ball`: the
 reduction, then the Taylor kernel, returning the signed integer ball
-``(S, err_ulps)`` at scale ``2**-w``.  :func:`sin_int` (and through it
-the spike search), the criterion kernel (and through it the scan) and
-the anchors of :func:`abs_sin_walk` use the ball as it is.  Ball
-arguments have two entry points, :func:`sin_reduced` and
-:func:`cos_reduced`, which share one body: reduce the center, run the
-kernel, add the ball's radius.
+``(S, err_ulps)`` at scale ``2**-w``.  :func:`sin_int` and the anchors
+of :func:`abs_sin_walk` use the ball as it is.  Near a multiple of pi
+|sin n| is tiny, and a ball of fixed absolute width says little about
+it, so the consumers that need sin n to a *relative* precision -- the
+criterion kernel (and through it the scan) and the local exponent of
+the spike records -- take it from :func:`sin_rel`, the one loop that
+raises an integer sine's precision until its radius is a given fraction
+of its center.  Ball arguments have two entry points,
+:func:`sin_reduced` and :func:`cos_reduced`, which share one body:
+reduce the center, run the kernel, add the ball's radius.
 
 Two layers on top of the ball serve the partial sums:
 
@@ -100,6 +104,7 @@ __all__ = [
     "sin_ball",
     "sin_int",
     "sin_reduced",
+    "sin_rel",
 ]
 
 MAX_BITS = 10_000_000
@@ -779,6 +784,50 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
         n += 1
 
 
+def sin_rel(n: int, rel: int, w: int) -> tuple[int, int, int]:
+    """sin(n) for integer n >= 1 to 2**-rel of its size: (S, e, w') with
+    sin n within e * 2**-w' of S * 2**-w' and |S| > e * 2**rel.
+
+    w' is the first of w, w + d_1, w + d_1 + d_2, ... whose sin_ball(n, w')
+    passes the test, where each step adds the bits the failed ball lacks
+    plus 8: d = bitlen(e * 2**rel) - bitlen(S) + 8.  The result is a pure
+    function of (n, rel, w), and a w' past MAX_BITS raises
+    ResourceLimitError.  w must include clog2 n guard bits, as sin_ball
+    needs: a first try below that can take the Taylor kernel off its
+    domain.
+
+    The loop ends.  sin_ball's radius e is its reduction error, at most
+    n/6 + 3 ulps whatever w is, plus the Taylor kernel's 8i + 16 with i <=
+    w + 4 (see abs_sin_walk), plus one; so e * 2**-w falls to 0 as w
+    grows, by at least 8 bits a step.  pi is irrational, so sin n != 0 for integer n >=
+    1, and once (2**rel + 1) * e * 2**-w < |sin n|, |S| >= |sin n| * 2**w -
+    e > e * 2**rel.  Where the failed ball's center is accurate (its
+    radius a small part of it), d is the shortfall plus 8, so one step
+    passes; where the ball holds 0, each step adds at least rel + 8 bits.
+    """
+    while True:
+        if w > MAX_BITS:
+            raise ResourceLimitError(
+                f"sin({n}) to 2**-{rel} of its size needs {w} working bits (max {MAX_BITS})"
+            )
+        S, e = sin_ball(n, w)
+        need = e << rel
+        if abs(S) > need:
+            return S, e, w
+        w += need.bit_length() - abs(S).bit_length() + 8
+
+
+def _sin_int_w(n: int, bits: int) -> int:
+    """sin_int's working precision: bits plus ceil(log2 n) + 40 guard bits."""
+    return bits + clog2(max(n, 2)) + 40
+
+
+def _sin_to_bits(S: int, e: int, w: int, bits: int) -> MpReal:
+    """The integer sine ball (S, e) at 2**-w rounded to bits, as sin_int
+    rounds its own."""
+    return MpReal(S, -w, Fraction(e, 1 << w)).round_to(bits)
+
+
 def sin_int(n: int, bits: int) -> MpReal:
     """sin(n) for integer n >= 1 with absolute error <= 2**-bits.
 
@@ -787,13 +836,12 @@ def sin_int(n: int, bits: int) -> MpReal:
     _require_bits(bits)
     if not _is_int(n) or n < 1:
         raise DomainError(f"sin_int requires an integer n >= 1, got {n!r}")
-    w = bits + clog2(max(n, 2)) + 40
+    w = _sin_int_w(n, bits)
     if w > MAX_BITS:
         raise ResourceLimitError(
             f"sin({n}) at {bits} bits needs {w} working bits (max {MAX_BITS})"
         )
-    S, err = sin_ball(n, w)
-    return MpReal(S, -w, Fraction(err, 1 << w)).round_to(bits)
+    return _sin_to_bits(*sin_ball(n, w), w, bits)
 
 
 def _sin_cos_reduced(x: MpReal, bits: int, kernel, exact_zero: int) -> MpReal:

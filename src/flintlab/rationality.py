@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, PrecisionError
-from .mpreal import (MpReal, _is_int, _require_bits, clog2, compute_pi, fx_ln_int,
-                     ln2_mantissa, sin_int)
+from .mpreal import (MpReal, _is_int, _require_bits, _sin_int_w, _sin_to_bits, clog2,
+                     compute_pi, fx_ln_int, ln2_mantissa, sin_int, sin_rel)
 
 __all__ = [
     "CfExpansion",
@@ -159,8 +159,8 @@ def cf_terms(x: MpReal | Fraction, count: int) -> CfExpansion:
 
 
 _FIRST_TERMS = 8     # convergent_numerators_up_to's first request to cf_terms
-_LAMBDA_BITS = 128   # _lambda's working precision above it
-_LAMBDA_MAN = 192    # sine mantissa bits that _lambda keeps above _LAMBDA_BITS
+_LAMBDA_BITS = 128   # a record's log precision from bits = 128 on (see _lambda)
+_LAMBDA_MAN = 192    # sine mantissa bits that a record's logs keep
 
 
 def convergent_numerators_up_to(n_max: int) -> set[int]:
@@ -203,84 +203,103 @@ def convergent_numerators_up_to(n_max: int) -> set[int]:
 def local_exponent(n: int, bits: int = 64) -> float:
     """lambda(n) = -ln|sin n| / ln n, as a float.
 
-    The sine is taken at max(bits, 64) bits, and at more where |sin n| >=
-    1/2 until 1 - |sin n| is resolved, so that -ln|sin n| keeps 60 bits
-    however close |sin n| comes to 1 (see _lambda).
+    The sine comes from _lambda_sine, to 2**-(v + 8) of its size with v =
+    min(max(bits, 64), 128), however small |sin n| is; where |sin n| >=
+    1/2 it is retaken until 1 - |sin n| is resolved, so that -ln|sin n|
+    keeps 60 bits however close |sin n| comes to 1 (see _lambda).
     """
     _require_bits(bits)
     if not _is_int(n) or n < 2:
         raise DomainError(f"local_exponent requires an integer n >= 2, got {n!r}")
-    w = max(bits, 64)
-    return _lambda(n, sin_int(n, w), w)
+    return _lambda(n, *_lambda_sine(n, bits), bits)
 
 
-def _lambda(n: int, s: MpReal, w: int) -> float:
-    """local_exponent(n) from s = sin_int(n, w), w >= 64.
+def _lambda_sine(n: int, bits: int) -> tuple[int, int, int]:
+    """sin_rel's ball (S, e, w) for lambda(n) at bits, to 2**-(v + 8) of
+    its size with v = min(max(bits, 64), 128).  The first try is at
+    sin_int(n, bits)'s working precision, so where that ball passes, it
+    is the ball sin_int(n, bits) rounds."""
+    return sin_rel(n, min(max(bits, 64), _LAMBDA_BITS) + 8, _sin_int_w(n, bits))
 
-    With x = man * 2**e the centre of s, lambda = -ln x / ln n: both logs
-    as integers at scale 2**-v, and their quotient, which Python rounds
-    correctly to a float.  sin_int puts e at -(w + 8) and the radius at
-    most 2**-w.
+
+def _lambda(n: int, S: int, e: int, w: int, bits: int) -> float:
+    """local_exponent(n) at bits from (S, e, w) = _lambda_sine(n, bits).
+
+    With x = |S| * 2**-w the centre of the sine ball and v = min(max(bits,
+    64), 128), |S| > e * 2**(v + 8), so |sin n| lies within a factor 1 +-
+    2**-(v + 8) of x.  lambda = -ln x / ln n: both logs as integers at
+    scale 2**-v, and their quotient, which Python rounds correctly to a
+    float.
 
     Capped precision, x < 1/2 (every record p >= 3, as |sin p| <= sin 3 <
-    0.15).  v = min(w, 128) and x is first cut to its top 192 bits: man =
-    man' * 2**h + r with 0 <= r < 2**h, h = max(L - 192, 0), L =
-    man.bit_length(), and e' = e + h.  For w <= 128, L <= w + 7 < 192, so
-    nothing changes.  For w > 128, let t = -log2 x > 1.  In ulps of
-    2**-128:
+    0.15).  x is first cut to its top 192 bits: |S| = man' * 2**h + r with
+    0 <= r < 2**h, h = max(L - 192, 0), L = |S|.bit_length(), and f = w -
+    h.  Let t = -log2 x > 1.  In ulps of 2**-v:
 
-    * ln x - ln(man' * 2**e') = ln(1 + r / (man' * 2**h)) lies in
+    * ln|sin n| - ln x lies within 2**-(v+8) / (1 - 2**-(v+8)): below
+      2**-7 ulps.  An absolute sine, within 2**-v of |sin n|, would move
+      ln x by about 2**-v / x instead, unbounded as x nears 0.
+    * ln x - ln(man' * 2**-f) = ln(1 + r / (man' * 2**h)) lies in
       [0, 2**-191): below 2**-63 ulps.
-    * fx_ln_int(man', 128) is within 2*e1 + 192 + 8 ulps, e1 = 4*i + 8
+    * fx_ln_int(man', v) is within 2*e1 + 192 + 8 ulps, e1 = 4*i + 8
       with i its atanh loop count.  The atanh argument is below 1/3, so
-      the powers in that loop fall by 9 a step from below 2**128/3 and
+      the powers in that loop fall by 9 a step from below 2**v/3 and
       vanish by the 40th: i <= 41, e1 <= 172, and the ln is within 544.
-    * e' copies of ln2_mantissa(128) add |e'|/2 ulps.  x < 2**(L + e),
-      which is 2**(192 + e') if h > 0 and at most 2**(192 + e) = 2**(192
-      + e') if h = 0; so |e'| < t + 192.
+    * f copies of ln2_mantissa(v) add f/2 ulps.  x < 2**(L - w), which
+      is 2**(192 - f) if h > 0 and at most 2**(192 - f) if h = 0; so f <
+      t + 192.
 
-    So the numerator -ln x = t ln 2 is within 641 + t/2 ulps, a relative
-    error below (641 / (t ln 2) + 1 / (2 ln 2)) * 2**-128 < 2**-118.  The
-    denominator ln n, with b = n.bit_length() >= 2, is within 352 + b ulps
-    (the same atanh count) and at least (b - 1) ln 2, a relative error
-    below 511 * 2**-128 < 2**-118.  The quotient is within 2**-116 of
-    -ln x / ln n, relatively, and a float's ulp is at least 2**-53 of its
-    value: the error is below 2**-63 ulps.  So the float equals the one
-    the full precision gives unless the exact quotient lies within about
-    2**-116 of a rounding boundary.  A ball at w = 2048 has L up to 2056,
-    so this replaces two logs at 2048 bits by two at 128.
+    So the numerator -ln|sin n| = t ln 2 is within 642 + t/2 ulps, a
+    relative error below (642 / (t ln 2) + 1 / (2 ln 2)) * 2**-v <
+    2**(10-v).  The denominator ln n, with b = n.bit_length() >= 2, is
+    within 352 + b ulps (the same atanh count) and at least (b - 1) ln 2,
+    a relative error below 511 * 2**-v < 2**(10-v).  The quotient is
+    within 2**(12-v) of -ln|sin n| / ln n, relatively, and a float's ulp
+    is at least 2**-53 of its value.  At v = 128 (bits >= 128) the error
+    is below 2**-63 ulps, so the float equals the one the full precision
+    gives unless the exact quotient lies within about 2**-116 of a
+    rounding boundary; at bits = 2048 the ball has L up to w = 2088 +
+    clog2 n, so this replaces two logs at 2048 bits by two at 128.  Below
+    128 bits the error can reach the float's last bit.
 
     Resolved precision, x >= 1/2.  There -ln x can be near 0 (n near an odd
-    multiple of pi/2), and an absolute error near 2**-w a large relative
-    one.  So v = w, first raised, with the sine retaken at each w, until d
-    = 1 - x in units of 2**e is at least w * 2**71: 1 - x >= w * 2**63
-    ulps of 2**-w.  In those ulps, the ball's radius moves ln x by at most
-    3 (ln is 2.01-Lipschitz above 1/2 - 2**-64); fx_ln_int(man, w), with
-    b = w + 8 and i <= w/3 + 2 by the count above, is within 11w/3 + 48;
-    and the w + 8 copies of ln2_mantissa(w) add (w + 8)/2.  The sum is
-    below 6w, and -ln|sin n| >= 1 - |sin n| >= w * 2**63 - 1, so the
-    numerator is within 2**-60 of its value, relatively.  d <= 2**(w + 7)
-    makes the final w at least 71, where the denominator, as above, is
-    within (8w/3 + 40 + b) / ((b - 1) ln 2) * 2**-w < 2**-62.  Each round
-    raises w by the bits d lacks plus 8, so it usually ends after one;
+    multiple of pi/2), and an absolute error near 2**-u a large relative
+    one, u = max(bits, 64).  The loop starts from the ball in hand rounded
+    to u bits as sin_int rounds its own: its centre is man * 2**-f with f
+    = u + 8 (or f = w where w < u + 8), and its radius is below 2**-u, as
+    the ball's own is at most about 2**-(u + 8) (for u <= 128 by |S| > e
+    * 2**(u + 8); above, as sin_rel's balls have e <= n/6 + 8w + 52 ulps
+    of 2**-w with 2**w >= n * 2**(bits + 40)).  The logs run at u, first
+    raised, with the sine retaken as sin_int(n, u) at each u, until d = 1
+    - x in units of 2**-f is at least u * 2**71: 1 - x >= u * 2**63 ulps
+    of 2**-u.  In those ulps, the ball's radius moves ln x by at most 3
+    (ln is 2.01-Lipschitz above 1/2 - 2**-64); fx_ln_int(man, u), with b
+    <= u + 8 and i <= u/3 + 2 by the count above, is within 11u/3 + 48;
+    and the u + 8 copies of ln2_mantissa(u) add (u + 8)/2.  The sum is
+    below 6u, and -ln|sin n| >= 1 - |sin n| >= u * 2**63 - 1, so the
+    numerator is within 2**-60 of its value, relatively.  d <= 2**(u + 7)
+    makes the final u at least 71, where the denominator, as above, is
+    within (8u/3 + 40 + b) / ((b - 1) ln 2) * 2**-u < 2**-62.  Each round
+    raises u by the bits d lacks plus 8, so it usually ends after one;
     |sin n| = 1 for no integer n, so it ends.
     """
-    man, e = abs(s.man), s.exp
-    if man == 0:
-        raise PrecisionError(f"|sin {n}| indistinguishable from 0 at {w} bits")
-    if man.bit_length() + e < 0:    # x < 1/2
+    man = abs(S)
+    if man.bit_length() < w:    # x < 1/2
         h = max(man.bit_length() - _LAMBDA_MAN, 0)
-        man, e, w = man >> h, e + h, min(w, _LAMBDA_BITS)
+        man, f, v = man >> h, w - h, min(max(bits, 64), _LAMBDA_BITS)
     else:
-        d = (1 << -e) - man
-        while d < w << 71:
-            w += max((w << 71).bit_length() - d.bit_length(), 1) + 8
-            s = sin_int(n, w)
-            man, e = abs(s.man), s.exp
-            d = (1 << -e) - man
-    # ln|sin n| = ln(man) + e*ln2, all at scale 2**-w
-    ln_sin = fx_ln_int(man, w)[0] + e * ln2_mantissa(w)
-    ln_n = fx_ln_int(n, w)[0]
+        v = max(bits, 64)
+        s = _sin_to_bits(S, e, w, v)
+        while True:
+            man, f = abs(s.man), -s.exp
+            d = (1 << f) - man
+            if d >= v << 71:
+                break
+            v += max((v << 71).bit_length() - d.bit_length(), 1) + 8
+            s = sin_int(n, v)
+    # ln|sin n| = ln(man) - f*ln2, all at scale 2**-v
+    ln_sin = fx_ln_int(man, v)[0] - f * ln2_mantissa(v)
+    ln_n = fx_ln_int(n, v)[0]
     return -ln_sin / ln_n
 
 
@@ -317,20 +336,20 @@ def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:
     * The records are strict: ||n/pi|| = ||m/pi|| for n != m would put
       n - m or n + m on a nonzero multiple of pi, which no integer is.
 
-    Each record carries sin_int(n, bits).abs_() and, for n >= 2, its local
-    exponent, taken from the same sine ball when bits >= 64 (local_exponent
-    takes its sine at max(bits, 64) bits, and its logs at that precision up
-    to 128 bits and at 128 above, see _lambda); ln 1 = 0 leaves lambda
-    undefined at n = 1.  |sin p_k| is about pi/(a_{k+1} p_k), so
-    local_exponent raises PrecisionError once it falls below
-    2**-max(bits, 64): bits must exceed about log2(n_max).
+    Each record n >= 2 takes one sine, _lambda_sine(n, bits): its abs_sin
+    is that ball rounded to bits as sin_int rounds its own (so it is
+    sin_int(n, bits).abs_() where the first try holds), and its local
+    exponent comes from the same ball.  That ball is relative, so no
+    record's |sin n| is too small for bits: bits sets the precision of
+    abs_sin and of lambda's logs (see _lambda), not how far the records
+    reach.  ln 1 = 0 leaves lambda undefined at n = 1.
     """
     _require_bits(bits)
     if not _is_int(n_max) or n_max < 1:
         raise DomainError(f"spike_indices requires an integer n_max >= 1, got {n_max!r}")
     records = [SpikeRecord(1, sin_int(1, bits).abs_(), None, False)]
     for p in sorted(convergent_numerators_up_to(n_max)):
-        s = sin_int(p, bits)
-        lam = _lambda(p, s if bits >= 64 else sin_int(p, 64), max(bits, 64))
-        records.append(SpikeRecord(p, s.abs_(), lam, True))
+        S, e, w = _lambda_sine(p, bits)
+        records.append(SpikeRecord(p, _sin_to_bits(S, e, w, bits).abs_(),
+                                   _lambda(p, S, e, w, bits), True))
     return records

@@ -317,12 +317,14 @@ def test_resource_limit_is_precision_error(capsys):
     assert json.loads(err)["error"] == "ResourceLimitError"
 
 
-def test_spikes_past_the_precision_fail_cleanly(capsys):
-    code, out, err = run(capsys, "spikes", "--n-max", str(10**30), "--bits", "64")
-    assert (code, out) == (2, "")
-    lines = err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "PrecisionError"
+def test_spikes_to_1e30_at_the_default_bits(capsys):
+    # |sin n| of the last records is far below 2**-64, and the default
+    # bits list them all: the sine behind lambda is relative
+    code, out, err = run(capsys, "spikes", "--n-max", "1e30", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 55
+    assert rows[-1].split(",")[0] == "126016265525921254632388702258"
 
 
 def test_unreadable_file_is_usage_error(capsys):

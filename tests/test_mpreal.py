@@ -32,6 +32,7 @@ from flintlab.mpreal import (
     reduce_fixed,
     round_div,
     sin_ball,
+    sin_rel,
 )
 from oracles import (
     atanh_ln,
@@ -574,6 +575,40 @@ def test_sin_int_is_the_ball_primitive():
         want = MpReal(S, -w, Fraction(e, 1 << w)).round_to(bits)
         got = sin_int(n, bits)
         assert (got.man, got.exp, got.err) == (want.man, want.exp, want.err)
+
+
+def test_sin_rel_is_relative_and_holds_the_sine():
+    from flintlab.rationality import convergent_numerators_up_to
+    deep = sorted(convergent_numerators_up_to(10**300))[-3:]     # |sin n| near 1e-300
+    for n in (1, 2, 3, 11, 22, 355, 103993, 3083975227, *deep):
+        want, want_err = sin_by_reduction(n, 700 if n > 10**299 else 80)
+        for rel, guard in ((24, 8), (72, 104), (136, 40)):
+            w = clog2(max(n, 2)) + guard
+            S, e, w2 = sin_rel(n, rel, w)
+            assert abs(S) > e << rel and w2 >= w, (n, rel)
+            assert sin_rel(n, rel, w) == (S, e, w2)
+            assert abs(Fraction(S, 1 << w2) - want) <= Fraction(e, 1 << w2) + want_err, n
+
+
+def test_sin_rel_first_try_is_the_ball_itself():
+    # a ball that passes the test at once is returned as sin_ball gives it
+    S, e = sin_ball(355, 200)
+    assert sin_rel(355, 24, 200) == (S, e, 200)
+
+
+def test_sin_rel_stops_at_max_bits(monkeypatch):
+    # a ball that never resolves raises w by its shortfall until MAX_BITS
+    widths = []
+
+    def unresolved(n, w):
+        widths.append(w)
+        return 0, 1
+
+    monkeypatch.setattr(mpreal, "sin_ball", unresolved)
+    with pytest.raises(ResourceLimitError):
+        sin_rel(355, 100_000, 64)
+    assert widths[0] == 64 and widths[-1] <= MAX_BITS
+    assert all(b - a == 100_009 for a, b in zip(widths, widths[1:]))
 
 
 # At w = 64 the first ball (32 guard bits) of this n straddles a rounding

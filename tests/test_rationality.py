@@ -277,24 +277,23 @@ def test_bits_are_checked_on_entry(bits, error):
 @pytest.mark.parametrize("bits", [8, 64, 128])
 def test_spike_records_take_lambda_from_their_sine(monkeypatch, bits):
     # the records equal sin_int plus local_exponent, lambda floats
-    # included; at 64 bits and more each record computes one sine
+    # included, and each record n >= 2 takes one relative sine
     want = [(1, sin_int(1, bits).abs_(), None)] + [
         (p, sin_int(p, bits).abs_(), local_exponent(p, bits))
         for p in (3, 22, 333, 355, 103993, 104348)]
     calls = []
-    real = rationality.sin_int
+    real = rationality.sin_rel
 
-    def counting(n, b):
+    def counting(n, rel, w):
         calls.append(n)
-        return real(n, b)
+        return real(n, rel, w)
 
-    monkeypatch.setattr(rationality, "sin_int", counting)
+    monkeypatch.setattr(rationality, "sin_rel", counting)
     records = spike_indices(200_000, bits)
     got = [(r.n, r.abs_sin, r.lam) for r in records]
     assert [(n, a.man, a.exp, a.err, lam) for n, a, lam in got] == [
         (n, a.man, a.exp, a.err, lam) for n, a, lam in want]
-    if bits >= 64:
-        assert sorted(calls) == [r.n for r in records]
+    assert calls == [r.n for r in records[1:]]
 
 
 def test_spike_indices_400():
@@ -412,8 +411,22 @@ def test_spikes_to_1e30_are_the_convergent_numerators():
         assert abs(abs(approx) - r.abs_sin.center()) <= rad + r.abs_sin.err, r.n
 
 
-def test_spikes_to_1e30_need_more_than_64_bits():
-    # |sin p| falls below 2**-64 before 1e30, and local_exponent says so
-    with pytest.raises(PrecisionError, match="indistinguishable") as info:
-        spike_indices(10**30, 64)
-    assert info.type is PrecisionError
+def test_spikes_to_1e300_at_64_bits():
+    # |sin p| falls to about 1e-300, far below 2**-64: the sine behind
+    # lambda is relative, so the default bits reach every record, and
+    # the floats are the 2048-bit ones
+    frozen = json.loads((DATA_DIR / "spikes_lambda_1e300_2048.json").read_text())
+    records = spike_indices(10**300, 64)
+    assert len(records) == 599
+    assert str(records[-1].n) == frozen["last_n"]
+    assert [r.lam for r in records[1:]] == frozen["lambda"]
+
+
+@pytest.mark.parametrize("n_max, bits", [(10**17, 64), (10**38, 128)])
+def test_lambda_of_deep_records_equals_full_precision(n_max, bits):
+    # lambda's sine is relative, so even records whose |sin n| lies far
+    # below 2**-bits get the full-precision float
+    records = spike_indices(n_max, bits)
+    assert len(records) > 30
+    for r in records[1:]:
+        assert r.lam == _lambda_full(r.n, 512), r.n
