@@ -214,20 +214,43 @@ def _chudnovsky_pi_rational(w: int) -> tuple[int, int]:
       2**-21.9 * |t_N|, and N = floor(w/47.11) + 2 has 47.11*N >= w +
       47.11, so this part is below N * 2**-(w+39.9), under 2**-(w+2)
       while N < 2**37.
-    The two parts sum to less than 2**-w.
+    * the cut to w + 8 bits of den (see _cut_rational): num/den < 4, so
+      below 4 * 2**-(w+7) = 2**-(w+5).
+    The three parts sum to less than 2**-(w+12) + 2**-(w+2) + 2**-(w+5) <
+    2**-w.
     """
     n = w * 100 // 4711 + 2
     g = w + 8
     _, q, t = _chudnovsky_split(1, n)
     s = math.isqrt(10005 << (2 * g))
-    return 426880 * s * q, (13591409 * q + t) << g
+    return _cut_rational(426880 * s * q, (13591409 * q + t) << g, w)
 
 
 def _atanh_ln2_rational(w: int) -> tuple[int, int]:
-    """Exact rational (num, den) with |ln2 - num/den| <= 2**-w."""
+    """Exact rational (num, den) with |ln2 - num/den| <= 2**-w.
+
+    ln 2 = 2 atanh(1/3) = (2/3) * sum_i 1/((2i+1) * 9**i), summed for i <
+    n with 3.17*(n - 1) > w + 16.  The tail is below (2/3) * 9**-n * 9/8 <
+    9**-n < 2**-(w+19), and the cut (see _cut_rational, with num/den < 1)
+    adds less than 2**-(w+7): the sum is below 2**-w.
+    """
     n = int((w + 16) / 3.169925) + 2         # log2(9) = 3.1699...
     nn, dd = _atanh_sum_split(9, 0, n)
-    return 2 * nn, 3 * dd
+    return _cut_rational(2 * nn, 3 * dd, w)
+
+
+def _cut_rational(num: int, den: int, w: int) -> tuple[int, int]:
+    """(num >> k, den >> k) with k = max(den.bit_length() - (w + 8), 0).
+
+    The binary splitting leaves num and den far longer than w bits (about
+    3w for pi), and _ConstSource divides them; the cut keeps w + 8 bits of
+    den.  With num/den < c and x >> k = x/2**k - f, f in [0, 1), num'/den'
+    - num/den = (f_den * num/den - f_num) / den', so the cut moves the
+    ratio by less than max(c, 1)/den' <= max(c, 1) * 2**-(w+7), as den' >=
+    2**(w+7).  (k = 0 leaves the ratio as it is.)
+    """
+    k = max(den.bit_length() - (w + 8), 0)
+    return num >> k, den >> k
 
 
 class _ConstSource:
@@ -651,7 +674,17 @@ def sin_ball(n: int, w: int) -> tuple[int, int]:
     to the kernel's, plus one ulp of slack.  The absolute accuracy is
     about 2**-(w - log2 n): callers add ceil(log2 n) guard bits.  n = 0,
     which a walk from 1 anchors on, gives (0, 27).
+
+    DomainError unless w >= max(8, clog2(max(n, 2))).  That keeps R in
+    fx_sin's domain: r = n - k*pi lies in [-pi/2, pi/2], and R misses r *
+    2**w by at most (|k| >> 1) + 2 <= n/(2 pi) + 9/4 ulps (k <= n/pi +
+    1/2), which is at most 1/(2 pi) + 9/1024 < 0.17 in x, as 2**w >= n
+    and 2**w >= 256.  So |R * 2**-w| < 1.75 < 3.3, and w >= 8 is
+    fx_sin's own floor.  Below the bound the reduction error can put R
+    far outside, where the Taylor loop runs on huge terms.
     """
+    if w < 8 or clog2(n) > w:          # clog2(0) = 1 and clog2(1) = 0
+        raise DomainError(f"sin_ball({n}) needs w >= max(8, clog2 n), got {w}")
     k, R, e_red = reduce_fixed(n, w)
     S, e_sin = fx_sin(R, w)
     return (-S if k & 1 else S), e_red + e_sin + 1
@@ -792,9 +825,8 @@ def sin_rel(n: int, rel: int, w: int) -> tuple[int, int, int]:
     passes the test, where each step adds the bits the failed ball lacks
     plus 8: d = bitlen(e * 2**rel) - bitlen(S) + 8.  The result is a pure
     function of (n, rel, w), and a w' past MAX_BITS raises
-    ResourceLimitError.  w must include clog2 n guard bits, as sin_ball
-    needs: a first try below that can take the Taylor kernel off its
-    domain.
+    ResourceLimitError.  w must be at least max(8, clog2 n), as sin_ball
+    needs, or DomainError; callers add clog2 n + 8 guard bits or more.
 
     The loop ends.  sin_ball's radius e is its reduction error, at most
     n/6 + 3 ulps whatever w is, plus the Taylor kernel's 8i + 16 with i <=

@@ -20,9 +20,7 @@ quantifies how deep each record goes relative to n itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DomainError, PrecisionError
 from .mpreal import (MpReal, _is_int, _require_bits, _sin_int_w, _sin_to_bits, clog2,
@@ -38,8 +36,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CfExpansion:
+class _Frozen:
+    """A read-only record whose fields are its class's __slots__.
+
+    Equal, within one class, when the fields are; hashed as the tuple of
+    its fields; shown as Name(field=value, ...); copied and pickled by
+    value.  That is how a frozen dataclass behaves, without importing
+    dataclasses, which brings inspect, ast and dis with it: most of a cold
+    `cf` call's import time for this module.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class CfExpansion(_Frozen):
     """Stable partial quotients of a value.
 
     exhausted -- extraction stopped because the value's error bound no
@@ -47,9 +81,16 @@ class CfExpansion:
     complete -- the expansion terminated exactly (rational input).
     """
 
+    __slots__ = ("terms", "exhausted", "complete")
     terms: tuple[int, ...]
     exhausted: bool
     complete: bool
+
+    def __init__(self, terms: tuple[int, ...], exhausted: bool, complete: bool) -> None:
+        init = object.__setattr__
+        init(self, "terms", terms)
+        init(self, "exhausted", exhausted)
+        init(self, "complete", complete)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -58,34 +99,27 @@ class CfExpansion:
 _LEHMER_MIN_BITS = 320    # below this size cf_terms steps on the integers alone
 
 
-def _cf_matrix(terms: Sequence[int], lo: int, hi: int) -> tuple[int, int, int, int]:
-    """(p, p', q, q') = product of [[a, 1], [1, 0]] over terms[lo:hi], by halves.
-
-    p/q and p'/q' are the last two convergents of [terms[lo]; ..., terms[hi-1]].
-    """
-    if hi - lo <= 16:
-        p, p1, q, q1 = 1, 0, 0, 1
-        for t in terms[lo:hi]:
-            p, p1, q, q1 = t * p + p1, p, t * q + q1, q
-        return p, p1, q, q1
-    mid = (lo + hi) // 2
-    a, b, c, d = _cf_matrix(terms, lo, mid)
-    e, f, g, h = _cf_matrix(terms, mid, hi)
-    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-
-
-def _cf_run(a: int, b: int, c: int, d: int, count: int) -> tuple[list[int], str | None]:
+def _cf_run(a: int, b: int, c: int, d: int,
+            count: int) -> tuple[list[int], str | None, tuple[int, int, int, int]]:
     """Partial quotients shared by every point of [a/b, c/d], at most `count`.
 
-    a >= 0, b, c, d >= 1 and a/b <= c/d.  Returns (terms, stop) with stop
-    None when `count` terms were taken, "split" when the end points'
-    floors differ, and "edge" when the lower end reached an integer.  Each
-    step takes the common floor t and maps x to 1/(x - t), which turns
-    [a/b, c/d] into [d/(c - t*d), b/(a - t*b)]: each pair runs Euclid's
-    step and the pairs trade places.
+    a >= 0, b, c, d >= 1 and a/b <= c/d.  Returns (terms, stop, (p, p',
+    q, q')) with stop None when `count` terms were taken, "split" when the
+    end points' floors differ, and "edge" when the lower end reached an
+    integer.  Each step takes the common floor t and maps x to 1/(x - t),
+    which turns [a/b, c/d] into [d/(c - t*d), b/(a - t*b)]: each pair runs
+    Euclid's step and the pairs trade places.
 
     Only the lower end can sit on the common floor t (c == t*d forces
     a/b = c/d = t), so a == 0 after the step is the one "edge" test.
+
+    The matrix.  (p, p', q, q') is the product of [[t, 1], [1, 0]] over
+    the terms taken, so p/q and p'/q' are the last two convergents of
+    [t_1; ..., t_k] (the identity (1, 0, 0, 1) while k = 0).  The run keeps
+    that invariant as it goes: a step right-multiplies the matrix by its
+    own [[t, 1], [1, 0]], and a batch by the matrix its nested run
+    returns, which is the product over the batch's terms.  So no matrix
+    is rebuilt from its terms.
 
     Lehmer batches.  When both denominators exceed _LEHMER_MIN_BITS, the
     run recurses on J = [(a>>s)/((b>>s)+1), ((c>>s)+1)/(d>>s)], the
@@ -95,33 +129,35 @@ def _cf_run(a: int, b: int, c: int, d: int, count: int) -> tuple[list[int], str 
     common floor of every point of [a/b, c/d], and where J stops on an
     edge, its lower end is t but this run's lies above t: this run goes
     on wherever J goes on or stops, and every quotient of the batch is
-    its own.  The batch t_1..t_k acts on both pairs at once: with p/q and
-    p'/q' its last two convergents, (n, m) becomes (-1)**k * (q'n - p'm,
-    pm - qn), and for odd k the pairs trade places.
+    its own.  The batch t_1..t_k acts on both pairs at once: with (e, f,
+    g, h) its matrix, (n, m) becomes (-1)**k * (h*n - f*m, e*m - g*n), and
+    for odd k the pairs trade places.
     """
     terms: list[int] = []
+    p, p1, q, q1 = 1, 0, 0, 1
     while len(terms) < count:
-        size = min(b.bit_length(), d.bit_length())
-        if size > _LEHMER_MIN_BITS:
+        if b >> _LEHMER_MIN_BITS and d >> _LEHMER_MIN_BITS:
+            size = min(b.bit_length(), d.bit_length())
             sh = size - size // 2
-            batch, _ = _cf_run(a >> sh, (b >> sh) + 1, (c >> sh) + 1, d >> sh,
-                               count - len(terms))
+            batch, _, (e, f, g, h) = _cf_run(a >> sh, (b >> sh) + 1, (c >> sh) + 1,
+                                             d >> sh, count - len(terms))
             if batch:
-                p, p1, q, q1 = _cf_matrix(batch, 0, len(batch))
-                a, b, c, d = q1 * a - p1 * b, p * b - q * a, q1 * c - p1 * d, p * d - q * c
+                a, b, c, d = h * a - f * b, e * b - g * a, h * c - f * d, e * d - g * c
                 if len(batch) & 1:
                     a, b, c, d = -c, -d, -a, -b
+                p, p1, q, q1 = p * e + p1 * g, p * f + p1 * h, q * e + q1 * g, q * f + q1 * h
                 terms += batch
                 continue
-        t = a // b
-        if c // d != t:
-            return terms, "split"
+        t, a = divmod(a, b)
+        s, c = divmod(c, d)
+        if s != t:
+            return terms, "split", (p, p1, q, q1)
         terms.append(t)
-        a, c = a - t * b, c - t * d
+        p, p1, q, q1 = t * p + p1, p, t * q + q1, q
         if a == 0:
-            return terms, "edge"
+            return terms, "edge", (p, p1, q, q1)
         a, b, c, d = d, c, b, a
-    return terms, None
+    return terms, None, (p, p1, q, q1)
 
 
 def cf_terms(x: MpReal | Fraction, count: int) -> CfExpansion:
@@ -149,7 +185,7 @@ def cf_terms(x: MpReal | Fraction, count: int) -> CfExpansion:
         raise DomainError("cf_terms requires x > 0 beyond its error bound")
     low = a | b | c
     z = (low & -low).bit_length() - 1      # their common power of two
-    terms, stop = _cf_run(a >> z, b >> z, c >> z, b >> z, count)
+    terms, stop, _ = _cf_run(a >> z, b >> z, c >> z, b >> z, count)
     if stop is None:
         return CfExpansion(tuple(terms), False, False)
     if stop == "split":
@@ -303,12 +339,23 @@ def _lambda(n: int, S: int, e: int, w: int, bits: int) -> float:
     return -ln_sin / ln_n
 
 
-@dataclass(frozen=True)
-class SpikeRecord:
+class SpikeRecord(_Frozen):
+    """One record of |sin n|: its index, |sin n| to bits, lambda(n) (None
+    at n = 1) and whether n is a convergent numerator of pi."""
+
+    __slots__ = ("n", "abs_sin", "lam", "is_convergent_numerator")
     n: int
     abs_sin: MpReal
     lam: float | None
     is_convergent_numerator: bool
+
+    def __init__(self, n: int, abs_sin: MpReal, lam: float | None,
+                 is_convergent_numerator: bool) -> None:
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "abs_sin", abs_sin)
+        init(self, "lam", lam)
+        init(self, "is_convergent_numerator", is_convergent_numerator)
 
 
 def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:

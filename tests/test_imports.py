@@ -51,7 +51,7 @@ def test_cold_pi_loads_no_series_criterion_or_dataclasses():
 def test_cold_cf_loads_rationality_only():
     loaded = cli_modules("cf", "--bits", "64", "--count", "5")
     assert "flintlab.rationality" in loaded
-    unwanted = set(HEAVY) - {"flintlab.rationality"}
+    unwanted = set(HEAVY) - {"flintlab.rationality"} | {"dataclasses"}
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 

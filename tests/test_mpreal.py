@@ -265,6 +265,14 @@ def test_chudnovsky_rational_is_within_its_bound():
         assert abs(num * md - mn * den) << (w + 64) <= ((1 << 64) - 1) * den * md, w
 
 
+def test_constant_rationals_are_cut_to_w_plus_8_bits():
+    # the cut that keeps _ConstSource's division at w + 8 bits of den
+    for w in (1000, 20024):
+        for refine in (mpreal._chudnovsky_pi_rational, mpreal._atanh_ln2_rational):
+            num, den = refine(w)
+            assert den.bit_length() == w + 8, (refine.__name__, w)
+
+
 def test_pi_mantissa_sweep_matches_machin():
     # round(pi * 2**w) from Machin at w + 64 bits, where the whole
     # interval of that rational rounds the same way
@@ -277,10 +285,14 @@ def test_pi_mantissa_sweep_matches_machin():
 
 
 def test_ln2_mantissa_matches_series_oracle():
+    # round(ln2 * 2**w) where the oracle's whole interval rounds the same way
     apx, err = atanh_ln(2, 400)
-    assert err < Fraction(1, 10**100)
-    for w in (50, 128, 300):
-        assert ln2_mantissa(w) == round_div(apx.numerator << w, apx.denominator)
+    assert err < Fraction(1, 1 << 1200)
+    top = apx + err
+    for w in range(8, 401):
+        lo = round_div(apx.numerator << w, apx.denominator)
+        assert lo == round_div(top.numerator << w, top.denominator), w
+        assert ln2_mantissa(w) == lo, w
 
 
 def test_pi_bits_limit():
@@ -588,6 +600,28 @@ def test_sin_rel_is_relative_and_holds_the_sine():
             assert abs(S) > e << rel and w2 >= w, (n, rel)
             assert sin_rel(n, rel, w) == (S, e, w2)
             assert abs(Fraction(S, 1 << w2) - want) <= Fraction(e, 1 << w2) + want_err, n
+
+
+def test_sin_ball_needs_w_of_at_least_log2_n(monkeypatch):
+    # below max(8, clog2 n) the reduction could take R off fx_sin's domain
+    # and the Taylor loop would run on huge terms: the call raises first
+    from flintlab.rationality import convergent_numerators_up_to
+    p = max(convergent_numerators_up_to(10**300))       # about 6e299
+    least = [(1, 8), (0, 8), (p, clog2(p))]             # n and the least w it takes
+    for n, w in least:
+        S, e = sin_ball(n, w)
+        want, want_err = sin_by_reduction(n, 700 if n > 10**299 else 80)
+        assert abs(Fraction(S, 1 << w) - want) <= Fraction(e, 1 << w) + want_err, n
+
+    def unreached(*args):
+        raise AssertionError("reduce_fixed reached below the bound")
+
+    monkeypatch.setattr(mpreal, "reduce_fixed", unreached)
+    for n, w in least:
+        with pytest.raises(DomainError):
+            sin_ball(n, w - 1)
+    with pytest.raises(DomainError):
+        sin_rel(p, 24, 40)
 
 
 def test_sin_rel_first_try_is_the_ball_itself():

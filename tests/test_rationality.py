@@ -107,6 +107,50 @@ def test_cf_terms_matches_the_fraction_loop():
             assert _cf_key(cf_terms(x, count)) == _cf_ref(x, count), (x, count)
 
 
+def _deep_cf_input(rng, kind):
+    """A point, a ball, or a ball whose lower end is a rational, of 16000 to
+    24000 bits: deep enough for six nested Lehmer batches."""
+    bits = rng.randrange(16000, 24001)
+    if kind == 0:                                   # a point: "edge", complete
+        return Fraction(rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1)
+    if kind == 1:                                   # a ball: "split"
+        man = rng.getrandbits(bits) | 1 << bits
+        return MpReal(man, -bits, Fraction(rng.randrange(1, 1 << 30), 1 << bits))
+    # lower end on r = p/q, q near 2**(bits/2 - 32): "edge" after r's terms
+    half = bits // 2 - 32
+    r = Fraction(rng.getrandbits(half) | 1 << half, rng.getrandbits(half) | 1)
+    man = round(r * (1 << bits)) + rng.randrange(1, 1 << 8)
+    return MpReal(man, -bits, Fraction(man, 1 << bits) - r)
+
+
+def test_cf_terms_matches_the_fraction_loop_through_deep_batches(monkeypatch):
+    # every _cf_run call as (depth, terms taken, stop), the top level at depth 0
+    real, calls, depth = rationality._cf_run, [], [0]
+
+    def traced(a, b, c, d, count):
+        depth[0] += 1
+        try:
+            out = real(a, b, c, d, count)
+        finally:
+            depth[0] -= 1
+        calls.append((depth[0], len(out[0]), out[1]))
+        return out
+
+    monkeypatch.setattr(rationality, "_cf_run", traced)
+    rng = random.Random(2718)
+    for i in range(21):
+        x = _deep_cf_input(rng, i % 3)
+        full = cf_terms(x, 10**6)
+        assert _cf_key(full) == _cf_ref(x, 10**6), i
+        count = rng.randrange(1, len(full))          # ends inside some batch
+        assert _cf_key(cf_terms(x, count)) == _cf_ref(x, count), (i, count)
+    nested = [call for call in calls if call[0] > 0]
+    assert max(call[0] for call in nested) >= 6
+    assert {"split", "edge", None} <= {stop for level, _, stop in calls if level == 0}
+    assert {k & 1 for _, k, _ in nested if k} == {0, 1}
+    assert any(stop is None for _, _, stop in nested)     # a batch the count cut
+
+
 def test_cf_terms_count_at_the_end_of_a_rational():
     rng = random.Random(113)
     for _ in range(20):
