@@ -50,14 +50,17 @@ Two layers on top of the ball serve the partial sums:
   32 guard bits, and accept the rounding only when the whole ball
   rounds the same way; otherwise double the guard bits.  The result is
   a pure function of (n, w), whatever computed it.
-* :func:`abs_sin_walk` yields those same integers for consecutive n by
-  the recurrence ``sin(n + 1) = 2 cos 1 * sin n - sin(n - 1)`` -- one
-  multiplication instead of a reduction and a Taylor sum per n.  It
-  re-anchors on two direct balls, of n0 and n0 - 1, every 4096 steps
-  and wherever w changes, carries a proven drift bound, and hands any n
-  whose rounding the drift leaves ambiguous to :func:`abs_sin_canonical`.
-  partial_sum takes every sine from it; a term that escalates, or one
-  computed on its own (term), calls abs_sin_canonical.
+* :func:`abs_sin_walk` yields those same integers for consecutive n, one
+  block ``(n0, ms)`` at a time, by the recurrence ``sin(n + 1) = 2 cos 1
+  * sin n - sin(n - 1)`` -- one multiplication instead of a reduction and
+  a Taylor sum per n.  A block anchors on two direct balls, of n0 and
+  n0 - 1, and ends at the next multiple of 4096 or power of two (past
+  which w changes).  A tight loop fills it under a proven drift bound,
+  with the rounding test written out as one add and one mask, and hands
+  any n whose rounding the drift leaves ambiguous to
+  :func:`abs_sin_canonical`.  partial_sum takes every sine from it; a
+  term that escalates, or one computed on its own (term), calls
+  abs_sin_canonical.
 
 The Taylor kernels at the bottom of the file work on plain integers at
 a fixed scale and report their rounding as a ulp count, which callers
@@ -739,17 +742,45 @@ def _rotation(W: int) -> tuple[int, int]:
     return fx_cos(1 << w, w)
 
 
-def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
-    """Yield abs_sin_canonical(n, w(n)) for n = lo..hi, w(n) = base + clog2(max(n, 2)).
+def _walk_block(n0: int, end: int, w: int, g: int) -> tuple[list[int], int, int]:
+    """abs_sin_walk's values for n = n0..end, which share w and g, and its
+    ball (S, D) at 2**-(w + g) for end + 1: one anchor, then the recurrence."""
+    W = w + g
+    h = _ROTATION_GUARD
+    S, e0 = sin_ball(n0, W)
+    prev, e_prev = sin_ball(n0 - 1, W)
+    C1, e1 = _rotation(W)
+    K = C1 >> (h - 1)
+    kappa = (e1 >> (h - 1)) + 2
+    D = (6 * (e0 + e_prev) + 4) // 5
+    step = (6 * (kappa + 2) + 4) // 5
+    half, M = 1 << (g - 1), (1 << g) - 1
+    ms = []
+    append = ms.append
+    for n in range(n0, end + 1):
+        a = abs(S)
+        t = a + half
+        low = t & M
+        append(t >> g if D < a and D <= low <= M - D else abs_sin_canonical(n, w))
+        prev, S = S, (K * S >> W) - prev
+        D += step
+    return ms, S, D
+
+
+def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[tuple[int, list[int]]]:
+    """abs_sin_canonical(n, w(n)) for n = lo..hi, w(n) = base + clog2(max(n, 2)),
+    one block at a time: yields (n0, ms), where ms[j] is the value of n0 + j.
 
     The values are the canonical ones, so they do not depend on lo or on
-    where the walk anchors.  Within a block of equal w, at W = w + g bits
-    with g = max(SIN_GUARD_BITS, c + 8), c = clog2(max(n, 2)) (the first
-    guard of abs_sin_canonical at 2**c), S ~ sin n * 2**W advances by the
+    where the walk anchors.  A block ends at hi, at the next multiple of
+    WALK_BLOCK or at the next power of two, past which w changes, so every
+    n of a block has the same c = clog2(max(n, 2)) and w.  Within a block,
+    at W = w + g bits with g = max(SIN_GUARD_BITS, c + 8) (the first guard
+    of abs_sin_canonical at 2**c), S ~ sin n * 2**W advances by the
     three-term recurrence sin(n + 1) = 2 cos 1 * sin n - sin(n - 1):
     S' = (K*S >> W) - S_prev with K ~ 2 cos 1 * 2**W, one multiplication
-    per n.  A block starts on two direct balls and ends before the next
-    multiple of WALK_BLOCK and before w changes (at each power of two).
+    per n.  _walk_block fills one block: two direct balls, then the
+    recurrence.
 
     Error bound.  The block's first n0 anchors on (S_0, e0) = sin_ball(n0,
     W) and (S_{-1}, e_prev) = sin_ball(n0 - 1, W), so with t_j = sin(n0 +
@@ -769,11 +800,21 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
     and |U_j| = |sin(j + 1)| / sin 1 < 6/5.  So |e_j| < 6/5 * (e0 + e_prev
     + j * (kappa + 2)), and D = ceil(6/5 * (e0 + e_prev)) + j * ceil(6/5 *
     (kappa + 2)) is a radius for sin n that grows by a fixed step per n.
-    (S, D) goes through the same rounding test as abs_sin_canonical; an
-    ambiguous n falls back to abs_sin_canonical.  (C1, e1) = _rotation(W)
-    holds cos 1 at 2**-(W + h), h = _ROTATION_GUARD, within e1 ulps, and K
-    = C1 >> (h - 1) drops less than 1, so kappa = (e1 >> (h - 1)) + 2
-    bounds its error.
+    (C1, e1) = _rotation(W) holds cos 1 at 2**-(W + h), h =
+    _ROTATION_GUARD, within e1 ulps, and K = C1 >> (h - 1) drops less than
+    1, so kappa = (e1 >> (h - 1)) + 2 bounds its error.
+
+    Rounding.  The ball (S, D) goes through abs_sin_canonical's test,
+    _round_abs(S, D, g), written out as one add and one mask: with a =
+    |S|, t = a + 2**(g-1), low = t mod 2**g and M = 2**g - 1, the ball
+    rounds one way iff a > D and D <= low <= M - D, and then m = t >> g.
+    For _round_abs accepts m iff a > D and (t - D) >> g == (t + D) >> g,
+    and then returns that value.  Write t = (t >> g) * 2**g + low.  If D
+    <= low <= M - D, then t - D and t + D lie in [(t >> g) * 2**g, (t >>
+    g) * 2**g + M], so both shift to t >> g.  If low < D, then (t - D) >>
+    g < t >> g <= (t + D) >> g; if low > M - D, then (t + D) >> g > t >> g
+    >= (t - D) >> g: the ends differ.  An n that the ball leaves ambiguous
+    falls back to abs_sin_canonical.
 
     The side conditions hold for base >= 8.  Then g >= 32 gives W >= 40 +
     c, so n <= 2**(W-40).  Each anchor radius is sin_ball's reduction
@@ -782,39 +823,21 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[int]:
     second on, so the kernels stop with i <= W + 4 and report at most
     8*W + 48 ulps; hence e0, e_prev <= n/6 + 8*W + 52 and e1 <= 8*(W + h)
     + 48 = 8*W + 176.  So kappa <= W/2**12 + 3, the step is at most
-    1.2*W/2**12 + 7, and a block has at most WALK_BLOCK - 1 steps: D <=
-    0.4*n + 21*W + 2**15 < 2**(W-41) + 21*W + 2**15, which keeps
-    kappa*D < 2**(W-1) for every W >= 40, however g grows W.  The same
+    1.2*W/2**12 + 7, and _walk_block takes at most WALK_BLOCK steps (the
+    last one to the ball of end + 1): D <= 0.4*n + 21*W + 2**15 <
+    2**(W-41) + 21*W + 2**15, which keeps kappa*D < 2**(W-1) for every W
+    >= 40, however g grows W.  The same
     0.4*n term bounds the width 2D against the step 2**g >= 256 * 2**c,
     so few walked n fall back.
     """
     if lo < 1 or base < 8:
         raise DomainError(f"abs_sin_walk requires lo >= 1 and base >= 8, got {lo!r}, {base!r}")
-    h = _ROTATION_GUARD
-    n = lo
-    while n <= hi:
-        c = clog2(max(n, 2))
-        w = base + c
-        g = max(SIN_GUARD_BITS, c + 8)
-        # the block ends at the last n with this w, or of this WALK_BLOCK
-        end = min(hi, 1 << c, (n - 1) // WALK_BLOCK * WALK_BLOCK + WALK_BLOCK)
-        W = w + g
-        S, e0 = sin_ball(n, W)
-        prev, e_prev = sin_ball(n - 1, W)
-        C1, e1 = _rotation(W)
-        K = C1 >> (h - 1)
-        kappa = (e1 >> (h - 1)) + 2
-        D = (6 * (e0 + e_prev) + 4) // 5
-        step = (6 * (kappa + 2) + 4) // 5
-        while True:
-            m = _round_abs(S, D, g)
-            yield abs_sin_canonical(n, w) if m is None else m
-            if n == end:
-                break
-            prev, S = S, (K * S >> W) - prev
-            D += step
-            n += 1
-        n += 1
+    n0 = lo
+    while n0 <= hi:
+        c = clog2(max(n0, 2))
+        end = min(hi, 1 << c, (n0 - 1) // WALK_BLOCK * WALK_BLOCK + WALK_BLOCK)
+        yield n0, _walk_block(n0, end, base + c, max(SIN_GUARD_BITS, c + 8))[0]
+        n0 = end + 1
 
 
 def sin_rel(n: int, rel: int, w: int) -> tuple[int, int, int]:

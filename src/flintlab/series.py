@@ -105,11 +105,11 @@ def _term_units(n: int, spec: SeriesSpec) -> int:
     n's block formed for this one term.
     """
     iv, frac = divmod(spec.v, 1)
-    return _units(n, clog2(max(n, 2)), None, spec.u, iv, frac, spec.acc_scale)
+    return _units(n, clog2(max(n, 2)), None, spec.u, iv, frac, spec.acc_scale, 0)
 
 
 def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
-           acc: int) -> int:
+           acc: int, short: int) -> int:
     """T of _term_units, from values that are fixed per spec or per block.
 
     u is the sine power, v = iv + frac with frac in [0, 1), acc the
@@ -129,9 +129,11 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
     p_units, p_err, q = 1, 0, w, and partial_sum runs it inline: per block
     N << 1 = 2 << (acc + u*w), per term T from den_c = m**u * n**iv and the
     width test (T + 1)*u << 2 <= m.  A term calls _units only when m <= 1
-    or that test fails, and then _units repeats the same attempt and goes
-    on to an escalation.  Any change to the first attempt here must be
-    made there too.
+    or that test fails.  When it fails, partial_sum passes its shortfall
+    R >= 1 (defined below) as short, with m = None: _units skips the
+    attempt already made and starts at the w that R escalates to, so the
+    attempts, and T, are those of a call with short = 0.  Any change to
+    the first attempt here must be made there too.
 
     G(n)^(2s) and n^(2s) are not computed: G(n) = n, so they cancel, and
     T, a rounding of an integer ratio, is the same without the common
@@ -174,6 +176,8 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
     """
     w1 = acc + _SIN_MARGIN
     while True:
+        if short:
+            w1, m, short = w1 + short.bit_length() + 2, None, 0
         w = w1 + c
         if w > MAX_BITS:
             raise ResourceLimitError(
@@ -200,7 +204,7 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
         need, have = (T + 1) * (u * p_units + p_err * m) << 2, m * p_units
         if need <= have:
             return T
-        w1, m = w1 + (need // have).bit_length() + 2, None
+        short = need // have
 
 
 def term(n: int, spec: SeriesSpec) -> MpReal:
@@ -242,13 +246,16 @@ def partial_sum(k: int, spec: SeriesSpec,
     accumulator is an exact integer and per-term units are independent
     of where the range was split.
 
-    The sines come from abs_sin_walk, one power-of-two block of n at a
-    time, and each term's T is _units' with that block's values.  For
-    integer v with iv <= acc (and w <= MAX_BITS, u*w <= _POWER_BITS) the
-    loop body is _units' first attempt, inline and line for line: if m >
-    1, it forms T and keeps it when the width test passes.  Every other
-    term, and every term of a fractional v or of iv > acc, calls _units,
-    which owns every escalation.
+    The sines come from abs_sin_walk, one block (n0, ms) at a time.  A
+    block crosses no power of two, so c, w, N << 1 and whether the first
+    attempt runs inline are formed once per block, and each term's T is
+    _units' with those values.  For integer v with iv <= acc (and w <=
+    MAX_BITS, u*w <= _POWER_BITS) the loop over ms is _units' first
+    attempt, inline and line for line: if m > 1, it forms T and keeps it
+    when the width test passes, and when the test fails it hands _units
+    the shortfall, so _units goes on from the next w.  Every other term
+    (m <= 1), and every term of a fractional v or of iv > acc, calls
+    _units with m, and _units owns every escalation.
 
     Every term is within 3 units, so the run adds 3 * (k - checkpoint.k)
     units to the checkpoint's err_units, which is carried over as stored.
@@ -272,24 +279,25 @@ def partial_sum(k: int, spec: SeriesSpec,
         err_units = checkpoint.err_units
     acc, u = spec.acc_scale, spec.u
     iv, frac = divmod(spec.v, 1)
-    walk = abs_sin_walk(start, k, acc + _SIN_MARGIN)
-    lo = start
-    while lo <= k:
-        c = clog2(max(lo, 2))
-        hi = min(k, 1 << c)                 # the block of n with clog2(max(n, 2)) = c
+    for n0, ms in abs_sin_walk(start, k, acc + _SIN_MARGIN):
+        c = clog2(max(n0, 2))               # the same for every n of the block
         w = acc + _SIN_MARGIN + c
-        inline = not frac and iv <= acc and w <= MAX_BITS and u * w <= _POWER_BITS
-        if inline:
-            N2 = 2 << (acc + u * w)         # _units' N << 1 at p_units, p_err, q = 1, 0, w
-        for n, m in zip(range(lo, hi + 1), walk):
-            if inline and m > 1:
+        if frac or iv > acc or w > MAX_BITS or u * w > _POWER_BITS:
+            for n, m in enumerate(ms, n0):
+                units += _units(n, c, m, u, iv, frac, acc, 0)
+            continue
+        N2 = 2 << (acc + u * w)             # _units' N << 1 at p_units, p_err, q = 1, 0, w
+        for n, m in enumerate(ms, n0):
+            if m > 1:
                 den = m ** u * n ** iv
                 T = (N2 + den) // (den << 1)
-                if (T + 1) * u << 2 <= m:
+                need = (T + 1) * u << 2
+                if need <= m:
                     units += T
-                    continue
-            units += _units(n, c, m, u, iv, frac, acc)
-        lo = hi + 1
+                else:
+                    units += _units(n, c, None, u, iv, frac, acc, need // m)
+            else:
+                units += _units(n, c, m, u, iv, frac, acc, 0)
     return PartialSumResult(spec, k, units, err_units + 3 * (k - start + 1))
 
 

@@ -673,6 +673,11 @@ def test_abs_sin_canonical_is_the_correct_rounding(n):
 AMBIGUOUS_WALK_N = 999206
 
 
+def walked(lo: int, hi: int, base: int) -> list:
+    """abs_sin_walk's values for n = lo..hi, its blocks joined."""
+    return [m for _, ms in abs_sin_walk(lo, hi, base) for m in ms]
+
+
 def test_walk_equals_direct_canonical_path(monkeypatch):
     base = 256
     direct = mpreal.abs_sin_canonical
@@ -685,9 +690,9 @@ def test_walk_equals_direct_canonical_path(monkeypatch):
     monkeypatch.setattr(mpreal, "abs_sin_canonical", recording)
     for lo, hi in ((1, 20000), (990000, 1010000)):
         fallbacks.clear()
-        walked = list(abs_sin_walk(lo, hi, base))
+        got = walked(lo, hi, base)
         assert len(fallbacks) < 40
-        assert walked == [direct(n, base + clog2(max(n, 2))) for n in range(lo, hi + 1)]
+        assert got == [direct(n, base + clog2(max(n, 2))) for n in range(lo, hi + 1)]
     assert AMBIGUOUS_WALK_N in fallbacks
 
 
@@ -700,27 +705,30 @@ def test_walk_equals_direct_canonical_path(monkeypatch):
     (10**12, 10**12 + 4096, (10**12, 10**12 + 1, 10**12 + 4095, 10**12 + 4096)),
 ])
 def test_walk_radius_holds_the_sine(monkeypatch, lo, hi, points):
-    # every (S, D, g) the walk hands to the rounding test is a ball for
-    # sin n at 2**-W, W = w + g
+    # the ball (S, D) that the walk's block loop rounds at n is a ball for
+    # sin n at 2**-W, W = w + g; the loop run from the block's anchor to
+    # n - 1 hands it back, and the walk's value at n is its rounding
     base = 256
-    round_abs = mpreal._round_abs
-    balls = []
+    fill = mpreal._walk_block
+    blocks = []
 
-    def recording(S, e, g):
-        balls.append((S, e, g))
-        return round_abs(S, e, g)
+    def recording(n0, end, w, g):
+        blocks.append((n0, end, w, g))
+        return fill(n0, end, w, g)
 
-    monkeypatch.setattr(mpreal, "_round_abs", recording)
-    walk = abs_sin_walk(lo, hi, base)
-    for n in range(lo, hi + 1):
-        balls.clear()
-        next(walk)
-        if n in points:
-            S, D, g = balls[0]
-            W = base + clog2(max(n, 2)) + g
-            want, want_err = sin_by_reduction(n, 130, 60)
-            assert abs(Fraction(S, 1 << W) - want) <= Fraction(D, 1 << W) + want_err, n
-            assert want_err < Fraction(1, 1 << W)
+    monkeypatch.setattr(mpreal, "_walk_block", recording)
+    walk = list(abs_sin_walk(lo, hi, base))
+    assert [(n0, n0 + len(ms) - 1) for n0, ms in walk] == [(n0, end) for n0, end, *_ in blocks]
+    got = [m for _, ms in walk for m in ms]
+    for n in points:
+        n0, end, w, g = next(block for block in blocks if block[0] <= n <= block[1])
+        assert w == base + clog2(max(n, 2))
+        _, S, D = fill(n0, n - 1, w, g)
+        W = w + g
+        want, want_err = sin_by_reduction(n, 130, 60)
+        assert abs(Fraction(S, 1 << W) - want) <= Fraction(D, 1 << W) + want_err, n
+        assert want_err < Fraction(1, 1 << W)
+        assert mpreal._round_abs(S, D, g) in (None, got[n - lo])
 
 
 @pytest.mark.parametrize("W", [40, 300, 4000])
@@ -737,9 +745,9 @@ def test_walk_rotation_is_within_kappa_of_twice_cos_one(W):
 
 def test_walk_does_not_depend_on_its_start():
     base = 176
-    full = list(abs_sin_walk(1, 9000, base))
+    full = walked(1, 9000, base)
     for lo, hi in ((3, 3), (1500, 1600), (4000, 4200), (4095, 4098), (8191, 9000)):
-        assert list(abs_sin_walk(lo, hi, base)) == full[lo - 1:hi]
+        assert walked(lo, hi, base) == full[lo - 1:hi]
     assert list(abs_sin_walk(5, 4, base)) == []
     with pytest.raises(DomainError):
         list(abs_sin_walk(1, 5, 7))
@@ -763,13 +771,13 @@ def test_walk_far_out_needs_few_sine_balls(monkeypatch):
         assert calls[0] == (n, 64 + guard)
     calls.clear()
     lo, base = 10**12, 40
-    walked = list(abs_sin_walk(lo, lo + 4095, base))
+    got = walked(lo, lo + 4095, base)
     assert len(calls) <= 64
     monkeypatch.undo()
     w = base + clog2(lo)
-    assert walked == [abs_sin_canonical(n, w) for n in range(lo, lo + 4096)]
+    assert got == [abs_sin_canonical(n, w) for n in range(lo, lo + 4096)]
     for n in (lo, lo + 1, lo + 4095):
         want, want_err = sin_by_reduction(n)
         ends = {round_div(v.numerator, v.denominator)
                 for v in ((abs(want) - want_err) * (1 << w), (abs(want) + want_err) * (1 << w))}
-        assert ends == {walked[n - lo]}
+        assert ends == {got[n - lo]}

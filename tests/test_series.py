@@ -18,7 +18,7 @@ from flintlab import (
     term,
 )
 import flintlab.series as series
-from flintlab.mpreal import abs_sin_canonical, fx_ln_int, fx_pow
+from flintlab.mpreal import WALK_BLOCK, abs_sin_canonical, clog2, fx_ln_int, fx_pow
 from oracles import sin_by_reduction, term_units_ref
 
 
@@ -197,6 +197,19 @@ def _record_units(monkeypatch) -> list:
     return calls
 
 
+def test_walk_blocks_cross_no_power_of_two_or_walk_block():
+    # partial_sum forms c, w and N << 1 once per block of the walk
+    base = SeriesSpec().acc_scale + series._SIN_MARGIN
+    for lo, hi in SUM_WINDOWS:
+        blocks = list(series.abs_sin_walk(lo, hi, base))
+        assert [n for n0, ms in blocks for n in range(n0, n0 + len(ms))] == list(range(lo, hi + 1))
+        # a block starts at lo, after a power of two and after a multiple
+        # of WALK_BLOCK, and nowhere else
+        assert [n0 for n0, _ in blocks] == [
+            n for n in range(lo, hi + 1)
+            if n == lo or clog2(max(n, 2)) != clog2(max(n - 1, 2)) or (n - 1) % WALK_BLOCK == 0]
+
+
 @pytest.mark.parametrize("bits", [8, 128])
 @pytest.mark.parametrize("v", [1, 2, 3])
 @pytest.mark.parametrize("u", [1, 2, 3, 4])
@@ -233,8 +246,8 @@ FALLBACKS_4_1 = [355, 710, 1065, 103993, 104348]
     (4, 1, FALLBACKS_4_1, [3] * 5),
 ])
 def test_inline_width_test_falls_back_to_units(u, v, fallbacks, widths, monkeypatch):
-    # a tiny sine fails the inline width test; _units repeats the attempt
-    # and escalates until the test passes, so the term's width is 3 units.
+    # a tiny sine fails the inline width test; _units escalates until the
+    # test passes, so the term's width is 3 units.
     # At (4, 1), 103993 misses the test by a factor below 2
     spec = SeriesSpec(u=u, v=v)
     calls = _record_units(monkeypatch)
@@ -302,6 +315,43 @@ def test_resume_carries_a_stored_error_over(tmp_path):
     assert r.units == partial_sum(1200, spec).units
 
 
+@pytest.mark.parametrize("u, v, k, failed", [
+    (4, 1, 1100, [355, 710, 1065]),
+    (5000, 3, 1, [1]),
+    (20000, 3, 3, [1]),          # the escalated w needs too large a sine power
+])
+def test_failed_inline_attempt_reaches_units_escalated(u, v, k, failed, monkeypatch):
+    # a term that fails the inline width test hands _units that attempt's
+    # shortfall and no sine, so _units does not repeat it: its sines are
+    # term's after the first, the one the walk supplied
+    spec = SeriesSpec(u=u, v=v)
+    args = []
+    units = series._units
+
+    def recording(n, c, m, *rest):
+        args.append((n, m, rest[-1]))
+        return units(n, c, m, *rest)
+
+    monkeypatch.setattr(series, "_units", recording)
+    sines = _record_sines(monkeypatch)
+    try:
+        partial_sum(k, spec)
+    except ResourceLimitError:
+        assert u == 20000
+    assert [n for n, _, _ in args] == failed
+    assert all(m is None and short >= 1 for _, m, short in args)
+    summed, want = list(sines), []
+    for n in failed:
+        sines.clear()
+        try:
+            series._term_units(n, spec)
+        except ResourceLimitError:
+            assert u == 20000
+        assert sines[0] == (n, spec.acc_scale + series._SIN_MARGIN + clog2(max(n, 2)))
+        want += sines[1:]
+    assert summed == want
+
+
 def test_walk_value_at_most_one_goes_to_units(monkeypatch):
     # m <= 1 is never divided by inline: _units escalates past it
     spec = SeriesSpec()
@@ -309,14 +359,14 @@ def test_walk_value_at_most_one_goes_to_units(monkeypatch):
     walk = series.abs_sin_walk
 
     def spoiled(lo, hi, base):
-        for n, m in zip(range(lo, hi + 1), walk(lo, hi, base)):
-            yield bad.get(n, m)
+        for n0, ms in walk(lo, hi, base):
+            yield n0, [bad.get(n, m) for n, m in enumerate(ms, n0)]
 
     monkeypatch.setattr(series, "abs_sin_walk", spoiled)
     calls = _record_units(monkeypatch)
     r = partial_sum(10, spec)
     assert calls == [7, 8]
-    want = [series._units(n, 3, bad[n], 2, 3, 0, spec.acc_scale) if n in bad
+    want = [series._units(n, 3, bad[n], 2, 3, 0, spec.acc_scale, 0) if n in bad
             else series._term_units(n, spec) for n in range(1, 11)]
     assert (r.units, r.err_units) == (sum(want), 30)
 
