@@ -115,8 +115,8 @@ def _sci(x: Fraction, digits: int = 3) -> str:
     """
     if x == 0:
         return "0"
-    e10 = floor_log10(x)
     num, den = x.numerator, x.denominator
+    e10 = floor_log10(num, den)
     # x / 10**e10 = top / bottom
     top, bottom = (num, den * 10 ** e10) if e10 >= 0 else (num * 10 ** -e10, den)
     scaled = round_div(top * 10 ** (digits - 1), bottom)

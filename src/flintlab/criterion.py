@@ -45,6 +45,7 @@ from fractions import Fraction
 from .errors import DomainError, UndecidableError
 from .mpreal import (
     MpReal,
+    _ball,
     _is_int,
     _require_bits,
     clog2,
@@ -187,10 +188,9 @@ def _report(n: int, s: int, eps: Fraction, bits: int, kernel_out) -> CriterionRe
     """The report of index n, built from the _decided_kernel output that decided it."""
     verdict, ln_lhs, ln_rhs, (lo, hi, scale) = kernel_out
     n2s = n ** (2 * s)                   # G(n)^(2s), as G(n) = n
-    lhs = MpReal(n2s, 0)
+    lhs = _ball(n2s, 0, 0, 1)
     man = (lo + hi) * n2s // 2           # rhs = n^(2s) * sin^2(n) * n^(2-eps)
-    err = Fraction((hi - lo) * n2s + 2, 1 << (scale + 1))
-    rhs = MpReal(man, -scale, err).round_to(bits)
+    rhs = _ball(man, -scale, (hi - lo) * n2s + 2, 1 << (scale + 1)).round_to(bits)
     return CriterionReport(
         n=n, s=s, epsilon=float(eps), lhs=lhs, rhs=rhs, satisfied=verdict,
         margin=ln_rhs - ln_lhs, ln_lhs=ln_lhs, ln_rhs=ln_rhs,

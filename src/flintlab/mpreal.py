@@ -1,18 +1,22 @@
 """Arbitrary-precision reals with guaranteed absolute error bounds.
 
 The value model is a dyadic ball: a center ``man * 2**exp`` (exact big
-integers) plus an exact non-negative :class:`~fractions.Fraction`
-``err`` such that the true mathematical quantity lies in
-``[center - err, center + err]``.  Public operations take a target
-precision ``bits`` and return values whose ``err`` is at most
-``2**-bits`` (assuming exact or near-exact inputs); nothing here is
-correctly rounded, only error-bounded.
+integers) plus an exact non-negative radius ``err`` such that the true
+mathematical quantity lies in ``[center - err, center + err]``.  The
+radius is an integer pair (numerator, denominator), never rounded; every
+radius the library makes is ``units / 2**k``, so balls are built,
+rounded and rendered with shifts, and ``MpReal.err`` is a
+:class:`~fractions.Fraction` view for the callers that want one.  Public
+operations take a target precision ``bits`` and return values whose
+``err`` is at most ``2**-bits`` (assuming exact or near-exact inputs);
+nothing here is correctly rounded, only error-bounded.
 
 Constants are produced by exact rational binary splitting:
 
 * pi from the Chudnovsky series, P/Q/T splitting plus math.isqrt for
   sqrt(10005), about 47 bits per term,
-* ln 2 from ln 2 = 2*atanh(1/3),
+* ln 2 from ln 2 = 2*atanh(1/3), a Q/T splitting that keeps the 9**i
+  as one power per node,
 
 and are served as *canonically rounded* mantissas ``round(x * 2**w)``.
 Canonical rounding makes every mantissa a pure function of ``w``: a
@@ -64,8 +68,12 @@ Two layers on top of the ball serve the partial sums:
 
 The Taylor kernels at the bottom of the file work on plain integers at
 a fixed scale and report their rounding as a ulp count, which callers
-convert into the exact ``err`` fraction.  Every power ``n**c`` (c > 0
+turn into the radius ``ulps / 2**w``.  Every power ``n**c`` (c > 0
 rational) comes from one kernel, :func:`fx_pow`, with a derived bound.
+
+Rendering (:func:`guaranteed_decimal`) works on a ball's integer ends
+``[lo/den, hi/den]`` (:meth:`MpReal.ends`) and divides by a power-of-two
+den with shifts.
 """
 
 from __future__ import annotations
@@ -116,8 +124,6 @@ WALK_BLOCK = 4096        # abs_sin_walk re-anchors at least this often
 _ROTATION_GUARD = 16     # bits of cos 1 beyond the walk's scale
 _STR_BITS = 8192         # _digits converts integers up to this size directly
 
-_ZERO = Fraction(0)
-
 
 def clog2(n: int) -> int:
     """ceil(log2 n) for n >= 1."""
@@ -163,18 +169,20 @@ def exact_fraction(value, name: str) -> Fraction:
 # exact rational constants via binary splitting
 # --------------------------------------------------------------------------
 
-def _atanh_sum_split(q2: int, lo: int, hi: int) -> tuple[int, int]:
-    """(N, D) with N/D = sum_{i=lo}^{hi-1} 1 / ((2i+1) * q2^(i-lo)).
+def _atanh_split(a: int, b: int) -> tuple[int, int]:
+    """(Q, T) of the terms i = a..b-1 of ln 2's series, for 0 <= a < b.
 
-    Plain divide-and-conquer on exact integers.
+    Q = prod (2i+1) and T/(Q * 9**(b-1-a)) = sum_i 1/((2i+1) * 9**(i-a)).
+    The 9s stay a power, taken once per node: with m the midpoint, the
+    sum over [a, b) is the one over [a, m) plus 9**-(m-a) times the one
+    over [m, b), so T = T1 * Q2 * 9**(b-m) + T2 * Q1 and Q = Q1 * Q2.
     """
-    if hi - lo == 1:
-        return 1, 2 * lo + 1
-    mid = (lo + hi) // 2
-    nl, dl = _atanh_sum_split(q2, lo, mid)
-    nr, dr = _atanh_sum_split(q2, mid, hi)
-    p = q2 ** (mid - lo)
-    return nl * dr * p + nr * dl, dl * dr * p
+    if b - a == 1:
+        return 2 * a + 1, 1
+    m = (a + b) // 2
+    q1, t1 = _atanh_split(a, m)
+    q2, t2 = _atanh_split(m, b)
+    return q1 * q2, t1 * q2 * 9 ** (b - m) + t2 * q1
 
 
 def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
@@ -233,13 +241,15 @@ def _atanh_ln2_rational(w: int) -> tuple[int, int]:
     """Exact rational (num, den) with |ln2 - num/den| <= 2**-w.
 
     ln 2 = 2 atanh(1/3) = (2/3) * sum_i 1/((2i+1) * 9**i), summed for i <
-    n with 3.17*(n - 1) > w + 16.  The tail is below (2/3) * 9**-n * 9/8 <
-    9**-n < 2**-(w+19), and the cut (see _cut_rational, with num/den < 1)
-    adds less than 2**-(w+7): the sum is below 2**-w.
+    n with 3.17*(n - 1) > w + 16, from _atanh_split(0, n) as 2T / (3Q *
+    9**(n-1)).  The tail is below (2/3) * 9**-n * 9/8 < 9**-n <
+    2**-(w+19), and the cut (see _cut_rational, with num/den < 1) adds
+    less than 2**-(w+7): the sum is below 2**-w.  Before the cut den has
+    about n * log2(2n/e) + 3.17n bits: 4.8w at w = 2e4, 6.1w at 3e5.
     """
     n = int((w + 16) / 3.169925) + 2         # log2(9) = 3.1699...
-    nn, dd = _atanh_sum_split(9, 0, n)
-    return _cut_rational(2 * nn, 3 * dd, w)
+    q, t = _atanh_split(0, n)
+    return _cut_rational(2 * t, 3 * q * 9 ** (n - 1), w)
 
 
 def _cut_rational(num: int, den: int, w: int) -> tuple[int, int]:
@@ -319,7 +329,7 @@ def compute_pi(bits: int) -> MpReal:
     """pi with absolute error <= 2**-bits; deterministic in bits."""
     _require_bits(bits)
     w = bits + 8
-    return MpReal(pi_mantissa(w), -w, Fraction(1, 1 << (w + 1)))
+    return _ball(pi_mantissa(w), -w, 1, 1 << (w + 1))
 
 
 # --------------------------------------------------------------------------
@@ -327,21 +337,36 @@ def compute_pi(bits: int) -> MpReal:
 # --------------------------------------------------------------------------
 
 class MpReal:
-    """Dyadic ball: center ``man * 2**exp``, guaranteed absolute ``err``.
+    """Dyadic ball: center ``man * 2**exp`` and an exact radius ``err >= 0``.
+
+    The radius is stored as an integer pair (numerator, denominator) and
+    never rounded.  Every radius the library makes has a power-of-two
+    denominator, so building, rounding (``round_to``) and rendering a ball
+    take shifts and no gcd; the public constructor also accepts any
+    non-negative Fraction or int, whose pair is kept in lowest terms.
+    ``err`` is a read-only Fraction view of the same value.
 
     Instances are treated as immutable.  Arithmetic is exact on centers
     and adds up radii; ``round_to`` and ``div`` are where a precision
-    enters.
+    enters.  ``add``, ``mul`` and ``div`` (used by the identities) work
+    on the Fraction view.
     """
 
-    __slots__ = ("man", "exp", "err")
+    __slots__ = ("man", "exp", "_rnum", "_rden")
 
-    def __init__(self, man: int, exp: int, err: Fraction | int = _ZERO) -> None:
+    def __init__(self, man: int, exp: int, err: Fraction | int = 0) -> None:
+        err = Fraction(err)
+        if err < 0:
+            raise DomainError("error bound must be non-negative")
         self.man = man
         self.exp = exp
-        self.err = err if isinstance(err, Fraction) else Fraction(err)
-        if self.err < 0:
-            raise DomainError("error bound must be non-negative")
+        self._rnum = err.numerator
+        self._rden = err.denominator
+
+    @property
+    def err(self) -> Fraction:
+        """The radius as a Fraction, built on each read."""
+        return Fraction(self._rnum, self._rden)
 
     # -- constructors ------------------------------------------------------
 
@@ -374,13 +399,31 @@ class MpReal:
     def upper(self) -> Fraction:
         return self.center() + self.err
 
+    def ends(self) -> tuple[int, int, int]:
+        """(lo, hi, den): the ball is [lo/den, hi/den], on integers.
+
+        A power-of-two radius denominator 2**j puts both ends at 2**-t, t =
+        max(j, -exp), by shifts; any other den is scaled by 2**-exp.
+        """
+        num, den, man, exp = self._rnum, self._rden, self.man, self.exp
+        if den & (den - 1):
+            if exp >= 0:
+                mid = (man << exp) * den
+            else:
+                mid, num, den = man * den, num << -exp, den << -exp
+        else:
+            j = den.bit_length() - 1
+            t = max(j, -exp)
+            mid, num, den = man << (exp + t), num << (t - j), 1 << t
+        return mid - num, mid + num, den
+
     # -- arithmetic --------------------------------------------------------
 
     def neg(self) -> "MpReal":
-        return MpReal(-self.man, self.exp, self.err)
+        return _ball(-self.man, self.exp, self._rnum, self._rden)
 
     def abs_(self) -> "MpReal":
-        return MpReal(abs(self.man), self.exp, self.err)
+        return _ball(abs(self.man), self.exp, self._rnum, self._rden)
 
     def add(self, other: "MpReal") -> "MpReal":
         e = min(self.exp, other.exp)
@@ -425,42 +468,66 @@ class MpReal:
 
         If exp < -(bits+8), the center man * 2**exp becomes man' *
         2**-(bits+8) with man' = round_div(man, 2**sh), sh = -(bits+8) -
-        exp, and err = p/q grows by d * 2**exp, d = |man - man' * 2**sh|.
-        The result is rounded up to a multiple of 2**-scale, scale = bits +
-        24, which keeps err denominators bounded.  With k = -exp that is
-        ceil((p * 2**k + d*q) * 2**scale / (q * 2**k)) units, computed
-        exactly on integers, and one Fraction is built from it.
+        exp, and the radius p/q grows by d * 2**exp, d = |man - man' *
+        2**sh|.  The result is rounded up to units of 2**-scale, scale =
+        bits + 24, which keeps radius denominators bounded: ceil((p/q + d *
+        2**exp) * 2**scale) units.  For q = 2**j that sum is one integer
+        over 2**max(j, -exp), and the ceiling a shift; any other q takes
+        one exact integer division.
         """
         _require_bits(bits)
         exp_t = -(bits + 8)
         scale = bits + 24
-        num, den = self.err.numerator, self.err.denominator
-        if self.exp >= exp_t:
-            man, exp_t = self.man, self.exp
-            num <<= scale
+        num, den, man, exp = self._rnum, self._rden, self.man, self.exp
+        d = 0
+        if exp < exp_t:
+            sh = exp_t - exp
+            man = (man + (1 << (sh - 1))) >> sh        # round_div(man, 2**sh)
+            d = abs(self.man - (man << sh))
+            exp, k = exp_t, -exp
+        if den & (den - 1):
+            if d:
+                num, den = (num << k) + d * den, den << k
+            units = -(-(num << scale) // den)
         else:
-            sh, k = exp_t - self.exp, -self.exp
-            man = round_div(self.man, 1 << sh)
-            num = (num << k) + abs(self.man - (man << sh)) * den
-            if scale >= k:
-                num <<= scale - k
-            else:
-                den <<= k - scale
-        return MpReal(man, exp_t, Fraction(-(-num // den), 1 << scale))
+            j = den.bit_length() - 1
+            if d:
+                if j >= k:
+                    num += d << (j - k)
+                else:
+                    num, j = (num << (k - j)) + d, k
+            units = num << (scale - j) if scale >= j else -(-num >> (j - scale))
+        return _ball(man, exp, units, 1 << scale)
 
     # -- display -----------------------------------------------------------
 
     def decimal(self, max_digits: int | None = None) -> str:
         """Decimal rendering restricted to digits the error bound guarantees."""
-        return guaranteed_decimal(self.center(), self.err, max_digits)
+        return guaranteed_decimal(*self.ends(), max_digits)
 
     def __repr__(self) -> str:
-        if self.err == 0:
+        if self._rnum == 0:
             etxt = "0"
         else:
-            e2 = self.err.numerator.bit_length() - self.err.denominator.bit_length()
+            # the pair is in lowest terms up to a power of two, which
+            # leaves the bit-length difference as the Fraction's
+            e2 = self._rnum.bit_length() - self._rden.bit_length()
             etxt = f"<~2^{e2 + 1}"
         return f"MpReal(~{self.decimal(20)}, err{etxt})"
+
+
+_new = object.__new__
+
+
+def _ball(man: int, exp: int, num: int, den: int) -> MpReal:
+    """MpReal(man, exp, Fraction(num, den)) without the checks or a gcd,
+    for num >= 0 and den a power of two (or a pair already checked)."""
+    x = _new(MpReal)
+    x.man = man
+    x.exp = exp
+    x._rnum = num
+    x._rden = den
+    return x
 
 
 # --------------------------------------------------------------------------
@@ -880,7 +947,7 @@ def _sin_int_w(n: int, bits: int) -> int:
 def _sin_to_bits(S: int, e: int, w: int, bits: int) -> MpReal:
     """The integer sine ball (S, e) at 2**-w rounded to bits, as sin_int
     rounds its own."""
-    return MpReal(S, -w, Fraction(e, 1 << w)).round_to(bits)
+    return _ball(S, -w, e, 1 << w).round_to(bits)
 
 
 def sin_int(n: int, bits: int) -> MpReal:
@@ -912,7 +979,7 @@ def _sin_cos_reduced(x: MpReal, bits: int, kernel, exact_zero: int) -> MpReal:
     An exact zero gives the exact value exact_zero.
     """
     _require_bits(bits)
-    if x.man == 0 and x.err == 0:
+    if x.man == 0 and x._rnum == 0:
         return MpReal(exact_zero, 0)
     if x.exp >= 0:
         m, d = x.man << x.exp, 0
@@ -940,9 +1007,15 @@ def cos_reduced(x: MpReal, bits: int) -> MpReal:
 # decimal rendering
 # --------------------------------------------------------------------------
 
-def exact_decimal(value: Fraction) -> str:
-    """Exact decimal expansion; the denominator must divide some 10**d."""
-    den = value.denominator
+def _exact_units(num: int, den: int) -> tuple[int, int] | None:
+    """(units, d) with num/den = units / 10**d for num/den in lowest terms,
+    or None if it has no finite decimal expansion.
+
+    With den = 2**two * 5**five the least d is max(two, five), and
+    units = num * 10**d / den = num * 5**(d - five) * 2**(d - two): a
+    multiplication and a shift, no division.  The last digit of units is
+    then not 0 unless d = 0.
+    """
     two = (den & -den).bit_length() - 1
     den >>= two
     five = 0
@@ -950,17 +1023,36 @@ def exact_decimal(value: Fraction) -> str:
         den //= 5
         five += 1
     if den != 1:
-        raise DomainError("value has no finite decimal expansion")
+        return None
     d = max(two, five)
-    units = value.numerator * 10 ** d // value.denominator
-    return _format_units(units, d)
+    return (num * 5 ** (d - five)) << (d - two), d
 
 
-def _round_units(value: Fraction, d: int) -> int:
-    """round(value * 10**d); d < 0 rounds to a multiple of 10**-d."""
+def exact_decimal(value: Fraction) -> str:
+    """Exact decimal expansion; the denominator must divide some 10**d."""
+    parts = _exact_units(value.numerator, value.denominator)
+    if parts is None:
+        raise DomainError("value has no finite decimal expansion")
+    return _format_units(*parts)
+
+
+def _round_units(x: int, den: int, d: int) -> int:
+    """round(x/den * 10**d), exact halves toward +inf as round_div; d < 0
+    rounds to a multiple of 10**-d.
+
+    A power-of-two den = 2**t divides by a shift: round_div(y, 2**t * p)
+    = floor((2y + 2**t * p) / 2**(t+1) / p), and the floor of a floor by
+    positive integers is the floor of the whole quotient.
+    """
     if d >= 0:
-        return round_div(value.numerator * 10 ** d, value.denominator)
-    return round_div(value.numerator, value.denominator * 10 ** -d)
+        x, p = x * 10 ** d, 1
+    else:
+        p = 10 ** -d
+    if den & (den - 1):
+        return round_div(x, den * p)
+    t = den.bit_length() - 1
+    y = (2 * x + (p << t)) >> (t + 1)
+    return y if p == 1 else y // p
 
 
 def _digits(n: int, width: int = 0) -> str:
@@ -988,15 +1080,14 @@ def _format_units(units: int, d: int) -> str:
     return text + "0" if text.endswith(".") else text
 
 
-def floor_log10(x: Fraction) -> int:
-    """floor(log10 x) for a fraction x > 0.
+def floor_log10(num: int, den: int) -> int:
+    """floor(log10(num/den)) for integers num, den > 0.
 
-    With B the bit-length difference of numerator and denominator,
-    2**(B-1) < x < 2**(B+1), and 646456993/2**31 is below log10(2) by less
-    than 2**-31: while |B| < 3e9 the start floor(B * 646456993/2**31) is
-    within two of the answer, and exact comparisons step it there.
+    With B the bit-length difference of num and den, 2**(B-1) < num/den <
+    2**(B+1), and 646456993/2**31 is below log10(2) by less than 2**-31:
+    while |B| < 3e9 the start floor(B * 646456993/2**31) is within two of
+    the answer, and exact comparisons step it there.
     """
-    num, den = x.numerator, x.denominator
     e = (num.bit_length() - den.bit_length()) * 646456993 >> 31
     p = 10 ** abs(e)
     top, bottom = (num, den * p) if e >= 0 else (num * p, den)    # x / 10**e
@@ -1009,35 +1100,34 @@ def floor_log10(x: Fraction) -> int:
     return e
 
 
-def guaranteed_decimal(value: Fraction, err: Fraction,
+def guaranteed_decimal(lo: int, hi: int, den: int,
                        max_digits: int | None = None) -> str:
-    """Decimal string showing only digits guaranteed by the error bound.
+    """Decimal string of the interval [lo/den, hi/den] (lo <= hi, den >= 1)
+    showing only digits that every point of it shares.
 
     Picks the largest digit count d (capped by max_digits) at which both
-    interval endpoints round to the same d-decimal string, then prints
-    that string; a unit 10**-d <= 2*err separates them, so the search
-    starts below it.  Where even d = 0 leaves them apart, it goes on over
-    coarser units and prints round(value / 10**K) followed by ``e+K`` for
-    the least K >= 1 at which both agree: 123456789 +- 1000 prints
-    ``12346e+4``, 5 +- 7 prints ``0e+2``.  With err = 0 the exact
-    expansion is printed when it is finite and within the cap.
+    ends round to the same d-decimal string, then prints that string; a
+    unit 10**-d <= (hi - lo)/den separates them, so the search starts
+    below it.  Where even d = 0 leaves them apart, it goes on over coarser
+    units and prints round(x / 10**K) followed by ``e+K`` for the least K
+    >= 1 at which both agree: 123456789 +- 1000 prints ``12346e+4``, 5 +- 7
+    prints ``0e+2``.  A point (lo = hi) prints its exact expansion when it
+    is finite and within the cap, else rounds to max_digits (64 if None).
+    A power-of-two den is divided by shifts (see _round_units).
     """
-    if err == 0:
-        try:
-            text = exact_decimal(value)
-        except DomainError:
-            text = None
-        if text is not None:
-            frac_digits = len(text.partition(".")[2])
-            if max_digits is None or frac_digits <= max_digits:
-                return text
+    if lo == hi:
+        g = math.gcd(lo, den)
+        lo, den = lo // g, den // g
+        parts = _exact_units(lo, den)
+        if parts is not None and (max_digits is None or parts[1] <= max_digits):
+            return _format_units(*parts)
         d = max_digits if max_digits is not None else 64
-        return _format_units(_round_units(value, d), d)
-    d = -floor_log10(2 * err) - 1
+        return _format_units(_round_units(lo, den, d), d)
+    d = -floor_log10(hi - lo, den) - 1
     if max_digits is not None:
         d = min(d, max_digits)
     while True:
-        lo = _round_units(value - err, d)
-        if lo == _round_units(value + err, d):
-            return _format_units(lo, d) if d >= 0 else f"{_format_units(lo, 0)}e+{-d}"
+        units = _round_units(lo, den, d)
+        if units == _round_units(hi, den, d):
+            return _format_units(units, d) if d >= 0 else f"{_format_units(units, 0)}e+{-d}"
         d -= 1

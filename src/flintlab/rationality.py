@@ -164,9 +164,10 @@ def cf_terms(x: MpReal | Fraction, count: int) -> CfExpansion:
     """First `count` certain partial quotients of x > 0.
 
     The quotients are those shared by every point of [x - err, x + err],
-    taken on the end points' integer numerators and denominators (see
-    _cf_run).  Accepts an exact Fraction as well as a ball; an exact
-    rational input yields its full (finite) expansion, flagged complete.
+    taken on the ball's integer ends over one denominator (MpReal.ends,
+    made by shifts; see _cf_run).  Accepts an exact Fraction as well as a
+    ball; an exact rational input yields its full (finite) expansion,
+    flagged complete.
     """
     if not _is_int(count) or count < 1:
         raise DomainError(f"cf_terms needs an integer count >= 1, got {count!r}")
@@ -174,13 +175,7 @@ def cf_terms(x: MpReal | Fraction, count: int) -> CfExpansion:
         a = c = x.numerator
         b = x.denominator
     else:
-        # x - err and x + err over one denominator b, without a gcd
-        num, b = x.err.numerator, x.err.denominator
-        if x.exp >= 0:
-            center = (x.man << x.exp) * b
-        else:
-            center, num, b = x.man * b, num << -x.exp, b << -x.exp
-        a, c = center - num, center + num
+        a, c, b = x.ends()
     if a <= 0:
         raise DomainError("cf_terms requires x > 0 beyond its error bound")
     low = a | b | c

@@ -32,6 +32,7 @@ from .errors import CheckpointMismatchError, DomainError, ResourceLimitError, Us
 from .mpreal import (
     MAX_BITS,
     MpReal,
+    _ball,
     _is_int,
     _require_bits,
     abs_sin_canonical,
@@ -213,7 +214,7 @@ def term(n: int, spec: SeriesSpec) -> MpReal:
     if not _is_int(n) or n < 1:
         raise DomainError(f"term requires an integer n >= 1, got {n!r}")
     acc = spec.acc_scale
-    return MpReal(_term_units(n, spec), -acc, Fraction(3, 1 << acc))
+    return _ball(_term_units(n, spec), -acc, 3, 1 << acc)
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ class PartialSumResult:
     @property
     def value(self) -> MpReal:
         acc = self.spec.acc_scale
-        return MpReal(self.units, -acc, self.err)
+        return _ball(self.units, -acc, self.err_units, 1 << acc)
 
     @property
     def err(self) -> Fraction:

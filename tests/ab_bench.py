@@ -73,6 +73,11 @@ untimed call per command, fills.  Output the call's stdout.  Counts: per
 operation, the median over IMPORTTIME_CALLS calls under ``-X importtime`` of
 each flintlab module's self import microseconds.
 
+``render``: warm-up ``compute_pi(b)`` at both sizes, so the constant is
+cached; operations ``decimal_2e4`` and ``decimal_3e5``, each
+``compute_pi(b).decimal()`` in-process at b = 20000 and 300000 bits.  Output
+the string.  Counts: per operation, the characters printed.
+
 Prints one JSON document: the machine (CPU count, Python version); the
 operations and the items each covers; whether every tree gave the same
 outputs; per tree its counts and, per operation, the median and quartiles of
@@ -285,6 +290,26 @@ def cold_counts(tmp: str) -> dict:
     return counts
 
 
+RENDER = {"decimal_2e4": 20_000, "decimal_3e5": 300_000}
+
+
+def render_warm(tmp: str) -> None:
+    from flintlab.mpreal import compute_pi
+
+    for bits in RENDER.values():
+        compute_pi(bits)
+
+
+def render_run(name: str, tmp: str) -> str:
+    from flintlab.mpreal import compute_pi
+
+    return compute_pi(RENDER[name]).decimal()
+
+
+def render_counts(tmp: str) -> dict:
+    return {name: {"chars": len(render_run(name, tmp))} for name in RENDER}
+
+
 SUITES = {
     "sum": Suite({**SUM_TERMS, **dict.fromkeys(SINE_POWERS, 1)}, sum_warm, sum_run, sum_counts),
     "scan": Suite({f"{name}@{threads}": (window[1] - window[0] + 1) * SCAN_REPEAT.get(name, 1)
@@ -294,6 +319,7 @@ SUITES = {
                      "deep_100": 1, "deep_300": 1}, spikes_warm, spikes_run, spikes_counts),
     "cold": Suite(dict.fromkeys(COLD, 1), cold_warm,
                   lambda operation, tmp: cold_call(operation, tmp).stdout, cold_counts),
+    "render": Suite(dict.fromkeys(RENDER, 1), render_warm, render_run, render_counts),
 }
 
 

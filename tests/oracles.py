@@ -336,3 +336,48 @@ def round_to_ref(man: int, exp: int, err: Fraction, bits: int) -> tuple[int, int
     moved = abs(center - Fraction(new_man) * Fraction(2) ** new_exp)
     unit = Fraction(1, 1 << (bits + 24))
     return new_man, new_exp, math.ceil((err + moved) / unit) * unit
+
+
+def _decimal_text(units: int, d: int) -> str:
+    """units / 10**d as text: d decimals less their trailing zeros, at
+    least one kept after the point; d = 0 prints the integer."""
+    sign = "-" if units < 0 else ""
+    ip, fp = divmod(abs(units), 10 ** d)
+    if d == 0:
+        return f"{sign}{ip}"
+    return f"{sign}{ip}.{str(fp).rjust(d, '0').rstrip('0') or '0'}"
+
+
+def guaranteed_decimal_ref(value: Fraction, err: Fraction, max_digits: int | None = None) -> str:
+    """The decimal rendering of the ball value +- err, by Fraction arithmetic.
+
+    err = 0: the exact expansion when it is finite and has at most
+    max_digits decimals, else value rounded to max_digits (64 if None).
+    err > 0: start at the largest d whose unit 10**-d exceeds 2*err, found
+    by stepping d one at a time, cap it at max_digits, and lower it until
+    both ends round to the same multiple of 10**-d; a d < 0 prints that
+    multiple's count followed by ``e+K``, K = -d.  Rounding is to the
+    nearest, exact halves toward +inf.
+    """
+    def nearest(x: Fraction) -> int:
+        return math.floor(x + Fraction(1, 2))
+
+    if err == 0:
+        for d in range(value.denominator.bit_length() + 1):
+            if (value * 10 ** d).denominator == 1:
+                if max_digits is None or d <= max_digits:
+                    return _decimal_text(int(value * 10 ** d), d)
+                break
+        d = 64 if max_digits is None else max_digits
+        return _decimal_text(nearest(value * 10 ** d), d)
+    width, d = 2 * err, 0
+    while Fraction(10) ** -d <= width:
+        d -= 1
+    while Fraction(10) ** -(d + 1) > width:
+        d += 1
+    if max_digits is not None:
+        d = min(d, max_digits)
+    while nearest((value - err) * Fraction(10) ** d) != nearest((value + err) * Fraction(10) ** d):
+        d -= 1
+    units = nearest((value - err) * Fraction(10) ** d)
+    return _decimal_text(units, d) if d >= 0 else f"{units}e+{-d}"

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -17,6 +19,7 @@ from flintlab import (
     sin_reduced,
 )
 import flintlab.mpreal as mpreal
+from flintlab.rationality import cf_terms
 from flintlab.mpreal import (
     abs_sin_canonical,
     abs_sin_walk,
@@ -39,6 +42,7 @@ from oracles import (
     fx_cos_ref,
     fx_exp_small_ref,
     fx_sin_ref,
+    guaranteed_decimal_ref,
     linear_decimal_count,
     load_pi_fixture,
     machin_pi_rational,
@@ -77,9 +81,9 @@ def test_division_tracks_interval_endpoints():
     assert q.err <= Fraction(1, 1 << 120)
 
 
-def test_ball_is_three_fields():
+def test_ball_is_a_center_and_an_integer_radius_pair():
     x = MpReal.from_fraction(Fraction(1, 3), 64)
-    assert MpReal.__slots__ == ("man", "exp", "err")
+    assert MpReal.__slots__ == ("man", "exp", "_rnum", "_rden")
     assert (x.man, x.exp) == (round(Fraction(1 << 72, 3)), -72)
     assert x.add(x).sub(x).mul(MpReal(3, 0)).err == 9 * x.err
 
@@ -187,9 +191,16 @@ def test_exact_decimal_beyond_the_int_str_digit_limit():
             assert exact_decimal(value) == want
 
 
+def _ends(value: Fraction, err: Fraction) -> tuple[int, int, int]:
+    """value -+ err as guaranteed_decimal's (lo, hi, den)."""
+    lo, hi = value - err, value + err
+    return (lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+            lo.denominator * hi.denominator)
+
+
 def test_guaranteed_decimal_stops_at_error_bound():
     # 1/3 known to +-1e-7 must not print more than ~7 digits
-    text = guaranteed_decimal(Fraction(1, 3), Fraction(1, 10**7))
+    text = guaranteed_decimal(*_ends(Fraction(1, 3), Fraction(1, 10**7)))
     assert text.startswith("0.333333")
     assert len(text.split(".")[1]) <= 8
 
@@ -197,15 +208,15 @@ def test_guaranteed_decimal_stops_at_error_bound():
 def test_guaranteed_decimal_prints_coarse_units_for_wide_balls():
     # err >= 1/2 leaves no digit at 10**0 guaranteed: the unit grows to 10**K
     assert MpReal(123456789, 0, Fraction(1000)).decimal() == "12346e+4"
-    assert guaranteed_decimal(Fraction(5), Fraction(7)) == "0e+2"
-    assert guaranteed_decimal(Fraction(-5), Fraction(7)) == "0e+2"
+    assert guaranteed_decimal(*_ends(Fraction(5), Fraction(7))) == "0e+2"
+    assert guaranteed_decimal(*_ends(Fraction(-5), Fraction(7))) == "0e+2"
     rng = random.Random(5071)
     for _ in range(600):
         err = Fraction(rng.randrange(1, 1 << 30), 1 << 30) * 10 ** rng.randrange(13)
         err = min(max(err, Fraction(1, 2)), Fraction(10 ** 12))
         value = Fraction(rng.getrandbits(rng.randint(1, 80)), rng.randint(1, 1000))
         value *= rng.choice((1, -1))
-        text = guaranteed_decimal(value, err, rng.choice((None, 0, 12)))
+        text = guaranteed_decimal(*_ends(value, err), rng.choice((None, 0, 12)))
         shown = Decimal(text)
         half_unit = Fraction(10) ** shown.as_tuple().exponent / 2
         for end in (value - err, value + err):
@@ -222,7 +233,90 @@ def test_decimal_count_matches_the_linear_search():
         p = 10 ** (d + 1)
         wides += [Fraction(1, p), Fraction(1, p - 1), Fraction(1, p + 1), Fraction(3, p)]
     for wide in wides:
-        assert max(0, -mpreal.floor_log10(wide) - 1) == linear_decimal_count(wide), wide
+        assert max(0, -mpreal.floor_log10(wide.numerator, wide.denominator) - 1) \
+            == linear_decimal_count(wide), wide
+
+
+def _oracle_balls(rng):
+    """(ball, label) pairs for the rendering oracle: dyadic radii (also
+    the unreduced ones round_to makes), other radii, err = 0, wide balls
+    that print ``e+K``, and ends exactly on a rounding boundary."""
+    for _ in range(300):
+        man = rng.getrandbits(rng.randint(0, 120)) * rng.choice((1, -1))
+        exp = rng.randint(-150, 12)
+        kind = rng.randrange(5)
+        if kind == 0:
+            err = Fraction(rng.getrandbits(rng.randint(1, 40)), 1 << rng.randint(0, 160))
+        elif kind == 1:
+            err = Fraction(rng.getrandbits(40) + 1, rng.getrandbits(40) | 1) / 2 ** rng.randint(0, 140)
+        elif kind == 2:
+            err = 0
+        else:
+            err = Fraction(rng.randint(1, 10 ** 6)) * 10 ** rng.randint(0, 8) / rng.randint(1, 9)
+        x = MpReal(man, exp, err)
+        yield x, "random"
+        if kind != 3:
+            yield x.round_to(rng.randint(8, 130)), "round_to"
+    for _ in range(150):
+        d = rng.randint(-3, 6)
+        k = rng.randint(-10 ** 6, 10 ** 6)
+        edge = Fraction(2 * k + 1, 2) * Fraction(10) ** -d       # a rounding boundary at d
+        exp = -rng.randint(0, 60)
+        man = math.floor(edge * 2 ** -exp) + rng.randint(-5, 5)
+        center = Fraction(man) * Fraction(2) ** exp
+        yield MpReal(man, exp, abs(center - edge)), "boundary"
+
+
+def test_decimal_matches_the_fraction_oracle():
+    rng = random.Random(2029)
+    for x, label in _oracle_balls(rng):
+        for cap in (None, 0, 3, 12, 40):
+            want = guaranteed_decimal_ref(x.center(), x.err, cap)
+            assert x.decimal(cap) == want, (label, x.man, x.exp, x.err, cap)
+
+
+def test_guaranteed_decimal_matches_the_fraction_oracle_on_any_denominator():
+    # integer ends over power-of-two and other denominators; lo = hi with
+    # a den of 3 or 7 has no finite expansion
+    rng = random.Random(2030)
+    for _ in range(800):
+        den = rng.choice((1, 3, 7, 10, 20, 2 * 10 ** rng.randint(1, 5))) << rng.randint(0, 90)
+        lo = rng.randint(-(1 << 100), 1 << 100) >> rng.randint(0, 100)
+        hi = lo + rng.choice((0, 0, 1, rng.getrandbits(rng.randint(1, 120))))
+        cap = rng.choice((None, 0, 5, 30))
+        want = guaranteed_decimal_ref(Fraction(lo + hi, 2 * den), Fraction(hi - lo, 2 * den), cap)
+        assert guaranteed_decimal(lo, hi, den, cap) == want, (lo, hi, den, cap)
+
+
+def test_decimal_forms_on_fixed_balls():
+    assert MpReal(-3, 4).decimal() == "-48"
+    assert MpReal(5, -3).decimal() == "0.625"
+    assert MpReal(5, -3).decimal(2) == "0.63"
+    assert MpReal(-5, -3).decimal(2) == "-0.62"                   # halves toward +inf
+    assert MpReal(7, 0, Fraction(1, 2)).decimal() == "1e+1"        # 6.5 and 7.5 part at 10**0
+    assert guaranteed_decimal(1, 1, 3) == "0." + "3" * 64
+    assert guaranteed_decimal(-2, -2, 3, 4) == "-0.6667"
+
+
+def test_constructor_takes_fraction_and_int_radii():
+    third = MpReal(5, -2, Fraction(1, 3))
+    assert third.err == Fraction(1, 3) and type(third.err) is Fraction
+    assert MpReal(5, -2, 3).err == 3
+    assert MpReal(5, -2).err == 0
+    for bad in (-1, Fraction(-1, 3)):
+        with pytest.raises(DomainError):
+            MpReal(5, -2, bad)
+
+
+def test_pi_renderings_and_cf_are_frozen():
+    # sha256 of compute_pi(b).decimal() and of repr(cf_terms(...).terms),
+    # taken before the radius became an integer pair
+    for b, want in ((20000, "f3349ffda8de5292700dac34426ce2665a80062cf28a6f53ec3da3a98d673f46"),
+                    (300000, "7a33ce25b4ab572f47dd1f8bbf7ac31c8a0999b73f3412802948547c7adf495b")):
+        assert hashlib.sha256(compute_pi(b).decimal().encode()).hexdigest() == want, b
+    terms = cf_terms(compute_pi(20000), 4800).terms
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() \
+        == "9ae7e2a3dcf870016d0e1c4a56a79f9205d0476c4205869671fb7b83ac5a4d51"
 
 
 # ------------------------------------------------------------------ pi engine
@@ -271,6 +365,27 @@ def test_constant_rationals_are_cut_to_w_plus_8_bits():
         for refine in (mpreal._chudnovsky_pi_rational, mpreal._atanh_ln2_rational):
             num, den = refine(w)
             assert den.bit_length() == w + 8, (refine.__name__, w)
+
+
+def test_ln2_rational_before_the_cut_has_n_log_n_bits(monkeypatch):
+    # the split keeps the 9s as one power, so the denominator that reaches
+    # the cut is 3 * prod_{i<n} (2i+1) * 9**(n-1) < 3 * (2n)**n * 9**(n-1)
+    cut, dens = mpreal._cut_rational, []
+    monkeypatch.setattr(mpreal, "_cut_rational",
+                        lambda num, den, w: dens.append(den) or cut(num, den, w))
+    for w in (1000, 20000):
+        mpreal._atanh_ln2_rational(w)
+        n = int((w + 16) / 3.169925) + 2
+        assert dens.pop().bit_length() <= n * (2 * n).bit_length() + 4 * n, w
+
+
+def test_ln2_mantissa_sweep_is_frozen():
+    # sha256 over round(ln2 * 2**w), each as (w + 16) // 8 big-endian
+    # bytes, taken before the ln 2 split kept its 9s as a power
+    h = hashlib.sha256()
+    for w in list(range(8, 1200)) + [4096, 20008]:
+        h.update(ln2_mantissa(w).to_bytes((w + 16) // 8, "big"))
+    assert h.hexdigest() == "892ca769b64914985ca2f3461eb26e66f7e9037654690e5c1824483b7e297472"
 
 
 def test_pi_mantissa_sweep_matches_machin():
