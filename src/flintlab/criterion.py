@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError, UndecidableError
@@ -74,15 +75,41 @@ _LN2 = math.log(2)
 
 @dataclass(frozen=True)
 class CriterionReport:
+    """The verdict at index n, and the kernel interval that decided it.
+
+    ``interval`` = (lo, hi, scale) brackets sin^2(n) * n^(2-eps) in units
+    of 2**-scale (see _kernel); ``lhs`` and ``rhs`` are built from it and
+    ``bits`` on first read and cached.  Equality, hashing and pickling use
+    the fields alone, which are ints, floats and a bool.
+    """
+
     n: int
     s: int
     epsilon: float
-    lhs: MpReal
-    rhs: MpReal
     satisfied: bool
     margin: float      # ln(rhs) - ln(lhs)
     ln_lhs: float
     ln_rhs: float
+    interval: tuple[int, int, int]
+    bits: int
+
+    @cached_property
+    def lhs(self) -> MpReal:
+        """|G(n)|^(2s) = n^(2s), exact."""
+        return _ball(self.n ** (2 * self.s), 0, 0, 1)
+
+    @cached_property
+    def rhs(self) -> MpReal:
+        """n^(2s) * sin^2(n) * n^(2-eps): the interval times the exact
+        n^(2s), centred, then rounded by round_to(bits)."""
+        lo, hi, scale = self.interval
+        n2s = self.lhs.man
+        return _ball((lo + hi) * n2s // 2, -scale, (hi - lo) * n2s + 2,
+                     1 << (scale + 1)).round_to(self.bits)
+
+    def __reduce__(self):
+        return CriterionReport, (self.n, self.s, self.epsilon, self.satisfied, self.margin,
+                                 self.ln_lhs, self.ln_rhs, self.interval, self.bits)
 
 
 def _epsilon_fraction(epsilon) -> Fraction:
@@ -172,7 +199,8 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
     that decided the verdict, at w >= bits + 48 working bits, times the
     exact n^(2s), then rounded by round_to(bits).  For n = 1000, s = 20,
     eps = 0.1 at 64 bits, rhs is near 3.4e125 with a radius near 6.8e94.
-    ``lhs`` is exact.
+    ``lhs`` is exact.  The report keeps the interval; both balls are
+    built on first read.
     """
     if not _is_int(n) or n < 1:
         raise DomainError(f"check_criterion requires an integer n >= 1, got {n!r}")
@@ -181,20 +209,15 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
     _require_bits(bits)
     eps = _epsilon_fraction(epsilon)
     c = Fraction(2 * s + 2) - eps
-    return _report(n, s, eps, bits, _decided_kernel(n, s, c.numerator, c.denominator, bits))
+    kernel_out = _decided_kernel(n, s, c.numerator, c.denominator, bits)
+    return _report(n, s, float(eps), bits, kernel_out)
 
 
-def _report(n: int, s: int, eps: Fraction, bits: int, kernel_out) -> CriterionReport:
+def _report(n: int, s: int, epsilon: float, bits: int, kernel_out) -> CriterionReport:
     """The report of index n, built from the _decided_kernel output that decided it."""
-    verdict, ln_lhs, ln_rhs, (lo, hi, scale) = kernel_out
-    n2s = n ** (2 * s)                   # G(n)^(2s), as G(n) = n
-    lhs = _ball(n2s, 0, 0, 1)
-    man = (lo + hi) * n2s // 2           # rhs = n^(2s) * sin^2(n) * n^(2-eps)
-    rhs = _ball(man, -scale, (hi - lo) * n2s + 2, 1 << (scale + 1)).round_to(bits)
-    return CriterionReport(
-        n=n, s=s, epsilon=float(eps), lhs=lhs, rhs=rhs, satisfied=verdict,
-        margin=ln_rhs - ln_lhs, ln_lhs=ln_lhs, ln_rhs=ln_rhs,
-    )
+    verdict, ln_lhs, ln_rhs, interval = kernel_out
+    return CriterionReport(n, s, epsilon, verdict, ln_rhs - ln_lhs, ln_lhs, ln_rhs,
+                           interval, bits)
 
 
 @dataclass(frozen=True)
@@ -203,16 +226,15 @@ class ScanResult:
     summary: dict
 
 
-def _decide(args) -> list[tuple[int, float, CriterionReport | None]]:
-    """(n, kernel margin, report or None) for each n of a piece, as
-    _decided_kernel decides it.  A violator's report is built from the
-    call that decided it, in the process that ran it."""
+def _decide(args) -> list[tuple[int, float, tuple | None]]:
+    """(n, kernel margin, kernel output or None) for each n of a piece, as
+    _decided_kernel decides it; the output is kept for a violator only,
+    and holds ints, floats and a bool, so a pool returns it cheaply."""
     ns, s, c_num, c_den, bits = args
-    eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
     decided = []
     for n in ns:
         out = _decided_kernel(n, s, c_num, c_den, bits)
-        decided.append((n, out[2] - out[1], None if out[0] else _report(n, s, eps, bits, out)))
+        decided.append((n, out[2] - out[1], None if out[0] else out))
     return decided
 
 
@@ -353,6 +375,7 @@ def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
     new n.
     """
     eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
+    half_eps, epsilon = eps / 2, float(eps)
     W = 2 * hi.bit_length() + 64
     M = pi_mantissa(W)
     blocks = []
@@ -361,7 +384,7 @@ def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
         b = min(hi, 1 << clog2(max(a, 2)))
         v = 64
         while True:
-            E, err, q = fx_pow(*fx_ln_int(a, v), eps / 2, v)
+            E, err, q = fx_pow(*fx_ln_int(a, v), half_eps, v)
             if E > err:
                 break
             v *= 2
@@ -413,7 +436,8 @@ def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
             out = [x for piece in pieces for x in _decide(piece)]
         decided.update(n for n, _, _ in out)
         worst = min([worst, *((margin, n) for n, margin, _ in out)])
-        violations += [report for _, _, report in out if report is not None]
+        violations += [_report(n, s, epsilon, bits, kernel_out)
+                       for n, _, kernel_out in out if kernel_out is not None]
         if all(whole for whole, _ in rows) or ends(t):
             break
         below, step = t, 1          # round t + 1, t + 3, t + 7, ... until one opens

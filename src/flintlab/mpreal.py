@@ -269,13 +269,23 @@ def _cut_rational(num: int, den: int, w: int) -> tuple[int, int]:
 class _ConstSource:
     """Monotone store of a rational approximation to one irrational constant.
 
-    ``mantissa(w)`` returns ``round(x * 2**w)`` exactly.  The answer
-    depends on (constant, w) alone -- never on cache state -- which is
-    what makes every downstream value reproducible.  Certification: with
-    |x - num/den| <= 2**-src_w, the rounding is determined once the
-    interval of half-width 2**(w-src_w) around num/den * 2**w keeps a
-    factor-2 margin from the nearest half-integer; otherwise the source
-    is refined and the check repeated (terminates: x is irrational).
+    ``mantissa(w)`` returns ``round(x * 2**w)`` exactly, for an integer w
+    >= 0 (DomainError otherwise).  The answer depends on (constant, w)
+    alone -- never on cache state -- which is what makes every downstream
+    value reproducible.  Certification: with |x - num/den| <= 2**-src_w,
+    the rounding is determined once the interval of half-width
+    2**(w-src_w) around num/den * 2**w keeps a factor-2 margin from the
+    nearest half-integer; otherwise the source is refined and the check
+    repeated (terminates: x is irrational).
+
+    Threads.  A hit is one ``_mans.get(w)`` without the lock.  That is
+    safe because each entry is written once, under the lock, after its
+    rounding is certified, and never changed or removed: a reader sees
+    either no entry, and misses, or the final one.  Every miss checks w
+    against MAX_BITS + 256 and takes the lock, which re-reads the entry
+    and serialises the refines, as a refine writes ``_num``, ``_den`` and
+    ``_src_w`` together.  The type test keeps a hit from serving ``True``
+    or ``1.0`` the entry of w = 1 (they equal 1 as dict keys).
     """
 
     def __init__(self, name: str, refine) -> None:
@@ -289,6 +299,11 @@ class _ConstSource:
         self.refinements = 0
 
     def mantissa(self, w: int) -> int:
+        man = self._mans.get(w)
+        if man is not None and type(w) is int:
+            return man
+        if not _is_int(w) or w < 0:
+            raise DomainError(f"{self._name}: working bits must be an integer >= 0, got {w!r}")
         if w > MAX_BITS + 256:
             raise ResourceLimitError(
                 f"{self._name}: {w} working bits exceeds the configured maximum"
@@ -316,12 +331,12 @@ _LN2_SOURCE = _ConstSource("ln2", _atanh_ln2_rational)
 
 
 def pi_mantissa(w: int) -> int:
-    """round(pi * 2**w), exactly; deterministic in w."""
+    """round(pi * 2**w), exactly, for an integer w >= 0; deterministic in w."""
     return PI_CACHE.mantissa(w)
 
 
 def ln2_mantissa(w: int) -> int:
-    """round(ln2 * 2**w), exactly; deterministic in w."""
+    """round(ln2 * 2**w), exactly, for an integer w >= 0; deterministic in w."""
     return _LN2_SOURCE.mantissa(w)
 
 

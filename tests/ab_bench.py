@@ -7,11 +7,13 @@ Each SRC_DIR is the ``src`` directory of a checkout, for instance
 per tree with PYTHONPATH=SRC_DIR; the trees take turns within every run, and
 alternate which goes first, so they share the machine's drift.  Each
 interpreter runs the suite's untimed warm-up, then times every operation
-once: wall seconds with ``time.perf_counter``, CPU seconds as
+once: wall seconds with ``time.perf_counter``; CPU seconds as
 ``time.process_time`` plus the time of the children it waited for
-(``RUSAGE_CHILDREN``), so scan pool workers and cold CLI calls count.  Each
-output is digested after the clocks stop.  One more, untimed, interpreter per
-tree gives the suite's counts.
+(``RUSAGE_CHILDREN``), so scan pool workers and cold CLI calls count; and
+parent CPU seconds, ``time.process_time`` alone, which on a pooled scan is
+the parent's share: cutting pieces, starting workers, unpickling their
+results and building reports.  Each output is digested after the clocks
+stop.  One more, untimed, interpreter per tree gives the suite's counts.
 
 ``sum``: warm-up ``partial_sum(5000)``; operations, at 128 bits:
 
@@ -44,7 +46,9 @@ candidates runs on a process pool, whose start-up is timed.
 * ``mixed_1e6``: n = 1..1e6, s = 1, eps = 1.3, about 9000 candidates;
 * ``far``: n = 1..1e40, s = 1, eps = 0.1, about 1800 candidates.
 
-Output ``scan_paths.scan_key``.  Counts, per scan at threads 1 (the n decided
+Output ``scan_paths.scan_key``, taken after the clocks stop, as it reads
+every violator's ``rhs`` ball, which the CLI never prints and a report
+builds on first read.  Counts, per scan at threads 1 (the n decided
 do not depend on threads): the calls of ``criterion._decided_kernel``, the
 distinct n they decide, the violators.
 
@@ -81,8 +85,8 @@ the string.  Counts: per operation, the characters printed.
 Prints one JSON document: the machine (CPU count, Python version); the
 operations and the items each covers; whether every tree gave the same
 outputs; per tree its counts and, per operation, the median and quartiles of
-wall and CPU seconds and the items per wall second at the median.  Exits 1 if
-the trees' outputs differ.
+wall, CPU and parent CPU seconds and the items per wall second at the median.
+Exits 1 if the trees' outputs differ.
 """
 
 import argparse
@@ -102,8 +106,9 @@ from typing import Callable, NamedTuple
 class Suite(NamedTuple):
     operations: dict      # name -> items that one timing covers
     warm: Callable        # (tmp) -> None, untimed
-    run: Callable         # (name, tmp) -> output, whose repr is digested
+    run: Callable         # (name, tmp) -> output
     counts: Callable      # (tmp) -> JSON-able counts
+    key: Callable = repr  # output -> the text digested, after the clocks stop
 
 
 def recording(module, name: str, arg: int = 0) -> list:
@@ -185,12 +190,17 @@ def scan_warm(tmp: str) -> None:
 
 def scan_run(operation: str, tmp: str):
     from flintlab.criterion import scan_criterion
-    from scan_paths import scan_key
 
     name, threads = operation.split("@")
     for _ in range(SCAN_REPEAT.get(name, 1)):
         result = scan_criterion(*SCANS[name], threads=int(threads))
-    return scan_key(result)
+    return result
+
+
+def scan_digest_key(result) -> str:
+    from scan_paths import scan_key
+
+    return repr(scan_key(result))
 
 
 def scan_counts(tmp: str) -> dict:
@@ -314,7 +324,7 @@ SUITES = {
     "sum": Suite({**SUM_TERMS, **dict.fromkeys(SINE_POWERS, 1)}, sum_warm, sum_run, sum_counts),
     "scan": Suite({f"{name}@{threads}": (window[1] - window[0] + 1) * SCAN_REPEAT.get(name, 1)
                    for name, (window, *_) in SCANS.items() for threads in (1, 2)},
-                  scan_warm, scan_run, scan_counts),
+                  scan_warm, scan_run, scan_counts, scan_digest_key),
     "spikes": Suite({"spikes_op": SPIKES["spikes_op"][0] * SPIKES_REPEAT["spikes_op"],
                      "deep_100": 1, "deep_300": 1}, spikes_warm, spikes_run, spikes_counts),
     "cold": Suite(dict.fromkeys(COLD, 1), cold_warm,
@@ -324,24 +334,27 @@ SUITES = {
 
 
 def clocks() -> tuple:
-    """(wall, CPU of this process and of the children it waited for) seconds."""
+    """(wall, CPU of this process and of the children it waited for, CPU of
+    this process) seconds."""
     children = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return time.perf_counter(), time.process_time() + children.ru_utime + children.ru_stime
+    own = time.process_time()
+    return time.perf_counter(), own + children.ru_utime + children.ru_stime, own
 
 
 def worker(suite: Suite, count: bool):
-    """One tree's interpreter: name -> [digest, wall, cpu] per operation, or the counts."""
+    """One tree's interpreter: name -> [digest, wall, cpu, parent cpu] per
+    operation, or the counts."""
     with tempfile.TemporaryDirectory() as tmp:
         suite.warm(tmp)
         if count:
             return suite.counts(tmp)
         out = {}
         for name in suite.operations:
-            wall, cpu = clocks()
+            start = clocks()
             output = suite.run(name, tmp)
-            wall_end, cpu_end = clocks()
-            digest = hashlib.sha256(repr(output).encode()).hexdigest()
-            out[name] = [digest, wall_end - wall, cpu_end - cpu]
+            end = clocks()
+            digest = hashlib.sha256(suite.key(output).encode()).hexdigest()
+            out[name] = [digest, *(b - a for a, b in zip(start, end))]
         return out
 
 
@@ -384,9 +397,10 @@ def main() -> int:
     for label, src in trees.items():
         results[label] = {"counts": call(args.suite, src, "--count")}
         for name, items in operations.items():
-            wall = [sample[name][1] for sample in samples[label]]
-            cpu = [sample[name][2] for sample in samples[label]]
+            wall, cpu, parent_cpu = ([sample[name][i] for sample in samples[label]]
+                                     for i in (1, 2, 3))
             results[label][name] = {"wall": summary(wall), "cpu": summary(cpu),
+                                    "parent_cpu": summary(parent_cpu),
                                     "items_per_s": round(items / statistics.median(wall), 1)}
     doc = {"suite": args.suite, "runs": args.runs, "operations": operations,
            "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},

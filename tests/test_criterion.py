@@ -1,7 +1,9 @@
 import concurrent.futures
 import functools
+import io
 import math
 import os
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -269,6 +271,69 @@ def test_scan_reports_equal_check_criterion(window, eps, threads, s):
     assert len(result.violations) > 3
     for r in result.violations:
         assert _report_fields(r) == _report_fields(check_criterion(r.n, s, eps))
+
+
+class _NamingUnpickler(pickle.Unpickler):
+    """Unpickles, and lists the classes and functions the pickle names."""
+
+    def __init__(self, data: bytes):
+        super().__init__(io.BytesIO(data))
+        self.named = []
+
+    def find_class(self, module, name):
+        self.named.append((module, name))
+        return super().find_class(module, name)
+
+
+def _eager_balls(r):
+    """lhs and rhs as _report built them before reports kept the interval."""
+    lo, hi, scale = r.interval
+    n2s = r.n ** (2 * r.s)
+    rhs = MpReal((lo + hi) * n2s // 2, -scale, Fraction((hi - lo) * n2s + 2, 1 << (scale + 1)))
+    return MpReal(n2s, 0), rhs.round_to(r.bits)
+
+
+def _ball_fields(x):
+    return x.man, x.exp, x.err
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("window, eps", [((1, 32768), "0.1"), ((1, 8300), "1.5"),
+                                         ((1, 8300), "1.9")])
+def test_scan_reports_are_lean(window, eps, threads):
+    result = scan_criterion(window, 1, eps, threads=threads)
+    assert len(result.violations) > 3
+    for r in result.violations:
+        fresh = pickle.dumps(r)
+        lhs, rhs = r.lhs, r.rhs
+        assert r.lhs is lhs and r.rhs is rhs                  # read twice: cached
+        assert tuple(map(_ball_fields, _eager_balls(r))) == (_ball_fields(lhs), _ball_fields(rhs))
+        for name in ("n", "margin", "rhs", "lhs", "interval"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, None)
+        twin = check_criterion(r.n, 1, eps)
+        assert twin == r and hash(twin) == hash(r)
+        # the cached balls stay out of the pickle
+        data = pickle.dumps(r)
+        assert data == fresh
+        unpickler = _NamingUnpickler(data)
+        back = unpickler.load()
+        assert back == r
+        assert unpickler.named == [("flintlab.criterion", "CriterionReport")]
+        assert _ball_fields(back.rhs) == _ball_fields(rhs)
+
+
+def test_pool_pieces_return_ints_and_floats():
+    c = Fraction(4) - Fraction("1.9")
+    out = criterion._decide((list(range(1, 400)), 1, c.numerator, c.denominator, 64))
+    assert any(kernel_out is not None for _, _, kernel_out in out)
+
+    def leaves(x):
+        if isinstance(x, tuple):
+            return [leaf for item in x for leaf in leaves(item)]
+        return [x]
+
+    assert {type(leaf) for row in out for leaf in leaves(row)} <= {int, float, bool, type(None)}
 
 
 @pytest.mark.parametrize("window, s, eps, slack", [

@@ -1,6 +1,9 @@
+import concurrent.futures
 import hashlib
 import math
 import random
+import sys
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -408,6 +411,73 @@ def test_ln2_mantissa_matches_series_oracle():
         lo = round_div(apx.numerator << w, apx.denominator)
         assert lo == round_div(top.numerator << w, top.denominator), w
         assert ln2_mantissa(w) == lo, w
+
+
+@pytest.mark.parametrize("mantissa", [pi_mantissa, ln2_mantissa])
+def test_constant_mantissa_refuses_negative_w(mantissa):
+    with pytest.raises(DomainError):
+        mantissa(-3)
+
+
+@pytest.mark.parametrize("mantissa", [pi_mantissa, ln2_mantissa])
+def test_constant_mantissa_refuses_float_w(mantissa):
+    mantissa(2)
+    for w in (2.5, 2.0):            # 2.0 finds the entry of w = 2 as a dict key
+        with pytest.raises(DomainError):
+            mantissa(w)
+
+
+@pytest.mark.parametrize("mantissa", [pi_mantissa, ln2_mantissa])
+def test_constant_mantissa_refuses_bool_w(mantissa):
+    mantissa(1)                     # True would find this entry as a dict key
+    for w in (True, False):
+        with pytest.raises(DomainError):
+            mantissa(w)
+
+
+def test_const_source_beyond_max_bits_always_raises():
+    source = mpreal._ConstSource("pi", mpreal._chudnovsky_pi_rational)
+    for _ in range(3):
+        with pytest.raises(ResourceLimitError):
+            source.mantissa(MAX_BITS + 257)
+    assert source.refinements == 0
+
+
+def test_const_source_hits_skip_the_lock():
+    source = mpreal._ConstSource("ln2", mpreal._atanh_ln2_rational)
+    want = source.mantissa(300)
+
+    class NoLock:
+        def __enter__(self):
+            raise AssertionError("a hit took the lock")
+
+    source._lock = NoLock()
+    assert source.mantissa(300) == want
+
+
+def test_const_source_threads_agree_with_serial():
+    # four threads ask the same ascending list at once, so their requests
+    # interleave, yet each w is first asked after every smaller one, as in
+    # the serial run, and the source refines as often
+    ws = sorted(w for i in range(60) for w in (64 + 37 * i, 2000 + 101 * i))
+    serial = mpreal._ConstSource("pi", mpreal._chudnovsky_pi_rational)
+    want = [serial.mantissa(w) for w in ws]
+    source = mpreal._ConstSource("pi", mpreal._chudnovsky_pi_rational)
+    start = threading.Barrier(4, timeout=60)
+
+    def ask(_):
+        start.wait()
+        return [source.mantissa(w) for w in ws]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # force the threads to interleave
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(pool.map(ask, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert answers == [want] * 4
+    assert source.refinements == serial.refinements
 
 
 def test_pi_bits_limit():
