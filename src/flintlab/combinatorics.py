@@ -20,11 +20,10 @@ so the collapse itself stays testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError
-from .mpreal import _is_int
+from .mpreal import _Frozen, _is_int
 
 __all__ = [
     "GValue",
@@ -42,10 +41,10 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@dataclass(frozen=True)
-class GValue:
+class GValue(_Frozen):
     """The exact value of the double binomial sum at index n."""
 
+    __slots__ = _fields = ("n", "value")
     n: int
     value: int
 

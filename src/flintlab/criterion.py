@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .errors import DomainError, UndecidableError
 from .mpreal import (
     MpReal,
+    _Frozen,
     _ball,
     _is_int,
     _require_bits,
@@ -73,16 +72,19 @@ _SCAN_LIMIT = (1 << 1024) - (1 << 970)   # _decided_kernel's float bound assumes
 _LN2 = math.log(2)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(_Frozen):
     """The verdict at index n, and the kernel interval that decided it.
 
     ``interval`` = (lo, hi, scale) brackets sin^2(n) * n^(2-eps) in units
     of 2**-scale (see _kernel); ``lhs`` and ``rhs`` are built from it and
-    ``bits`` on first read and cached.  Equality, hashing and pickling use
-    the fields alone, which are ints, floats and a bool.
+    ``bits`` on first read and cached in two slots outside the fields.
+    Equality, hashing, pickling and repr use the fields alone, which are
+    ints, floats and a bool.
     """
 
+    _fields = ("n", "s", "epsilon", "satisfied", "margin", "ln_lhs", "ln_rhs", "interval",
+               "bits")
+    __slots__ = _fields + ("_lhs", "_rhs")
     n: int
     s: int
     epsilon: float
@@ -93,23 +95,29 @@ class CriterionReport:
     interval: tuple[int, int, int]
     bits: int
 
-    @cached_property
+    @property
     def lhs(self) -> MpReal:
         """|G(n)|^(2s) = n^(2s), exact."""
-        return _ball(self.n ** (2 * self.s), 0, 0, 1)
+        try:
+            return self._lhs
+        except AttributeError:
+            lhs = _ball(self.n ** (2 * self.s), 0, 0, 1)
+            object.__setattr__(self, "_lhs", lhs)
+            return lhs
 
-    @cached_property
+    @property
     def rhs(self) -> MpReal:
         """n^(2s) * sin^2(n) * n^(2-eps): the interval times the exact
         n^(2s), centred, then rounded by round_to(bits)."""
-        lo, hi, scale = self.interval
-        n2s = self.lhs.man
-        return _ball((lo + hi) * n2s // 2, -scale, (hi - lo) * n2s + 2,
-                     1 << (scale + 1)).round_to(self.bits)
-
-    def __reduce__(self):
-        return CriterionReport, (self.n, self.s, self.epsilon, self.satisfied, self.margin,
-                                 self.ln_lhs, self.ln_rhs, self.interval, self.bits)
+        try:
+            return self._rhs
+        except AttributeError:
+            lo, hi, scale = self.interval
+            n2s = self.lhs.man
+            rhs = _ball((lo + hi) * n2s // 2, -scale, (hi - lo) * n2s + 2,
+                        1 << (scale + 1)).round_to(self.bits)
+            object.__setattr__(self, "_rhs", rhs)
+            return rhs
 
 
 def _epsilon_fraction(epsilon) -> Fraction:
@@ -119,12 +127,16 @@ def _epsilon_fraction(epsilon) -> Fraction:
     return eps
 
 
-def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
-    """One evaluation of sin^2(n) * n^(2-eps) against 1 at working precision w.
+def _kernel(n: int, s: int, p: Fraction, w: int):
+    """One evaluation of sin^2(n) * n^p against 1 at working precision w.
 
-    c = c_num/c_den = 2s + 2 - eps; the verdict uses c - 2s, the floats c.
-    The sine ball (S, e_abs) at 2**-wr comes from sin_rel, first tried at
-    wr = w + clog2 n + 8, so |S| > e_abs * 2**24 whatever the verdict.
+    p = 2 - eps.  The verdict uses p; ln_rhs rounds (2s + p) * ln n at
+    scale 2**-w, with L = fx_ln_int(n, w) standing for ln n.  2s + p has
+    the lowest-terms denominator d of p, so round_div(L * (2s*d + p_num),
+    d) = 2s*L + round_div(L * p_num, d) exactly, and the floats are those
+    of c = 2s + p bit for bit without forming c.  The sine ball (S,
+    e_abs) at 2**-wr comes from sin_rel, first tried at wr = w + clog2 n
+    + 8, so |S| > e_abs * 2**24 whatever the verdict.
     Returns (verdict, ln_lhs, ln_rhs, interval) where verdict is
     True/False/None (None = the power n^(2-eps) is unresolved or the
     interval holds 1: the caller escalates) and interval = (lo, hi,
@@ -134,7 +146,7 @@ def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
     S, e_abs, wr = sin_rel(n, 24, w + clog2(max(n, 2)) + 8)
     m = abs(S)
     ln_n, e_ln = fx_ln_int(n, w)
-    e_pow, e_tot, q = fx_pow(ln_n, e_ln, Fraction(c_num - 2 * s * c_den, c_den), w)
+    e_pow, e_tot, q = fx_pow(ln_n, e_ln, p, w)
     if e_pow <= e_tot:
         return None, 0.0, 0.0, None
     scale = 2 * wr + w - q          # q <= 2 log2 n + 1 < 2wr + w
@@ -147,15 +159,14 @@ def _kernel(n: int, s: int, c_num: int, c_den: int, w: int):
         verdict = False
     else:
         verdict = None
-    # the float rounds c * ln n as fx_pow would at c = 2s + 2 - eps
-    arg = round_div(ln_n * c_num, c_den)
+    lhs_units = 2 * s * ln_n
     ln_sin2 = 2 * (fx_ln_int(m, w)[0] - wr * ln2_mantissa(w))
-    ln_rhs = (ln_sin2 + arg) / (1 << w)
-    ln_lhs = (2 * s * ln_n) / (1 << w)
+    ln_rhs = (ln_sin2 + lhs_units + round_div(ln_n * p.numerator, p.denominator)) / (1 << w)
+    ln_lhs = lhs_units / (1 << w)
     return verdict, ln_lhs, ln_rhs, (lo, hi, scale)
 
 
-def _decided_kernel(n: int, s: int, c_num: int, c_den: int, bits: int):
+def _decided_kernel(n: int, s: int, p: Fraction, bits: int):
     """Escalate _kernel until the verdict is strict; deterministic in inputs.
 
     Only an unresolved power or an interval that holds 1 doubles w:
@@ -181,7 +192,7 @@ def _decided_kernel(n: int, s: int, c_num: int, c_den: int, bits: int):
     """
     w = bits + 48
     while True:
-        verdict, ln_lhs, ln_rhs, interval = _kernel(n, s, c_num, c_den, w)
+        verdict, ln_lhs, ln_rhs, interval = _kernel(n, s, p, w)
         if verdict is not None:
             return verdict, ln_lhs, ln_rhs, interval
         if w >= _ESCALATION_CAP:
@@ -208,9 +219,7 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
         raise DomainError(f"check_criterion requires an integer s >= 1, got {s!r}")
     _require_bits(bits)
     eps = _epsilon_fraction(epsilon)
-    c = Fraction(2 * s + 2) - eps
-    kernel_out = _decided_kernel(n, s, c.numerator, c.denominator, bits)
-    return _report(n, s, float(eps), bits, kernel_out)
+    return _report(n, s, float(eps), bits, _decided_kernel(n, s, 2 - eps, bits))
 
 
 def _report(n: int, s: int, epsilon: float, bits: int, kernel_out) -> CriterionReport:
@@ -220,8 +229,8 @@ def _report(n: int, s: int, epsilon: float, bits: int, kernel_out) -> CriterionR
                            interval, bits)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(_Frozen):
+    __slots__ = _fields = ("violations", "summary")
     violations: list[CriterionReport]
     summary: dict
 
@@ -230,10 +239,10 @@ def _decide(args) -> list[tuple[int, float, tuple | None]]:
     """(n, kernel margin, kernel output or None) for each n of a piece, as
     _decided_kernel decides it; the output is kept for a violator only,
     and holds ints, floats and a bool, so a pool returns it cheaply."""
-    ns, s, c_num, c_den, bits = args
+    ns, s, p, bits = args
     decided = []
     for n in ns:
-        out = _decided_kernel(n, s, c_num, c_den, bits)
+        out = _decided_kernel(n, s, p, bits)
         decided.append((n, out[2] - out[1], None if out[0] else out))
     return decided
 
@@ -322,7 +331,7 @@ def _arcsin_units(Z: int, W: int, M: int) -> int:
     return min(series, -(-(M + 1) // 2) - math.isqrt(F - Z2))
 
 
-def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
+def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
           threads: int) -> tuple[list[CriterionReport], tuple[float, int]]:
     """Violators' reports, ascending, and (worst margin, its n) for lo..hi.
 
@@ -374,8 +383,7 @@ def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
     doubling t' - t, then bisecting, with probes that stop at the first
     new n.
     """
-    eps = Fraction(2 * s + 2) - Fraction(c_num, c_den)
-    half_eps, epsilon = eps / 2, float(eps)
+    half_eps, epsilon = 1 - p / 2, float(2 - p)
     W = 2 * hi.bit_length() + 64
     M = pi_mantissa(W)
     blocks = []
@@ -425,7 +433,7 @@ def _scan(lo: int, hi: int, s: int, c_num: int, c_den: int, bits: int,
     while True:
         rows = list(windows(t))
         candidates = [n for _, ns in rows for n in ns if n not in decided]
-        pieces = [(candidates[i:i + _CHUNK], s, c_num, c_den, bits)
+        pieces = [(candidates[i:i + _CHUNK], s, p, bits)
                   for i in range(0, len(candidates), _CHUNK)]
         workers = min(threads, len(pieces), os.cpu_count() or 1)
         if workers > 1:
@@ -469,11 +477,13 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
         raise DomainError(f"bad scan range {n_range!r}; need 1 <= lo <= hi")
     if not _is_int(s) or s < 1:
         raise DomainError(f"scan_criterion requires an integer s >= 1, got {s!r}")
+    if not _is_int(threads) or threads < 1:
+        raise DomainError(f"scan_criterion requires an integer threads >= 1, got {threads!r}")
     if hi >= _SCAN_LIMIT:
         raise DomainError(f"scan ranges must end below 2**1024 - 2**970, got {hi}")
     _require_bits(bits)
-    c = Fraction(2 * s + 2) - _epsilon_fraction(epsilon)
-    violations, worst = _scan(lo, hi, s, c.numerator, c.denominator, bits, threads)
+    p = 2 - _epsilon_fraction(epsilon)
+    violations, worst = _scan(lo, hi, s, p, bits, threads)
     summary = {
         "checked": hi - lo + 1,
         "violations": len(violations),

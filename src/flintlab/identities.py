@@ -21,7 +21,6 @@ generator and the seed travels inside every report they produce.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -30,6 +29,7 @@ from .combinatorics import multiple_angle_coefficients
 from .errors import DegenerateInputError, DomainError
 from .mpreal import (
     MpReal,
+    _Frozen,
     _is_int,
     clog2,
     cos_reduced,
@@ -50,8 +50,8 @@ __all__ = [
 _GUARD_BITS = 32
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(_Frozen):
+    __slots__ = _fields = ("description", "parameters", "residual", "tolerance", "passed")
     description: str
     parameters: dict
     residual: MpReal
@@ -160,9 +160,10 @@ def verify_multiple_angle_sweep(n_max: int, thetas_per_n: int,
     reports = []
     for n in range(1, n_max + 1):
         for i, theta in enumerate(thetas):
-            report = verify_multiple_angle(n, theta, bits)
-            reports.append(replace(report, parameters={
-                **report.parameters, "seed": seed, "theta_index": i}))
+            r = verify_multiple_angle(n, theta, bits)
+            parameters = {**r.parameters, "seed": seed, "theta_index": i}
+            reports.append(ResidualReport(r.description, parameters, r.residual,
+                                          r.tolerance, r.passed))
     return reports
 
 

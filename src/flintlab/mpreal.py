@@ -165,6 +165,61 @@ def exact_fraction(value, name: str) -> Fraction:
         raise DomainError(f"{name} must be a finite number, got {value!r}") from exc
 
 
+class _Frozen:
+    """Base of every flintlab record: read-only fields held in __slots__.
+
+    A record declares its fields once, ``__slots__ = _fields = (...)``
+    (values it caches go in __slots__ only).  It is equal to a record of
+    its own class with equal fields, hashed as their tuple, shown as
+    Name(field=value, ...), and copied and pickled by value, as a frozen
+    dataclass is.  This base is the one way to declare a record, and it
+    lives here because importing dataclasses brings inspect, ast and dis
+    with it: most of a cold `cf` call's import time.
+
+    Each class's constructor is built once, when the class is defined:
+    ``_init(self, <fields>)`` stores each argument through its slot's own
+    setter, and becomes __init__ unless the class writes one that checks
+    its arguments and ends with ``self._init(...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        names = cls._fields
+        scope = {f"set_{name}": getattr(cls, name).__set__ for name in names}
+        exec(f"def _init(self, {', '.join(names)}):\n"
+             + "".join(f"    set_{name}(self, {name})\n" for name in names), scope)
+        cls._init = scope["_init"]
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._init
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 # --------------------------------------------------------------------------
 # exact rational constants via binary splitting
 # --------------------------------------------------------------------------

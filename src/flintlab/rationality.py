@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, PrecisionError
-from .mpreal import (MpReal, _is_int, _require_bits, _sin_int_w, _sin_to_bits, clog2,
+from .mpreal import (MpReal, _Frozen, _is_int, _require_bits, _sin_int_w, _sin_to_bits, clog2,
                      compute_pi, fx_ln_int, ln2_mantissa, sin_int, sin_rel)
 
 __all__ = [
@@ -36,43 +36,6 @@ __all__ = [
 ]
 
 
-class _Frozen:
-    """A read-only record whose fields are its class's __slots__.
-
-    Equal, within one class, when the fields are; hashed as the tuple of
-    its fields; shown as Name(field=value, ...); copied and pickled by
-    value.  That is how a frozen dataclass behaves, without importing
-    dataclasses, which brings inspect, ast and dis with it: most of a cold
-    `cf` call's import time for this module.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
 class CfExpansion(_Frozen):
     """Stable partial quotients of a value.
 
@@ -81,16 +44,10 @@ class CfExpansion(_Frozen):
     complete -- the expansion terminated exactly (rational input).
     """
 
-    __slots__ = ("terms", "exhausted", "complete")
+    __slots__ = _fields = ("terms", "exhausted", "complete")
     terms: tuple[int, ...]
     exhausted: bool
     complete: bool
-
-    def __init__(self, terms: tuple[int, ...], exhausted: bool, complete: bool) -> None:
-        init = object.__setattr__
-        init(self, "terms", terms)
-        init(self, "exhausted", exhausted)
-        init(self, "complete", complete)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -338,19 +295,11 @@ class SpikeRecord(_Frozen):
     """One record of |sin n|: its index, |sin n| to bits, lambda(n) (None
     at n = 1) and whether n is a convergent numerator of pi."""
 
-    __slots__ = ("n", "abs_sin", "lam", "is_convergent_numerator")
+    __slots__ = _fields = ("n", "abs_sin", "lam", "is_convergent_numerator")
     n: int
     abs_sin: MpReal
     lam: float | None
     is_convergent_numerator: bool
-
-    def __init__(self, n: int, abs_sin: MpReal, lam: float | None,
-                 is_convergent_numerator: bool) -> None:
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "abs_sin", abs_sin)
-        init(self, "lam", lam)
-        init(self, "is_convergent_numerator", is_convergent_numerator)
 
 
 def spike_indices(n_max: int, bits: int = 64) -> list[SpikeRecord]:

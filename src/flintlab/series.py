@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ from .errors import CheckpointMismatchError, DomainError, ResourceLimitError, Us
 from .mpreal import (
     MAX_BITS,
     MpReal,
+    _Frozen,
     _ball,
     _is_int,
     _require_bits,
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(_Frozen):
     """Parameters of one family member: depth s, sine power u, n-power v.
 
     v is exact: it may be given as anything exact_fraction accepts (so
@@ -66,25 +65,26 @@ class SeriesSpec:
     larger than a float can hold, since outputs report it as a float.
     """
 
-    s: int = 0
-    u: int = 2
-    v: int | Fraction = 3
-    bits: int = 128
+    __slots__ = _fields = ("s", "u", "v", "bits")
+    s: int
+    u: int
+    v: int | Fraction
+    bits: int
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.s) or self.s < 0:
-            raise DomainError(f"s must be an integer >= 0, got {self.s!r}")
-        if not _is_int(self.u) or self.u < 1:
-            raise DomainError(f"u must be an integer >= 1, got {self.u!r}")
-        v = exact_fraction(self.v, "v")
-        if not v > 0:
-            raise DomainError(f"v must be positive, got {self.v!r}")
+    def __init__(self, s: int = 0, u: int = 2, v: int | Fraction = 3, bits: int = 128) -> None:
+        if not _is_int(s) or s < 0:
+            raise DomainError(f"s must be an integer >= 0, got {s!r}")
+        if not _is_int(u) or u < 1:
+            raise DomainError(f"u must be an integer >= 1, got {u!r}")
+        exact = exact_fraction(v, "v")
+        if not exact > 0:
+            raise DomainError(f"v must be positive, got {v!r}")
         try:
-            float(v)
+            float(exact)
         except OverflowError:
-            raise DomainError(f"v must be below 2**1024, got {self.v!r}") from None
-        object.__setattr__(self, "v", v.numerator if v.denominator == 1 else v)
-        _require_bits(self.bits)
+            raise DomainError(f"v must be below 2**1024, got {v!r}") from None
+        _require_bits(bits)
+        self._init(s, u, exact.numerator if exact.denominator == 1 else exact, bits)
 
     @property
     def acc_scale(self) -> int:
@@ -217,10 +217,10 @@ def term(n: int, spec: SeriesSpec) -> MpReal:
     return _ball(_term_units(n, spec), -acc, 3, 1 << acc)
 
 
-@dataclass(frozen=True)
-class PartialSumResult:
+class PartialSumResult(_Frozen):
     """Sum over n in [1, k] held as exact integer units of 2**-acc_scale."""
 
+    __slots__ = _fields = ("spec", "k", "units", "err_units")
     spec: SeriesSpec
     k: int
     units: int
@@ -394,8 +394,8 @@ def load_checkpoint(path: str) -> PartialSumResult:
 # the s-family comparison
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivalenceRow:
+class EquivalenceRow(_Frozen):
+    __slots__ = _fields = ("s", "value", "err", "delta_vs_s0")
     s: int
     value: MpReal
     err: Fraction

@@ -16,12 +16,11 @@ import flintlab.criterion as criterion
 def per_n_scan(n_range, s, epsilon, bits=64, threads=1):
     """scan_criterion's result, with every n decided and its margin taken."""
     lo, hi = n_range
-    c = Fraction(2 * s + 2) - Fraction(epsilon)
+    p = 2 - Fraction(epsilon)
     violators = []
     worst = (math.inf, -1)
     for n in range(lo, hi + 1):
-        verdict, ln_lhs, ln_rhs, _ = criterion._decided_kernel(
-            n, s, c.numerator, c.denominator, bits)
+        verdict, ln_lhs, ln_rhs, _ = criterion._decided_kernel(n, s, p, bits)
         margin = ln_rhs - ln_lhs
         if not verdict:
             violators.append(n)

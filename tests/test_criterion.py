@@ -324,8 +324,7 @@ def test_scan_reports_are_lean(window, eps, threads):
 
 
 def test_pool_pieces_return_ints_and_floats():
-    c = Fraction(4) - Fraction("1.9")
-    out = criterion._decide((list(range(1, 400)), 1, c.numerator, c.denominator, 64))
+    out = criterion._decide((list(range(1, 400)), 1, 2 - Fraction("1.9"), 64))
     assert any(kernel_out is not None for _, _, kernel_out in out)
 
     def leaves(x):
@@ -375,6 +374,16 @@ def test_scan_range_validation():
         scan_criterion((10, 5), 1, "0.1")
     with pytest.raises(DomainError):
         scan_criterion((1, 10), 0, "0.1")
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True, "2"])
+def test_scan_refuses_bad_threads(monkeypatch, threads):
+    def no_work(*args):
+        raise AssertionError("the kernel ran before threads were checked")
+
+    monkeypatch.setattr(criterion, "_decided_kernel", no_work)
+    with pytest.raises(DomainError, match="threads"):
+        scan_criterion((1, 400), 1, "0.1", threads=threads)
 
 
 @pytest.mark.parametrize("call", [

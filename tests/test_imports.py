@@ -59,7 +59,19 @@ def test_cold_criterion_loads_no_combinatorics():
     # the report's left side is n^(2s) itself, since G(n) = n
     loaded = cli_modules("criterion", "--n", "355", "--s", "1", "--eps", "0.1")
     assert "flintlab.criterion" in loaded
-    assert "flintlab.combinatorics" not in loaded
+    unwanted = {"flintlab.combinatorics", "dataclasses"}
+    assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
+@pytest.mark.parametrize("argv, home", [
+    (("sum", "--k", "10"), "flintlab.series"),
+    (("identity", "--check", "multiple-angle", "--n-max", "3", "--count", "2"),
+     "flintlab.identities"),
+], ids=["sum", "identity"])
+def test_cold_sum_and_identity_load_no_dataclasses(argv, home):
+    loaded = cli_modules(*argv)
+    assert home in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_bare_import_loads_no_submodule():
