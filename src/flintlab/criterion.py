@@ -21,12 +21,12 @@ indices and the least float margin with its n; "satisfied" means
 sin^2(n) * n^(2-eps) > 1.  Only an n close to a multiple of pi can
 violate: |sin n| < n^-(1-eps/2) puts n within arcsin n^-(1-eps/2) of
 some k*pi.  The scan cuts the range into blocks of equal clog2 n, bounds
-that distance per block on integers, and lists the n within it by a
-Euclid-like modular search (_near_multiples), or takes every n of a
-block whose windows cover it (_scan).  Each listed n goes to the
-escalating kernel once, in pieces that may run on a process pool, and a
-violator's report is built from that call (_report), so reports equal
-check_criterion's bit for bit.
+that distance per block on integers (_blocks), and lists the n within it
+by a Euclid-like modular search and three-gap steps (_near_multiples), or
+takes every n of a block whose windows cover it (_scan).  Each listed n
+goes to the escalating kernel once, in pieces that may run on a process
+pool, and a violator's report is built from that call (_report), so
+reports equal check_criterion's bit for bit.
 
 Worst margin.  Later rounds widen every window by doubling factors until
 the least margin found provably beats every n outside them, skipping
@@ -291,25 +291,58 @@ def _near_multiples(M: int, W: int, k0: int, k1: int, D: int):
     """Ascending, the n with |k*M - n * 2**W| <= D for some k in k0..k1.
 
     Needs 0 <= D and 2D < M, so the n of distinct k are distinct and
-    ascend with k.  If 2D < 2**W, a k has at most one such n, the nearest
-    round(k*M / 2**W), and has it iff (k*M + D) mod 2**W <= 2D: _first_hit
-    jumps to the next such k.  Otherwise every k has the n from
-    ceil((k*M - D) / 2**W) to floor((k*M + D) / 2**W), listed directly.
+    ascend with k.  If 2D >= 2**W, every k has the n from ceil((k*M - D)
+    / 2**W) to floor((k*M + D) / 2**W), listed directly.  Otherwise a k
+    has at most one such n, the nearest round(k*M / 2**W), and has it iff
+    its residue y = (k*M + D) mod 2**W is <= 2D: k is a hit.  _first_hit
+    finds the first two hits, then the three-gap rule steps from hit to
+    hit (Slater 1967; Alessandri and Berthe 1998), so a window costs at
+    most four descents however many hits it has.
+
+    Three gaps.  With m = 2**W and step = M mod m, let u be the least x
+    >= 1 with du = step*x mod m <= 2D, and v the least x >= 1 with dv =
+    -step*x mod m <= 2D (x = m serves both).  From a hit k with residue y
+    to a hit k + x with residue y', the displacement e = y' - y lies in
+    [-2D, 2D], and 2D < m: if e >= 0 then step*x mod m = e, so x >= u;
+    if e <= 0 then -step*x mod m = -e, so x >= v.  A displacement of 0
+    counts on both sides.  The next hit after k is
+    * k + u if y + du <= 2D.  A hit k + x with x < u has e < 0 with -e
+      <= y, so step*(u - x) mod m = du - e <= 2D, against u's minimality;
+    * else k + v if y >= dv.  A hit k + x with x < v has 0 < e <= 2D - y,
+      so -step*(v - x) mod m = dv + e <= 2D, against v's;
+    * else k + u + v, whose residue y + du - dv lies in (2D - dv, du),
+      inside [0, 2D].  A hit k + x with x < u + v has x >= u, x != u
+      if e >= 0, and then -step*(x - u) mod m = du - e lies in (0, 2D]
+      (as e <= 2D - y < du), so x - u >= v; or x >= v, x != v if e < 0,
+      and then step*(x - v) mod m = dv + e lies in (0, 2D] (as -e <= y <
+      dv), so x - v >= u.
     """
     mod = 1 << W
     if 2 * D >= mod:
         for k in range(k0, k1 + 1):
             yield from range(-((D - k * M) >> W), ((k * M + D) >> W) + 1)
         return
-    step = M % mod
-    k = k0
-    while True:
-        x = _first_hit(step, (k * M + D) % mod, mod, 0, 2 * D)
-        if x is None or k + x > k1:
+    step, k = M % mod, k0 - 1
+    for _ in range(2):
+        x = _first_hit(step, ((k + 1) * M + D) % mod, mod, 0, 2 * D)
+        if x is None or k + 1 + x > k1:
             return
-        k += x
+        k += 1 + x
         yield (k * M + (mod >> 1)) >> W
-        k += 1
+    y = (k * M + D) % mod
+    u = 1 + _first_hit(step, step, mod, 0, 2 * D)
+    v = 1 + _first_hit(-step % mod, -step % mod, mod, 0, 2 * D)
+    du, dv = step * u % mod, -step * v % mod
+    while True:
+        if y + du <= 2 * D:
+            k, y = k + u, y + du
+        elif y >= dv:
+            k, y = k + v, y - dv
+        else:
+            k, y = k + u + v, y + du - dv
+        if k > k1:
+            return
+        yield (k * M + (mod >> 1)) >> W
 
 
 def _arcsin_units(Z: int, W: int, M: int) -> int:
@@ -331,6 +364,44 @@ def _arcsin_units(Z: int, W: int, M: int) -> int:
     return min(series, -(-(M + 1) // 2) - math.isqrt(F - Z2))
 
 
+def _blocks(lo: int, hi: int, h: Fraction, W: int):
+    """(a, b, num, den) for the blocks a..b of lo..hi with equal
+    clog2(max(n, 2)), ascending, where num/den >= a^-(1-h) * 2**W and h =
+    eps/2 = hn/hd lies in (0, 1).
+
+    One certified power serves every block.  fx_pow on ln2_mantissa(V),
+    within 1/2 ulp of ln 2, gives R = (E + err) * 2**q >= 2**h * 2**V, so
+    G_0 = 2**V and G_(j+1) = ceil(G_j * R / 2**V) have G_j >= 2**(jh) *
+    2**V, by induction: G_j * R / 2**V >= 2**(jh) * 2**h * 2**V.  A block
+    with 2**j < a <= 2**(j+1) (a = 1: j = 0) has x = a/2**j - 1 in [0,
+    1], and (1 + x)^h <= 1 + hx for 0 < h < 1 (Bernoulli), so a^h =
+    2**(jh) * (1 + x)^h <= G_j * 2**-V * (2**j * hd + hn * (a - 2**j)) /
+    (2**j * hd), and
+        num / den = G_j * (2**j * hd + hn * (a - 2**j)) * 2**W
+                    / (2**j * hd * 2**V * a)
+    is at least a^h / a * 2**W.  The bound exceeds a^(h-1) * 2**W by the
+    factor (1 + hx) / (1 + x)^h, at most 1.0142 at eps = 0.1 (x = 1), and
+    at most 1.0045 past a first block (x = 2**-j, j >= 1).
+    """
+    hn, hd = h.numerator, h.denominator
+    V = 64
+    while True:
+        E, err, q = fx_pow(ln2_mantissa(V), 1, h, V)
+        if E > err:
+            break
+        V *= 2
+    R, G, j = (E + err) << q, 1 << V, 0
+    a = lo
+    while a <= hi:
+        b = min(hi, 1 << clog2(max(a, 2)))
+        while a > 2 << j:
+            G, j = -(-G * R >> V), j + 1
+        shift = W - V - j
+        yield (a, b, G * ((hd << j) + hn * (a - (1 << j))) << max(shift, 0),
+               hd * a << max(-shift, 0))
+        a = b + 1
+
+
 def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
           threads: int) -> tuple[list[CriterionReport], tuple[float, int]]:
     """Violators' reports, ascending, and (worst margin, its n) for lo..hi.
@@ -343,19 +414,18 @@ def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
     from that call; every other n is satisfied.
 
     Window.  lo..hi splits into blocks a..b of equal c = clog2(max(n, 2)),
-    and z_T(a) >= z_T(n) serves a whole block.  M = pi_mantissa(W) with W
-    = 2*bitlen(hi) + 64 has |pi * 2**W - M| <= 1/2, and fx_pow gives
-    a^(eps/2) <= (E + err) * 2**(q-v), so z_T(a) <= Z * 2**-W with
-        Z = ceil((E + err) * 2**(q-v+W+t) / a).
-    If Z >= 2**W the block is whole: it takes every n.  Otherwise A =
-    _arcsin_units(Z, W, M) >= arcsin(z_T(a)) * 2**W.  The k with k*pi
-    within pi/2 of a..b lie in k0..k1, k0 = floor((a-1) * 2**W / (M+1))
-    and k1 = ceil((b+1) * 2**W / (M-1)): k0*pi <= a - 1 and k1*pi >= b +
-    1, so any other k has k*pi at least pi - 1 > pi/2 beyond a..b.  If
-    |k*pi - n| < arcsin z_T(n), then |k*M - n * 2**W| < A + k/2, so with D
-    = A + k1 + 1 _near_multiples lists n.  If 2D >= M the windows of
-    neighbouring k overlap, every n lies in one, and the block is whole.
-    All of this is integer arithmetic.
+    and z_T(a) >= z_T(n) serves a whole block.  With W = 2*bitlen(hi) +
+    64, _blocks gives num/den >= a^-(1-eps/2) * 2**W, so z_T(a) <= Z *
+    2**-W with Z = ceil(T * num / den), and M = pi_mantissa(W) has |pi *
+    2**W - M| <= 1/2.  If Z >= 2**W the block is whole: it takes every n.
+    Otherwise A = _arcsin_units(Z, W, M) >= arcsin(z_T(a)) * 2**W.  The k
+    with k*pi within pi/2 of a..b lie in k0..k1, k0 = floor((a-1) * 2**W
+    / (M+1)) and k1 = ceil((b+1) * 2**W / (M-1)): k0*pi <= a - 1 and
+    k1*pi >= b + 1, so any other k has k*pi at least pi - 1 > pi/2 beyond
+    a..b.  If |k*pi - n| < arcsin z_T(n), then |k*M - n * 2**W| < A +
+    k/2, so with D = A + k1 + 1 _near_multiples lists n.  If 2D >= M the
+    windows of neighbouring k overlap, every n lies in one, and the block
+    is whole.  All of this is integer arithmetic.
 
     Pieces.  Each round cuts its candidates, ascending, into pieces of at
     most _CHUNK.  They go to worker processes when threads > 1 and there
@@ -383,25 +453,10 @@ def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
     doubling t' - t, then bisecting, with probes that stop at the first
     new n.
     """
-    half_eps, epsilon = 1 - p / 2, float(2 - p)
-    W = 2 * hi.bit_length() + 64
+    epsilon, W = float(2 - p), 2 * hi.bit_length() + 64
     M = pi_mantissa(W)
-    blocks = []
-    a = lo
-    while a <= hi:
-        b = min(hi, 1 << clog2(max(a, 2)))
-        v = 64
-        while True:
-            E, err, q = fx_pow(*fx_ln_int(a, v), half_eps, v)
-            if E > err:
-                break
-            v *= 2
-        shift = q - v + W
-        num, den = (E + err) << max(shift, 0), a << max(-shift, 0)
-        k0 = ((a - 1) << W) // (M + 1)
-        k1 = -(-((b + 1) << W) // (M - 1))
-        blocks.append((a, b, num, den, k0, k1))
-        a = b + 1
+    blocks = [(a, b, num, den, ((a - 1) << W) // (M + 1), -(-((b + 1) << W) // (M - 1)))
+              for a, b, num, den in _blocks(lo, hi, 1 - p / 2, W)]
 
     def windows(t):
         """(whole, the n of the window) for each block at round t."""

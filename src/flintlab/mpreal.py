@@ -331,7 +331,9 @@ class _ConstSource:
     the rounding is determined once the interval of half-width
     2**(w-src_w) around num/den * 2**w keeps a factor-2 margin from the
     nearest half-integer; otherwise the source is refined and the check
-    repeated (terminates: x is irrational).
+    repeated (terminates: x is irrational).  A refine at least doubles
+    src_w, to max(w + 16, 2 * src_w), so an ascending sweep of w refines
+    about log2(w_max / w_min) times, not once per w.
 
     Threads.  A hit is one ``_mans.get(w)`` without the lock.  That is
     safe because each entry is written once, under the lock, after its
@@ -340,7 +342,11 @@ class _ConstSource:
     against MAX_BITS + 256 and takes the lock, which re-reads the entry
     and serialises the refines, as a refine writes ``_num``, ``_den`` and
     ``_src_w`` together.  The type test keeps a hit from serving ``True``
-    or ``1.0`` the entry of w = 1 (they equal 1 as dict keys).
+    or ``1.0`` the entry of w = 1 (they equal 1 as dict keys).  Only a
+    w's first ask can refine (a later miss finds the entry under the
+    lock), and threads that each ask one ascending list make their first
+    asks in that order, as one thread does: both see the same (w, src_w)
+    sequence and refine as often.
     """
 
     def __init__(self, name: str, refine) -> None:
@@ -367,7 +373,9 @@ class _ConstSource:
             man = self._mans.get(w)
             if man is not None:
                 return man
-            src_w = max(self._src_w, w + 16)
+            src_w = self._src_w
+            if w + 16 > src_w:              # a refine at least doubles src_w
+                src_w = max(w + 16, 2 * src_w)
             while True:
                 if src_w > self._src_w:
                     self._num, self._den = self._refine(src_w)
@@ -631,11 +639,15 @@ def fx_sin(X: int, w: int) -> tuple[int, int]:
     xx = (X * X) >> w
     term = X
     total = X
-    i = 1
+    i, c, dc = 1, 6, 14     # c = c_i, dc = c_(i+1) - c_i; two terms a pass
     while term:
-        term = ((term * xx) >> w) // ((2 * i) * (2 * i + 1))
-        total += -term if (i & 1) else term
-        i += 1
+        term = ((term * xx) >> w) // c
+        if not term:
+            return sign * total, 8 * i + 24     # term_i = 0: the counter is i + 1
+        total -= term
+        term = ((term * xx) >> w) // (c + dc)
+        total += term
+        i, c, dc = i + 2, c + 2 * dc + 8, dc + 16
     return sign * total, 8 * i + 16
 
 
@@ -656,11 +668,15 @@ def fx_cos(X: int, w: int) -> tuple[int, int]:
     xx = (X * X) >> w
     term = 1 << w
     total = term
-    i = 1
+    i, c, dc = 1, 2, 10     # c = c_i, dc = c_(i+1) - c_i; two terms a pass
     while term:
-        term = ((term * xx) >> w) // ((2 * i - 1) * (2 * i))
-        total += -term if (i & 1) else term
-        i += 1
+        term = ((term * xx) >> w) // c
+        if not term:
+            return total, 8 * i + 24            # term_i = 0: the counter is i + 1
+        total -= term
+        term = ((term * xx) >> w) // (c + dc)
+        total += term
+        i, c, dc = i + 2, c + 2 * dc + 8, dc + 16
     return total, 8 * i + 16
 
 
@@ -681,12 +697,12 @@ def fx_atanh(T: int, w: int) -> tuple[int, int]:
     tt = (T * T) >> w
     p = T
     total = T
-    i = 1
+    d = 3                   # 2i + 1
     while p:
         p = (p * tt) >> w
-        total += p // (2 * i + 1)
-        i += 1
-    return total, 4 * i + 8
+        total += p // d
+        d += 2
+    return total, 2 * d + 6             # 4i + 8
 
 
 def fx_exp_small(R: int, w: int) -> tuple[int, int]:
@@ -700,13 +716,15 @@ def fx_exp_small(R: int, w: int) -> tuple[int, int]:
     tail is below 1/6: the error is below 5/8 * (L - 1) + 1/6 < i.
     """
     term = R
-    total = (1 << w) + R
-    i = 2
+    one = 1 << w
+    total = one + R
+    R2, i, iw = 2 * R, 2, 2 << w
     while term:
         # round_div(term * R, i << w), dividing by i after the shift
-        term = ((2 * term * R + (i << w)) >> (w + 1)) // i
+        term = ((term * R2 + iw) >> (w + 1)) // i
         total += term
         i += 1
+        iw += one
     return total, 4 * i + 8
 
 

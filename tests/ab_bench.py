@@ -44,13 +44,16 @@ candidates runs on a process pool, whose start-up is timed.
   whose windows span several n around each multiple of pi;
 * ``mixed``: n = 1..1e5, s = 1, eps = 1, a few hundred candidates;
 * ``mixed_1e6``: n = 1..1e6, s = 1, eps = 1.3, about 9000 candidates;
-* ``far``: n = 1..1e40, s = 1, eps = 0.1, about 1800 candidates.
+* ``far``: n = 1..1e40, s = 1, eps = 0.1, about 1800 candidates;
+* ``far_1e60``: n = 1..1e60, s = 1, eps = 0.1, about 18000 candidates,
+  12746 violators.
 
 Output ``scan_paths.scan_key``, taken after the clocks stop, as it reads
 every violator's ``rhs`` ball, which the CLI never prints and a report
 builds on first read.  Counts, per scan at threads 1 (the n decided
 do not depend on threads): the calls of ``criterion._decided_kernel``, the
-distinct n they decide, the violators.
+distinct n they decide, the calls of ``criterion._first_hit`` (the
+descents of the window listings), the violators.
 
 ``spikes``: warm-up one ``spikes_op`` call; operations:
 
@@ -178,7 +181,8 @@ def sum_counts(tmp: str) -> dict:
 
 SCANS = {"scan_op": ((1, 32768), 1, "0.1"), "dense": ((1, 100_000), 1, "1.5"),
          "dense_19": ((1, 100_000), 1, "1.9"), "mixed": ((1, 100_000), 1, "1"),
-         "mixed_1e6": ((1, 10**6), 1, "1.3"), "far": ((1, 10**40), 1, "0.1")}
+         "mixed_1e6": ((1, 10**6), 1, "1.3"), "far": ((1, 10**40), 1, "0.1"),
+         "far_1e60": ((1, 10**60), 1, "0.1")}
 SCAN_REPEAT = {"scan_op": 20}
 
 
@@ -207,11 +211,14 @@ def scan_counts(tmp: str) -> dict:
     from flintlab import criterion
 
     calls = recording(criterion, "_decided_kernel")
+    descents = recording(criterion, "_first_hit")
     counts = {}
     for name, scan in SCANS.items():
         calls.clear()
+        descents.clear()
         result = criterion.scan_criterion(*scan, threads=1)
         counts[name] = {"kernel_calls": len(calls), "distinct_n": len(set(calls)),
+                        "first_hit_calls": len(descents),
                         "violators": len(result.violations)}
     return counts
 

@@ -288,6 +288,57 @@ def fx_exp_small_ref(R: int, w: int) -> int:
     return total
 
 
+# The same kernels one term a pass, recomputing each divisor, i << w and
+# 2R from the loop counter, with their (value, err_ulps) pairs.  flintlab's
+# kernels carry those in loop variables and take two sine or cosine terms
+# a pass, which must give identical pairs.
+def fx_sin_pair_ref(X: int, w: int) -> tuple[int, int]:
+    sign = -1 if X < 0 else 1
+    X = abs(X)
+    xx = (X * X) >> w
+    term = total = X
+    i = 1
+    while term:
+        term = ((term * xx) >> w) // ((2 * i) * (2 * i + 1))
+        total += -term if (i & 1) else term
+        i += 1
+    return sign * total, 8 * i + 16
+
+
+def fx_cos_pair_ref(X: int, w: int) -> tuple[int, int]:
+    X = abs(X)
+    xx = (X * X) >> w
+    term = total = 1 << w
+    i = 1
+    while term:
+        term = ((term * xx) >> w) // ((2 * i - 1) * (2 * i))
+        total += -term if (i & 1) else term
+        i += 1
+    return total, 8 * i + 16
+
+
+def fx_atanh_pair_ref(T: int, w: int) -> tuple[int, int]:
+    tt = (T * T) >> w
+    p = total = T
+    i = 1
+    while p:
+        p = (p * tt) >> w
+        total += p // (2 * i + 1)
+        i += 1
+    return total, 4 * i + 8
+
+
+def fx_exp_small_pair_ref(R: int, w: int) -> tuple[int, int]:
+    term = R
+    total = (1 << w) + R
+    i = 2
+    while term:
+        term = ((2 * term * R + (i << w)) >> (w + 1)) // i
+        total += term
+        i += 1
+    return total, 4 * i + 8
+
+
 def linear_decimal_count(wide: Fraction, cap: int = 20000) -> int:
     """Least d >= 0 with 10**-(d+1) <= wide, by the linear search (capped
     at `cap` digits) that the package's decimal rendering once used."""

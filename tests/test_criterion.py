@@ -519,6 +519,74 @@ def test_near_multiples_lists_every_n_within_D(W):
         assert list(criterion._near_multiples(M, W, k0, k1, D)) == want, (D, k0, k1)
 
 
+def _per_hit_listing(M, W, k0, k1, D):
+    """The listing without three gaps: one _first_hit descent per hit."""
+    mod = 1 << W
+    step, k = M % mod, k0
+    while True:
+        x = criterion._first_hit(step, (k * M + D) % mod, mod, 0, 2 * D)
+        if x is None or k + x > k1:
+            return
+        k += x
+        yield (k * M + (mod >> 1)) >> W
+        k += 1
+
+
+def test_three_gap_listing_equals_brute_force_and_per_hit_search():
+    rng = random.Random(1998)
+    seen = {}
+    for _ in range(3000):
+        W = rng.randrange(1, 15)
+        mod = 1 << W
+        D = rng.choice([0, (mod - 1) // 2, max(0, mod // 2 - 2), rng.randrange(mod // 2),
+                        rng.randrange(mod // 8 + 1)])
+        if rng.randrange(8):
+            M = rng.randrange(2 * D + 1, 8 * mod)
+        else:                                   # step = 0
+            M = mod * rng.randrange(-(-(2 * D + 1) // mod), 9)
+        k0 = rng.randrange(200)
+        k1 = k0 + rng.choice([0, 1, 3, rng.randrange(300)])
+        want = [n for k in range(k0, k1 + 1)
+                for n in range((k * M - D) // mod, (k * M + D) // mod + 1)
+                if abs(k * M - n * mod) <= D]
+        case = (M, W, k0, k1, D)
+        assert list(criterion._near_multiples(*case)) == want, case
+        assert list(_per_hit_listing(*case)) == want, case
+        step = M % mod
+        u = next(x for x in range(1, mod + 1) if step * x % mod <= 2 * D)
+        v = next(x for x in range(1, mod + 1) if -step * x % mod <= 2 * D)
+        for tag in ("u < v" if u < v else "v < u" if v < u else "u = v",
+                    "D = 0" if D == 0 else "2D near 2**W" if 2 * D >= mod - 3 else "",
+                    "step = 0" if step == 0 else "",
+                    ("no hit", "one hit", "two hits", "many hits")[min(len(want), 3)]):
+            seen[tag] = seen.get(tag, 0) + 1
+    for tag in ("u < v", "v < u", "u = v", "D = 0", "2D near 2**W", "step = 0",
+                "no hit", "one hit", "two hits", "many hits"):
+        assert seen.get(tag, 0) >= 30, (tag, seen)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2), Fraction(1),
+                                 Fraction(19, 10), Fraction(1, 3), Fraction(7, 4)])
+@pytest.mark.parametrize("lo", [1, 2**70 - 1])
+def test_block_radii_are_certified_and_close(eps, lo):
+    # num/den >= a^-(1-eps/2) * 2**W in exact integers, and above it by at
+    # most the Bernoulli factor (1 + hx)/(1 + x)^h, h = eps/2, x = a/2**j - 1
+    hi = 10**40
+    W = 2 * hi.bit_length() + 64
+    p, q = eps.numerator, eps.denominator
+    h = float(eps) / 2
+    blocks = list(criterion._blocks(lo, hi, eps / 2, W))
+    assert blocks[0][0] == lo and blocks[-1][1] == hi
+    assert all(b + 1 == c for (_, b, *_), (c, *_) in zip(blocks, blocks[1:]))
+    for a, b, num, den in blocks:
+        assert num ** (2 * q) * a ** (2 * q - p) >= (den << W) ** (2 * q), (a, eps)
+        ratio = num / den / 2**W * a ** (1 - h)
+        x = a / 2 ** max((a - 1).bit_length() - 1, 0) - 1
+        assert ratio <= (1 + h * x) / (1 + x) ** h * (1 + 1e-12), (a, eps, ratio)
+        if lo == 1:
+            assert ratio < 1.021, (a, eps, ratio)
+
+
 def test_benchmark_scan_calls_the_kernel_17_times(monkeypatch):
     # the benchmark's scan operation: 15 violators and two more candidates
     calls = _count_kernel_calls(monkeypatch)

@@ -42,8 +42,12 @@ from flintlab.mpreal import (
 )
 from oracles import (
     atanh_ln,
+    fx_atanh_pair_ref,
+    fx_cos_pair_ref,
     fx_cos_ref,
+    fx_exp_small_pair_ref,
     fx_exp_small_ref,
+    fx_sin_pair_ref,
     fx_sin_ref,
     guaranteed_decimal_ref,
     linear_decimal_count,
@@ -480,6 +484,19 @@ def test_const_source_threads_agree_with_serial():
     assert source.refinements == serial.refinements
 
 
+@pytest.mark.parametrize("name, refine", [("pi", mpreal._chudnovsky_pi_rational),
+                                          ("ln2", mpreal._atanh_ln2_rational)])
+def test_const_source_ascending_sweep_refines_rarely(name, refine):
+    # each refine at least doubles src_w: about log2(4092 / 8) refines, and
+    # the mantissas equal those of fresh sources, asked once each
+    ws = range(8, 4093, 4)
+    source = mpreal._ConstSource(name, refine)
+    got = [source.mantissa(w) for w in ws]
+    assert source.refinements <= 12
+    fresh = [mpreal._ConstSource(name, refine).mantissa(w) for w in ws[::97]]
+    assert got[::97] == fresh
+
+
 def test_pi_bits_limit():
     with pytest.raises(ResourceLimitError):
         compute_pi(MAX_BITS + 1)
@@ -674,6 +691,22 @@ def test_shift_first_kernels_are_bit_identical(w):
         assert fx_cos(X, w)[0] == fx_cos_ref(X, w)
     for R in _sweep_args(rng, w, Fraction(2, 5), 60):
         assert fx_exp_small(R, w)[0] == fx_exp_small_ref(R, w)
+
+
+@pytest.mark.parametrize("w", [8, 64, 112, 135, 300, 1000])
+def test_strength_reduced_kernels_keep_value_and_error(w):
+    # (value, err_ulps) equal to the one-term-a-pass loops, at both parities
+    # of the last term, at zero and at the domain edges
+    rng = random.Random(7150 + w)
+    for X in _sweep_args(rng, w, Fraction(33, 10), 150):
+        assert fx_sin(X, w) == fx_sin_pair_ref(X, w), X
+        assert fx_cos(X, w) == fx_cos_pair_ref(X, w), X
+    for R in _sweep_args(rng, w, Fraction(2, 5), 150):
+        assert fx_exp_small(R, w) == fx_exp_small_pair_ref(R, w), R
+        assert fx_atanh(abs(R), w) == fx_atanh_pair_ref(abs(R), w), R
+    for X in (1 << e for e in range(w + 2)):    # every loop length
+        assert fx_sin(X, w) == fx_sin_pair_ref(X, w), X
+        assert fx_cos(X, w) == fx_cos_pair_ref(X, w), X
 
 
 @pytest.mark.parametrize("w", [8, 9, 16, 64, 128])
