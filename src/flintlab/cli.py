@@ -264,8 +264,6 @@ def _cmd_criterion(args) -> _Record:
 
 def _cmd_scan(args) -> _Record:
     from .criterion import scan_criterion
-    if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     result = scan_criterion((getattr(args, "from"), args.to), args.s, args.eps,
                             args.bits, threads=args.threads)
     if args.summary_out:

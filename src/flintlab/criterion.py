@@ -138,17 +138,18 @@ def _kernel(n: int, s: int, p: Fraction, w: int):
     e_abs) at 2**-wr comes from sin_rel, first tried at wr = w + clog2 n
     + 8, so |S| > e_abs * 2**24 whatever the verdict.
     Returns (verdict, ln_lhs, ln_rhs, interval) where verdict is
-    True/False/None (None = the power n^(2-eps) is unresolved or the
-    interval holds 1: the caller escalates) and interval = (lo, hi,
-    scale_bits) brackets sin^2(n) * n^(2-eps) in exact integer units of
-    2**-scale_bits.
+    True/False/None (None = the interval holds 1: the caller escalates)
+    and interval = (lo, hi, scale_bits) brackets sin^2(n) * n^(2-eps) in
+    exact integer units of 2**-scale_bits.  fx_pow's d <= 2**(w-5) holds,
+    so e_pow > e_tot: w >= 56, and sin_rel raises first for an n of more
+    than MAX_BITS bits, so b = bitlen(n) <= 10**7.  With e_ln <= 2.7w + b
+    + 40 (see _decided_kernel), c < 2 and q <= 2b + 1, d < 5.4w + 3b + 81,
+    below 2**51 at w = 56, and the gap only widens as w doubles.
     """
     S, e_abs, wr = sin_rel(n, 24, w + clog2(max(n, 2)) + 8)
     m = abs(S)
     ln_n, e_ln = fx_ln_int(n, w)
     e_pow, e_tot, q = fx_pow(ln_n, e_ln, p, w)
-    if e_pow <= e_tot:
-        return None, 0.0, 0.0, None
     scale = 2 * wr + w - q          # q <= 2 log2 n + 1 < 2wr + w
     lo = (m - e_abs) ** 2 * (e_pow - e_tot)
     hi = (m + e_abs) ** 2 * (e_pow + e_tot)
@@ -169,8 +170,8 @@ def _kernel(n: int, s: int, p: Fraction, w: int):
 def _decided_kernel(n: int, s: int, p: Fraction, bits: int):
     """Escalate _kernel until the verdict is strict; deterministic in inputs.
 
-    Only an unresolved power or an interval that holds 1 doubles w:
-    sin_rel already gives the sine to 2**-24 of its size at every w.
+    Only an interval that holds 1 doubles w: sin_rel already gives the
+    sine to 2**-24 of its size at every w.
 
     Float margin.  For n < 2**1024 the returned ln_rhs - ln_lhs is within
     1.3e-7 + s * 1e-12 <= s * 5e-7 of ln(sin^2(n) * n^(2-eps)).  Below,
@@ -369,8 +370,10 @@ def _blocks(lo: int, hi: int, h: Fraction, W: int):
     clog2(max(n, 2)), ascending, where num/den >= a^-(1-h) * 2**W and h =
     eps/2 = hn/hd lies in (0, 1).
 
-    One certified power serves every block.  fx_pow on ln2_mantissa(V),
-    within 1/2 ulp of ln 2, gives R = (E + err) * 2**q >= 2**h * 2**V, so
+    One certified power serves every block.  fx_pow at V = 64 on
+    ln2_mantissa(V), within 1/2 ulp of ln 2 (e_ln = 1, c = h < 1, q <= 1,
+    so d < 2 and E > err; err was at most 79 over 800 random eps), gives
+    R = (E + err) * 2**q >= 2**h * 2**V, so
     G_0 = 2**V and G_(j+1) = ceil(G_j * R / 2**V) have G_j >= 2**(jh) *
     2**V, by induction: G_j * R / 2**V >= 2**(jh) * 2**h * 2**V.  A block
     with 2**j < a <= 2**(j+1) (a = 1: j = 0) has x = a/2**j - 1 in [0,
@@ -385,11 +388,7 @@ def _blocks(lo: int, hi: int, h: Fraction, W: int):
     """
     hn, hd = h.numerator, h.denominator
     V = 64
-    while True:
-        E, err, q = fx_pow(ln2_mantissa(V), 1, h, V)
-        if E > err:
-            break
-        V *= 2
+    E, err, q = fx_pow(ln2_mantissa(V), 1, h, V)
     R, G, j = (E + err) << q, 1 << V, 0
     a = lo
     while a <= hi:

@@ -612,14 +612,32 @@ def _ball(man: int, exp: int, num: int, den: int) -> MpReal:
 # fixed-point kernels (integers at scale 2**-w, error reported in ulps)
 # --------------------------------------------------------------------------
 
+def _taylor_pairs(term: int, X: int, w: int, c: int, dc: int) -> tuple[int, int]:
+    """The Taylor loop of fx_sin and fx_cos, two terms a pass, for X >= 0:
+    (total, 8*i + 16) from term = term_0, c = c_1 and dc = c_2 - c_1, which
+    grows by 8 a step in both series.  The callers derive the bound."""
+    xx = (X * X) >> w
+    total = term
+    i = 1
+    while term:
+        term = ((term * xx) >> w) // c
+        if not term:
+            return total, 8 * i + 24            # term_i = 0: the counter is i + 1
+        total -= term
+        term = ((term * xx) >> w) // (c + dc)
+        total += term
+        i, c, dc = i + 2, c + 2 * dc + 8, dc + 16
+    return total, 8 * i + 16
+
+
 def fx_sin(X: int, w: int) -> tuple[int, int]:
     """sin(X * 2**-w) in units of 2**-w, for |X * 2**-w| <= 3.3 and w >= 8.
 
     Returns (value_units, err_ulps) with err_ulps = 8*i + 16, i being the
-    loop counter at exit.  Derivation, for X >= 0 (the sign is restored
-    exactly): let x = X * 2**-w, c_i = 2i(2i+1) and t_i = x**(2i+1) /
-    (2i+1)! * 2**w, the exact i-th Taylor term in units.  The code keeps
-    xx = x**2 * 2**w - phi with phi in [0, 1) and computes
+    loop counter of _taylor_pairs at exit.  Derivation, for X >= 0 (the
+    sign is restored): let x = X * 2**-w, term_0 = X, c_i = 2i(2i+1) and
+    t_i = x**(2i+1) / (2i+1)! * 2**w, the exact i-th Taylor term in units.
+    The code keeps xx = x**2 * 2**w - phi with phi in [0, 1) and computes
     term_i = floor(floor(term_(i-1) * xx / 2**w) / c_i), which equals
     floor(term_(i-1) * xx / (c_i * 2**w)) because floor(floor(a/b)/c) =
     floor(a/(b*c)) for positive integers b, c.  So d_i = term_i - t_i obeys
@@ -634,21 +652,9 @@ def fx_sin(X: int, w: int) -> tuple[int, int]:
     t_(L+1) + t_(L+2) + ... shrinks by x**2/c_j <= 0.55 per term: it is
     below 2.7.  The total error is at most 2.2*L + 2.7 <= 8*i + 16.
     """
-    sign = -1 if X < 0 else 1
-    X = abs(X)
-    xx = (X * X) >> w
-    term = X
-    total = X
-    i, c, dc = 1, 6, 14     # c = c_i, dc = c_(i+1) - c_i; two terms a pass
-    while term:
-        term = ((term * xx) >> w) // c
-        if not term:
-            return sign * total, 8 * i + 24     # term_i = 0: the counter is i + 1
-        total -= term
-        term = ((term * xx) >> w) // (c + dc)
-        total += term
-        i, c, dc = i + 2, c + 2 * dc + 8, dc + 16
-    return sign * total, 8 * i + 16
+    a = abs(X)
+    total, err = _taylor_pairs(a, a, w, 6, 14)
+    return (-total if X < 0 else total), err
 
 
 def fx_cos(X: int, w: int) -> tuple[int, int]:
@@ -664,20 +670,7 @@ def fx_cos(X: int, w: int) -> tuple[int, int]:
     tail ratio is at most 0.37 and the tail below 1.8.  The total error is
     at most 2.9*L + 1.8 <= 8*i + 16.
     """
-    X = abs(X)
-    xx = (X * X) >> w
-    term = 1 << w
-    total = term
-    i, c, dc = 1, 2, 10     # c = c_i, dc = c_(i+1) - c_i; two terms a pass
-    while term:
-        term = ((term * xx) >> w) // c
-        if not term:
-            return total, 8 * i + 24            # term_i = 0: the counter is i + 1
-        total -= term
-        term = ((term * xx) >> w) // (c + dc)
-        total += term
-        i, c, dc = i + 2, c + 2 * dc + 8, dc + 16
-    return total, 8 * i + 16
+    return _taylor_pairs(1 << w, abs(X), w, 2, 10)
 
 
 def fx_atanh(T: int, w: int) -> tuple[int, int]:
@@ -752,7 +745,7 @@ def fx_pow(L: int, e_ln: int, c: Fraction, w: int) -> tuple[int, int, int]:
 
     (L, e_ln) is ln x at 2**-w within e_ln ulps, as fx_ln_int returns it;
     w >= 8.  Returns (E, err_ulps, q): x**c lies within err_ulps * 2**(q-w)
-    of E * 2**(q-w).  E <= err_ulps carries no information: raise w.
+    of E * 2**(q-w), and E > err_ulps.
 
     With A = round(c*L), l2 = ln2_mantissa(w) and q = round(A/l2) >= 0,
     x**c = 2**q * exp(r), r = c*ln x - q*ln 2, and R = A - q*l2 stands for
@@ -764,7 +757,10 @@ def fx_pow(L: int, e_ln: int, c: Fraction, w: int) -> tuple[int, int, int]:
     * If d <= 2**(w-5), r and R * 2**-w lie in |t| < 0.35 + 1/32 < 0.4,
       where exp' < e**0.4 < 3/2: exp(R * 2**-w) misses exp(r) by < 3d/2.
     So err_ulps = e_exp + ceil(3d/2).  w >= log2(c*e_ln + q) + 6 meets the
-    condition; where it fails, err_ulps = E.
+    condition; where it fails fx_pow raises DomainError, as sin_ball does
+    below its floor.  Where it holds, E > err_ulps: fx_exp_small's terms at
+    least halve (round(0.35t) <= t/2), so e_exp <= 4w + 12, E > 0.70 * 2**w
+    - e_exp and E - err_ulps > 0.65 * 2**w - 8w - 25 > 0 for w >= 8.
     """
     a, b = c.numerator, c.denominator
     A = round_div(L * a, b)
@@ -773,7 +769,7 @@ def fx_pow(L: int, e_ln: int, c: Fraction, w: int) -> tuple[int, int, int]:
     E, e_exp = fx_exp_small(A - q * l2, w)
     d4b = 4 * a * e_ln + 2 * b * (1 + q)       # 4b * d
     if d4b > b << (w - 3):                     # d > 2**(w-5)
-        return E, E, q
+        raise DomainError(f"fx_pow at w={w}: the error of c*ln x exceeds 2**{w - 5} ulps")
     return E, e_exp - (-3 * d4b // (8 * b)), q
 
 

@@ -160,20 +160,25 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
     shrinks by about 2**d.  With R = floor(4(T + 1)(u*p_units + p_err*m)
     / (m*p_units)) >= 1, the shortfall of the failed test, the next
     attempt adds R.bit_length() + 2 to w.  Where there is no T to measure
-    (m <= 1, or p_units <= p_err) w - c doubles instead.  The sine power
-    m**u has u*w bits, so an attempt whose u*w exceeds _POWER_BITS raises
-    ResourceLimitError before it takes the sine.
+    (m <= 1) w - c doubles instead.  The sine power m**u has u*w bits, so
+    an attempt whose u*w exceeds _POWER_BITS raises ResourceLimitError
+    before it takes the sine.
 
     A large integer part iv of v can make n**iv huge while the term rounds
     to 0.  So when iv > acc (a term of n >= 2 is then below 2**-acc
     unless sin n is tiny) n**iv is formed only after a test on bit
     lengths.  With bl(x) = x.bit_length(), x >= 2**(bl(x) - 1) for x >= 1,
-    and m - 1 >= 1, p_units - p_err >= 1 past the escalation test,
+    and m - 1 >= 1 past the escalation test and p_units - p_err >= 1,
     den_lo >= 2**(u*(bl(m-1) - 1) + iv*(bl(n) - 1) + bl(p_units - p_err) - 1).
     If that exponent is at least shift + 1, then den_c > den_lo >= 2N, so
     T = round_div(N, den_c) = 0 and the term times 2**acc lies in [0,
     N/den_lo] with N/den_lo <= 1/2: within 3 units of T.  Below the gate
     the test costs one comparison per attempt.
+
+    p_units - p_err >= 1 always: 1 +- 0 for frac = 0, else fx_pow's E >
+    err, as its d <= 2**(w-5) holds.  bits >= 8 gives w >= 136 + c, and
+    with b = bitlen(n) <= c + 1, e_ln <= 2.7w + b + 40 (its atanh loop
+    stops by i = w/3 + 2), frac < 1 and q <= c, d < 2.7w + 1.5c + 42.
     """
     w1 = acc + _SIN_MARGIN
     while True:
@@ -181,9 +186,7 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
             w1, m, short = w1 + short.bit_length() + 2, None, 0
         w = w1 + c
         if w > MAX_BITS:
-            raise ResourceLimitError(
-                f"term(n={n}) escalated past the {MAX_BITS}-bit ceiling"
-            )
+            raise ResourceLimitError(f"term(n={n}) needs {w} working bits (max {MAX_BITS})")
         if u * w > _POWER_BITS:
             raise ResourceLimitError(
                 f"term(n={n}) needs a sine power of {u * w} bits (max {_POWER_BITS})"
@@ -192,7 +195,7 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
             m = abs_sin_canonical(n, w)
         # n**frac at 2**(q-w); n**0 = 1 is exact at q = w
         p_units, p_err, q = fx_pow(*fx_ln_int(n, w), frac, w) if frac else (1, 0, w)
-        if m <= 1 or p_units <= p_err:
+        if m <= 1:
             w1, m = 2 * w1, None
             continue
         shift = acc + u * w + w - q
@@ -335,15 +338,16 @@ def save_checkpoint(result: PartialSumResult, path: str) -> None:
         raise
 
 
-def _decimal_to_units(text: str, acc: int, what: str) -> int:
+def _decimal_to_units(text: str, acc: int, path: str, what: str) -> int:
     try:
         frac = Fraction(Decimal(text))
     except Exception as exc:
-        raise CheckpointMismatchError(f"checkpoint {what} is not a decimal: {text!r}") from exc
+        raise CheckpointMismatchError(
+            f"checkpoint {path}: {what} is not a decimal: {text!r}") from exc
     scaled = frac * (1 << acc)
     if scaled.denominator != 1:
         raise CheckpointMismatchError(
-            f"checkpoint {what} does not sit on the 2**-{acc} grid"
+            f"checkpoint {path}: {what} does not sit on the 2**-{acc} grid"
         )
     return scaled.numerator
 
@@ -383,8 +387,8 @@ def load_checkpoint(path: str) -> PartialSumResult:
     if not _is_int(k) or k < 1:
         raise CheckpointMismatchError(f"checkpoint {path}: bad k={k!r}")
     acc = spec.acc_scale
-    units = _decimal_to_units(value_text, acc, "value")
-    err_units = _decimal_to_units(err_text, acc, "err")
+    units = _decimal_to_units(value_text, acc, path, "value")
+    err_units = _decimal_to_units(err_text, acc, path, "err")
     if units < 0 or err_units < 0:
         raise CheckpointMismatchError(f"checkpoint {path}: negative accumulator")
     return PartialSumResult(spec, k, units, err_units)

@@ -485,3 +485,89 @@ def test_integer_options_refuse_other_numbers(capsys, text):
     assert len(lines) == 1
     assert json.loads(lines[0]) == {
         "error": "UsageError", "message": f"argument --n-max: invalid int value: {text!r}"}
+
+
+def _one_error(capsys, code, *argv) -> dict:
+    """Run argv, check its exit code, an empty stdout and exactly one JSON
+    line on stderr, and return that line's object."""
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+NEAR_ONE_EPS = "43888708850394570/22565335563579539"    # see test_criterion
+
+
+def test_criterion_that_escalates_exits_zero(capsys):
+    code, out, err = run(capsys, "criterion", "--n", "1000", "--s", "1",
+                         "--eps", NEAR_ONE_EPS, "--format", "json")
+    assert (code, err) == (0, "")
+    want = criterion.check_criterion(1000, 1, Fraction(NEAR_ONE_EPS), 512)
+    assert json.loads(out)["satisfied"] is want.satisfied
+
+
+def test_criterion_past_the_escalation_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(criterion, "_ESCALATION_CAP", 112)
+    doc = _one_error(capsys, 2, "criterion", "--n", "1000", "--s", "1", "--eps", NEAR_ONE_EPS)
+    assert doc["error"] == "UndecidableError"
+
+
+def test_scan_refuses_zero_threads(capsys):
+    doc = _one_error(capsys, 1, "scan", "--from", "1", "--to", "9", "--s", "1",
+                     "--eps", "0.1", "--threads", "0")
+    assert doc == {"error": "DomainError",
+                   "message": "scan_criterion requires an integer threads >= 1, got 0"}
+
+
+@pytest.mark.parametrize("field, value, code, error, words", [
+    ("value", "abc", 3, "CheckpointMismatchError", "value is not a decimal"),
+    ("value", "0.1", 3, "CheckpointMismatchError", "value does not sit on the 2**-208 grid"),
+    ("err", "1e-300", 3, "CheckpointMismatchError", "err does not sit on the 2**-208 grid"),
+    ("value", "-1", 3, "CheckpointMismatchError", "negative accumulator"),
+    ("k", None, 1, "UsageError", "missing fields"),
+])
+def test_resume_refuses_a_bad_accumulator(capsys, tmp_path, field, value, code, error, words):
+    path = tmp_path / "c.json"
+    assert run(capsys, "sum", "--k", "2", "--checkpoint", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    got = _one_error(capsys, code, "sum", "--k", "3", "--resume", str(path))
+    assert got["error"] == error
+    assert f"checkpoint {path}" in got["message"] and words in got["message"]
+
+
+def test_resume_from_a_directory_is_usage_error(capsys, tmp_path):
+    doc = _one_error(capsys, 1, "sum", "--k", "3", "--resume", str(tmp_path))
+    assert doc["error"] == "UsageError"
+    assert doc["message"].startswith(f"cannot read checkpoint {tmp_path}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # w = bits + 80 + 48 + clog2 2 for the term, bits + 41 for the sine
+    (["term", "--n", "1", "--u", "1"], "term(n=1) needs 10000129 working bits (max 10000000)"),
+    (["sin", "--n", "2"], "sin(2) at 10000000 bits needs 10000041 working bits (max 10000000)"),
+])
+def test_commands_past_max_bits_exit_2(capsys, argv, message):
+    doc = _one_error(capsys, 2, *argv, "--bits", str(MAX_BITS))
+    assert doc["error"] == "ResourceLimitError"
+    assert message in doc["message"]
+
+
+def test_pi_fixture_with_a_wrong_digit_disagrees(capsys, tmp_path):
+    text = open(FIXTURE, encoding="utf-8").read().strip()
+    at = text.index(".") + 1 + 500             # fractional digit 500
+    wrong = "1" if text[at] != "1" else "2"
+    path = tmp_path / "pi.txt"
+    path.write_text(text[:at] + wrong + text[at + 1:])
+    code, out, err = run(capsys, "pi", "--bits", "3400", "--fixture", str(path),
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["agrees"] is False
+    assert doc["matched_digits"] == 500

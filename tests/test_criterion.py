@@ -15,6 +15,7 @@ from flintlab import (
     MAX_BITS,
     DomainError,
     ResourceLimitError,
+    UndecidableError,
     check_criterion,
     scan_criterion,
 )
@@ -626,3 +627,30 @@ def test_sparse_scan_to_1e32_calls_the_kernel_per_violator(monkeypatch):
     result = scan_criterion((1, 10**32), 1, "0.1")
     assert result.summary["violations"] == len(result.violations) == 500
     assert len(calls) <= 3 * 500
+
+
+# p = 2 - eps is a convergent of 2 * lambda(1000) = -2 ln|sin 1000| / ln 1000,
+# taken from 600-bit logs, so sin^2(1000) * 1000^p is within about 2**-107
+# of 1: the interval at the first w holds 1
+NEAR_ONE_EPS = Fraction(43888708850394570, 22565335563579539)
+
+
+def test_an_interval_that_holds_one_doubles_w(monkeypatch):
+    steps = []
+    kernel = criterion._kernel
+
+    def recording(n, s, p, w):
+        out = kernel(n, s, p, w)
+        steps.append((w, out[0]))
+        return out
+
+    monkeypatch.setattr(criterion, "_kernel", recording)
+    report = check_criterion(1000, 1, NEAR_ONE_EPS)
+    assert steps == [(112, None), (224, True)]
+    assert report.satisfied == check_criterion(1000, 1, NEAR_ONE_EPS, 512).satisfied
+
+
+def test_the_escalation_cap_raises_undecidable(monkeypatch):
+    monkeypatch.setattr(criterion, "_ESCALATION_CAP", 112)
+    with pytest.raises(UndecidableError, match="112-bit cap"):
+        check_criterion(1000, 1, NEAR_ONE_EPS)

@@ -88,6 +88,23 @@ def test_division_tracks_interval_endpoints():
     assert q.err <= Fraction(1, 1 << 120)
 
 
+def test_division_by_negative_balls_holds_the_end_quotients():
+    # a negative divisor flips both mantissas; a divisor of large exponent
+    # makes the shift negative, so the divisor is scaled up instead
+    rng = random.Random(523)
+    for _ in range(2000):
+        x = MpReal(rng.randrange(-1 << 80, 1 << 80), rng.randrange(-120, 40),
+                   Fraction(rng.randrange(1 << 20), 1 << rng.randrange(60, 140)))
+        y = MpReal(-rng.randrange(1 << 40, 1 << 80), rng.randrange(-40, 200),
+                   Fraction(rng.randrange(1 << 20), 1 << rng.randrange(60, 140)))
+        if rng.random() < 0.5:
+            y = y.neg()
+        q = x.div(y, rng.choice([8, 64, 128]))
+        for a in (x.lower(), x.upper()):
+            for b in (y.lower(), y.upper()):
+                assert q.lower() <= a / b <= q.upper()
+
+
 def test_ball_is_a_center_and_an_integer_radius_pair():
     x = MpReal.from_fraction(Fraction(1, 3), 64)
     assert MpReal.__slots__ == ("man", "exp", "_rnum", "_rden")
@@ -497,6 +514,29 @@ def test_const_source_ascending_sweep_refines_rarely(name, refine):
     assert got[::97] == fresh
 
 
+def _ln2_round(w: int) -> int:
+    """round(ln 2 * 2**w) from ln 2 = sum 1/(k * 2**k), in integers with
+    64 guard bits: the K = G terms kept lose under one unit each, and the
+    tail is below one unit, so ln 2 * 2**G lies in [S, S + K + 1]."""
+    G = w + 64
+    S = sum((1 << (G - k)) // k for k in range(1, G + 1))
+    lo, hi = (S + (1 << 63)) >> 64, (S + G + 1 + (1 << 63)) >> 64
+    assert lo == hi
+    return lo
+
+
+def test_const_source_retries_until_the_rounding_is_certain():
+    # at these w the first refine's rational lies too near a rounding
+    # boundary, so the source doubles src_w and refines once more
+    pi = mpreal._ConstSource("pi", mpreal._chudnovsky_pi_rational)
+    num, den = machin_pi_rational(8373 + 64)
+    assert pi.mantissa(8373) == round_div(num << 8373, den)
+    assert pi.refinements == 2
+    ln2 = mpreal._ConstSource("ln2", mpreal._atanh_ln2_rational)
+    assert ln2.mantissa(26248) == _ln2_round(26248)
+    assert ln2.refinements == 2
+
+
 def test_pi_bits_limit():
     with pytest.raises(ResourceLimitError):
         compute_pi(MAX_BITS + 1)
@@ -757,10 +797,12 @@ def test_fx_pow_containment_sweep(b):
                 L_near = round_div(fx_ln_int(n, w + 64)[0], 1 << 64)
                 for L_in, e_in in ((L, e_ln), (L_near - e_ln, e_ln + 1),
                                    (L_near + e_ln, e_ln + 1), (L_near, 1)):
-                    E, err, q = ball = fx_pow(max(L_in, 0), e_in, c, w)
-                    if E <= err:
+                    try:
+                        E, err, q = ball = fx_pow(max(L_in, 0), e_in, c, w)
+                    except DomainError:
                         assert w < 40, (n, a, b, w)
                         continue
+                    assert E > err, (n, a, b, w, L_in)
                     informative += 1
                     assert _pow_contains(n, a, b, w, power, ball), (n, a, b, w, L_in)
     assert informative > len(ns) * 6

@@ -65,6 +65,14 @@ def test_cf_rejects_bad_count():
         cf_terms(Fraction(1, 2), 0)
 
 
+@pytest.mark.parametrize("x", [MpReal(0, 0), MpReal(-3, 0), MpReal(1, -10, Fraction(1, 512)),
+                               Fraction(-1, 2)])
+def test_cf_rejects_a_ball_not_above_zero(x):
+    # MpReal(1, -10, 1/512) reaches down to -1/1024
+    with pytest.raises(DomainError, match="x > 0"):
+        cf_terms(x, 5)
+
+
 def _cf_key(expansion):
     return expansion.terms, expansion.exhausted, expansion.complete
 
@@ -218,6 +226,10 @@ def test_convergent_numerators_of_an_exhausted_expansion(monkeypatch):
     monkeypatch.setattr(rationality, "compute_pi", lambda bits: real(16))
     with pytest.raises(PrecisionError, match="could not enumerate"):
         convergent_numerators_up_to(10**12)
+
+
+def test_convergent_numerators_up_to_zero_is_empty():
+    assert convergent_numerators_up_to(0) == set()
 
 
 def test_convergent_numerators_below_100k():
