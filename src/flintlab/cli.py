@@ -266,10 +266,6 @@ def _cmd_scan(args) -> _Record:
     from .criterion import scan_criterion
     result = scan_criterion((getattr(args, "from"), args.to), args.s, args.eps,
                             args.bits, threads=args.threads)
-    if args.summary_out:
-        with open(args.summary_out, "w", encoding="utf-8") as fh:
-            json.dump(result.summary, fh)
-            fh.write("\n")
     doc = {"from": getattr(args, "from"), "to": args.to, "s": args.s,
            "epsilon": float(Fraction(args.eps)), "bits": args.bits,
            "summary": result.summary,
@@ -424,8 +420,6 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", required=True)
     p.add_argument("--threads", type=_int, default=1,
                    help="worker processes for pieces of candidates; output does not depend on it")
-    p.add_argument("--summary-out", metavar="PATH",
-                   help="also write the run summary JSON here")
     _finish(p, _cmd_scan, bits=64)
 
     p = sub.add_parser("identity", help="residual checks of the trig identities",

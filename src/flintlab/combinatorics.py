@@ -14,8 +14,8 @@ The inner alternating sum of G(n) telescopes through the binomial
 theorem: sum_j (-1)^(i-j) C(i,j) = (1-1)^i, which is 1 for i = 0 and 0
 for every i >= 1.  The double sum therefore collapses to the single
 i = 0 term C(n, 1) = n, exactly.  ``g_value`` exploits that collapse;
-``g_value_double_sum`` keeps the literal two-index accumulation around
-so the collapse itself stays testable.
+``g_value_double_sum`` takes the literal double sum, written out once in
+``multiple_angle_coefficients``, so the collapse itself stays testable.
 """
 
 from __future__ import annotations
@@ -53,45 +53,20 @@ def g_value(n: int) -> GValue:
     """Exact value of the double sum G(n).
 
     Because the inner sum vanishes for i >= 1 (binomial theorem), the
-    whole sum equals C(n, 1) = n.  This is an identity, not an
-    approximation; the literal accumulation is available as
-    ``g_value_double_sum`` and the two are compared in the test suite.
+    whole sum equals C(n, 1) = n, an identity that the tests check
+    against ``g_value_double_sum``.
     """
     if not _is_int(n) or n < 1:
         raise DomainError(f"g_value requires an integer n >= 1, got {n!r}")
     return GValue(n, n)
 
 
-def g_value_double_sum(n: int, order: str = "row") -> int:
-    """Literal two-index accumulation of G(n).
-
-    order="row" sums j inside i; order="column" sums i inside j.  Both
-    must agree with each other and with ``g_value`` -- the summation
-    order must not matter for an exact finite sum.
-    """
+def g_value_double_sum(n: int) -> int:
+    """G(n) as the literal double sum: the coefficient sum of
+    multiple_angle_coefficients(n), its expansion at theta -> 0."""
     if not _is_int(n) or n < 1:
         raise DomainError(f"g_value_double_sum requires an integer n >= 1, got {n!r}")
-    imax = (n + 1) // 2
-    total = 0
-    if order == "row":
-        for i in range(imax + 1):
-            outer = binomial(n, 2 * i + 1)
-            if outer == 0:
-                continue
-            for j in range(i + 1):
-                term = outer * binomial(i, j)
-                total += -term if (i - j) & 1 else term
-    elif order == "column":
-        for j in range(imax + 1):
-            for i in range(j, imax + 1):
-                outer = binomial(n, 2 * i + 1)
-                if outer == 0:
-                    continue
-                term = outer * binomial(i, j)
-                total += -term if (i - j) & 1 else term
-    else:
-        raise DomainError(f"order must be 'row' or 'column', got {order!r}")
-    return total
+    return sum(c for _, c in multiple_angle_coefficients(n))
 
 
 def multiple_angle_coefficients(n: int) -> list[tuple[int, int]]:

@@ -31,6 +31,7 @@ from .mpreal import (
     MpReal,
     _Frozen,
     _is_int,
+    _require_bits,
     clog2,
     cos_reduced,
     pi_mantissa,
@@ -73,17 +74,35 @@ def _coeffs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(multiple_angle_coefficients(n))
 
 
+def _work_bits(n: int, bits: int) -> tuple[int, int]:
+    """(S, wp) at n: S = sum |c_p| is the Pell number P_n; both grow with n."""
+    abs_sum = sum(abs(c) for _, c in _coeffs(n))
+    return abs_sum, bits + abs_sum.bit_length() + clog2(n + 2) + 24
+
+
 def verify_multiple_angle(n: int, theta: MpReal, bits: int = 192) -> ResidualReport:
     """Residual of sin(n*theta) - sin(theta) * sum c_p cos(theta)^p.
 
     Tolerance is 2**-(bits - 32); the 32 guard bits are recorded in the
     report.  Working precision additionally absorbs log2(sum |c_p|).
+
+    The polynomial's bound, with x = cos(theta) at the exact centre, u =
+    2**-wp and S = abs_sum.  cos_reduced's radius is at most u, so X is
+    within e_x <= 2 units of x/u (1/2 for the grid, ceil(radius/u) for
+    the radius), and Y = floor(X**2 * u), off by e_x * (2 + e_x*u) + 1 at
+    most, is within e_y = 2*e_x + 2 units of x**2/u.  Horner starts exact
+    at q_K/u; if acc is within E units of h/u, where h = sum_(j>k) q_j *
+    x**(2(j-k-1)) has |h| <= S, then round_div(acc * Y, 1/u) + q_k/u is
+    within E * (1 + e_y*u) + S*e_y + 1/2 units of its value.  E < n *
+    (S*e_y + 2) and 1/u >= 2**24 * S * (n + 2), so E * e_y * u < 1, and
+    the step's S*e_y + 2 covers it.  The odd-parity step acc * X * u adds
+    S*e_x + 2 the same way.  So e_acc bounds acc's error; the final + 1
+    is a spare unit (at n = 1, acc is the exact 1 and e_acc = 0).
     """
+    _require_bits(bits)
     if not _is_int(n) or n < 1:
         raise DomainError(f"verify_multiple_angle requires an integer n >= 1, got {n!r}")
-    coeffs = _coeffs(n)
-    abs_sum = sum(abs(c) for _, c in coeffs)
-    wp = bits + abs_sum.bit_length() + clog2(n + 2) + 24
+    abs_sum, wp = _work_bits(n, bits)
     # The identity holds pointwise, so evaluate both sides at the exact
     # dyadic center of the input ball; its radius would otherwise be
     # amplified by the coefficient sum and swamp the certified residual.
@@ -92,7 +111,7 @@ def verify_multiple_angle(n: int, theta: MpReal, bits: int = 192) -> ResidualRep
     X, e_x = _fixed_units(cos_t, wp)
     parity = (n - 1) % 2
     # P(x) = x^parity * Q(x^2), Horner on the even-index coefficient list
-    qc = [c for _, c in coeffs]          # ascending powers parity, parity+2, ...
+    qc = [c for _, c in _coeffs(n)]      # ascending powers parity, parity+2, ...
     Y = (X * X) >> wp
     e_y = 2 * e_x + 2
     acc = qc[-1] << wp
@@ -136,6 +155,7 @@ def _fixed_units(x: MpReal, w: int) -> tuple[int, int]:
 
 def seeded_thetas(count: int, seed: int, bits: int = 192) -> list[MpReal]:
     """Deterministic angles uniform over (-pi, pi), as tight balls."""
+    _require_bits(bits)
     if not _is_int(count) or count < 1:
         raise DomainError(f"seeded_thetas needs an integer count >= 1, got {count!r}")
     rng = random.Random(seed)
@@ -153,9 +173,11 @@ def seeded_thetas(count: int, seed: int, bits: int = 192) -> list[MpReal]:
 def verify_multiple_angle_sweep(n_max: int, thetas_per_n: int,
                                 bits: int = 192, seed: int = 7041) -> list[ResidualReport]:
     """The multiple-angle check over n in [1, n_max] x seeded angles."""
+    _require_bits(bits)
     if not _is_int(n_max) or n_max < 1:
         raise DomainError(
             f"verify_multiple_angle_sweep needs an integer n_max >= 1, got {n_max!r}")
+    _require_bits(_work_bits(n_max, bits)[1])     # the largest wp, before any angle
     thetas = seeded_thetas(thetas_per_n, seed, bits)
     reports = []
     for n in range(1, n_max + 1):
@@ -170,6 +192,7 @@ def verify_multiple_angle_sweep(n_max: int, thetas_per_n: int,
 def verify_sinc_limit(m_sequence: Sequence[MpReal | Fraction],
                       bits: int = 128) -> list[tuple[MpReal, MpReal]]:
     """Ratios sin(m)/m along a strictly decreasing positive sequence."""
+    _require_bits(bits)
     ms = [m if isinstance(m, MpReal) else MpReal.from_fraction(m, bits + 16)
           for m in m_sequence]
     if not ms:
@@ -194,6 +217,7 @@ def verify_angle_difference(n: MpReal, a: MpReal, bits: int = 128) -> ResidualRe
     Degenerate-input error when |sin n| does not clear its own error
     bound; everything else is plain ball arithmetic.
     """
+    _require_bits(bits)
     wb = bits + 16
     sin_n = sin_reduced(n, wb)
     if abs(sin_n.center()) <= sin_n.err:

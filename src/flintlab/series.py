@@ -253,13 +253,14 @@ def partial_sum(k: int, spec: SeriesSpec,
     The sines come from abs_sin_walk, one block (n0, ms) at a time.  A
     block crosses no power of two, so c, w, N << 1 and whether the first
     attempt runs inline are formed once per block, and each term's T is
-    _units' with those values.  For integer v with iv <= acc (and w <=
-    MAX_BITS, u*w <= _POWER_BITS) the loop over ms is _units' first
-    attempt, inline and line for line: if m > 1, it forms T and keeps it
-    when the width test passes, and when the test fails it hands _units
-    the shortfall, so _units goes on from the next w.  Every other term
-    (m <= 1), and every term of a fractional v or of iv > acc, calls
-    _units with m, and _units owns every escalation.
+    _units' with those values.  Before the walk, k's first attempt is
+    checked against _units' ceilings on w and u*w.  w grows with n, so if
+    it passes, every first attempt does; else _units raises for the first
+    n over a ceiling, and no block is walked.  For integer v with iv <=
+    acc the loop over ms is _units' first attempt, inline and line for
+    line, with the shortfall handoff _units describes.  Every other term
+    (m <= 1, a fractional v or iv > acc) calls _units with m, and _units
+    owns every escalation.
 
     Every term is within 3 units, so the run adds 3 * (k - checkpoint.k)
     units to the checkpoint's err_units, which is carried over as stored.
@@ -283,10 +284,15 @@ def partial_sum(k: int, spec: SeriesSpec,
         err_units = checkpoint.err_units
     acc, u = spec.acc_scale, spec.u
     iv, frac = divmod(spec.v, 1)
+    top = min(MAX_BITS, _POWER_BITS // u) - acc - _SIN_MARGIN   # the largest c that passes
+    if clog2(max(k, 2)) > top:
+        # c = clog2(max(n, 2)) >= 1 first exceeds top at n = 2**top + 1
+        n = max(start, (1 << top) + 1 if top > 0 else 1)
+        _units(n, clog2(max(n, 2)), None, u, iv, frac, acc, 0)  # raises before any work
     for n0, ms in abs_sin_walk(start, k, acc + _SIN_MARGIN):
         c = clog2(max(n0, 2))               # the same for every n of the block
         w = acc + _SIN_MARGIN + c
-        if frac or iv > acc or w > MAX_BITS or u * w > _POWER_BITS:
+        if frac or iv > acc:
             for n, m in enumerate(ms, n0):
                 units += _units(n, c, m, u, iv, frac, acc, 0)
             continue

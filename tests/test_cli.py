@@ -134,15 +134,6 @@ def test_scan_csv_rows(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "3", "22"]
 
 
-def test_scan_summary_out(capsys, tmp_path):
-    path = tmp_path / "summary.json"
-    code, _, _ = run(capsys, "scan", "--from", "1", "--to", "30", "--s", "1",
-                     "--eps", "0.1", "--summary-out", str(path))
-    assert code == 0
-    doc = json.loads(path.read_text())
-    assert doc["checked"] == 30 and doc["violations"] == 3
-
-
 def test_scan_threads_identical_stdout(capsys):
     argv = ["scan", "--from", "1", "--to", "8200", "--s", "1", "--eps", "0.1",
             "--format", "csv"]

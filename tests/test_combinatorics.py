@@ -87,20 +87,9 @@ def test_g_value_matches_chebyshev_recurrence_oracle():
         assert g_value(n).value == chebyshev_u_at_one(n - 1)
 
 
-@pytest.mark.parametrize("order", ["row", "column"])
-def test_double_sum_collapses_to_index(order):
+def test_double_sum_collapses_to_index():
     for n in range(1, 45):
-        assert g_value_double_sum(n, order) == n
-
-
-def test_double_sum_orders_agree():
-    for n in (1, 2, 17, 64, 97):
-        assert g_value_double_sum(n, "row") == g_value_double_sum(n, "column")
-
-
-def test_double_sum_rejects_unknown_order():
-    with pytest.raises(DomainError):
-        g_value_double_sum(5, "diagonal")
+        assert g_value_double_sum(n) == n
 
 
 def test_coefficients_known_expansion():

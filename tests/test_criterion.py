@@ -181,8 +181,8 @@ def test_scan_verdicts_invariant_in_s():
     assert [n for n, ok in zip(near, low) if not ok] == violators
 
 
-# 18953/9970 is just above 1.9; near 199/100 the thresholds of neighbouring
-# subblocks differ little
+# 18953/9970 is just above 1.9; near 199/100 the radii a^-(1-eps/2) of
+# neighbouring blocks differ little
 _EPSILONS = ["0.1", Fraction(1, 3), "1.9", "0.001", Fraction(1, 997), Fraction(18953, 9970),
              Fraction(199, 100)]
 
@@ -219,7 +219,7 @@ def test_scan_on_two_processes_matches_per_n_loop(monkeypatch, s, eps):
 @pytest.mark.parametrize("eps", ["0.1", "1.9"])
 @pytest.mark.parametrize("s", [1, 3])
 @pytest.mark.parametrize("window", [(4, 6), (20_000, 20_100)])
-def test_walk_worst_margin_fallback_matches_per_n_loop(monkeypatch, window, s, eps):
+def test_worst_margin_past_round_0_matches_per_n_loop(monkeypatch, window, s, eps):
     # at eps = 0.1 neither window holds a violator, so round 0 does not
     # settle the worst margin, and the rounds after it must not decide
     # again what round 0 decided
@@ -408,7 +408,7 @@ def test_scan_summary_json():
 
 @pytest.mark.parametrize("eps", ["0.1", "0.5", "1", "1.5", "1.9"])
 @pytest.mark.parametrize("s", [1, 3])
-def test_scan_paths_agree_from_one(s, eps):
+def test_scan_from_one_equals_its_two_parts(s, eps):
     # a scan from n = 1 equals the scans of its two parts, whose block
     # edges, working precision W and so windows differ from its own
     hi = 10_000 if eps == "1.9" else 100_000
@@ -436,12 +436,12 @@ def test_scan_paths_agree_from_one(s, eps):
     ((1_000_000, 1_004_000), 3, "0.1"),
     ((criterion._SCAN_LIMIT - 41, criterion._SCAN_LIMIT - 1), 1, "1.9"),  # the last n
 ])
-def test_scan_paths_match_per_n_loop_far_out(window, s, eps):
+def test_scan_matches_per_n_loop_far_out(window, s, eps):
     want = scan_key(per_n_scan(window, s, eps))
     assert scan_key(scan_criterion(window, s, eps)) == want
 
 
-def test_scan_paths_match_on_two_processes_far_out(monkeypatch):
+def test_scan_on_two_processes_matches_one_far_out(monkeypatch):
     # six candidates in pieces of two run on a real pool of two processes
     window = (99_940_000, 99_950_000)
     want = scan_key(scan_criterion(window, 1, "1", threads=1))

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import flintlab.identities as identities
 from flintlab import (
+    MAX_BITS,
     DegenerateInputError,
     DomainError,
     MpReal,
+    ResourceLimitError,
     compute_pi,
     seeded_thetas,
     verify_angle_difference,
@@ -130,3 +133,46 @@ def test_reports_jsonl_round_trip():
     for r in reports:
         doc = json.loads(json.dumps(r.to_json()))
         assert doc["pass"] is True
+
+
+def _count_work(monkeypatch) -> list:
+    """Replace the names through which the identity checks do their work
+    with wrappers; return the list of the names called."""
+    calls = []
+    for name in ("pi_mantissa", "sin_reduced", "cos_reduced", "seeded_thetas",
+                 "verify_multiple_angle"):
+        real = getattr(identities, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(identities, name, counted)
+    monkeypatch.setattr(MpReal, "from_fraction", lambda *args: calls.append("from_fraction"))
+    return calls
+
+
+@pytest.mark.parametrize("bits, error", [(4, DomainError), (MAX_BITS + 1, ResourceLimitError)])
+@pytest.mark.parametrize("call", [
+    lambda bits: verify_multiple_angle(5, MpReal(3, -2), bits),
+    lambda bits: verify_multiple_angle_sweep(2, 1, bits),
+    lambda bits: seeded_thetas(1, 7, bits),
+    lambda bits: verify_sinc_limit([Fraction(1, 10)], bits),
+    lambda bits: verify_angle_difference(MpReal(3, 0), MpReal(1, -1), bits),
+], ids=["multiple-angle", "sweep", "thetas", "sinc", "angle-diff"])
+def test_identity_checks_refuse_bits_before_any_work(monkeypatch, call, bits, error):
+    calls = _count_work(monkeypatch)
+    with pytest.raises(error):
+        call(bits)
+    assert calls == []
+
+
+def test_sweep_refuses_its_largest_working_precision_before_seeding(monkeypatch):
+    # bits = MAX_BITS - 1 is allowed, but the working precision at n_max
+    # adds log2(sum |c_p|) + clog2(n_max + 2) + 24 bits
+    calls = _count_work(monkeypatch)
+    bits = MAX_BITS - 1
+    with pytest.raises(ResourceLimitError) as info:
+        verify_multiple_angle_sweep(2, 1, bits)
+    assert calls == []
+    assert str(info.value).startswith(f"requested {identities._work_bits(2, bits)[1]} bits")

@@ -18,7 +18,7 @@ from flintlab import (
     term,
 )
 import flintlab.series as series
-from flintlab.mpreal import WALK_BLOCK, abs_sin_canonical, clog2, fx_ln_int, fx_pow
+from flintlab.mpreal import MAX_BITS, WALK_BLOCK, abs_sin_canonical, clog2, fx_ln_int, fx_pow
 from oracles import sin_by_reduction, term_units_ref
 
 
@@ -598,6 +598,43 @@ def test_huge_sine_power_raises_at_once():
     with pytest.raises(ResourceLimitError):
         term(1, SeriesSpec(u=10**9))
     assert time.perf_counter() - t0 < 1
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ResourceLimitError) as info:
+        call()
+    return str(info.value)
+
+
+def test_sums_at_max_bits_refuse_at_once():
+    # every term needs more than MAX_BITS working bits, so the sum refuses
+    # for n = 1 with term's own message, before it walks
+    want = _refusal(lambda: term(1, SeriesSpec(bits=MAX_BITS)))
+    for call in (lambda: partial_sum(3, SeriesSpec(bits=MAX_BITS)),
+                 lambda: equivalence_experiment(3, 1, MAX_BITS)):
+        t0 = time.perf_counter()
+        assert _refusal(call) == want
+        assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("spec, first", [
+    (SeriesSpec(u=77220), 9),             # u*w > _POWER_BITS from w = 256 + 4 on
+    (SeriesSpec(bits=MAX_BITS - 130), 5),  # w > MAX_BITS from w = MAX_BITS - 2 + 3 on
+])
+def test_sum_names_the_first_term_over_a_ceiling(spec, first, monkeypatch):
+    def passes(n):
+        w = spec.acc_scale + series._SIN_MARGIN + clog2(max(n, 2))
+        return w <= MAX_BITS and spec.u * w <= series._POWER_BITS
+
+    assert passes(first - 1) and not passes(first)
+    walks = []
+    monkeypatch.setattr(series, "abs_sin_walk", lambda *args: walks.append(args) or iter(()))
+    message = {n: _refusal(lambda: term(n, spec)) for n in (first, first + 4)}
+    assert message[first] != message[first + 4]
+    for k0, n in ((None, first), (first - 2, first), (first + 3, first + 4)):
+        checkpoint = None if k0 is None else series.PartialSumResult(spec, k0, 0, 0)
+        assert _refusal(lambda: partial_sum(20, spec, checkpoint)) == message[n], k0
+    assert walks == []
 
 
 def test_large_sine_power_keeps_its_value():
