@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CheckpointMismatchError, PrecisionError, UsageError
-from .mpreal import MpReal, compute_pi, floor_log10, round_div, sin_int
+from .mpreal import MpReal, compute_pi, floor_log10, sin_int
 
 __all__ = ["main", "build_parser"]
 
@@ -108,7 +108,8 @@ def _one_row(doc: dict, *keys: str) -> list:
 
 
 def _sci(x: Fraction, digits: int = 3) -> str:
-    """Short scientific rendering of a non-negative fraction.
+    """Short scientific rendering of a non-negative fraction, rounded up,
+    so a printed error bound is never below the radius it stands for.
 
     The exponent is mpreal.floor_log10; a mantissa that rounds up to 10
     carries into it.
@@ -119,7 +120,7 @@ def _sci(x: Fraction, digits: int = 3) -> str:
     e10 = floor_log10(num, den)
     # x / 10**e10 = top / bottom
     top, bottom = (num, den * 10 ** e10) if e10 >= 0 else (num * 10 ** -e10, den)
-    scaled = round_div(top * 10 ** (digits - 1), bottom)
+    scaled = -(-top * 10 ** (digits - 1) // bottom)
     if scaled == 10 ** digits:
         scaled //= 10
         e10 += 1

@@ -12,9 +12,12 @@ outside the error interval of the left side; otherwise the working
 precision of the logs and the power doubles (capped at 2**20 bits).
 
 One index (check_criterion) takes n^(2-eps) from mpreal.fx_pow, fed with
-the same ln n that gives ln_lhs and ln_rhs; the reported right side is
-that interval times the exact n^(2s).  eps is an exact fraction end to
-end, so scans are bit-reproducible regardless of chunking or processes.
+the same ln n that gives ln_lhs = 2s ln n.  The product is evaluated once,
+as an integer interval: it decides the verdict, the margin is the log of
+its centre, and the reported right side is that interval times the exact
+n^(2s), so s enters the report alone (ln_rhs = ln_lhs + margin).  eps is
+an exact fraction end to end, so scans are bit-reproducible regardless of
+chunking or processes.
 
 A range scan (scan_criterion) reports the violators, the count of
 indices and the least float margin with its n; "satisfied" means
@@ -31,8 +34,9 @@ reports equal check_criterion's bit for bit.
 Worst margin.  Later rounds widen every window by doubling factors until
 the least margin found provably beats every n outside them, skipping
 the rounds that would decide nothing.  Every decided n's float margin is
-within s * 5e-7 of ln(sin^2(n) * n^(2-eps)) (see _decided_kernel), and
-that argument rests on it.  Ranges end below 2**1024 - 2**970.
+within 5e-7 of ln(sin^2(n) * n^(2-eps)) whatever s is (see
+_decided_kernel), and that argument rests on it, so a scan's summary does
+not depend on s.  Ranges end below 2**1024 - 2**970.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .mpreal import (
     fx_pow,
     ln2_mantissa,
     pi_mantissa,
-    round_div,
     sin_rel,
 )
 
@@ -67,8 +70,8 @@ __all__ = [
 
 _ESCALATION_CAP = 1 << 20
 _CHUNK = 1024             # most candidates in one piece of a round
-_SCREEN_SLACK = 1e-6      # worst-margin tolerance, per unit of s
-_SCAN_LIMIT = (1 << 1024) - (1 << 970)   # _decided_kernel's float bound assumes n < 2**1024
+_SCREEN_SLACK = 1e-6      # worst-margin tolerance, twice the margin's 5e-7 bound
+_SCAN_LIMIT = (1 << 1024) - (1 << 970)   # every n of a scan rounds to a finite float
 _LN2 = math.log(2)
 
 
@@ -89,7 +92,7 @@ class CriterionReport(_Frozen):
     s: int
     epsilon: float
     satisfied: bool
-    margin: float      # ln(rhs) - ln(lhs)
+    margin: float      # ln(sin^2(n) * n^(2-eps)) to within 5e-7, the same for every s
     ln_lhs: float
     ln_rhs: float
     interval: tuple[int, int, int]
@@ -127,24 +130,24 @@ def _epsilon_fraction(epsilon) -> Fraction:
     return eps
 
 
-def _kernel(n: int, s: int, p: Fraction, w: int):
+def _kernel(n: int, p: Fraction, w: int):
     """One evaluation of sin^2(n) * n^p against 1 at working precision w.
 
-    p = 2 - eps.  The verdict uses p; ln_rhs rounds (2s + p) * ln n at
-    scale 2**-w, with L = fx_ln_int(n, w) standing for ln n.  2s + p has
-    the lowest-terms denominator d of p, so round_div(L * (2s*d + p_num),
-    d) = 2s*L + round_div(L * p_num, d) exactly, and the floats are those
-    of c = 2s + p bit for bit without forming c.  The sine ball (S,
-    e_abs) at 2**-wr comes from sin_rel, first tried at wr = w + clog2 n
-    + 8, so |S| > e_abs * 2**24 whatever the verdict.
-    Returns (verdict, ln_lhs, ln_rhs, interval) where verdict is
+    p = 2 - eps.  The sine ball (S, e_abs) at 2**-wr comes from sin_rel,
+    first tried at wr = w + clog2 n + 8, so |S| > e_abs * 2**24 whatever
+    the verdict; n^p comes from fx_pow on L = fx_ln_int(n, w).
+    Returns (verdict, margin, L, w, interval) where verdict is
     True/False/None (None = the interval holds 1: the caller escalates)
     and interval = (lo, hi, scale_bits) brackets sin^2(n) * n^(2-eps) in
-    exact integer units of 2**-scale_bits.  fx_pow's d <= 2**(w-5) holds,
-    so e_pow > e_tot: w >= 56, and sin_rel raises first for an n of more
-    than MAX_BITS bits, so b = bitlen(n) <= 10**7.  With e_ln <= 2.7w + b
-    + 40 (see _decided_kernel), c < 2 and q <= 2b + 1, d < 5.4w + 3b + 81,
-    below 2**51 at w = 56, and the gap only widens as w doubles.
+    exact integer units of 2**-scale_bits.  margin is the log of the
+    interval's centre (lo + hi) * 2**-(scale_bits+1): a 64-bit fx_ln_int of
+    the top 64 bits of mid = lo + hi, plus one ln 2 for each bit cut off or
+    scaled away, divided by 2**64 once.  L and w give the report's ln_lhs.
+    fx_pow's d <= 2**(w-5) holds, so e_pow > e_tot: w >= 56, and sin_rel
+    raises first for an n of more than MAX_BITS bits, so b = bitlen(n) <=
+    10**7.  With e_ln <= 2.7w + b + 40 (see _decided_kernel), c < 2 and q
+    <= 2b + 1, d < 5.4w + 3b + 81, below 2**51 at w = 56, and the gap only
+    widens as w doubles.
     """
     S, e_abs, wr = sin_rel(n, 24, w + clog2(max(n, 2)) + 8)
     m = abs(S)
@@ -160,42 +163,46 @@ def _kernel(n: int, s: int, p: Fraction, w: int):
         verdict = False
     else:
         verdict = None
-    lhs_units = 2 * s * ln_n
-    ln_sin2 = 2 * (fx_ln_int(m, w)[0] - wr * ln2_mantissa(w))
-    ln_rhs = (ln_sin2 + lhs_units + round_div(ln_n * p.numerator, p.denominator)) / (1 << w)
-    ln_lhs = lhs_units / (1 << w)
-    return verdict, ln_lhs, ln_rhs, (lo, hi, scale)
+    mid = lo + hi
+    t = max(mid.bit_length() - 64, 0)
+    margin = (fx_ln_int(mid >> t, 64)[0] + (t - scale - 1) * ln2_mantissa(64)) / (1 << 64)
+    return verdict, margin, ln_n, w, (lo, hi, scale)
 
 
-def _decided_kernel(n: int, s: int, p: Fraction, bits: int):
+def _decided_kernel(n: int, p: Fraction, bits: int):
     """Escalate _kernel until the verdict is strict; deterministic in inputs.
 
     Only an interval that holds 1 doubles w: sin_rel already gives the
     sine to 2**-24 of its size at every w.
 
-    Float margin.  For n < 2**1024 the returned ln_rhs - ln_lhs is within
-    1.3e-7 + s * 1e-12 <= s * 5e-7 of ln(sin^2(n) * n^(2-eps)).  Below,
-    wr is the sine's precision, w + clog2 n + 8 <= wr <= MAX_BITS, and w
-    >= 56.
-    * Sine.  sin_rel gives m = |S| > e * 2**24, so |sin n| * 2**wr lies
-      within a factor 1 +- 2**-24 of m, and 2 ln(m * 2**-wr) is within
-      2**-23 * (1 + 2**-24) < 1.2e-7 of ln sin^2 n.
-    * Fixed point.  With L = fx_ln_int(n, w), ln_rhs - ln_lhs is (ln_sin2
-      + round((2-eps) * L)) * 2**-w, since 2s*L is an integer.  fx_ln_int
-      is within 2.7w + b + 40 ulps at a b-bit argument (its atanh loop
-      stops by i = w/3 + 2).  So ln_sin2 = 2 * (ln m - wr * ln 2), with m
-      below 2**(wr+1), is off by at most 2 * (2.7w + 1.5wr + 41) ulps,
-      and round((2-eps) * L) by 2 * (2.7w + 1064) + 1/2; with wr <= 10**7
-      their sum is below 3.1e7 * 2**-56 < 5e-10.
-    * Floats.  Rounding ln_rhs, ln_lhs and their difference adds at most
-      2**-52 * (|ln_rhs| + |ln_lhs|), with ln n < 710 and |ln sin^2 n| <
-      2 * wr * ln 2 (m > 2**24): below 3.2e-9 + s * 7e-13.
+    Margin.  The returned margin is within 5e-7 of ln(sin^2(n) *
+    n^(2-eps)), for every n and s.  Below, wr is the sine's precision, w +
+    clog2 n + 8 <= wr <= MAX_BITS, w >= 56, and b = bitlen(n) <= 10**7.
+    fx_ln_int is within 2.7w + b + 40 ulps at a b-bit argument (its atanh
+    loop stops by i = w/3 + 2).
+    * The interval is narrow.  It holds X = sin^2(n) * n^(2-eps) *
+      2**scale and its centre c = mid/2, so |ln c - ln X| <= ln(hi/lo).
+      sin_rel gives m = |S| > e * 2**24, so 2 ln((m + e)/(m - e)) <= 4
+      atanh(2**-24) < 2.39e-7.  fx_pow's err is at most e_exp + 3d/2 + 1
+      with e_exp <= 4w + 12 and d as in _kernel, under 2**26 at w = 56,
+      while E > 0.69 * 2**w; so err/E < 2**-29, and it falls as w grows.
+      Then ln((E + err)/(E - err)) < 7.5e-9, and ln(hi/lo) < 2.5e-7.
+    * The rest is tiny.  margin stands for ln c - scale * ln 2 = ln mid -
+      (scale + 1) * ln 2.  mid >> t is at least 2**63 when t > 0, so the
+      cut moves the log by less than 2**-62; fx_ln_int(mid >> t, 64) is
+      within 280 ulps of 2**-64; each of the |t - scale - 1| copies of
+      ln2_mantissa(64) is within 1/2 ulp, and t <= bitlen(mid) <= scale +
+      2b + 2 with scale = 2wr + w - q < 2.2e7, so they add below 6e-13.
+      The one division rounds to the nearest float: 2**-53 * |margin| <
+      1.6e-9, as |margin| < 2 * MAX_BITS * ln 2 + 2 (m > 2**24 gives
+      |sin n| > 2**-wr, and n^(2-eps) < n^2 < 4**MAX_BITS).
+    So the margin is off by less than 2.5e-7 + 1e-12 + 1.6e-9 < 5e-7.
     """
     w = bits + 48
     while True:
-        verdict, ln_lhs, ln_rhs, interval = _kernel(n, s, p, w)
-        if verdict is not None:
-            return verdict, ln_lhs, ln_rhs, interval
+        kernel_out = _kernel(n, p, w)
+        if kernel_out[0] is not None:
+            return kernel_out
         if w >= _ESCALATION_CAP:
             raise UndecidableError(
                 f"criterion at n={n} undecided at the {_ESCALATION_CAP}-bit cap"
@@ -220,13 +227,15 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
         raise DomainError(f"check_criterion requires an integer s >= 1, got {s!r}")
     _require_bits(bits)
     eps = _epsilon_fraction(epsilon)
-    return _report(n, s, float(eps), bits, _decided_kernel(n, s, 2 - eps, bits))
+    return _report(n, s, float(eps), bits, _decided_kernel(n, 2 - eps, bits))
 
 
 def _report(n: int, s: int, epsilon: float, bits: int, kernel_out) -> CriterionReport:
-    """The report of index n, built from the _decided_kernel output that decided it."""
-    verdict, ln_lhs, ln_rhs, interval = kernel_out
-    return CriterionReport(n, s, epsilon, verdict, ln_rhs - ln_lhs, ln_lhs, ln_rhs,
+    """The report of index n, built from the _decided_kernel output that
+    decided it: ln_lhs = 2s * ln n, and ln_rhs = ln_lhs + margin."""
+    verdict, margin, ln_n, w, interval = kernel_out
+    ln_lhs = 2 * s * ln_n / (1 << w)
+    return CriterionReport(n, s, epsilon, verdict, margin, ln_lhs, ln_lhs + margin,
                            interval, bits)
 
 
@@ -240,11 +249,11 @@ def _decide(args) -> list[tuple[int, float, tuple | None]]:
     """(n, kernel margin, kernel output or None) for each n of a piece, as
     _decided_kernel decides it; the output is kept for a violator only,
     and holds ints, floats and a bool, so a pool returns it cheaply."""
-    ns, s, p, bits = args
+    ns, p, bits = args
     decided = []
     for n in ns:
-        out = _decided_kernel(n, s, p, bits)
-        decided.append((n, out[2] - out[1], None if out[0] else out))
+        out = _decided_kernel(n, p, bits)
+        decided.append((n, out[1], None if out[0] else out))
     return decided
 
 
@@ -401,15 +410,16 @@ def _blocks(lo: int, hi: int, h: Fraction, W: int):
         a = b + 1
 
 
-def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
-          threads: int) -> tuple[list[CriterionReport], tuple[float, int]]:
-    """Violators' reports, ascending, and (worst margin, its n) for lo..hi.
+def _scan(lo: int, hi: int, p: Fraction, bits: int,
+          threads: int) -> tuple[list[tuple[int, tuple]], tuple[float, int]]:
+    """(n, kernel output) of each violator, ascending, and (worst margin,
+    its n) for lo..hi.
 
     Superset.  Let T = 2**t and z_T(n) = T * n^-(1-eps/2).  Write n = k*pi
     + r with k the nearest integer to n/pi, so |r| <= pi/2 and |sin n| =
     sin |r|.  If |sin n| < z_T(n) < 1 then |r| < arcsin z_T(n).  A violator
     has sin^2(n) * n^(2-eps) < 1, that is |sin n| < z_1(n).  Each n in a
-    window goes to _decided_kernel once, and a violator's report is built
+    window goes to _decided_kernel once, and a violator's output is kept
     from that call; every other n is satisfied.
 
     Window.  lo..hi splits into blocks a..b of equal c = clog2(max(n, 2)),
@@ -432,7 +442,7 @@ def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
     are decided, their least (margin, n) and the reports do not depend on
     the pieces, so the output does not depend on threads.
 
-    Order.  The reports come out ascending in n without a sort.  Every
+    Order.  The violators come out ascending in n without a sort.  Every
     violator lies in a window of round 0 (t = 0), since |sin n| < z_1(n)
     <= z_1(a), and round 0 decides every n of its windows.  Its candidates
     ascend, because the blocks ascend and each block's window list
@@ -442,8 +452,8 @@ def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
     Worst margin.  The scan reports the least kernel margin over lo..hi,
     first n among equals.  An n outside the windows of T has sin^2(n) *
     n^(2-eps) >= T^2, so by _decided_kernel's bound its kernel margin is
-    at least 2t ln 2 - s * 5e-7.  So from t = 0 up, the least margin over
-    the decided n is final once it lies below 2t ln 2 - s * _SCREEN_SLACK
+    at least 2t ln 2 - 5e-7.  So from t = 0 up, the least margin over
+    the decided n is final once it lies below 2t ln 2 - _SCREEN_SLACK
     (the float rounding of that bound is below 1e-12), or once every block
     is whole.  Otherwise the next round is the least t' > t that decides
     an n not yet decided, is whole, or has that bound above the least
@@ -452,7 +462,7 @@ def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
     doubling t' - t, then bisecting, with probes that stop at the first
     new n.
     """
-    epsilon, W = float(2 - p), 2 * hi.bit_length() + 64
+    W = 2 * hi.bit_length() + 64
     M = pi_mantissa(W)
     blocks = [(a, b, num, den, ((a - 1) << W) // (M + 1), -(-((b + 1) << W) // (M - 1)))
               for a, b, num, den in _blocks(lo, hi, 1 - p / 2, W)]
@@ -470,7 +480,7 @@ def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
                 block.__contains__, _near_multiples(M, W, k0, k1, D))
 
     def ends(t):
-        return worst[0] < 2 * t * _LN2 - s * _SCREEN_SLACK
+        return worst[0] < 2 * t * _LN2 - _SCREEN_SLACK
 
     def opens(t):
         """Whether round t ends the scan or decides an n not yet decided."""
@@ -481,13 +491,13 @@ def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
             n not in decided for _, ns in rows for n in ns)
 
     decided: set[int] = set()
-    violations: list[CriterionReport] = []
+    violators: list[tuple[int, tuple]] = []
     worst = (math.inf, -1)
     t = 0
     while True:
         rows = list(windows(t))
         candidates = [n for _, ns in rows for n in ns if n not in decided]
-        pieces = [(candidates[i:i + _CHUNK], s, p, bits)
+        pieces = [(candidates[i:i + _CHUNK], p, bits)
                   for i in range(0, len(candidates), _CHUNK)]
         workers = min(threads, len(pieces), os.cpu_count() or 1)
         if workers > 1:
@@ -498,8 +508,7 @@ def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
             out = [x for piece in pieces for x in _decide(piece)]
         decided.update(n for n, _, _ in out)
         worst = min([worst, *((margin, n) for n, margin, _ in out)])
-        violations += [_report(n, s, epsilon, bits, kernel_out)
-                       for n, _, kernel_out in out if kernel_out is not None]
+        violators += [(n, kernel_out) for n, _, kernel_out in out if kernel_out is not None]
         if all(whole for whole, _ in rows) or ends(t):
             break
         below, step = t, 1          # round t + 1, t + 3, t + 7, ... until one opens
@@ -510,7 +519,7 @@ def _scan(lo: int, hi: int, s: int, p: Fraction, bits: int,
             if not opens(below + step):
                 below += step
         t = below + 1
-    return violations, worst
+    return violators, worst
 
 
 def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
@@ -521,10 +530,11 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     of pi can violate; each of them is decided at most once, and each
     violator's report comes from the _decided_kernel call that decided it,
     so it equals check_criterion's.  The worst margin is the least
-    (margin, n), first n among equals.  A round with more than _CHUNK
-    candidates may run its pieces in worker processes (at most one per
-    piece and per CPU, whatever `threads` asks for); the output does not
-    depend on `threads`.
+    (margin, n), first n among equals.  Which n are decided, and so the
+    summary, do not depend on s: it enters only the reports' ln_lhs,
+    ln_rhs, lhs and rhs.  A round with more than _CHUNK candidates may run
+    its pieces in worker processes (at most one per piece and per CPU,
+    whatever `threads` asks for); the output does not depend on `threads`.
     """
     lo, hi = n_range
     if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
@@ -536,8 +546,9 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     if hi >= _SCAN_LIMIT:
         raise DomainError(f"scan ranges must end below 2**1024 - 2**970, got {hi}")
     _require_bits(bits)
-    p = 2 - _epsilon_fraction(epsilon)
-    violations, worst = _scan(lo, hi, s, p, bits, threads)
+    eps = _epsilon_fraction(epsilon)
+    violators, worst = _scan(lo, hi, 2 - eps, bits, threads)
+    violations = [_report(n, s, float(eps), bits, kernel_out) for n, kernel_out in violators]
     summary = {
         "checked": hi - lo + 1,
         "violations": len(violations),

@@ -53,7 +53,8 @@ every violator's ``rhs`` ball, which the CLI never prints and a report
 builds on first read.  Counts, per scan at threads 1 (the n decided
 do not depend on threads): the calls of ``criterion._decided_kernel``, the
 distinct n they decide, the calls of ``criterion._first_hit`` (the
-descents of the window listings), the violators.
+descents of the window listings), the calls of ``criterion.fx_ln_int`` and
+the sum of their working bits, the violators.
 
 ``spikes``: warm-up one ``spikes_op`` call; operations:
 
@@ -212,14 +213,15 @@ def scan_counts(tmp: str) -> dict:
 
     calls = recording(criterion, "_decided_kernel")
     descents = recording(criterion, "_first_hit")
+    ln_bits = recording(criterion, "fx_ln_int", 1)
     counts = {}
     for name, scan in SCANS.items():
-        calls.clear()
-        descents.clear()
+        for recorded in (calls, descents, ln_bits):
+            recorded.clear()
         result = criterion.scan_criterion(*scan, threads=1)
         counts[name] = {"kernel_calls": len(calls), "distinct_n": len(set(calls)),
-                        "first_hit_calls": len(descents),
-                        "violators": len(result.violations)}
+                        "first_hit_calls": len(descents), "fx_ln_int_calls": len(ln_bits),
+                        "fx_ln_int_bits": sum(ln_bits), "violators": len(result.violations)}
     return counts
 
 

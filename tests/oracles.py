@@ -350,8 +350,9 @@ def linear_decimal_count(wide: Fraction, cap: int = 20000) -> int:
 
 def sci_ref(x: Fraction, digits: int = 3) -> str:
     """Short scientific rendering by the per-digit exponent search that the
-    package once used: divide or multiply by 10 until 1 <= y < 10.  A
-    mantissa that rounds up to 10 carries into the exponent."""
+    package once used: divide or multiply by 10 until 1 <= y < 10, then
+    round the mantissa up.  A mantissa that rounds up to 10 carries into
+    the exponent."""
     if x == 0:
         return "0"
     e10 = 0
@@ -363,7 +364,7 @@ def sci_ref(x: Fraction, digits: int = 3) -> str:
         y *= 10
         e10 -= 1
     scale = 10 ** (digits - 1)
-    scaled = (2 * y.numerator * scale + y.denominator) // (2 * y.denominator)
+    scaled = -(-y.numerator * scale // y.denominator)
     if scaled == 10 * scale:
         scaled = scale
         e10 += 1

@@ -20,8 +20,7 @@ def per_n_scan(n_range, s, epsilon, bits=64, threads=1):
     violators = []
     worst = (math.inf, -1)
     for n in range(lo, hi + 1):
-        verdict, ln_lhs, ln_rhs, _ = criterion._decided_kernel(n, s, p, bits)
-        margin = ln_rhs - ln_lhs
+        verdict, margin, *_ = criterion._decided_kernel(n, p, bits)
         if not verdict:
             violators.append(n)
         if margin < worst[0]:

@@ -447,9 +447,26 @@ def test_sci_matches_the_per_digit_search():
 
 
 def test_sci_rounding_carries_into_the_exponent():
+    # the mantissa rounds up, so anything above 9.99 carries
     assert cli._sci(Fraction(99996, 10000)) == "1.00e+01"
     assert cli._sci(Fraction(99996, 10 ** 9)) == "1.00e-04"
-    assert cli._sci(Fraction(99949, 10000)) == "9.99e+00"
+    assert cli._sci(Fraction(99949, 10000)) == "1.00e+01"
+    assert cli._sci(Fraction(99901, 10000)) == "1.00e+01"
+    assert cli._sci(Fraction(999, 100)) == "9.99e+00"
+
+
+def test_sci_never_prints_below_its_argument():
+    # sum --k 200 --s 1 --bits 96 has a radius of 6.2643e-51
+    assert cli._sci(Fraction(62643, 10 ** 55)) == "6.27e-51"
+    assert cli._sci(Fraction(12341, 10000)) == "1.24e+00"
+    assert cli._sci(Fraction(123, 100)) == "1.23e+00"
+    rng = random.Random(51)
+    for _ in range(300):
+        x = Fraction(rng.randrange(1, 10 ** 9), rng.randrange(1, 10 ** 9))
+        x *= Fraction(10) ** rng.randrange(-80, 80)
+        for digits in (1, 3, 5):
+            printed = Fraction(cli._sci(x, digits))
+            assert x <= printed < x * (1 + Fraction(10, 10 ** digits)), (x, digits)
 
 
 def test_integer_options_take_exact_scientific_notation(capsys):

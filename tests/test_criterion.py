@@ -181,6 +181,21 @@ def test_scan_verdicts_invariant_in_s():
     assert [n for n, ok in zip(near, low) if not ok] == violators
 
 
+# the last is a convergent numerator of pi near 1e36
+@pytest.mark.parametrize("n", [2, 3, 22, 355, 1000, 103993,
+                               1139633139961839625160418214775137593])
+def test_margin_is_invariant_in_s(n):
+    # the margin is read off the interval that decided the verdict, which s does not enter
+    margins = {check_criterion(n, s, "0.1").margin for s in (1, 2, 5, 20)}
+    assert len(margins) == 1
+
+
+def test_scan_summary_is_invariant_in_s():
+    # the worst margin's float, too
+    low, high = (scan_criterion((1, 32768), s, "0.1") for s in (1, 3))
+    assert low.summary == high.summary
+
+
 # 18953/9970 is just above 1.9; near 199/100 the radii a^-(1-eps/2) of
 # neighbouring blocks differ little
 _EPSILONS = ["0.1", Fraction(1, 3), "1.9", "0.001", Fraction(1, 997), Fraction(18953, 9970),
@@ -325,7 +340,7 @@ def test_scan_reports_are_lean(window, eps, threads):
 
 
 def test_pool_pieces_return_ints_and_floats():
-    out = criterion._decide((list(range(1, 400)), 1, 2 - Fraction("1.9"), 64))
+    out = criterion._decide((list(range(1, 400)), 2 - Fraction("1.9"), 64))
     assert any(kernel_out is not None for _, _, kernel_out in out)
 
     def leaves(x):
@@ -639,8 +654,8 @@ def test_an_interval_that_holds_one_doubles_w(monkeypatch):
     steps = []
     kernel = criterion._kernel
 
-    def recording(n, s, p, w):
-        out = kernel(n, s, p, w)
+    def recording(n, p, w):
+        out = kernel(n, p, w)
         steps.append((w, out[0]))
         return out
 
