@@ -548,7 +548,8 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
     _require_bits(bits)
     eps = _epsilon_fraction(epsilon)
     violators, worst = _scan(lo, hi, 2 - eps, bits, threads)
-    violations = [_report(n, s, float(eps), bits, kernel_out) for n, kernel_out in violators]
+    eps_float = float(eps)
+    violations = [_report(n, s, eps_float, bits, kernel_out) for n, kernel_out in violators]
     summary = {
         "checked": hi - lo + 1,
         "violations": len(violations),

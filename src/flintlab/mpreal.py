@@ -895,7 +895,8 @@ def _rotation(W: int) -> tuple[int, int]:
 
 def _walk_block(n0: int, end: int, w: int, g: int) -> tuple[list[int], int, int]:
     """abs_sin_walk's values for n = n0..end, which share w and g, and its
-    ball (S, D) at 2**-(w + g) for end + 1: one anchor, then the recurrence."""
+    ball (S, D + step) at 2**-(w + g) for end + 1: one anchor, then the
+    recurrence.  D is the radius of end, which serves every n of the block."""
     W = w + g
     h = _ROTATION_GUARD
     S, e0 = sin_ball(n0, W)
@@ -903,19 +904,19 @@ def _walk_block(n0: int, end: int, w: int, g: int) -> tuple[list[int], int, int]
     C1, e1 = _rotation(W)
     K = C1 >> (h - 1)
     kappa = (e1 >> (h - 1)) + 2
-    D = (6 * (e0 + e_prev) + 4) // 5
     step = (6 * (kappa + 2) + 4) // 5
+    D = (6 * (e0 + e_prev) + 4) // 5 + (end - n0) * step
     half, M = 1 << (g - 1), (1 << g) - 1
+    top = M - D
     ms = []
     append = ms.append
     for n in range(n0, end + 1):
         a = abs(S)
         t = a + half
         low = t & M
-        append(t >> g if D < a and D <= low <= M - D else abs_sin_canonical(n, w))
+        append(t >> g if D < a and D <= low <= top else abs_sin_canonical(n, w))
         prev, S = S, (K * S >> W) - prev
-        D += step
-    return ms, S, D
+    return ms, S, D + step
 
 
 def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[tuple[int, list[int]]]:
@@ -949,8 +950,10 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[tuple[int, list[int]]]
         e_j = U_j * e_0 - U_{j-1} * e_{-1} + sum_{i<j} U_{j-1-i} * d_i,
 
     and |U_j| = |sin(j + 1)| / sin 1 < 6/5.  So |e_j| < 6/5 * (e0 + e_prev
-    + j * (kappa + 2)), and D = ceil(6/5 * (e0 + e_prev)) + j * ceil(6/5 *
+    + j * (kappa + 2)), and D_j = ceil(6/5 * (e0 + e_prev)) + j * ceil(6/5 *
     (kappa + 2)) is a radius for sin n that grows by a fixed step per n.
+    It grows with j, so D, the D_j of the block's last n, is a radius for
+    every n of the block, and _walk_block rounds every ball with it.
     (C1, e1) = _rotation(W) holds cos 1 at 2**-(W + h), h =
     _ROTATION_GUARD, within e1 ulps, and K = C1 >> (h - 1) drops less than
     1, so kappa = (e1 >> (h - 1)) + 2 bounds its error.
@@ -965,7 +968,9 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[tuple[int, list[int]]]
     g) * 2**g + M], so both shift to t >> g.  If low < D, then (t - D) >>
     g < t >> g <= (t + D) >> g; if low > M - D, then (t + D) >> g > t >> g
     >= (t - D) >> g: the ends differ.  An n that the ball leaves ambiguous
-    falls back to abs_sin_canonical.
+    falls back to abs_sin_canonical.  A radius above D_j only widens the
+    ball, so it can send more n there, never change a value: both paths
+    give the canonical one.
 
     The side conditions hold for base >= 8.  Then g >= 32 gives W >= 40 +
     c, so n <= 2**(W-40).  Each anchor radius is sin_ball's reduction
@@ -975,11 +980,11 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[tuple[int, list[int]]]
     8*W + 48 ulps; hence e0, e_prev <= n/6 + 8*W + 52 and e1 <= 8*(W + h)
     + 48 = 8*W + 176.  So kappa <= W/2**12 + 3, the step is at most
     1.2*W/2**12 + 7, and _walk_block takes at most WALK_BLOCK steps (the
-    last one to the ball of end + 1): D <= 0.4*n + 21*W + 2**15 <
-    2**(W-41) + 21*W + 2**15, which keeps kappa*D < 2**(W-1) for every W
-    >= 40, however g grows W.  The same
-    0.4*n term bounds the width 2D against the step 2**g >= 256 * 2**c,
-    so few walked n fall back.
+    last one to the ball of end + 1), so the radius it rounds with and the
+    one it returns are at most 0.4*n + 21*W + 2**15 < 2**(W-41) + 21*W +
+    2**15, which keeps kappa*D < 2**(W-1) for every W >= 40, however g
+    grows W.  The same 0.4*n term bounds the width 2D against the step
+    2**g >= 256 * 2**c, so few walked n fall back.
     """
     if lo < 1 or base < 8:
         raise DomainError(f"abs_sin_walk requires lo >= 1 and base >= 8, got {lo!r}, {base!r}")

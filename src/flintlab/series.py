@@ -106,11 +106,11 @@ def _term_units(n: int, spec: SeriesSpec) -> int:
     n's block formed for this one term.
     """
     iv, frac = divmod(spec.v, 1)
-    return _units(n, clog2(max(n, 2)), None, spec.u, iv, frac, spec.acc_scale, 0)
+    return _units(n, clog2(max(n, 2)), None, spec.u, iv, frac, spec.acc_scale)
 
 
 def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
-           acc: int, short: int) -> int:
+           acc: int) -> int:
     """T of _term_units, from values that are fixed per spec or per block.
 
     u is the sine power, v = iv + frac with frac in [0, 1), acc the
@@ -126,15 +126,9 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
     starts high enough that the escalation loop is idle in practice, but
     it is there, and it never consults the surrounding summation context.
 
-    For integer v (frac = 0) with iv <= acc, the first attempt has
-    p_units, p_err, q = 1, 0, w, and partial_sum runs it inline: per block
-    N << 1 = 2 << (acc + u*w), per term T from den_c = m**u * n**iv and the
-    width test (T + 1)*u << 2 <= m.  A term calls _units only when m <= 1
-    or that test fails.  When it fails, partial_sum passes its shortfall
-    R >= 1 (defined below) as short, with m = None: _units skips the
-    attempt already made and starts at the w that R escalates to, so the
-    attempts, and T, are those of a call with short = 0.  Any change to
-    the first attempt here must be made there too.
+    For integer v (frac = 0) with iv <= acc, partial_sum forms the first
+    attempt's T inline for an m at or above its block's floor
+    (_width_floor), and calls _units, with the walk's m, for the rest.
 
     G(n)^(2s) and n^(2s) are not computed: G(n) = n, so they cancel, and
     T, a rounding of an integer ratio, is the same without the common
@@ -182,8 +176,6 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
     """
     w1 = acc + _SIN_MARGIN
     while True:
-        if short:
-            w1, m, short = w1 + short.bit_length() + 2, None, 0
         w = w1 + c
         if w > MAX_BITS:
             raise ResourceLimitError(f"term(n={n}) needs {w} working bits (max {MAX_BITS})")
@@ -208,7 +200,25 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
         need, have = (T + 1) * (u * p_units + p_err * m) << 2, m * p_units
         if need <= have:
             return T
-        short = need // have
+        w1, m = w1 + (need // have).bit_length() + 2, None
+
+
+def _width_floor(n0: int, w: int, u: int, iv: int, acc: int) -> int:
+    """m_lo = 2**k: for integer v = iv <= acc, every m >= m_lo passes the
+    width test of _units' first attempt at w, for every n >= n0 that
+    shares w, so T is that attempt's without the test.
+
+    k = max(ceil((bl(u) + acc + u*w + 3 - iv*(bl(n0) - 1)) / (u + 1)),
+    bl(12u)), bl(x) = x.bit_length().  The first attempt has p_units,
+    p_err, q = 1, 0, w, so N = 2**(acc + u*w), den = m**u * n**iv, T =
+    floor((2N + den) / (2 den)) <= N/den + 1/2, and the test reads
+    4u(T + 1) <= m.  With m >= 2**k and n >= n0 >= 2**(bl(n0) - 1), den >=
+    2**(k*u + iv*(bl(n0) - 1)).  As 4u < 2**(bl(u) + 2), the first term of
+    k makes 4uN/den < 2**(k-1), and 12u < 2**bl(12u) <= 2**k makes 6u <
+    2**(k-1).  So 4u(T + 1) <= 4uN/den + 6u < 2**k <= m, and m >= 16 > 1.
+    """
+    lift = u.bit_length() + acc + u * w + 3 - iv * (n0.bit_length() - 1)
+    return 1 << max(-(-lift // (u + 1)), (12 * u).bit_length())
 
 
 def term(n: int, spec: SeriesSpec) -> MpReal:
@@ -251,16 +261,17 @@ def partial_sum(k: int, spec: SeriesSpec,
     of where the range was split.
 
     The sines come from abs_sin_walk, one block (n0, ms) at a time.  A
-    block crosses no power of two, so c, w, N << 1 and whether the first
-    attempt runs inline are formed once per block, and each term's T is
-    _units' with those values.  Before the walk, k's first attempt is
-    checked against _units' ceilings on w and u*w.  w grows with n, so if
-    it passes, every first attempt does; else _units raises for the first
-    n over a ceiling, and no block is walked.  For integer v with iv <=
-    acc the loop over ms is _units' first attempt, inline and line for
-    line, with the shortfall handoff _units describes.  Every other term
-    (m <= 1, a fractional v or iv > acc) calls _units with m, and _units
-    owns every escalation.
+    block crosses no power of two, so c, w, N << 1 and the block's floor
+    m_lo are formed once per block, and each term's T is _units' with
+    those values.  Before the walk, k's first attempt is checked against
+    _units' ceilings on w and u*w.  w grows with n, so if it passes, every
+    first attempt does; else _units raises for the first n over a ceiling,
+    and no block is walked.  For integer v with iv <= acc, _width_floor
+    proves the first attempt's width test once for the block: a term with
+    m >= m_lo takes T = round_div(N, m**u * n**iv) inline, which is that
+    attempt's T, and any other calls _units with the walk's m, which makes
+    the first attempt and every escalation.  So no attempt is made twice.
+    Every term of a fractional v or of iv > acc calls _units with m.
 
     Every term is within 3 units, so the run adds 3 * (k - checkpoint.k)
     units to the checkpoint's err_units, which is carried over as stored.
@@ -288,26 +299,22 @@ def partial_sum(k: int, spec: SeriesSpec,
     if clog2(max(k, 2)) > top:
         # c = clog2(max(n, 2)) >= 1 first exceeds top at n = 2**top + 1
         n = max(start, (1 << top) + 1 if top > 0 else 1)
-        _units(n, clog2(max(n, 2)), None, u, iv, frac, acc, 0)  # raises before any work
+        _units(n, clog2(max(n, 2)), None, u, iv, frac, acc)  # raises before any work
     for n0, ms in abs_sin_walk(start, k, acc + _SIN_MARGIN):
         c = clog2(max(n0, 2))               # the same for every n of the block
         w = acc + _SIN_MARGIN + c
         if frac or iv > acc:
             for n, m in enumerate(ms, n0):
-                units += _units(n, c, m, u, iv, frac, acc, 0)
+                units += _units(n, c, m, u, iv, frac, acc)
             continue
         N2 = 2 << (acc + u * w)             # _units' N << 1 at p_units, p_err, q = 1, 0, w
+        m_lo = _width_floor(n0, w, u, iv, acc)
         for n, m in enumerate(ms, n0):
-            if m > 1:
+            if m >= m_lo:
                 den = m ** u * n ** iv
-                T = (N2 + den) // (den << 1)
-                need = (T + 1) * u << 2
-                if need <= m:
-                    units += T
-                else:
-                    units += _units(n, c, None, u, iv, frac, acc, need // m)
+                units += (N2 + den) // (den << 1)
             else:
-                units += _units(n, c, m, u, iv, frac, acc, 0)
+                units += _units(n, c, m, u, iv, frac, acc)
     return PartialSumResult(spec, k, units, err_units + 3 * (k - start + 1))
 
 

@@ -21,16 +21,20 @@ stop.  One more, untimed, interpreter per tree gives the suite's counts.
 * ``blocks_8192``: the benchmark's ``sum`` operation (perfbench/workloads.py,
   seed 0): n = 1..8192 in 8 blocks of 1024, each resumed with
   ``load_checkpoint`` and written with ``save_checkpoint``;
+* ``sum_u4_v1``: ``partial_sum(110000, SeriesSpec(u=4, v=1))``, whose tiny
+  sines near 355 and 103993 fall below their block's floor;
 * ``term_u5000``: ``term(1, SeriesSpec(u=5000))``, a sine power that
   escalates;
 * ``fail_u20000``: ``partial_sum(3, SeriesSpec(u=20000))``, which raises
   ``ResourceLimitError``.
 
 Output (units, err_units) of a sum, (man, exp, err) of a term, the error's
-type name of a failure.  Counts: over the two sums, the terms that called
-``series._units`` and the walk's fallbacks to ``mpreal.abs_sin_canonical``;
-per sine-power operation, its calls of ``series.abs_sin_canonical``, one
-per attempt whose sine the walk did not supply.
+type name of a failure.  Counts: per sum, its terms, the terms that called
+``series._units`` (for integer v, those whose walked sine lies below their
+block's floor ``m_lo``, as ``partial_sum`` forms every other T inline) and
+the walk's fallbacks to ``mpreal.abs_sin_canonical``; per sine-power
+operation, its calls of ``series.abs_sin_canonical``, one per attempt whose
+sine the walk did not supply.
 
 ``scan``: warm-up one ``scan_op`` call; every scan below at threads 1 and 2
 (``<name>@<threads>``).  At threads 2 a round with more than one piece of
@@ -127,7 +131,7 @@ def recording(module, name: str, arg: int = 0) -> list:
     return calls
 
 
-SUM_TERMS = {"sum_1e5": 100_000, "blocks_8192": 8192}
+SUM_TERMS = {"sum_1e5": 100_000, "blocks_8192": 8192, "sum_u4_v1": 110_000}
 SUM_BLOCKS = 8
 SINE_POWERS = {"term_u5000": 5000, "fail_u20000": 20000}
 
@@ -150,8 +154,9 @@ def sum_run(name: str, tmp: str):
         except ResourceLimitError as exc:
             return type(exc).__name__
         return None
-    spec = series.SeriesSpec(0, 2, 3, 128)
-    if name == "sum_1e5":
+    u, v = (4, 1) if name == "sum_u4_v1" else (2, 3)
+    spec = series.SeriesSpec(0, u, v, 128)
+    if name != "blocks_8192":
         r = series.partial_sum(SUM_TERMS[name], spec)
     else:
         path, r = os.path.join(tmp, "sum-checkpoint.json"), None
@@ -168,10 +173,13 @@ def sum_counts(tmp: str) -> dict:
     units = recording(series, "_units")
     # the walk looks abs_sin_canonical up in mpreal; _units has its own binding
     canonical = recording(mpreal, "abs_sin_canonical")
-    for name in SUM_TERMS:
+    counts = {}
+    for name, terms in SUM_TERMS.items():
+        units.clear()
+        canonical.clear()
         sum_run(name, tmp)
-    counts = {"units_calls": len(units), "walk_canonical_calls": len(canonical),
-              "terms": sum(SUM_TERMS.values())}
+        counts[name] = {"terms": terms, "units_calls": len(units),
+                        "walk_canonical_calls": len(canonical)}
     attempts = recording(series, "abs_sin_canonical")
     for name in SINE_POWERS:
         attempts.clear()

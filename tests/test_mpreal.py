@@ -917,6 +917,13 @@ def test_ziv_hard_case_needs_more_guard_bits():
     assert (abs(S) + half) >> 32 != abs_sin_canonical(ZIV_HARD_N, 64)
 
 
+def test_round_abs_refuses_a_ball_that_holds_zero():
+    # a ball whose radius reaches |S| leaves the sign unknown
+    for S, e in ((0, 0), (0, 1), (5, 5), (-5, 5), (-3, 7)):
+        assert mpreal._round_abs(S, e, 8) is None
+    assert mpreal._round_abs(-(3 << 8), 5, 8) == 3
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 22, 355, 1588, 103993, 999983, ZIV_HARD_N])
 def test_abs_sin_canonical_is_the_correct_rounding(n):
     want, want_err = sin_by_reduction(n)

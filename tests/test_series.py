@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -214,11 +215,43 @@ def test_walk_blocks_cross_no_power_of_two_or_walk_block():
 @pytest.mark.parametrize("v", [1, 2, 3])
 @pytest.mark.parametrize("u", [1, 2, 3, 4])
 def test_inline_first_attempt_matches_term_units(u, v, bits):
-    # for integer v partial_sum runs _units' first attempt inline; the
-    # windows cross the walk's blocks at 4096, 8192 and 2**14
+    # for integer v partial_sum forms the first attempt's T inline at and
+    # above each block's floor; the windows cross the walk's blocks at
+    # 4096, 8192 and 2**14
     spec = SeriesSpec(u=u, v=v, bits=bits)
     for lo, hi in SUM_WINDOWS:
         assert _window_units(lo, hi, spec) == _per_term_units(lo, hi, spec), (lo, hi)
+
+
+def _fails_first_test(n: int, m: int, u: int, v: int, acc: int) -> bool:
+    """Whether the first attempt of a term of integer v, with sine m at w =
+    acc + _SIN_MARGIN + clog2 n, fails the width test 4u(T + 1) <= m."""
+    w = acc + series._SIN_MARGIN + clog2(max(n, 2))
+    if m <= 1:
+        return True
+    den = m ** u * n ** v
+    T = ((2 << (acc + u * w)) + den) // (den << 1)
+    return 4 * u * (T + 1) > m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_width_floor_passes_the_first_width_test(seed):
+    # every m in [m_lo, 2**w] passes the first attempt's width test at the
+    # block's first n, and so does every walked m >= m_lo of the block
+    rng = random.Random(seed)
+    for _ in range(12):
+        u, iv, acc = rng.randint(1, 8), rng.randint(0, 6), rng.randint(8, 256) + 80
+        base = acc + series._SIN_MARGIN
+        for lo in (1, (1 << rng.randint(1, 50)) + 1, 10**12):
+            for n0, ms in series.abs_sin_walk(lo, lo + 40, base):
+                w = base + clog2(max(n0, 2))
+                m_lo = series._width_floor(n0, w, u, iv, acc)
+                assert m_lo >= 16
+                for m in {m_lo, m_lo + 1, rng.randint(m_lo, max(m_lo, 1 << w)), 1 << w}:
+                    if m <= 1 << w:
+                        assert not _fails_first_test(n0, m, u, iv, acc), (u, iv, acc, n0, m)
+                for n, m in enumerate(ms, n0):
+                    assert m < m_lo or not _fails_first_test(n, m, u, iv, acc), (u, iv, acc, n)
 
 
 @pytest.mark.parametrize("v, windows", [
@@ -236,26 +269,35 @@ def test_per_term_path_matches_term_units(v, windows, monkeypatch):
         calls.clear()
 
 
-# the n of (u, v) = (4, 1) whose tiny sine fails the inline width test
-FALLBACKS_4_1 = [355, 710, 1065, 103993, 104348]
+# the n of (u, v) = (4, 1) below their block's floor m_lo in FALLBACK_WINDOWS;
+# each has a tiny sine, and all but 1420 and 1775 fail the first attempt's
+# width test
+FALLBACKS_4_1 = [355, 710, 1065, 1420, 1775, 103993, 104348]
+FALLBACK_WINDOWS = ((1, 9000), (103_900, 104_400))
 
 
 @pytest.mark.parametrize("u, v, fallbacks, widths", [
     (2, 3, [], []),
-    (4, 2, [355], [3]),
-    (4, 1, FALLBACKS_4_1, [3] * 5),
+    (4, 2, [355, 710], [3, 3]),
+    (4, 1, FALLBACKS_4_1, [3] * 7),
 ])
 def test_inline_width_test_falls_back_to_units(u, v, fallbacks, widths, monkeypatch):
-    # a tiny sine fails the inline width test; _units escalates until the
-    # test passes, so the term's width is 3 units.
-    # At (4, 1), 103993 misses the test by a factor below 2
+    # an n below its block's floor m_lo calls _units, which escalates where
+    # the width test fails, so the term's width is 3 units.  Every n whose
+    # sine fails the first attempt's test is among them; at (4, 1), 103993
+    # misses it by a factor below 2
     spec = SeriesSpec(u=u, v=v)
     calls = _record_units(monkeypatch)
-    for lo, hi in ((1, 9000), (103_900, 104_400)):
+    for lo, hi in FALLBACK_WINDOWS:
         assert _window_units(lo, hi, spec)[1] == 3 * (hi - lo + 1)
     monkeypatch.undo()
     seen = [term(n, spec).err * (1 << spec.acc_scale) for n in calls]
     assert (calls, seen) == (fallbacks, widths)
+    base = spec.acc_scale + series._SIN_MARGIN
+    failed = [n for lo, hi in FALLBACK_WINDOWS for n0, ms in series.abs_sin_walk(lo, hi, base)
+              for n, m in enumerate(ms, n0) if _fails_first_test(n, m, u, v, spec.acc_scale)]
+    assert set(failed) <= set(calls)
+    assert failed == {(2, 3): [], (4, 2): [355], (4, 1): [355, 710, 1065, 103993, 104348]}[u, v]
 
 
 def _term_ball_holds(n: int, spec: SeriesSpec) -> bool:
@@ -272,13 +314,13 @@ def _term_ball_holds(n: int, spec: SeriesSpec) -> bool:
 
 
 @pytest.mark.parametrize("u, v, fallbacks, windows", [
-    (4, 1, FALLBACKS_4_1, ((1, 9000), (103_900, 104_400))),
-    (4, 2, [355], ((1, 9000),)),
+    (4, 1, FALLBACKS_4_1, FALLBACK_WINDOWS),
+    (4, 2, [355, 710], ((1, 9000),)),
     (20, 1, None, ((1, 100),)),
 ])
 def test_escalated_terms_hold_the_true_value(u, v, fallbacks, windows, monkeypatch):
-    # an escalated term is accepted by the width test alone; its ball
-    # must hold the term computed outside the package
+    # a term below its block's floor is accepted by _units' width test
+    # alone; its ball must hold the term computed outside the package
     spec = SeriesSpec(u=u, v=v)
     calls = _record_units(monkeypatch)
     for lo, hi in windows:
@@ -321,15 +363,15 @@ def test_resume_carries_a_stored_error_over(tmp_path):
     (20000, 3, 3, [1]),          # the escalated w needs too large a sine power
 ])
 def test_failed_inline_attempt_reaches_units_escalated(u, v, k, failed, monkeypatch):
-    # a term that fails the inline width test hands _units that attempt's
-    # shortfall and no sine, so _units does not repeat it: its sines are
-    # term's after the first, the one the walk supplied
+    # a term below its block's floor reaches _units with the walk's sine,
+    # and _units' first attempt uses it: _units takes no second sine at
+    # the first precision, so its sines are term's after the first
     spec = SeriesSpec(u=u, v=v)
     args = []
     units = series._units
 
     def recording(n, c, m, *rest):
-        args.append((n, m, rest[-1]))
+        args.append((n, m))
         return units(n, c, m, *rest)
 
     monkeypatch.setattr(series, "_units", recording)
@@ -338,8 +380,8 @@ def test_failed_inline_attempt_reaches_units_escalated(u, v, k, failed, monkeypa
         partial_sum(k, spec)
     except ResourceLimitError:
         assert u == 20000
-    assert [n for n, _, _ in args] == failed
-    assert all(m is None and short >= 1 for _, m, short in args)
+    first = {n: spec.acc_scale + series._SIN_MARGIN + clog2(max(n, 2)) for n in failed}
+    assert args == [(n, abs_sin_canonical(n, first[n])) for n in failed]
     summed, want = list(sines), []
     for n in failed:
         sines.clear()
@@ -347,9 +389,13 @@ def test_failed_inline_attempt_reaches_units_escalated(u, v, k, failed, monkeypa
             series._term_units(n, spec)
         except ResourceLimitError:
             assert u == 20000
-        assert sines[0] == (n, spec.acc_scale + series._SIN_MARGIN + clog2(max(n, 2)))
+        assert sines[0] == (n, first[n])
         want += sines[1:]
     assert summed == want
+    if u >= 5000:
+        # with the walk's, one sine before the term raises at u = 20000,
+        # and two at u = 5000
+        assert len(summed) == {5000: 1, 20000: 0}[u]
 
 
 def test_walk_value_at_most_one_goes_to_units(monkeypatch):
@@ -366,7 +412,7 @@ def test_walk_value_at_most_one_goes_to_units(monkeypatch):
     calls = _record_units(monkeypatch)
     r = partial_sum(10, spec)
     assert calls == [7, 8]
-    want = [series._units(n, 3, bad[n], 2, 3, 0, spec.acc_scale, 0) if n in bad
+    want = [series._units(n, 3, bad[n], 2, 3, 0, spec.acc_scale) if n in bad
             else series._term_units(n, spec) for n in range(1, 11)]
     assert (r.units, r.err_units) == (sum(want), 30)
 
@@ -386,6 +432,12 @@ def test_partial_sum_small_and_frozen():
     r = partial_sum(1000, SeriesSpec())
     assert r.value.decimal(22) == "30.1747901658768020709872"
     assert r.err <= Fraction(1, 1 << 196)
+
+
+def test_value_fraction_is_the_units_at_the_scale():
+    r = partial_sum(1000, SeriesSpec(bits=64))
+    assert r.value_fraction() == Fraction(r.units, 2 ** r.spec.acc_scale)
+    assert r.value_fraction() == r.value.center()
 
 
 def test_partial_sum_matches_oracle_sum():
