@@ -36,7 +36,7 @@ the least margin found provably beats every n outside them, skipping
 the rounds that would decide nothing.  Every decided n's float margin is
 within 5e-7 of ln(sin^2(n) * n^(2-eps)) whatever s is (see
 _decided_kernel), and that argument rests on it, so a scan's summary does
-not depend on s.  Ranges end below 2**1024 - 2**970.
+not depend on s.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ __all__ = [
 _ESCALATION_CAP = 1 << 20
 _CHUNK = 1024             # most candidates in one piece of a round
 _SCREEN_SLACK = 1e-6      # worst-margin tolerance, twice the margin's 5e-7 bound
-_SCAN_LIMIT = (1 << 1024) - (1 << 970)   # every n of a scan rounds to a finite float
 _LN2 = math.log(2)
 
 
@@ -526,15 +525,15 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
                    bits: int = 64, threads: int = 1) -> ScanResult:
     """Check every n in the inclusive range; report violations ascending.
 
-    The range must end below 2**1024 - 2**970.  Only the n near multiples
-    of pi can violate; each of them is decided at most once, and each
-    violator's report comes from the _decided_kernel call that decided it,
-    so it equals check_criterion's.  The worst margin is the least
-    (margin, n), first n among equals.  Which n are decided, and so the
-    summary, do not depend on s: it enters only the reports' ln_lhs,
-    ln_rhs, lhs and rhs.  A round with more than _CHUNK candidates may run
-    its pieces in worker processes (at most one per piece and per CPU,
-    whatever `threads` asks for); the output does not depend on `threads`.
+    Only the n near multiples of pi can violate; each of them is decided at
+    most once, and each violator's report comes from the _decided_kernel
+    call that decided it, so it equals check_criterion's.  The worst margin
+    is the least (margin, n), first n among equals.  Which n are decided,
+    and so the summary, do not depend on s: it enters only the reports'
+    ln_lhs, ln_rhs, lhs and rhs.  A round with more than _CHUNK candidates
+    may run its pieces in worker processes (at most one per piece and per
+    CPU, whatever `threads` asks for); the output does not depend on
+    `threads`.
     """
     lo, hi = n_range
     if not (_is_int(lo) and _is_int(hi)) or lo < 1 or hi < lo:
@@ -543,8 +542,6 @@ def scan_criterion(n_range: tuple[int, int], s: int, epsilon,
         raise DomainError(f"scan_criterion requires an integer s >= 1, got {s!r}")
     if not _is_int(threads) or threads < 1:
         raise DomainError(f"scan_criterion requires an integer threads >= 1, got {threads!r}")
-    if hi >= _SCAN_LIMIT:
-        raise DomainError(f"scan ranges must end below 2**1024 - 2**970, got {hi}")
     _require_bits(bits)
     eps = _epsilon_fraction(epsilon)
     violators, worst = _scan(lo, hi, 2 - eps, bits, threads)

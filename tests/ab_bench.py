@@ -50,7 +50,9 @@ candidates runs on a process pool, whose start-up is timed.
 * ``mixed_1e6``: n = 1..1e6, s = 1, eps = 1.3, about 9000 candidates;
 * ``far``: n = 1..1e40, s = 1, eps = 0.1, about 1800 candidates;
 * ``far_1e60``: n = 1..1e60, s = 1, eps = 0.1, about 18000 candidates,
-  12746 violators.
+  12746 violators;
+* ``far_1e400``: n = 1e399..1e400, s = 1, eps = 0.01, 143 violators, past
+  the float range: its items per second print as an integer.
 
 Output ``scan_paths.scan_key``, taken after the clocks stop, as it reads
 every violator's ``rhs`` ball, which the CLI never prints and a report
@@ -108,6 +110,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 
@@ -191,7 +194,7 @@ def sum_counts(tmp: str) -> dict:
 SCANS = {"scan_op": ((1, 32768), 1, "0.1"), "dense": ((1, 100_000), 1, "1.5"),
          "dense_19": ((1, 100_000), 1, "1.9"), "mixed": ((1, 100_000), 1, "1"),
          "mixed_1e6": ((1, 10**6), 1, "1.3"), "far": ((1, 10**40), 1, "0.1"),
-         "far_1e60": ((1, 10**60), 1, "0.1")}
+         "far_1e60": ((1, 10**60), 1, "0.1"), "far_1e400": ((10**399, 10**400), 1, "0.01")}
 SCAN_REPEAT = {"scan_op": 20}
 
 
@@ -387,6 +390,14 @@ def summary(values: list) -> dict:
             "quartiles_s": [round(q1, 5), round(q3, 5)]}
 
 
+def per_second(items: int, seconds: float):
+    """items / seconds to 0.1, or to the unit where it passes the float range."""
+    try:
+        return round(items / seconds, 1)
+    except OverflowError:
+        return round(items / Fraction(seconds))
+
+
 def main() -> int:
     if len(sys.argv) == 3 and sys.argv[1] in ("--worker", "--count"):
         print(json.dumps(worker(SUITES[sys.argv[2]], sys.argv[1] == "--count")))
@@ -418,7 +429,7 @@ def main() -> int:
                                      for i in (1, 2, 3))
             results[label][name] = {"wall": summary(wall), "cpu": summary(cpu),
                                     "parent_cpu": summary(parent_cpu),
-                                    "items_per_s": round(items / statistics.median(wall), 1)}
+                                    "items_per_s": per_second(items, statistics.median(wall))}
     doc = {"suite": args.suite, "runs": args.runs, "operations": operations,
            "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
            "outputs_identical": identical, "trees": results}

@@ -10,6 +10,7 @@ import flintlab.cli as cli
 import flintlab.criterion as criterion
 from flintlab import MAX_BITS, SeriesSpec, partial_sum, sin_int
 from flintlab.cli import main
+from flintlab.rationality import convergent_numerators_up_to
 from oracles import DATA_DIR, sci_ref
 
 FIXTURE = str(DATA_DIR / "pi_1000.txt")
@@ -238,14 +239,25 @@ def test_malformed_epsilon_is_domain_error(capsys, argv):
     assert json.loads(err)["error"] == "DomainError"
 
 
-def test_scan_past_the_margin_argument_is_domain_error(capsys):
-    for hi in (criterion._SCAN_LIMIT, 10**1000):
-        code, out, err = run(capsys, "scan", "--from", "1", "--to", str(hi),
-                             "--s", "1", "--eps", "0.1")
-        assert (code, out) == (1, "")
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "DomainError"
+def test_scan_past_the_float_range_renders_in_every_format(capsys):
+    lo = 1 << 1100
+    argv = ("scan", "--from", str(lo), "--to", str(lo + 40), "--s", "1", "--eps", "1.9")
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, ""), fmt
+        assert out
+        if fmt == "json":
+            want = criterion.scan_criterion((lo, lo + 40), 1, "1.9").summary
+            assert json.loads(out)["summary"] == want
+
+
+def test_scan_past_the_float_range_finds_the_convergent_numerator(capsys):
+    # the first convergent numerator of pi past 2**1024 is the window's one violator
+    p = min(q for q in convergent_numerators_up_to(1 << 1100) if q >= 1 << 1024)
+    code, out, err = run(capsys, "scan", "--from", str(p - 20), "--to", str(p + 20),
+                         "--s", "1", "--eps", "0.1", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == [str(p)]
 
 
 def test_criterion_margin_near_pi_is_accurate(capsys):

@@ -5,7 +5,6 @@ import math
 import os
 import pickle
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,7 @@ from flintlab import (
     scan_criterion,
 )
 from flintlab.mpreal import MpReal, pi_mantissa, sin_reduced
-from flintlab.rationality import spike_indices
+from flintlab.rationality import convergent_numerators_up_to
 from scan_paths import per_n_scan, scan_key
 
 
@@ -442,6 +441,12 @@ def test_scan_from_one_equals_its_two_parts(s, eps):
             == [_report_fields(r) for r in left.violations + right.violations])
 
 
+@functools.cache
+def _pi_convergents(lo, hi):
+    """The convergent numerators of pi in [lo, hi], ascending."""
+    return sorted(p for p in convergent_numerators_up_to(hi) if p >= lo)
+
+
 @pytest.mark.parametrize("window, s, eps", [
     ((1_040_000, 1_048_000), 1, "0.5"),        # violators 1042060 and 1042415
     ((99_944_000, 99_947_000), 3, "1"),        # six violators from 99944417 on
@@ -449,7 +454,15 @@ def test_scan_from_one_equals_its_two_parts(s, eps):
     ((1_000_000, 1_004_000), 1, "0.1"),        # no violator: only the worst margin
     ((2**60 + 12345, 2**60 + 14345), 1, "0.1"),
     ((1_000_000, 1_004_000), 3, "0.1"),
-    ((criterion._SCAN_LIMIT - 41, criterion._SCAN_LIMIT - 1), 1, "1.9"),  # the last n
+    # up to the last n that rounds to a finite float
+    (((1 << 1024) - (1 << 970) - 41, (1 << 1024) - (1 << 970) - 1), 1, "1.9"),
+    (((1 << 1024) - 5, (1 << 1024) + 35), 1, "1.9"),   # past the float range
+    (((1 << 1100), (1 << 1100) + 40), 1, "1.9"),
+    ((10**400, 10**400 + 60), 1, "1.5"),
+    # the first and the last convergent numerator in [2**1024, 2**1100]
+    # (its one violator) with 20 n on either side
+    *(((p - 20, p + 20), 1, "0.1")
+      for p in (_pi_convergents(1 << 1024, 1 << 1100)[i] for i in (0, -1))),
 ])
 def test_scan_matches_per_n_loop_far_out(window, s, eps):
     want = scan_key(per_n_scan(window, s, eps))
@@ -478,7 +491,7 @@ def test_sparse_scan_calls_the_kernel_rarely(monkeypatch, eps):
 def test_rounds_that_decide_nothing_are_skipped(monkeypatch):
     # the least margin, near 1341.6, needs the bound of round 968: probes
     # find it without enumerating the windows of every round in between
-    window = (criterion._SCAN_LIMIT - 5, criterion._SCAN_LIMIT - 1)
+    window = ((1 << 1024) - (1 << 970) - 5, (1 << 1024) - (1 << 970) - 1)
     want = scan_key(per_n_scan(window, 1, "0.1"))
     searches = []
     near_multiples = criterion._near_multiples
@@ -611,18 +624,14 @@ def test_benchmark_scan_calls_the_kernel_17_times(monkeypatch):
     assert len(calls) <= 17
 
 
-def test_scan_refuses_ranges_past_the_margin_argument():
-    for hi in (criterion._SCAN_LIMIT, 1 << 1024, 10**1000):
-        with pytest.raises(DomainError):
-            scan_criterion((1, hi), 1, "0.1")
-    top = criterion._SCAN_LIMIT - 1
-    assert float(top) == sys.float_info.max
-    assert scan_criterion((top - 4, top), 1, "0.1").summary["checked"] == 5
-
-
-@functools.cache
-def _pi_convergents_1e28_1e40():
-    return [r.n for r in spike_indices(10**40, 512) if r.n >= 10**28]
+def test_scan_past_the_constant_limit_is_a_resource_error(monkeypatch):
+    # W = 2 * bitlen(hi) + 64 passes MAX_BITS + 256: pi_mantissa refuses
+    # the working precision before any n is decided
+    calls = _count_kernel_calls(monkeypatch)
+    lo = 1 << (MAX_BITS // 2 + 200)
+    with pytest.raises(ResourceLimitError):
+        scan_criterion((lo, lo + 10), 1, "0.1")
+    assert calls == []
 
 
 @pytest.mark.parametrize("bits", [8, 64])
@@ -630,7 +639,7 @@ def _pi_convergents_1e28_1e40():
 def test_margin_matches_512_bits_at_pi_convergents(s, bits):
     # near multiples of pi the sine ball's relative radius, not the
     # verdict, decides how far the kernel escalates
-    for n in _pi_convergents_1e28_1e40():
+    for n in _pi_convergents(10**28, 10**40) + _pi_convergents(1 << 1024, 1 << 1100):
         want = check_criterion(n, s, "0.1", 512)
         got = check_criterion(n, s, "0.1", bits)
         assert got.satisfied == want.satisfied, n
