@@ -78,15 +78,13 @@ class CriterionReport(_Frozen):
     """The verdict at index n, and the kernel interval that decided it.
 
     ``interval`` = (lo, hi, scale) brackets sin^2(n) * n^(2-eps) in units
-    of 2**-scale (see _kernel); ``lhs`` and ``rhs`` are built from it and
-    ``bits`` on first read and cached in two slots outside the fields.
-    Equality, hashing, pickling and repr use the fields alone, which are
-    ints, floats and a bool.
+    of 2**-scale (see _kernel); ``lhs`` and ``rhs`` are built from it,
+    ``n``, ``s`` and ``bits`` on each read.  The fields are ints, floats
+    and a bool, and a report holds nothing else.
     """
 
-    _fields = ("n", "s", "epsilon", "satisfied", "margin", "ln_lhs", "ln_rhs", "interval",
-               "bits")
-    __slots__ = _fields + ("_lhs", "_rhs")
+    __slots__ = _fields = ("n", "s", "epsilon", "satisfied", "margin", "ln_lhs", "ln_rhs",
+                           "interval", "bits")
     n: int
     s: int
     epsilon: float
@@ -100,26 +98,16 @@ class CriterionReport(_Frozen):
     @property
     def lhs(self) -> MpReal:
         """|G(n)|^(2s) = n^(2s), exact."""
-        try:
-            return self._lhs
-        except AttributeError:
-            lhs = _ball(self.n ** (2 * self.s), 0, 0, 1)
-            object.__setattr__(self, "_lhs", lhs)
-            return lhs
+        return _ball(self.n ** (2 * self.s), 0, 0, 1)
 
     @property
     def rhs(self) -> MpReal:
         """n^(2s) * sin^2(n) * n^(2-eps): the interval times the exact
         n^(2s), centred, then rounded by round_to(bits)."""
-        try:
-            return self._rhs
-        except AttributeError:
-            lo, hi, scale = self.interval
-            n2s = self.lhs.man
-            rhs = _ball((lo + hi) * n2s // 2, -scale, (hi - lo) * n2s + 2,
-                        1 << (scale + 1)).round_to(self.bits)
-            object.__setattr__(self, "_rhs", rhs)
-            return rhs
+        lo, hi, scale = self.interval
+        n2s = self.n ** (2 * self.s)
+        return _ball((lo + hi) * n2s // 2, -scale, (hi - lo) * n2s + 2,
+                     1 << (scale + 1)).round_to(self.bits)
 
 
 def _epsilon_fraction(epsilon) -> Fraction:
@@ -218,7 +206,7 @@ def check_criterion(n: int, s: int, epsilon, bits: int = 64) -> CriterionReport:
     exact n^(2s), then rounded by round_to(bits).  For n = 1000, s = 20,
     eps = 0.1 at 64 bits, rhs is near 3.4e125 with a radius near 6.8e94.
     ``lhs`` is exact.  The report keeps the interval; both balls are
-    built on first read.
+    built on each read.
     """
     if not _is_int(n) or n < 1:
         raise DomainError(f"check_criterion requires an integer n >= 1, got {n!r}")

@@ -168,11 +168,10 @@ def exact_fraction(value, name: str) -> Fraction:
 class _Frozen:
     """Base of every flintlab record: read-only fields held in __slots__.
 
-    A record declares its fields once, ``__slots__ = _fields = (...)``
-    (values it caches go in __slots__ only).  It is equal to a record of
-    its own class with equal fields, hashed as their tuple, shown as
-    Name(field=value, ...), and copied and pickled by value, as a frozen
-    dataclass is.  This base is the one way to declare a record, and it
+    A record declares its fields once, ``__slots__ = _fields = (...)``,
+    and holds nothing else.  It is equal to a record of its own class with
+    equal fields, hashed as their tuple, shown as Name(field=value, ...),
+    and copied and pickled by value, as a frozen dataclass is.  This base is the one way to declare a record, and it
     lives here because importing dataclasses brings inspect, ast and dis
     with it: most of a cold `cf` call's import time.
 

@@ -126,9 +126,10 @@ def _units(n: int, c: int, m: int | None, u: int, iv: int, frac: Fraction | int,
     starts high enough that the escalation loop is idle in practice, but
     it is there, and it never consults the surrounding summation context.
 
-    For integer v (frac = 0) with iv <= acc, partial_sum forms the first
-    attempt's T inline for an m at or above its block's floor
-    (_width_floor), and calls _units, with the walk's m, for the rest.
+    partial_sum forms the first attempt's T inline for an m at or above
+    its block's floor, which is _width_floor for integer v = iv <= acc and
+    above every m otherwise, and calls _units, with the walk's m, for the
+    rest.
 
     G(n)^(2s) and n^(2s) are not computed: G(n) = n, so they cancel, and
     T, a rounding of an integer ratio, is the same without the common
@@ -271,7 +272,8 @@ def partial_sum(k: int, spec: SeriesSpec,
     m >= m_lo takes T = round_div(N, m**u * n**iv) inline, which is that
     attempt's T, and any other calls _units with the walk's m, which makes
     the first attempt and every escalation.  So no attempt is made twice.
-    Every term of a fractional v or of iv > acc calls _units with m.
+    For a fractional v or iv > acc the floor is m_lo = 2**(w+1), above
+    every m <= 2**w, so every term calls _units with m, in the same loop.
 
     Every term is within 3 units, so the run adds 3 * (k - checkpoint.k)
     units to the checkpoint's err_units, which is carried over as stored.
@@ -303,12 +305,9 @@ def partial_sum(k: int, spec: SeriesSpec,
     for n0, ms in abs_sin_walk(start, k, acc + _SIN_MARGIN):
         c = clog2(max(n0, 2))               # the same for every n of the block
         w = acc + _SIN_MARGIN + c
-        if frac or iv > acc:
-            for n, m in enumerate(ms, n0):
-                units += _units(n, c, m, u, iv, frac, acc)
-            continue
         N2 = 2 << (acc + u * w)             # _units' N << 1 at p_units, p_err, q = 1, 0, w
-        m_lo = _width_floor(n0, w, u, iv, acc)
+        # a floor above every m = round(|sin n| * 2**w) <= 2**w sends each term to _units
+        m_lo = 2 << w if frac or iv > acc else _width_floor(n0, w, u, iv, acc)
         for n, m in enumerate(ms, n0):
             if m >= m_lo:
                 den = m ** u * n ** iv

@@ -56,7 +56,7 @@ candidates runs on a process pool, whose start-up is timed.
 
 Output ``scan_paths.scan_key``, taken after the clocks stop, as it reads
 every violator's ``rhs`` ball, which the CLI never prints and a report
-builds on first read.  Counts, per scan at threads 1 (the n decided
+builds on each read.  Counts, per scan at threads 1 (the n decided
 do not depend on threads): the calls of ``criterion._decided_kernel``, the
 distinct n they decide, the calls of ``criterion._first_hit`` (the
 descents of the window listings), the calls of ``criterion.fx_ln_int`` and

@@ -321,14 +321,14 @@ def test_scan_reports_are_lean(window, eps, threads):
     for r in result.violations:
         fresh = pickle.dumps(r)
         lhs, rhs = r.lhs, r.rhs
-        assert r.lhs is lhs and r.rhs is rhs                  # read twice: cached
+        assert _ball_fields(r.rhs) == _ball_fields(rhs)       # read twice: equal balls
         assert tuple(map(_ball_fields, _eager_balls(r))) == (_ball_fields(lhs), _ball_fields(rhs))
         for name in ("n", "margin", "rhs", "lhs", "interval"):
             with pytest.raises(AttributeError):
                 setattr(r, name, None)
         twin = check_criterion(r.n, 1, eps)
         assert twin == r and hash(twin) == hash(r)
-        # the cached balls stay out of the pickle
+        # reading the balls leaves the pickle as it was
         data = pickle.dumps(r)
         assert data == fresh
         unpickler = _NamingUnpickler(data)

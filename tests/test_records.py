@@ -50,6 +50,7 @@ def test_records_behave_as_frozen_dataclasses(name):
     cls = type(record)
     assert cls.__name__ == name and isinstance(record, _Frozen)
     assert not hasattr(record, "__dict__")
+    assert cls.__slots__ == cls._fields
     values = tuple(getattr(record, field) for field in cls._fields)
 
     for field in cls._fields:

@@ -257,6 +257,7 @@ def test_width_floor_passes_the_first_width_test(seed):
 @pytest.mark.parametrize("v, windows", [
     (100, SUM_WINDOWS),                                  # iv > acc = 88
     (Fraction(5, 2), ((4000, 4200), (2**14 - 2, 2**14 + 1), (10**12, 10**12 + 64))),
+    (Fraction(201, 2), SUM_WINDOWS),                     # fractional, and iv = 100 > acc
 ])
 def test_per_term_path_matches_term_units(v, windows, monkeypatch):
     # a fractional v and iv > acc call _units for every term
