@@ -25,8 +25,10 @@ sin^2(n) * n^(2-eps) > 1.  Only an n close to a multiple of pi can
 violate: |sin n| < n^-(1-eps/2) puts n within arcsin n^-(1-eps/2) of
 some k*pi.  The scan cuts the range into blocks of equal clog2 n, bounds
 that distance per block on integers (_blocks), and lists the n within it
-by a Euclid-like modular search and three-gap steps (_near_multiples), or
-takes every n of a block whose windows cover it (_scan).  Each listed n
+by one walk per round across the blocks: three-gap steps, with their gaps
+from one record list per scan (_Records), and one Euclid-like descent
+where the walk starts (_near_multiples); or it takes every n of a block
+whose windows cover it (_scan).  Each listed n
 goes to the escalating kernel once, in pieces that may run on a process
 pool, and a violator's report is built from that call (_report), so
 reports equal check_criterion's bit for bit.
@@ -284,25 +286,88 @@ def _first_hit(a: int, b: int, m: int, lo: int, hi: int) -> int | None:
     return x
 
 
-def _near_multiples(M: int, W: int, k0: int, k1: int, D: int):
-    """Ascending, the n with |k*M - n * 2**W| <= D for some k in k0..k1.
+class _Records:
+    """u(E) and v(E) of step/2**W for every E >= 0, from one mediant pass.
 
-    Needs 0 <= D and 2D < M, so the n of distinct k are distinct and
-    ascend with k.  If 2D >= 2**W, every k has the n from ceil((k*M - D)
-    / 2**W) to floor((k*M + D) / 2**W), listed directly.  Otherwise a k
-    has at most one such n, the nearest round(k*M / 2**W), and has it iff
-    its residue y = (k*M + D) mod 2**W is <= 2D: k is a hit.  _first_hit
-    finds the first two hits, then the three-gap rule steps from hit to
-    hit (Slater 1967; Alessandri and Berthe 1998), so a window costs at
-    most four descents however many hits it has.
+    u(E) is the least x >= 1 with step*x mod 2**W <= E (side 0), v(E) the
+    least x >= 1 with -step*x mod 2**W <= E (side 1); x = 2**W serves both.
+    The pass keeps a pair (xa, ra), (xb, rb) with step*xa = ra and -step*xb
+    = rb (mod 2**W), from (1, step) and (1, -step mod 2**W), and while both
+    residues are positive replaces the side with the larger one (side 0 on
+    a tie) by (xa + xb, ra - rb) or (xb + xa, rb - ra) (Stern-Brocot
+    mediants; Alessandri and Berthe 1998).  step = 0 starts both at residue
+    0, so u = v = 1; otherwise:
+    * xa*rb + xb*ra = 2**W throughout, so (xa, ra) and (xb, -rb) are a
+      basis of the lattice of (x, y) with y = step*x (mod 2**W).  A point
+      i*(xa, ra) + j*(xb, -rb) with x >= 1 and 0 <= y < ra has i, j >= 1
+      (j <= 0 < i gives y >= ra, i <= 0 < j gives y <= -rb, i, j <= 0
+      gives x <= 0), so x >= xa + xb; so does one with -rb < y <= 0.
+    * So each new xa is the least x >= 1 whose residue lies below the old
+      ra, and the pairs that side 0 takes in turn (its records) ascend in x
+      and fall strictly in residue: u(E) is the first record with residue
+      <= E, as every x before it has a residue at least the previous
+      record's.  The same holds for v on side 1.
+    * Once ra = 0 the lattice is spanned by (xa, 0) and (xb, -rb), so the x
+      >= 1 with -rb < y <= 0 are the multiples of xa: xa is the last record
+      of both sides (likewise for rb = 0).
+    The q = ra // rb steps that side 0 takes in a row are one run, kept
+    whole as (x, r, dx, dr, end): records x + j*dx with residue r - j*dr
+    for j = 0..q, down to end.  The list grows by a run per partial
+    quotient of step/2**W, and only as far as the least E asked for.
+    """
 
-    Three gaps.  With m = 2**W and step = M mod m, let u be the least x
-    >= 1 with du = step*x mod m <= 2D, and v the least x >= 1 with dv =
-    -step*x mod m <= 2D (x = m serves both).  From a hit k with residue y
-    to a hit k + x with residue y', the displacement e = y' - y lies in
-    [-2D, 2D], and 2D < m: if e >= 0 then step*x mod m = e, so x >= u;
-    if e <= 0 then -step*x mod m = -e, so x >= v.  A displacement of 0
-    counts on both sides.  The next hit after k is
+    __slots__ = ("runs", "ends")
+
+    def __init__(self, step: int, mod: int):
+        self.ends = [(1, step), (1, -step % mod)]
+        self.runs = tuple([(x, r, 0, 0, r)] for x, r in self.ends)
+
+    def least(self, side: int, E: int, i: int) -> tuple[int, int, int]:
+        """(x, its residue, run index) of u(E) (side 0) or v(E) (side 1),
+        searching the runs from index i on: 0, or the index returned for an
+        E at least this one, so a pointer only moves forward as E falls."""
+        runs = self.runs[side]
+        while True:
+            while i == len(runs):
+                self._extend()
+            x, r, dx, dr, end = runs[i]
+            if end <= E:
+                j = 0 if r <= E else -((E - r) // dr)
+                return x + j * dx, r - j * dr, i
+            i += 1
+
+    def _extend(self) -> None:
+        """One run, on the side with the larger residue; both are positive."""
+        s = 0 if self.ends[0][1] >= self.ends[1][1] else 1
+        (x, r), (dx, dr) = self.ends[s], self.ends[1 - s]
+        q, end = divmod(r, dr)
+        self.runs[s].append((x, r, dx, dr, end))
+        self.ends[s] = x + q * dx, end
+        if end == 0:                    # the last record of both sides
+            self.runs[1 - s].append((x + q * dx, 0, 0, 0, 0))
+
+
+def _near_multiples(M: int, W: int, records: _Records, rows):
+    """Ascending, for each row (a, b, k0, k1, D) in turn, the n in a..b with
+    |k*M - n * 2**W| <= D for some k in k0..k1.
+
+    records are the _Records of step = M mod 2**W.  Needs 0 <= D and rows
+    ascending in a and in k0.  If 2D >= M the windows of neighbouring k
+    overlap, and the row lists a..b whole (the caller's k0..k1 cover a..b).
+    Otherwise the n of distinct k are distinct and ascend with k.  If 2D >=
+    2**W, every k has the n from ceil((k*M - D) / 2**W) to floor((k*M + D)
+    / 2**W), listed directly.  Otherwise a k has at most one such n, the
+    nearest round(k*M / 2**W), and has it iff its residue y = (k*M + D) mod
+    2**W is <= 2D: k is a hit.  The three-gap rule steps from hit to hit
+    (Slater 1967; Alessandri and Berthe 1998) with u and v of E = 2D from
+    the records, and one walk crosses the rows.
+
+    Three gaps.  With m = 2**W, u is the least x >= 1 with du = step*x mod
+    m <= 2D, and v the least x >= 1 with dv = -step*x mod m <= 2D.  From a
+    hit k with residue y to a hit k + x with residue y', the displacement e
+    = y' - y lies in [-2D, 2D], and 2D < m: if e >= 0 then step*x mod m =
+    e, so x >= u; if e <= 0 then -step*x mod m = -e, so x >= v.  A
+    displacement of 0 counts on both sides.  The next hit after k is
     * k + u if y + du <= 2D.  A hit k + x with x < u has e < 0 with -e
       <= y, so step*(u - x) mod m = du - e <= 2D, against u's minimality;
     * else k + v if y >= dv.  A hit k + x with x < v has 0 < e <= 2D - y,
@@ -313,33 +378,55 @@ def _near_multiples(M: int, W: int, k0: int, k1: int, D: int):
       (as e <= 2D - y < du), so x - u >= v; or x >= v, x != v if e < 0,
       and then step*(x - v) mod m = dv + e lies in (0, 2D] (as -e <= y <
       dv), so x - v >= u.
+
+    One walk.  A hit at D' <= D is a hit at D: its centred residue y - D =
+    k*M - n * 2**W keeps its value, and only its bound grows.  A row's walk
+    starts at its least hit from k0 on and visits its hits in turn, up to
+    the first past k1, and if the next row has D' <= D, on to the first hit
+    k >= k0' (the next row's k0, at least k0) whose centred residue is
+    within D'.  Every hit at D' from k0' on is a hit at D that the walk
+    visits, so that one is the least: the next row starts there, with the u
+    and v of D'.  _first_hit descends only at a row that starts no walk
+    this way: the round's first, one after a row listed otherwise, or one
+    whose D' > D.  A k with k*M mod 2**W = 0 (k = 2**W is one) is a hit at
+    every D, so a descent or a walk always finds a hit.
     """
     mod = 1 << W
-    if 2 * D >= mod:
-        for k in range(k0, k1 + 1):
-            yield from range(-((D - k * M) >> W), ((k * M + D) >> W) + 1)
-        return
-    step, k = M % mod, k0 - 1
-    for _ in range(2):
-        x = _first_hit(step, ((k + 1) * M + D) % mod, mod, 0, 2 * D)
-        if x is None or k + 1 + x > k1:
-            return
-        k += 1 + x
-        yield (k * M + (mod >> 1)) >> W
-    y = (k * M + D) % mod
-    u = 1 + _first_hit(step, step, mod, 0, 2 * D)
-    v = 1 + _first_hit(-step % mod, -step % mod, mod, 0, 2 * D)
-    du, dv = step * u % mod, -step * v % mod
-    while True:
-        if y + du <= 2 * D:
-            k, y = k + u, y + du
-        elif y >= dv:
-            k, y = k + v, y - dv
+    step, entry, ia, ib = M % mod, None, 0, 0
+    for i, (a, b, k0, k1, D) in enumerate(rows):
+        if 2 * D >= mod:
+            if 2 * D >= M:
+                yield from range(a, b + 1)
+                continue
+            for k in range(k0, k1 + 1):
+                yield from range(max(a, -((D - k * M) >> W)), min(b, (k * M + D) >> W) + 1)
+            continue
+        if entry is None:
+            k, ia, ib = k0 + _first_hit(step, (k0 * M + D) % mod, mod, 0, 2 * D), 0, 0
+            y = (k * M + D) % mod
         else:
-            k, y = k + u + v, y + du - dv
-        if k > k1:
-            return
-        yield (k * M + (mod >> 1)) >> W
+            k, y = entry
+        u, du, ia = records.least(0, 2 * D, ia)
+        v, dv, ib = records.least(1, 2 * D, ib)
+        _, _, k0_next, _, D_next = rows[i + 1] if i + 1 < len(rows) else (0, 0, 0, 0, -1)
+        if D_next > D:
+            D_next = -1                 # the next row starts no walk
+        entry = None
+        while True:
+            if entry is None and k >= k0_next and abs(y - D) <= D_next:
+                entry = k, y - D + D_next
+            if k <= k1:
+                n = (k * M + (mod >> 1)) >> W
+                if a <= n <= b:
+                    yield n
+            elif entry or D_next < 0:
+                break
+            if y + du <= 2 * D:         # the next hit, by three gaps
+                k, y = k + u, y + du
+            elif y >= dv:
+                k, y = k + v, y - dv
+            else:
+                k, y = k + u + v, y + du - dv
 
 
 def _arcsin_units(Z: int, W: int, M: int) -> int:
@@ -354,10 +441,16 @@ def _arcsin_units(Z: int, W: int, M: int) -> int:
     * ceil((M+1)/2) - isqrt(F - Z^2): arcsin z = pi/2 - arccos z, and
       arccos z >= sin(arccos z) = sqrt(1 - z^2), while M + 1 >= pi * 2**W.
       It is tight as z nears 1, where the series converges slowly.
+    For 2Z <= 2**W and W >= 7 (a scan has W >= 66) the first is the lesser,
+    so it is returned without the square root: z <= 1/2 puts it below (z +
+    z^3/6 + 3z^5/(40(1 - z^2))) * 2**W + 2 < 0.53 * 2**W + 3, while the
+    second is at least (pi/2 - 1) * 2**W > 0.57 * 2**W, and 0.04 * 2**W > 3.
     """
     F = 1 << 2 * W
     Z2 = Z * Z
     series = Z - (-Z2 * Z // (6 * F)) - (-3 * Z2 * Z2 * Z // (40 * F * (F - Z2)))
+    if 2 * Z <= 1 << W:
+        return series
     return min(series, -(-(M + 1) // 2) - math.isqrt(F - Z2))
 
 
@@ -421,7 +514,10 @@ def _scan(lo: int, hi: int, p: Fraction, bits: int,
     a..b.  If |k*pi - n| < arcsin z_T(n), then |k*M - n * 2**W| < A +
     k/2, so with D = A + k1 + 1 _near_multiples lists n.  If 2D >= M the
     windows of neighbouring k overlap, every n lies in one, and the block
-    is whole.  All of this is integer arithmetic.
+    is whole.  All of this is integer arithmetic.  One walk lists a round's
+    blocks in turn, with one _first_hit descent at its first block listed
+    by steps and again only where D rises (_near_multiples), and the gaps
+    of every block come from records made once per scan (_Records).
 
     Pieces.  Each round cuts its candidates, ascending, into pieces of at
     most _CHUNK.  They go to worker processes when threads > 1 and there
@@ -432,7 +528,7 @@ def _scan(lo: int, hi: int, p: Fraction, bits: int,
     Order.  The violators come out ascending in n without a sort.  Every
     violator lies in a window of round 0 (t = 0), since |sin n| < z_1(n)
     <= z_1(a), and round 0 decides every n of its windows.  Its candidates
-    ascend, because the blocks ascend and each block's window list
+    ascend, because the blocks ascend and each block's listing
     ascends; the pieces keep that order, and pool.map returns them in it.
     Later rounds decide only n outside round 0's windows, so no violator.
 
@@ -453,18 +549,17 @@ def _scan(lo: int, hi: int, p: Fraction, bits: int,
     M = pi_mantissa(W)
     blocks = [(a, b, num, den, ((a - 1) << W) // (M + 1), -(-((b + 1) << W) // (M - 1)))
               for a, b, num, den in _blocks(lo, hi, 1 - p / 2, W)]
+    records = _Records(M % (1 << W), 1 << W)
 
     def windows(t):
-        """(whole, the n of the window) for each block at round t."""
+        """(whether every block is whole, the n of the windows ascending) at
+        round t; the n come lazily, from one walk."""
+        rows = []
         for a, b, num, den, k0, k1 in blocks:
             Z = -(-(num << t) // den)
-            whole = Z >= 1 << W
-            if not whole:
-                D = _arcsin_units(Z, W, M) + k1 + 1
-                whole = 2 * D >= M
-            block = range(a, b + 1)
-            yield whole, block if whole else filter(
-                block.__contains__, _near_multiples(M, W, k0, k1, D))
+            D = _arcsin_units(Z, W, M) + k1 + 1 if Z < 1 << W else M
+            rows.append((a, b, k0, k1, D))
+        return all(2 * D >= M for *_, D in rows), _near_multiples(M, W, records, rows)
 
     def ends(t):
         return worst[0] < 2 * t * _LN2 - _SCREEN_SLACK
@@ -473,17 +568,16 @@ def _scan(lo: int, hi: int, p: Fraction, bits: int,
         """Whether round t ends the scan or decides an n not yet decided."""
         if ends(t):
             return True
-        rows = list(windows(t))
-        return all(whole for whole, _ in rows) or any(
-            n not in decided for _, ns in rows for n in ns)
+        whole, ns = windows(t)
+        return whole or any(n not in decided for n in ns)
 
     decided: set[int] = set()
     violators: list[tuple[int, tuple]] = []
     worst = (math.inf, -1)
     t = 0
     while True:
-        rows = list(windows(t))
-        candidates = [n for _, ns in rows for n in ns if n not in decided]
+        whole, ns = windows(t)
+        candidates = [n for n in ns if n not in decided]
         pieces = [(candidates[i:i + _CHUNK], p, bits)
                   for i in range(0, len(candidates), _CHUNK)]
         workers = min(threads, len(pieces), os.cpu_count() or 1)
@@ -496,7 +590,7 @@ def _scan(lo: int, hi: int, p: Fraction, bits: int,
         decided.update(n for n, _, _ in out)
         worst = min([worst, *((margin, n) for n, margin, _ in out)])
         violators += [(n, kernel_out) for n, _, kernel_out in out if kernel_out is not None]
-        if all(whole for whole, _ in rows) or ends(t):
+        if whole or ends(t):
             break
         below, step = t, 1          # round t + 1, t + 3, t + 7, ... until one opens
         while not opens(below + step):

@@ -496,9 +496,10 @@ def test_rounds_that_decide_nothing_are_skipped(monkeypatch):
     searches = []
     near_multiples = criterion._near_multiples
 
-    def counting(*args):
-        searches.append(args[-1])
-        return near_multiples(*args)
+    def counting(M, W, records, rows):
+        # one search per block that is not whole, as each had its own listing
+        searches.extend(D for *_, D in rows if 2 * D < M)
+        return near_multiples(M, W, records, rows)
 
     monkeypatch.setattr(criterion, "_near_multiples", counting)
     calls = _count_kernel_calls(monkeypatch)
@@ -532,6 +533,10 @@ def test_arcsin_units_bound_arcsin():
             z = Z / 2**W
             if W >= 20 and z <= 0.99:
                 assert A <= 1.04 * math.asin(z) * 2**W + 3, (W, Z, A)
+            # the lesser of the series and the arccos bound, with no shortcut
+            F, Z2 = 1 << 2 * W, Z * Z
+            series = Z - (-Z2 * Z // (6 * F)) - (-3 * Z2 * Z2 * Z // (40 * F * (F - Z2)))
+            assert A == min(series, -(-(M + 1) // 2) - math.isqrt(F - Z2)), (W, Z)
 
 
 @pytest.mark.parametrize("W", [6, 9, 12])
@@ -545,7 +550,14 @@ def test_near_multiples_lists_every_n_within_D(W):
         k1 = k0 + rng.randrange(40)
         want = [n for n in range(-2 - D // mod, (k1 * M + D) // mod + 2)
                 if any(abs(k * M - n * mod) <= D for k in range(k0, k1 + 1))]
-        assert list(criterion._near_multiples(M, W, k0, k1, D)) == want, (D, k0, k1)
+        assert _listing(M, W, k0, k1, D) == want, (D, k0, k1)
+
+
+def _listing(M, W, k0, k1, D):
+    """_near_multiples on the one row k0..k1, D, with no n left out by a..b."""
+    mod = 1 << W
+    row = ((k0 * M - D) >> W, (k1 * M + D) >> W, k0, k1, D)
+    return list(criterion._near_multiples(M, W, criterion._Records(M % mod, mod), [row]))
 
 
 def _per_hit_listing(M, W, k0, k1, D):
@@ -579,7 +591,7 @@ def test_three_gap_listing_equals_brute_force_and_per_hit_search():
                 for n in range((k * M - D) // mod, (k * M + D) // mod + 1)
                 if abs(k * M - n * mod) <= D]
         case = (M, W, k0, k1, D)
-        assert list(criterion._near_multiples(*case)) == want, case
+        assert _listing(*case) == want, case
         assert list(_per_hit_listing(*case)) == want, case
         step = M % mod
         u = next(x for x in range(1, mod + 1) if step * x % mod <= 2 * D)
@@ -592,6 +604,112 @@ def test_three_gap_listing_equals_brute_force_and_per_hit_search():
     for tag in ("u < v", "v < u", "u = v", "D = 0", "2D near 2**W", "step = 0",
                 "no hit", "one hit", "two hits", "many hits"):
         assert seen.get(tag, 0) >= 30, (tag, seen)
+
+
+def test_records_give_the_least_u_and_v():
+    # u(E) and v(E) as the per-window descents found them, for E falling
+    # from near 2**W to 0, from a fresh search and from the moving pointers
+    rng = random.Random(1967)
+    seen = {}
+    for W in (8, 20, 96, 300):
+        mod = 1 << W
+        for case in range(60):
+            kind = ("odd", "even", "zero", "pi")[case % 4]
+            if kind == "even":          # a residue 0 at x = 2**(W - j) < 2**W
+                step = rng.randrange(1, mod >> (j := rng.randrange(1, W)), 2) << j
+            else:
+                step = {"odd": rng.randrange(1, mod, 2), "zero": 0,
+                        "pi": pi_mantissa(W) % mod}[kind]
+            records = criterion._Records(step, mod)
+            Es = {mod - 2, mod - 3, mod // 2 + 1, mod // 2, mod // 2 - 1, 1, 0,
+                  *(rng.randrange(mod >> rng.randrange(W)) for _ in range(12))}
+            ia = ib = 0
+            for E in sorted(Es, reverse=True):
+                u = 1 + criterion._first_hit(step, step, mod, 0, E)
+                v = 1 + criterion._first_hit(-step % mod, -step % mod, mod, 0, E)
+                want = (u, step * u % mod, v, -step * v % mod)
+                u_, du, ia = records.least(0, E, ia)
+                v_, dv, ib = records.least(1, E, ib)
+                assert (u_, du, v_, dv) == want, (W, step, E)
+                fresh = records.least(0, E, 0)[:2] + records.least(1, E, 0)[:2]
+                assert fresh == want, (W, step, E)
+                seen[kind] = seen.get(kind, 0) + 1
+                if E == 0 and kind == "even":
+                    assert u == v == mod >> j < mod
+    assert all(seen[kind] >= 100 for kind in ("odd", "even", "zero", "pi")), seen
+
+
+def _rows_listing(M, W, rows):
+    """Brute force: for each row (a, b, k0, k1, D) in turn, the n in a..b
+    within D of some k*M / 2**W with k in k0..k1; all of a..b if 2D >= M."""
+    mod = 1 << W
+    out = []
+    for a, b, k0, k1, D in rows:
+        out += range(a, b + 1) if 2 * D >= M else [
+            n for k in range(k0, k1 + 1) for n in range((k * M - D) // mod, (k * M + D) // mod + 1)
+            if abs(k * M - n * mod) <= D and a <= n <= b]
+    return out
+
+
+def test_round_walk_equals_brute_force_with_descents_only_where_needed(monkeypatch):
+    # consecutive blocks a..b with the k ranges _scan gives them, which
+    # overlap, and D falling, level, rising, 0, dense (2**W <= 2D < M) or
+    # whole (2D >= M); a block listed by steps after another descends only
+    # where its D rises
+    descents = []
+    first_hit = criterion._first_hit
+    monkeypatch.setattr(criterion, "_first_hit",
+                        lambda *args: descents.append(args) or first_hit(*args))
+    rng = random.Random(1998)
+    seen = {}
+    for _ in range(500):
+        W = rng.randrange(6, 14)
+        mod = 1 << W
+        M = rng.choice([pi_mantissa(W), rng.randrange(mod + 2, 4 * mod),
+                        2 * rng.randrange(mod // 2 + 1, 2 * mod), mod * rng.randrange(2, 4)])
+        rows, walked, want_descents = [], None, 0
+        a, D = rng.randrange(1, 400), rng.randrange(mod // 2)
+        for _ in range(rng.randrange(1, 9)):
+            b = a + rng.randrange(80)
+            k0, k1 = (a - 1) * mod // (M + 1), -(-(b + 1) * mod // (M - 1))
+            rows.append((a, b, k0, k1, D))
+            if 2 * D < mod:
+                want_descents += walked is None or D > walked
+                tag = "first" if walked is None else "rising" if D > walked else "falling"
+                seen[tag] = seen.get(tag, 0) + 1
+                if not _rows_listing(M, W, rows[-1:]):
+                    seen["no hit"] = seen.get("no hit", 0) + 1
+                if walked is not None and any(  # a hit at D in the last row's k range
+                        abs((k * M + mod // 2) % mod - mod // 2) <= D
+                        for k in range(k0, rows[-2][3] + 1)):
+                    seen["shared k"] = seen.get("shared k", 0) + 1
+                walked = D
+            else:
+                tag = "dense" if 2 * D < M else "whole"
+                seen[tag] = seen.get(tag, 0) + 1
+                walked = None
+            a = b + 1
+            D = rng.choice([D * rng.randrange(1, 11) // 10, D, 0, D + rng.randrange(1, 9),
+                            rng.randrange(mod // 2), rng.randrange(mod // 2, M), M])
+        descents.clear()
+        records = criterion._Records(M % mod, mod)
+        assert list(criterion._near_multiples(M, W, records, rows)) == _rows_listing(M, W, rows), (
+            M, W, rows)
+        assert len(descents) == want_descents, (M, W, rows)
+    for tag in ("first", "falling", "rising", "no hit", "shared k", "dense", "whole"):
+        assert seen.get(tag, 0) >= 100, (tag, seen)
+
+
+def test_benchmark_scan_descends_once(monkeypatch):
+    # the benchmark's scan operation: one walk in round 0 over 14 blocks
+    descents = []
+    first_hit = criterion._first_hit
+    monkeypatch.setattr(criterion, "_first_hit",
+                        lambda *args: descents.append(args) or first_hit(*args))
+    calls = _count_kernel_calls(monkeypatch)
+    scan_criterion((1, 32768), 1, "0.1")
+    assert len(descents) == 1
+    assert len(calls) == 17
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2), Fraction(1),
