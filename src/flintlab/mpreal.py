@@ -29,10 +29,12 @@ new binary-splitting run) when the check fails.
 
 One function, :func:`reduce_fixed`, performs every reduction mod pi.
 It writes a dyadic ``x = m * 2**-d`` (integers are d = 0) as
-``x = k*pi + r`` with a certified ``k = round(x/pi)`` and ``r`` in
-[-pi/2, pi/2] as an integer at scale ``2**-w``, within a derived
-``(|k| >> 1) + 2`` ulps.  Callers add about ``log2 |x|`` guard bits to
-w, because the subtraction ``x - k*pi`` cancels that many leading bits.
+``x = k*pi + r`` in one divmod, with ``k`` the nearest integer to
+``x * 2**w / pi_mantissa(w)``, which need not be round(x/pi), and ``r``
+as an integer at scale ``2**-w``, within a derived ``(|k| >> 1) + 2``
+ulps.  Callers add about ``log2 |x|`` guard bits to w, because the
+subtraction ``x - k*pi`` cancels that many leading bits, and ``2**w >=
+|x|`` keeps |r| below 1.77.
 
 Sine at integer arguments has one primitive, :func:`sin_ball`: the
 reduction, then the Taylor kernel, returning the signed integer ball
@@ -779,41 +781,30 @@ def fx_pow(L: int, e_ln: int, c: Fraction, w: int) -> tuple[int, int, int]:
 def reduce_fixed(m: int, w: int, d: int = 0) -> tuple[int, int, int]:
     """x = k*pi + r for the dyadic x = m * 2**-d, d >= 0: returns (k, R, err_ulps).
 
-    k = round(x/pi), so r lies in [-pi/2, pi/2]; R is r in units of
-    2**-w with |R * 2**-w - r| <= err_ulps * 2**-w, err_ulps =
-    (|k| >> 1) + 2.  Integer arguments use d = 0.
+    k is the nearest integer to q = x * 2**w / P, P = pi_mantissa(w),
+    halves rounding up, and R is r in units of 2**-w with |R * 2**-w - r|
+    <= err_ulps * 2**-w, err_ulps = (|k| >> 1) + 2.  Integer arguments use
+    d = 0.
 
-    Certifying k.  With P = pi_mantissa(wk) = pi * 2**wk + delta and
-    |delta| <= 1/2, the proxy q = m * 2**wk / den, den = P * 2**d, misses
-    x/pi by |x| * 2**wk * |delta| / (P * (P - delta)) <= |x| / (6P), which
-    is below |x| * 2**-(wk+4) because P - 1/2 >= 3 * 2**wk.  With r0 =
-    (m * 2**wk) mod den, q lies h = |2*r0 - den| / (2*den) from the nearest
-    half-integer, and the test |2*r0 - den| * 2**wk > 4*|m|*P says
-    h > 2|x| * 2**-wk: more than 32 times the miss, so x/pi lies on the
-    same side of that half-integer as q and round(q) = round(x/pi).
-    Otherwise wk doubles; x/pi is irrational for x != 0 (x = 0 passes at
-    once with k = 0), so the loop ends.  For a ball center with |x| <=
-    mag + 1, mag = floor(|x|), the test passes at wk = w whenever x/pi is
-    more than (mag + 1) * 2**(2-w) from a half-integer, since
-    2|x| * 2**-w + |x| * 2**-(w+4) < (mag + 1) * 2**(2-w).
+    k need not be round(x/pi): sin x = (-1)**k sin r and cos x = (-1)**k
+    cos r for every integer k, and the kernels only need |r| small.  With
+    P = pi * 2**w + delta and |delta| <= 1/2, q misses x/pi by |x| * 2**w *
+    |delta| / (P * (P - delta)) <= |x| / (6P), which is below |x| *
+    2**-(w+4) because P - 1/2 >= 3 * 2**w.  So |x/pi - k| <= 1/2 + |x| *
+    2**-(w+4), and |r| < pi/2 + pi/16 < 1.77 whenever 2**w >= |x|.  Where
+    x/pi lies farther than |x| * 2**-(w+4) from a half-integer, k =
+    round(x/pi).
 
-    Error of R.  With P_w = pi_mantissa(w) = pi * 2**w + delta_w,
-    r * 2**w = (m * 2**w - k * P_w * 2**d) / 2**d + k * delta_w exactly.
-    The code divides the first part by 2**d with round_div, which is exact
-    for d = 0 and adds at most 1/2 otherwise; the second part is at most
+    Error of R.  r * 2**w = (m * 2**w - k * P * 2**d) / 2**d + k * delta
+    exactly, for any integer k.  The code divides the first part, the
+    remainder of the divmod, by 2**d with round_div, which is exact for
+    d = 0 and adds at most 1/2 otherwise; the second part is at most
     |k|/2.  In all, |k|/2 + 1/2 <= (|k| >> 1) + 1 < err_ulps.
     """
-    wk = w
-    while True:
-        P = pi_mantissa(wk)
-        den = P << d
-        M = m << wk
-        r0 = M % den
-        if abs(2 * r0 - den) << wk > 4 * abs(m) * P:
-            k = round_div(M, den)
-            break
-        wk *= 2
-    R = (m << w) - (k * pi_mantissa(w) << d)
+    den = pi_mantissa(w) << d
+    k, R = divmod(m << w, den)
+    if 2 * R >= den:
+        k, R = k + 1, R - den
     if d:
         R = round_div(R, 1 << d)
     return k, R, (abs(k) >> 1) + 2
@@ -829,12 +820,11 @@ def sin_ball(n: int, w: int) -> tuple[int, int]:
     which a walk from 1 anchors on, gives (0, 27).
 
     DomainError unless w >= max(8, clog2(max(n, 2))).  That keeps R in
-    fx_sin's domain: r = n - k*pi lies in [-pi/2, pi/2], and R misses r *
-    2**w by at most (|k| >> 1) + 2 <= n/(2 pi) + 9/4 ulps (k <= n/pi +
-    1/2), which is at most 1/(2 pi) + 9/1024 < 0.17 in x, as 2**w >= n
-    and 2**w >= 256.  So |R * 2**-w| < 1.75 < 3.3, and w >= 8 is
-    fx_sin's own floor.  Below the bound the reduction error can put R
-    far outside, where the Taylor loop runs on huge terms.
+    fx_sin's domain: as 2**w >= n, r = n - k*pi has |r| < 1.77 and k <=
+    n/pi + 9/16 (reduce_fixed), and R misses r * 2**w by at most (|k| >>
+    1) + 2 <= n/(2 pi) + 2.29 ulps, which is at most 1/(2 pi) + 2.29/256
+    < 0.17 in x, as 2**w >= 256.  So |R * 2**-w| < 1.94 < 3.3, and w >= 8
+    is fx_sin's own floor.  Below the bound that argument fails.
     """
     if w < 8 or clog2(n) > w:          # clog2(0) = 1 and clog2(1) = 0
         raise DomainError(f"sin_ball({n}) needs w >= max(8, clog2 n), got {w}")
@@ -973,8 +963,9 @@ def abs_sin_walk(lo: int, hi: int, base: int) -> Iterator[tuple[int, list[int]]]
 
     The side conditions hold for base >= 8.  Then g >= 32 gives W >= 40 +
     c, so n <= 2**(W-40).  Each anchor radius is sin_ball's reduction
-    error, at most n/6 + 3 ulps, plus the kernel's and one: for |x| <=
-    1.6 the Taylor terms start below 2**(W+1) and at least halve from the
+    error, at most n/6 + 3 ulps (|k| <= n/pi + 1/2 + n * 2**-(W+4)), plus
+    the kernel's and one: |x| < 1.6 (|r| <= pi/2 + n * 2**-(W+2)), so the
+    Taylor terms start below 2**(W+1) and at least halve from the
     second on, so the kernels stop with i <= W + 4 and report at most
     8*W + 48 ulps; hence e0, e_prev <= n/6 + 8*W + 52 and e1 <= 8*(W + h)
     + 48 = 8*W + 176.  So kappa <= W/2**12 + 3, the step is at most
@@ -1007,11 +998,11 @@ def sin_rel(n: int, rel: int, w: int) -> tuple[int, int, int]:
     needs, or DomainError; callers add clog2 n + 8 guard bits or more.
 
     The loop ends.  sin_ball's radius e is its reduction error, at most
-    n/6 + 3 ulps whatever w is, plus the Taylor kernel's 8i + 16 with i <=
-    w + 4 (see abs_sin_walk), plus one; so e * 2**-w falls to 0 as w
-    grows, by at least 8 bits a step.  pi is irrational, so sin n != 0 for integer n >=
-    1, and once (2**rel + 1) * e * 2**-w < |sin n|, |S| >= |sin n| * 2**w -
-    e > e * 2**rel.  Where the failed ball's center is accurate (its
+    n/6 + 3 ulps at every w it accepts, plus the Taylor kernel's 8i + 16
+    with i <= w + 4 (see abs_sin_walk), plus one; so e * 2**-w falls to 0
+    as w grows, by at least 8 bits a step.  pi is irrational, so sin n !=
+    0 for integer n >= 1, and once (2**rel + 1) * e * 2**-w < |sin n|, |S|
+    >= |sin n| * 2**w - e > e * 2**rel.  Where the failed ball's center is accurate (its
     radius a small part of it), d is the shortfall plus 8, so one step
     passes; where the ball holds 0, each step adds at least rel + 8 bits.
     """
@@ -1061,7 +1052,8 @@ def _sin_cos_reduced(x: MpReal, bits: int, kernel, exact_zero: int) -> MpReal:
     mag = floor(|c|): c = k*pi + r, and sin c = (-1)**k sin r, cos c =
     (-1)**k cos r.  Both functions are 1-Lipschitz, so the result is
     within err(x) + (e_red + e_kernel + 1) * 2**-w of the truth.  Since
-    |k| <= (mag + 1)/pi + 1/2, e_red <= (mag + 2)/6 + 3 ulps, so
+    |k| <= (mag + 1)/pi + 1/2 + 2**-36 (reduce_fixed, with |c| <= mag + 1
+    and 2**w >= 2**32 * (mag + 2)), e_red <= (mag + 2)/6 + 3 ulps, so
     e_red * 2**-w < 2**-(bits+30); the guard bits also absorb the
     kernel's ulps before round_to(bits).
     An exact zero gives the exact value exact_zero.

@@ -70,7 +70,9 @@ the sum of their working bits, the violators.
   64)``, timed over SPIKES_REPEAT calls, as one call takes well under a ms;
   its items are n, as the benchmark counts them;
 * ``deep_100``: ``spike_indices(10**100, 512)``, one call, one item;
-* ``deep_300``: ``spike_indices(10**300, 2048)``, one call, one item.
+* ``deep_300``: ``spike_indices(10**300, 2048)``, one call, one item;
+* ``deep_1000``: ``spike_indices(10**1000, 64)``, one call, one item, 1947
+  records whose n reach 3322 bits.
 
 Output (n, abs_sin man/exp/err, lambda) per record.  Counts, per operation
 (one call): the quotients that ``convergent_numerators_up_to`` requests from
@@ -239,7 +241,8 @@ def scan_counts(tmp: str) -> dict:
     return counts
 
 
-SPIKES = {"spikes_op": (12000, 64), "deep_100": (10**100, 512), "deep_300": (10**300, 2048)}
+SPIKES = {"spikes_op": (12000, 64), "deep_100": (10**100, 512), "deep_300": (10**300, 2048),
+          "deep_1000": (10**1000, 64)}
 SPIKES_REPEAT = {"spikes_op": 200}
 
 
@@ -349,7 +352,8 @@ SUITES = {
                    for name, (window, *_) in SCANS.items() for threads in (1, 2)},
                   scan_warm, scan_run, scan_counts, scan_digest_key),
     "spikes": Suite({"spikes_op": SPIKES["spikes_op"][0] * SPIKES_REPEAT["spikes_op"],
-                     "deep_100": 1, "deep_300": 1}, spikes_warm, spikes_run, spikes_counts),
+                     "deep_100": 1, "deep_300": 1, "deep_1000": 1},
+                    spikes_warm, spikes_run, spikes_counts),
     "cold": Suite(dict.fromkeys(COLD, 1), cold_warm,
                   lambda operation, tmp: cold_call(operation, tmp).stdout, cold_counts),
     "render": Suite(dict.fromkeys(RENDER, 1), render_warm, render_run, render_counts),

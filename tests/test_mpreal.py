@@ -617,14 +617,29 @@ def test_reduced_variants_accept_large_arguments():
     assert abs(c.center()) <= 1 + c.err
 
 
+def _check_reduction(x: Fraction, w: int, k: int, R: int, e: int) -> None:
+    """reduce_fixed's (k, R, e) for x at w against the spigot pi: R is r = x
+    - k*pi within e ulps, |x/pi - k| <= 1/2 + |x| * 2**-(w+4), and k =
+    round(x/pi) where 2**w >= |x| and x/pi lies farther than |x| *
+    2**-(w+3) from a half-integer."""
+    apx, apx_err = pi_fraction(200)
+    assert abs(Fraction(R, 1 << w) - (x - k * apx)) + abs(k) * apx_err <= Fraction(e, 1 << w)
+    q = x / apx
+    slack = abs(x) * apx_err                # |q - x/pi| is below it
+    assert abs(q - k) <= Fraction(1, 2) + abs(x) / (1 << (w + 4)) + slack
+    to_half = abs(q - math.floor(q) - Fraction(1, 2))
+    if abs(x) <= 1 << w and to_half > abs(x) / (1 << (w + 3)) + slack:
+        assert k == round(q)
+
+
 def test_reduce_fixed_integer_triple():
-    # integers get k = round(n/pi), R = n*2**w - k*pi_mantissa(w) exactly
-    apx, _ = pi_fraction(120)
+    # integers get the divmod's k and R = n*2**w - k*pi_mantissa(w) exactly
     for w in (40, 64, 200):
         P = pi_mantissa(w)
         for n in list(range(1, 1500)) + [103993, 833719, 10**30 + 7]:
-            k = round(n / apx)
-            assert reduce_fixed(n, w) == (k, (n << w) - k * P, (k >> 1) + 2)
+            k, R, e = reduce_fixed(n, w)
+            assert (k, R, e) == (round_div(n << w, P), (n << w) - k * P, (k >> 1) + 2)
+            _check_reduction(Fraction(n), w, k, R, e)
 
 
 def test_reduce_fixed_dyadic_forms_of_an_integer():
@@ -637,16 +652,54 @@ def test_reduce_fixed_dyadic_forms_of_an_integer():
 
 def test_reduce_fixed_dyadic_error_bound():
     rng = random.Random(7300)
-    apx, apx_err = pi_fraction(200)
     for _ in range(300):
         d = rng.choice((1, 5, 30, 64, 200))
         m = rng.randrange(-(1 << (d + 24)), 1 << (d + 24))
         w = rng.choice((8, 40, 64, 200))
-        k, R, e = reduce_fixed(m, w, d)
-        x = Fraction(m, 1 << d)
-        assert k == round(x / apx)
-        r = x - k * apx
-        assert abs(Fraction(R, 1 << w) - r) + abs(k) * apx_err <= Fraction(e, 1 << w)
+        _check_reduction(Fraction(m, 1 << d), w, *reduce_fixed(m, w, d))
+
+
+def test_reduce_fixed_takes_the_far_neighbour_near_a_half_integer():
+    # 3083975227/pi lies 2.4e-11 below a half-integer, closer than the
+    # n * 2**-65 by which the divmod's quotient can miss it at w = 61
+    n, w = 3083975227, 61
+    apx, _ = pi_fraction(100)
+    q = n / apx
+    assert Fraction(23, 10**12) < math.floor(q) + Fraction(1, 2) - q < Fraction(25, 10**12)
+    k, R, e = reduce_fixed(n, w)
+    assert k == round(q) + 1
+    _check_reduction(Fraction(n), w, k, R, e)
+
+
+def test_sines_of_half_pi_numerators_contain_the_oracle():
+    apx, _ = pi_fraction(100)
+    far = 0
+    # numerators of pi/2's convergents: n/pi lies near a half-integer, where
+    # the divmod's k can be the farther of the two nearest integers
+    for n in (11, 52174, 3083975227, 214112296674652):
+        want_s, want_c, want_err = _sin_cos_oracle(Fraction(n))
+        for w in range(max(8, clog2(n)), clog2(n) + 81):
+            far += reduce_fixed(n, w)[0] != round(n / apx)
+            S, e = sin_ball(n, w)
+            assert abs(Fraction(S, 1 << w) - want_s) <= Fraction(e, 1 << w) + want_err, (n, w)
+            s = sin_int(n, w)
+            assert abs(s.center() - want_s) <= s.err + want_err, (n, w)
+            c = cos_reduced(MpReal(n, 0), w)
+            assert abs(c.center() - want_c) <= c.err + want_err, (n, w)
+    assert far >= 30                        # the far neighbour is taken often
+
+
+def test_sin_ball_at_its_least_w_contains_the_oracle():
+    rng = random.Random(4100)
+    for _ in range(200):
+        n = rng.randrange(1, 1 << rng.randrange(1, 200))
+        w = max(8, clog2(n))
+        k, R, e = reduce_fixed(n, w)
+        _check_reduction(Fraction(n), w, k, R, e)
+        assert abs(R) < Fraction(194, 100) * (1 << w)
+        S, e = sin_ball(n, w)
+        want, _, want_err = _sin_cos_oracle(Fraction(n))
+        assert abs(Fraction(S, 1 << w) - want) <= Fraction(e, 1 << w) + want_err, n
 
 
 def _sin_cos_oracle(x: Fraction) -> tuple[Fraction, Fraction, Fraction]:
