@@ -22,10 +22,9 @@ and are served as *canonically rounded* mantissas ``round(x * 2**w)``.
 Canonical rounding makes every mantissa a pure function of ``w``: a
 request never observes how much precision happens to be cached, so
 results are bit-reproducible across processes, thread schedules and
-cache warm-up order.  The rounding is certified by checking that the
-uncertainty interval around the stored rational stays clear of the
-nearest half-integer, refining the rational (and only then paying for a
-new binary-splitting run) when the check fails.
+cache warm-up order.  One division per refine certifies floor(x * 2**W),
+and every lower w is a shift of it; only a w >= W pays for a new
+binary-splitting run.
 
 One function, :func:`reduce_fixed`, performs every reduction mod pi.
 It writes a dyadic ``x = m * 2**-d`` (integers are d = 0) as
@@ -312,10 +311,11 @@ def _cut_rational(num: int, den: int, w: int) -> tuple[int, int]:
     """(num >> k, den >> k) with k = max(den.bit_length() - (w + 8), 0).
 
     The binary splitting leaves num and den far longer than w bits (about
-    3w for pi), and _ConstSource divides them; the cut keeps w + 8 bits of
-    den.  With num/den < c and x >> k = x/2**k - f, f in [0, 1), num'/den'
-    - num/den = (f_den * num/den - f_num) / den', so the cut moves the
-    ratio by less than max(c, 1)/den' <= max(c, 1) * 2**-(w+7), as den' >=
+    3w for pi), and _ConstSource divides them once per refine, for the
+    floor that every lower w shifts; the cut keeps w + 8 bits of den.
+    With num/den < c and x >> k = x/2**k - f, f in [0, 1), num'/den' -
+    num/den = (f_den * num/den - f_num) / den', so the cut moves the ratio
+    by less than max(c, 1)/den' <= max(c, 1) * 2**-(w+7), as den' >=
     2**(w+7).  (k = 0 leaves the ratio as it is.)
     """
     k = max(den.bit_length() - (w + 8), 0)
@@ -323,31 +323,32 @@ def _cut_rational(num: int, den: int, w: int) -> tuple[int, int]:
 
 
 class _ConstSource:
-    """Monotone store of a rational approximation to one irrational constant.
+    """Monotone store of one certified floor of one irrational constant.
 
     ``mantissa(w)`` returns ``round(x * 2**w)`` exactly, for an integer w
     >= 0 (DomainError otherwise).  The answer depends on (constant, w)
     alone -- never on cache state -- which is what makes every downstream
-    value reproducible.  Certification: with |x - num/den| <= 2**-src_w,
-    the rounding is determined once the interval of half-width
-    2**(w-src_w) around num/den * 2**w keeps a factor-2 margin from the
-    nearest half-integer; otherwise the source is refined and the check
-    repeated (terminates: x is irrational).  A refine at least doubles
-    src_w, to max(w + 16, 2 * src_w), so an ascending sweep of w refines
-    about log2(w_max / w_min) times, not once per w.
+    value reproducible.  The store is ``_top = (W, Q)``, Q = floor(x *
+    2**W) certified, and every w < W is a shift: with c = W - w, x * 2**W
+    + 2**(c-1) lies strictly between Q + 2**(c-1) and that plus 1 (x is
+    irrational), so round(x * 2**w) = (Q + 2**(c-1)) >> c.  A w >= W
+    refines the rational, |x - num/den| <= 2**-src_w, to src_w = max(w +
+    16, 2 * src_w) and divides once for the floor at W = src_w - 15 > w,
+    certified when the remainder keeps a factor-2 margin, den * 2**-14,
+    from 0 and from den; otherwise src_w doubles (terminates: x is
+    irrational).  An ascending sweep of w refines about log2(w_max /
+    w_min) times.
 
-    Threads.  A hit is one ``_mans.get(w)`` without the lock.  That is
-    safe because each entry is written once, under the lock, after its
-    rounding is certified, and never changed or removed: a reader sees
-    either no entry, and misses, or the final one.  Every miss checks w
-    against MAX_BITS + 256 and takes the lock, which re-reads the entry
-    and serialises the refines, as a refine writes ``_num``, ``_den`` and
-    ``_src_w`` together.  The type test keeps a hit from serving ``True``
-    or ``1.0`` the entry of w = 1 (they equal 1 as dict keys).  Only a
-    w's first ask can refine (a later miss finds the entry under the
-    lock), and threads that each ask one ascending list make their first
-    asks in that order, as one thread does: both see the same (w, src_w)
-    sequence and refine as often.
+    Threads.  A hit reads ``_top`` once, without the lock.  Every value
+    ``_top`` holds is a certified pair, and a refine replaces the whole
+    tuple, so a reader shifts either the old pair or the new one, with the
+    same answer.  Every miss checks w against MAX_BITS + 256 and takes the
+    lock, which re-reads ``_top`` and serialises the refines, as a refine
+    writes ``_src_w`` and ``_top`` together.  The type test keeps a float
+    or bool w off the shift.  Only a w's first ask can refine (a refine
+    leaves W above w), and threads that each ask one ascending list make
+    their first asks in that order, as one thread does: both see the same
+    (w, src_w) sequence and refine as often.
     """
 
     def __init__(self, name: str, refine) -> None:
@@ -355,15 +356,13 @@ class _ConstSource:
         self._refine = refine
         self._lock = threading.Lock()
         self._src_w = 0
-        self._num = 0
-        self._den = 1
-        self._mans: dict[int, int] = {}
+        self._top = (0, 0)                  # W = 0: no w is below it
         self.refinements = 0
 
     def mantissa(self, w: int) -> int:
-        man = self._mans.get(w)
-        if man is not None and type(w) is int:
-            return man
+        W, Q = self._top
+        if type(w) is int and 0 <= w < W:
+            return ((Q >> (W - w - 1)) + 1) >> 1
         if not _is_int(w) or w < 0:
             raise DomainError(f"{self._name}: working bits must be an integer >= 0, got {w!r}")
         if w > MAX_BITS + 256:
@@ -371,23 +370,19 @@ class _ConstSource:
                 f"{self._name}: {w} working bits exceeds the configured maximum"
             )
         with self._lock:
-            man = self._mans.get(w)
-            if man is not None:
-                return man
-            src_w = self._src_w
-            if w + 16 > src_w:              # a refine at least doubles src_w
-                src_w = max(w + 16, 2 * src_w)
-            while True:
-                if src_w > self._src_w:
-                    self._num, self._den = self._refine(src_w)
-                    self._src_w = src_w
-                    self.refinements += 1
-                man, r = divmod(self._num << w, self._den)
-                if abs(2 * r - self._den) << (self._src_w - w) > 4 * self._den:
-                    man += 2 * r >= self._den      # round half up, as round_div
-                    self._mans[w] = man
-                    return man
-                src_w *= 2
+            src_w = max(w + 16, 2 * self._src_w)
+            while self._top[0] <= w:
+                num, den = self._refine(src_w)
+                self._src_w = src_w
+                self.refinements += 1
+                W = src_w - 15
+                Q, r = divmod(num << W, den)
+                if min(r, den - r) << 14 > den:
+                    self._top = (W, Q)
+                else:
+                    src_w *= 2
+            W, Q = self._top
+        return ((Q >> (W - w - 1)) + 1) >> 1
 
 
 PI_CACHE = _ConstSource("pi", _chudnovsky_pi_rational)    # public for its refinements count

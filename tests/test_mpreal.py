@@ -412,15 +412,19 @@ def test_ln2_mantissa_sweep_is_frozen():
     assert h.hexdigest() == "892ca769b64914985ca2f3461eb26e66f7e9037654690e5c1824483b7e297472"
 
 
+def _pi_round(w: int) -> int:
+    """round(pi * 2**w) from Machin at w + 64 bits, where the whole
+    interval of that rational rounds the same way."""
+    mn, md = machin_pi_rational(w + 64)
+    lo = round_div((mn << 64 << w) - md, md << 64)
+    hi = round_div((mn << 64 << w) + md, md << 64)
+    assert lo == hi, w
+    return lo
+
+
 def test_pi_mantissa_sweep_matches_machin():
-    # round(pi * 2**w) from Machin at w + 64 bits, where the whole
-    # interval of that rational rounds the same way
-    for w in list(range(8, 300)) + [511, 512, 1000, 4096, 20008, 20024]:
-        mn, md = machin_pi_rational(w + 64)
-        lo = round_div((mn << 64 << w) - md, md << 64)
-        hi = round_div((mn << 64 << w) + md, md << 64)
-        assert lo == hi, w
-        assert pi_mantissa(w) == lo, w
+    for w in list(range(8, 300)) + [511, 512, 1000, 4096, 11789, 11790, 20008, 20024]:
+        assert pi_mantissa(w) == _pi_round(w), w
 
 
 def test_ln2_mantissa_matches_series_oracle():
@@ -443,14 +447,15 @@ def test_constant_mantissa_refuses_negative_w(mantissa):
 @pytest.mark.parametrize("mantissa", [pi_mantissa, ln2_mantissa])
 def test_constant_mantissa_refuses_float_w(mantissa):
     mantissa(2)
-    for w in (2.5, 2.0):            # 2.0 finds the entry of w = 2 as a dict key
+    for w in (2.5, 2.0):            # 2.0 is below the top that 2 left: only the type test refuses it
         with pytest.raises(DomainError):
             mantissa(w)
 
 
 @pytest.mark.parametrize("mantissa", [pi_mantissa, ln2_mantissa])
 def test_constant_mantissa_refuses_bool_w(mantissa):
-    mantissa(1)                     # True would find this entry as a dict key
+    mantissa(1)                     # True and False are below the top it leaves:
+                                    # only the type test refuses them
     for w in (True, False):
         with pytest.raises(DomainError):
             mantissa(w)
@@ -474,6 +479,10 @@ def test_const_source_hits_skip_the_lock():
 
     source._lock = NoLock()
     assert source.mantissa(300) == want
+    # every lower w, none asked before, is a shift of the one stored floor
+    for w in range(300):
+        fresh = mpreal._ConstSource("ln2", mpreal._atanh_ln2_rational)
+        assert source.mantissa(w) == fresh.mantissa(w), w
 
 
 def test_const_source_threads_agree_with_serial():
@@ -535,6 +544,17 @@ def test_const_source_retries_until_the_rounding_is_certain():
     ln2 = mpreal._ConstSource("ln2", mpreal._atanh_ln2_rational)
     assert ln2.mantissa(26248) == _ln2_round(26248)
     assert ln2.refinements == 2
+
+
+def test_const_source_shifts_near_the_rounding_boundary():
+    # of the w <= 20024, pi * 2**11789 has the fraction nearest 1/2 (within
+    # 2**-17), and 8373 is next; the floor certified at w = 20024 serves
+    # them, their neighbours and the bottom w without another refine
+    pi = mpreal._ConstSource("pi", mpreal._chudnovsky_pi_rational)
+    assert pi.mantissa(20024) == _pi_round(20024)
+    for w in (11789, 11790, 8373, 8374, 20023, 1, 0):
+        assert pi.mantissa(w) == _pi_round(w), w
+    assert pi.refinements == 1
 
 
 def test_pi_bits_limit():
